@@ -12,6 +12,7 @@ a handful of table gathers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.optimize import basinhopping
@@ -21,12 +22,14 @@ from .screening import EntanglerPool
 from .simulator import (
     Ansatz,
     apply_pauli_exponential,
-    apply_pauli_word,
     compile_sum_action,
+    energy_and_gradient,
     expectation,
 )
 
-_SCORER_TABLE_LIMIT = 10  # qubits; above this the table would not fit
+# Largest register the pool scorer (and so a run) accepts: its 4^n-entry
+# word table and the odd-Y pool of (4^n - 2^n)/2 words must fit in memory.
+SCORER_MAX_QUBITS = 10
 
 
 class AdaptiveError(RuntimeError):
@@ -154,8 +157,8 @@ class PoolScorer:
     def __init__(self, H: PauliSum, pool: EntanglerPool, chunk: int = 4096):
         if H.n_qubits != pool.n_qubits:
             raise AdaptiveError("Hamiltonian and pool qubit counts differ")
-        if H.n_qubits > _SCORER_TABLE_LIMIT:
-            raise AdaptiveError("pool scorer limited to 10 qubits")
+        if H.n_qubits > SCORER_MAX_QUBITS:
+            raise AdaptiveError(f"pool scorer limited to {SCORER_MAX_QUBITS} qubits")
         self.n = H.n_qubits
         self.chunk = chunk
         self.coeffs = np.array([c for c, _ in H.terms])
@@ -255,7 +258,6 @@ def joint_optimize(
     H: PauliSum,
     cfg: OptimizerConfig,
     rng: np.random.Generator | None = None,
-    h_action=None,
 ) -> tuple[np.ndarray, float]:
     """Basin-hopping reoptimization of all layer parameters.
 
@@ -268,23 +270,8 @@ def joint_optimize(
         raise AdaptiveError("joint optimization needs at least one layer")
     if rng is None:
         rng = np.random.default_rng(0)
-    if h_action is None:
-        h_action, _ = compile_sum_action(H)
-    words = ansatz.words
-    reference = ansatz.reference_state()
-
-    def objective(params):
-        psi = reference
-        for word, tau in zip(words, params):
-            psi = apply_pauli_exponential(psi, word, tau)
-        lam = h_action(psi)
-        energy = float(np.real(np.vdot(psi, lam)))
-        grads = np.zeros(len(params))
-        for k in range(len(params) - 1, -1, -1):
-            grads[k] = 2.0 * np.imag(np.vdot(lam, apply_pauli_word(psi, words[k])))
-            psi = apply_pauli_exponential(psi, words[k], -params[k])
-            lam = apply_pauli_exponential(lam, words[k], -params[k])
-        return energy, grads
+    h_action, _ = compile_sum_action(H)
+    objective = partial(energy_and_gradient, ansatz, h_action)
 
     x0 = np.array(ansatz.parameters, dtype=float)
     e_in = objective(x0)[0]
@@ -326,7 +313,6 @@ def run_adaptive(
     if len(strengths) != len(pool) or len(percentiles) != len(pool):
         raise AdaptiveError("strengths/percentiles must match the pool")
     scorer = PoolScorer(H, pool)
-    h_action, _ = compile_sum_action(H)
     ansatz = Ansatz(H.n_qubits, list(reference_bits))
     state = ansatz.reference_state()
     hf_energy = expectation(state, H)
@@ -359,9 +345,7 @@ def run_adaptive(
             word = pool.words[chosen]
             ansatz = ansatz.with_layer(word, float(taus[chosen]))
             rng = np.random.default_rng(np.random.SeedSequence((config.seed, step)))
-            params, e_new = joint_optimize(
-                ansatz, H, config.optimizer, rng=rng, h_action=h_action
-            )
+            params, e_new = joint_optimize(ansatz, H, config.optimizer, rng=rng)
             ansatz = Ansatz(H.n_qubits, list(reference_bits), list(ansatz.words), list(params))
             descent_achieved = energy - e_new
             steps.append(

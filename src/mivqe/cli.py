@@ -3,7 +3,8 @@
 Verbs: run (full pipeline), sweep (bond-length series), mi-report
 (de-convergence comparison), encode (FCIDUMP -> Pauli text), pool
 (generate/screen entangler pools). Exit codes: 0 success, 2 the run finished
-without reaching convergence, 3 input error.
+without reaching convergence, 3 input error (PipelineError or any of
+INPUT_ERRORS).
 """
 
 from __future__ import annotations
@@ -12,7 +13,13 @@ import argparse
 import sys
 from pathlib import Path
 
+from .adaptive import SCORER_MAX_QUBITS, AdaptiveError
 from .config import ConfigError, MpsBackend, RunConfig, parse_config, parse_reference
+from .encodings import EncodingError
+from .fcidump import FcidumpError
+from .fermion import FermionError
+from .mps import MpsError
+from .pauli import PauliError
 from .pipeline import (
     PipelineError,
     encode_fcidump_to_text,
@@ -20,10 +27,20 @@ from .pipeline import (
     run_pipeline,
     sweep,
 )
+from .reference import ReferenceError
+from .screening import ScreeningError
+from .simulator import SimulatorError
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
 EXIT_INPUT_ERROR = 3
+
+# The package's error types: each reports an input or problem the package
+# cannot work with, so the CLI turns it into one error line and exit 3.
+INPUT_ERRORS = (
+    AdaptiveError, ConfigError, EncodingError, FcidumpError, FermionError, MpsError,
+    PauliError, ReferenceError, ScreeningError, SimulatorError, FileNotFoundError,
+)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -91,7 +108,6 @@ def _cmd_sweep(args) -> int:
     base = _config_from_args(args, fcidump=args.fcidumps[0])
     tagged = []
     for path in args.fcidumps:
-        cfg_kwargs = {"fcidump": path}
         out = None
         if base.output:
             out = str(Path(base.output) / Path(path).stem)
@@ -140,16 +156,20 @@ def _cmd_encode(args) -> int:
 
 def _cmd_pool(args) -> int:
     from .reference import MIMatrix
-    from .screening import generate_pool, percentiles, screen_pool, screening_report_csv
+    from .screening import generate_pool, pool_strengths, screen_pool, screening_report_csv
 
+    if args.n_qubits > SCORER_MAX_QUBITS:
+        raise ConfigError(
+            f"--n-qubits {args.n_qubits} exceeds the {SCORER_MAX_QUBITS}-qubit pool limit"
+        )
     pool = generate_pool(args.n_qubits)
     if args.mi:
         mi = MIMatrix.from_csv(Path(args.mi).read_text())
-        scored = percentiles(pool, mi)
+        full_pool, strengths = pool, pool_strengths(pool, mi)
         if args.p_cut is not None:
-            pool = screen_pool(pool, mi, args.p_cut)
+            pool, _ = screen_pool(full_pool, strengths, args.p_cut)
         if args.report:
-            Path(args.report).write_text(screening_report_csv(scored, args.p_cut))
+            Path(args.report).write_text(screening_report_csv(full_pool, strengths, args.p_cut))
             print(f"wrote {args.report}")
     elif args.p_cut is not None:
         raise ConfigError("--p-cut requires --mi")
@@ -204,11 +224,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except INPUT_ERRORS as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 
 

@@ -97,19 +97,19 @@ def parse_reference(text: str):
             raise ConfigError("mi: reference needs a CSV path")
         return ("mi", path)
     if text.startswith("mps:"):
-        body = text[4:]
-        chi = sweeps = None
-        for part in body.split(","):
+        opts = {}
+        for part in text[4:].split(","):
             key, _, val = part.partition("=")
-            if key.strip() == "chi":
-                chi = int(val)
-            elif key.strip() == "sweeps":
-                sweeps = int(val)
-            else:
+            key = key.strip()
+            if key not in ("chi", "sweeps"):
                 raise ConfigError(f"unknown mps option {key!r}")
-        if chi is None or sweeps is None:
+            try:
+                opts[key] = int(val)
+            except ValueError:
+                raise ConfigError(f"mps option {key} needs an integer, got {val!r}") from None
+        if len(opts) != 2:
             raise ConfigError("mps reference needs chi=<n>,sweeps=<n>")
-        return MpsBackend(chi, sweeps)
+        return MpsBackend(opts["chi"], opts["sweeps"])
     raise ConfigError(f"unknown reference backend {text!r}")
 
 

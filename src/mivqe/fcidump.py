@@ -41,7 +41,8 @@ class MolecularIntegrals:
             raise FcidumpError("more electrons than spin-orbitals")
 
 
-def _parse_header(text: str) -> tuple[dict, str]:
+def _parse_header(text: str) -> tuple[int, int, int, str]:
+    """(NORB, NELEC, MS2, record text) from the ``&FCI ... /`` namelist."""
     m = re.search(r"&FCI(.*?)(?:/|&END)", text, re.S | re.I)
     if not m:
         raise FcidumpError("missing &FCI ... / header")
@@ -49,8 +50,16 @@ def _parse_header(text: str) -> tuple[dict, str]:
     keys = {}
     for kv in re.finditer(r"([A-Za-z0-9_]+)\s*=\s*([^=]*?)(?=(?:,?\s*[A-Za-z0-9_]+\s*=)|$)", body, re.S):
         keys[kv.group(1).upper()] = kv.group(2).strip().rstrip(",").strip()
-    rest = text[m.end():]
-    return keys, rest
+    try:
+        n, nelec = int(keys["NORB"]), int(keys["NELEC"])
+        ms2 = int(keys.get("MS2", 0))
+    except KeyError as missing:
+        raise FcidumpError(f"header missing {missing}") from None
+    except ValueError as exc:
+        raise FcidumpError(f"non-integer header value: {exc}") from None
+    if n < 1:
+        raise FcidumpError(f"NORB must be positive, got {n}")
+    return n, nelec, ms2, text[m.end():]
 
 
 _EIGHTFOLD = (
@@ -73,13 +82,7 @@ def parse_fcidump(text: str) -> MolecularIntegrals:
     element populates its full symmetry orbit; re-stating an element with a
     value differing by more than DUPLICATE_TOLERANCE is an error.
     """
-    keys, rest = _parse_header(text)
-    try:
-        n = int(keys["NORB"])
-        nelec = int(keys["NELEC"])
-    except KeyError as missing:
-        raise FcidumpError(f"header missing {missing}") from None
-    ms2 = int(keys.get("MS2", 0))
+    n, nelec, ms2, rest = _parse_header(text)
 
     core = 0.0
     have_core = False
@@ -92,8 +95,11 @@ def parse_fcidump(text: str) -> MolecularIntegrals:
     if len(tokens) % 5:
         raise FcidumpError("record stream is not a multiple of 5 tokens")
     for pos in range(0, len(tokens), 5):
-        value = float(tokens[pos])
-        i, j, k, l = (int(t) for t in tokens[pos + 1 : pos + 5])
+        try:
+            value = float(tokens[pos])
+            i, j, k, l = (int(t) for t in tokens[pos + 1 : pos + 5])
+        except ValueError:
+            raise FcidumpError(f"malformed record {' '.join(tokens[pos : pos + 5])!r}") from None
         if i == j == k == l == 0:
             if have_core and abs(core - value) > DUPLICATE_TOLERANCE:
                 raise FcidumpError("conflicting core-energy records")

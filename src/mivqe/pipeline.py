@@ -19,7 +19,7 @@ import numpy as np
 from scipy.stats import spearmanr
 
 from . import __version__
-from .adaptive import RunReport, run_adaptive
+from .adaptive import SCORER_MAX_QUBITS, RunReport, run_adaptive
 from .config import MpsBackend, RunConfig, parse_reference
 from .encodings import EncodingSpec, encode, hf_reference, reduce_stationary_qubits
 from .fcidump import load_fcidump
@@ -121,6 +121,12 @@ def prepare_problem(cfg: RunConfig) -> Problem:
         H, removed, index_map = H_full, [], {q: q for q in range(n_encoded)}
         bits = list(bits_full)
 
+    if H.n_qubits > SCORER_MAX_QUBITS:
+        raise PipelineError(
+            "pool",
+            f"{H.n_qubits} qubits after reduction exceed the "
+            f"{SCORER_MAX_QUBITS}-qubit limit of the pool scorer",
+        )
     try:
         pool = generate_pool(H.n_qubits)
         if removed:
@@ -199,12 +205,9 @@ def prepare_problem(cfg: RunConfig) -> Problem:
         )
 
         if cfg.p_cut is not None:
-            screened = screen_pool(pool, mi, cfg.p_cut)
-            kept = {w: i for i, w in enumerate(pool.words)}
-            kept_idx = np.array([kept[w] for w in screened.words])
-            pool = screened
-            strengths = strengths[kept_idx]
-            percentiles = percentiles[kept_idx]
+            pool, kept = screen_pool(pool, strengths, cfg.p_cut)
+            strengths = strengths[kept]
+            percentiles = percentiles[kept]
     except PipelineError:
         raise
     except Exception as exc:

@@ -171,7 +171,7 @@ class MIMatrix:
     @classmethod
     def from_csv(cls, text: str) -> "MIMatrix":
         rows = [r.strip() for r in text.strip().splitlines() if r.strip()]
-        header = rows[0].split(",")
+        header = rows[0].split(",") if rows else [""]
         if header[0] != "qubit":
             raise ReferenceError("MI CSV must start with a 'qubit' header row")
         n = len(header) - 1
@@ -180,37 +180,33 @@ class MIMatrix:
             raise ReferenceError("MI CSV row count does not match header")
         for row in rows[1:]:
             parts = row.split(",")
-            i = int(parts[0])
-            entries[i] = [float(x) for x in parts[1:]]
+            try:
+                entries[int(parts[0])] = [float(x) for x in parts[1:]]
+            except (ValueError, IndexError):
+                raise ReferenceError(f"malformed MI CSV row {row!r}") from None
         return cls(entries)
 
 
 def mutual_information(state) -> MIMatrix:
     """MI matrix of a StateVector (numpy array) or MPSState."""
     if hasattr(state, "pair_density_matrix"):
-        return _mutual_information_mps(state)
-    return _mutual_information_dense(np.asarray(state))
+        n = state.n_qubits
+        single, pair = state.single_density_matrix, state.pair_density_matrix
+    else:
+        state = np.asarray(state)
+        n = int(np.log2(len(state)))
 
+        def single(q):
+            return rdm(state, [q])
 
-def _mutual_information_dense(state: np.ndarray) -> MIMatrix:
-    n = int(np.log2(len(state)))
-    singles = [entropy(rdm(state, [q])) for q in range(n)]
+        def pair(i, j):
+            return rdm(state, [i, j])
+
+    singles = [entropy(single(q)) for q in range(n)]
     entries = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            s_ij = entropy(rdm(state, [i, j]))
-            mi = 0.5 * (singles[i] + singles[j] - s_ij)
-            entries[i, j] = entries[j, i] = max(mi, 0.0)
-    return MIMatrix(entries)
-
-
-def _mutual_information_mps(state) -> MIMatrix:
-    n = state.n_qubits
-    singles = [entropy(state.single_density_matrix(q)) for q in range(n)]
-    entries = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            s_ij = entropy(state.pair_density_matrix(i, j))
+            s_ij = entropy(pair(i, j))
             mi = 0.5 * (singles[i] + singles[j] - s_ij)
             entries[i, j] = entries[j, i] = max(mi, 0.0)
     return MIMatrix(entries)

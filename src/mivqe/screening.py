@@ -86,16 +86,8 @@ def _mi_entries(mi) -> np.ndarray:
     return np.asarray(entries, dtype=float)
 
 
-def correlation_strength(word: PauliWord, mi) -> float:
-    """Average MI over ordered qubit pairs in the word's support.
-
-    Single-qubit words have no pairs; their strength is defined as 0 so they
-    rank last.
-    """
-    entries = _mi_entries(mi)
-    support = [q for q in range(word.n_qubits) if (word.support >> q) & 1]
-    if max(support, default=-1) >= entries.shape[0]:
-        raise ScreeningError("word support outside MI matrix range")
+def _support_strength(entries: np.ndarray, support: list[int]) -> float:
+    """Average MI over the qubit pairs of support; 0 with fewer than two qubits."""
     L = len(support)
     if L < 2:
         return 0.0
@@ -106,6 +98,19 @@ def correlation_strength(word: PauliWord, mi) -> float:
     return 2.0 * total / (L * (L - 1))
 
 
+def correlation_strength(word: PauliWord, mi) -> float:
+    """Average MI over ordered qubit pairs in the word's support.
+
+    Single-qubit words have no pairs; their strength is defined as 0 so they
+    rank last.
+    """
+    entries = _mi_entries(mi)
+    support = [q for q in range(word.n_qubits) if (word.support >> q) & 1]
+    if max(support, default=-1) >= entries.shape[0]:
+        raise ScreeningError("word support outside MI matrix range")
+    return _support_strength(entries, support)
+
+
 def pool_strengths(pool: EntanglerPool, mi) -> np.ndarray:
     """Correlation strengths for a whole pool via a per-support-mask table."""
     entries = _mi_entries(mi)
@@ -114,24 +119,9 @@ def pool_strengths(pool: EntanglerPool, mi) -> np.ndarray:
         raise ScreeningError("MI matrix smaller than pool qubit count")
     table = np.zeros(1 << n)
     for mask in range(1 << n):
-        support = [q for q in range(n) if (mask >> q) & 1]
-        L = len(support)
-        if L < 2:
-            continue
-        total = 0.0
-        for a in range(L):
-            for b in range(a + 1, L):
-                total += entries[support[a], support[b]]
-        table[mask] = 2.0 * total / (L * (L - 1))
+        table[mask] = _support_strength(entries, [q for q in range(n) if (mask >> q) & 1])
     supports = np.fromiter((w.support for w in pool.words), dtype=np.int64, count=len(pool))
     return table[supports]
-
-
-@dataclass(frozen=True)
-class ScoredEntangler:
-    word: PauliWord
-    correlation_strength: float
-    percentile: float
 
 
 def percentile_of_strengths(
@@ -145,39 +135,35 @@ def percentile_of_strengths(
     return counts / n
 
 
-def percentiles(pool: EntanglerPool, mi, baseline: EntanglerPool | None = None) -> list[ScoredEntangler]:
-    """Score every pool word against a baseline pool (the pool itself by default)."""
-    strengths = pool_strengths(pool, mi)
-    if baseline is None or baseline is pool:
-        base = strengths
-    else:
-        base = pool_strengths(baseline, mi)
-    pct = percentile_of_strengths(strengths, base)
-    return [
-        ScoredEntangler(w, float(c), float(p))
-        for w, c, p in zip(pool.words, strengths, pct)
-    ]
+def screen_pool(
+    pool: EntanglerPool, strengths: np.ndarray, p_cut: float
+) -> tuple[EntanglerPool, np.ndarray]:
+    """Keep the words whose percentile within the pool is <= p_cut.
 
-
-def screen_pool(pool: EntanglerPool, mi, p_cut: float) -> EntanglerPool:
-    """Keep the words with percentile <= p_cut; boundary ties are all kept."""
+    strengths are the pool's own (pool_strengths); boundary ties are all
+    kept. Returns the screened pool and the kept indices into pool, in pool
+    order.
+    """
     if not (0.0 < p_cut <= 1.0):
         raise ScreeningError("p_cut must lie in (0, 1]")
-    scored = percentiles(pool, mi)
-    kept = tuple(s.word for s in scored if s.percentile <= p_cut)
-    if not kept:
+    pct = percentile_of_strengths(strengths, strengths)
+    kept = np.flatnonzero(pct <= p_cut)
+    if not len(kept):
         raise ScreeningError(
             f"screening at p_cut={p_cut} leaves an empty pool "
-            f"(minimum achievable percentile is {min(s.percentile for s in scored):.3g})"
+            f"(minimum achievable percentile is {pct.min():.3g})"
         )
-    return EntanglerPool(pool.n_qubits, kept, f"screened(p_cut={p_cut:.12g})")
+    words = tuple(pool.words[i] for i in kept)
+    return EntanglerPool(pool.n_qubits, words, f"screened(p_cut={p_cut:.12g})"), kept
 
 
-def screening_report_csv(scored: list[ScoredEntangler], p_cut: float | None = None) -> str:
+def screening_report_csv(
+    pool: EntanglerPool, strengths: np.ndarray, p_cut: float | None = None
+) -> str:
+    """One row per pool word: strength, percentile within the pool, kept flag."""
+    pct = percentile_of_strengths(strengths, strengths)
     lines = ["word,strength,percentile,kept"]
-    for s in scored:
-        kept = "" if p_cut is None else str(int(s.percentile <= p_cut))
-        lines.append(
-            f"{format_pauli_factors(s.word)},{s.correlation_strength:.12g},{s.percentile:.12g},{kept}"
-        )
+    for word, c, p in zip(pool.words, strengths, pct):
+        kept = "" if p_cut is None else str(int(p <= p_cut))
+        lines.append(f"{format_pauli_factors(word)},{c:.12g},{p:.12g},{kept}")
     return "\n".join(lines) + "\n"

@@ -32,21 +32,24 @@ def basis_state(n_qubits: int, bits) -> np.ndarray:
     return state
 
 
-def _zsigns(n_qubits: int, z_mask: int) -> np.ndarray:
-    k = np.arange(2**n_qubits, dtype=np.uint64)
-    parity = np.bitwise_count(k & np.uint64(z_mask)) & np.uint64(1)
-    return 1.0 - 2.0 * parity.astype(np.float64)
+def _signs_and_gather(word: PauliWord) -> tuple[np.ndarray, np.ndarray | None]:
+    """(-1)^{|k & z|} for every basis index k, and the gather k -> k ^ x.
+
+    The gather is None for a diagonal word (x = 0).
+    """
+    dim = 2**word.n_qubits
+    k = np.arange(dim, dtype=np.uint64)
+    parity = np.bitwise_count(k & np.uint64(word.z_mask)) & np.uint64(1)
+    signs = 1.0 - 2.0 * parity.astype(np.float64)
+    gather = np.arange(dim, dtype=np.intp) ^ word.x_mask if word.x_mask else None
+    return signs, gather
 
 
 def apply_pauli_word(state: np.ndarray, word: PauliWord) -> np.ndarray:
     """P |state> via index XOR and phase lookup; no matrix materialized."""
-    phase = _I_POW[word.y_count % 4]
-    signs = _zsigns(word.n_qubits, word.z_mask)
-    out = phase * (signs * state)
-    if word.x_mask:
-        k = np.arange(len(state), dtype=np.intp)
-        out = out[k ^ word.x_mask]
-    return out
+    signs, gather = _signs_and_gather(word)
+    out = _I_POW[word.y_count % 4] * (signs * state)
+    return out if gather is None else out[gather]
 
 
 def apply_pauli_exponential(state: np.ndarray, word: PauliWord, tau: float) -> np.ndarray:
@@ -58,43 +61,31 @@ def expectation(state: np.ndarray, H: PauliSum) -> float:
     """<state| H |state> as a real number (imaginary residue discarded)."""
     if len(state) != 2**H.n_qubits:
         raise SimulatorError("state length does not match Hamiltonian qubit count")
-    acc = 0.0 + 0.0j
-    for coeff, word in H.terms:
-        acc += coeff * np.vdot(state, apply_pauli_word(state, word))
+    action, _ = compile_sum_action(H)
+    acc = np.vdot(state, action(state))
     if abs(acc.imag) > 1e-8:
         raise SimulatorError(f"expectation has imaginary residue {acc.imag}")
     return float(acc.real)
 
 
-def apply_sum(state: np.ndarray, H: PauliSum) -> np.ndarray:
-    out = np.zeros_like(state)
-    for coeff, word in H.terms:
-        out += coeff * apply_pauli_word(state, word)
-    return out
-
-
 def compile_sum_action(H: PauliSum):
     """Precompute per-term sign vectors and gathers for repeated H*v products.
+
+    This is the one place a PauliSum acts on a state: Lanczos, expectation
+    and the adjoint gradient all use it. Terms accumulate in H.terms order;
+    that order is part of the run's float behaviour and stays fixed.
 
     Returns (action, real_valued): action works on real or complex vectors;
     real_valued reports whether every term has an even Y count, i.e. the
     matrix is real in the computational basis.
     """
-    n = H.n_qubits
-    dim = 2**n
-    k = np.arange(dim, dtype=np.uint64)
-    idx = np.arange(dim, dtype=np.intp)
     real_valued = all(w.y_count % 2 == 0 for _, w in H.terms)
     compiled = []
     for coeff, word in H.terms:
-        signs = 1.0 - 2.0 * (
-            np.bitwise_count(k & np.uint64(word.z_mask)) & np.uint64(1)
-        ).astype(np.float64)
         phase = (1j**word.y_count) * coeff
         if real_valued:
             phase = phase.real
-        gather = idx ^ word.x_mask if word.x_mask else None
-        compiled.append((phase, signs, gather))
+        compiled.append((phase, *_signs_and_gather(word)))
 
     def action(v: np.ndarray) -> np.ndarray:
         out = np.zeros_like(v)
@@ -155,21 +146,23 @@ def evaluate_ansatz(ansatz: Ansatz, H: PauliSum, parameters=None):
 
 
 def gradient(ansatz: Ansatz, H: PauliSum, parameters=None) -> np.ndarray:
-    """Analytic dE/dtau by one forward and one reverse sweep (adjoint method).
+    """Analytic dE/dtau; see energy_and_gradient."""
+    params = ansatz.parameters if parameters is None else list(parameters)
+    action, _ = compile_sum_action(H)
+    return energy_and_gradient(ansatz, action, params)[1]
 
-    With psi_k the state after layer k and lam_k = (U_{k+1..N})^dag H psi_N,
+
+def energy_and_gradient(ansatz: Ansatz, h_action, parameters) -> tuple[float, np.ndarray]:
+    """E(params) and dE/dtau by one forward and one reverse sweep (adjoint method).
+
+    h_action is the compiled H product from compile_sum_action. With psi_k
+    the state after layer k and lam_k = (U_{k+1..N})^dag H psi_N,
     dE/dtau_k = 2 Im <lam_k| P_k |psi_k>. Cost is O(layers * 2^n * terms),
     not quadratic in the layer count.
     """
-    params = ansatz.parameters if parameters is None else list(parameters)
-    return energy_and_gradient(ansatz, H, params)[1]
-
-
-def energy_and_gradient(ansatz: Ansatz, H: PauliSum, parameters) -> tuple[float, np.ndarray]:
-    """Single-pass objective for optimizers: E(params) and its adjoint gradient."""
     params = list(parameters)
     psi = ansatz.prepare(params)
-    lam = apply_sum(psi, H)
+    lam = h_action(psi)
     energy = float(np.real(np.vdot(psi, lam)))
     grads = np.zeros(len(params))
     for k in range(len(params) - 1, -1, -1):

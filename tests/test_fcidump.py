@@ -70,6 +70,10 @@ def test_missing_header_keys():
         parse_fcidump("&FCI NORB=2,\n /\n0.1 0 0 0 0")
     with pytest.raises(FcidumpError):
         parse_fcidump("no header at all")
+    with pytest.raises(FcidumpError):
+        parse_fcidump("&FCI NORB=abc,NELEC=2,\n /\n0.1 0 0 0 0")
+    with pytest.raises(FcidumpError):
+        parse_fcidump(HEADER + "0.5 one 1 0 0")
 
 
 def test_out_of_range_indices():

@@ -145,9 +145,7 @@ def test_screening_equivalence_boundary_case():
     descents, _, _ = scorer.scores(ansatz.prepare())
     best = int(np.argmax(descents))
     assert partial.percentiles[best] > p_cut
-    screened_pool = screen_pool(partial.pool, partial.mi, p_cut)
-    kept = {w: i for i, w in enumerate(partial.pool.words)}
-    scr_idx = np.array([kept[w] for w in screened_pool.words])
+    _, scr_idx = screen_pool(partial.pool, partial.strengths, p_cut)
     assert descents[scr_idx].max() < descents.max()
 
 
@@ -367,6 +365,66 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
 
     code = main(["run", "--fcidump", str(FIXTURE_DIR / "nope.fcidump")])
     assert code == 3
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+BAD_INPUTS = {
+    "mi_entry_above_one": lambda tmp: [
+        "pool", "--n-qubits", "2",
+        "--mi", _write(tmp / "mi.csv", "qubit,0,1\n0,0,2\n1,2,0\n"),
+    ],
+    "mi_non_numeric": lambda tmp: [
+        "pool", "--n-qubits", "2",
+        "--mi", _write(tmp / "mi.csv", "qubit,0,1\n0,0,x\n1,x,0\n"),
+    ],
+    "pool_zero_qubits": lambda tmp: ["pool", "--n-qubits", "0"],
+    "mps_non_integer": lambda tmp: ["run", "--fcidump", LIH, "--reference", "mps:chi=x,sweeps=2"],
+    "fcidump_non_integer_norb": lambda tmp: [
+        "run", "--fcidump",
+        _write(tmp / "bad.fcidump", "&FCI NORB=abc,NELEC=2,MS2=0,\n /\n0.1 0 0 0 0\n"),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_cli_bad_input_exits_3_with_one_error_line(case, tmp_path, capsys):
+    code = main(BAD_INPUTS[case](tmp_path))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith(("error: ", "input error: "))
+
+
+def test_cli_pool_rejects_size_above_limit(monkeypatch, capsys):
+    import mivqe.screening
+
+    def unguarded(n_qubits):
+        raise AssertionError(f"generate_pool({n_qubits}) ran past the size guard")
+
+    monkeypatch.setattr(mivqe.screening, "generate_pool", unguarded)
+    assert main(["pool", "--n-qubits", "40"]) == 3
+    assert "qubit pool limit" in capsys.readouterr().err
+
+
+def test_oversized_register_rejected_before_heavy_work(tmp_path, monkeypatch, capsys):
+    import mivqe.pipeline
+
+    reached = []
+    monkeypatch.setattr(mivqe.pipeline, "exact_ground_state",
+                        lambda *a, **kw: reached.append("exact_ground_state"))
+    monkeypatch.setattr(mivqe.pipeline, "generate_pool",
+                        lambda *a, **kw: reached.append("generate_pool"))
+    # an XX chain: every qubit flips, so none is stationary and all 11 stay
+    n = 11
+    text = f"qubits: {n}\n" + "".join(f"1.0 X{q} X{q + 1}\n" for q in range(n - 1))
+    code = main(["run", "--pauli-sum", _write(tmp_path / "chain.pauli", text)])
+    assert code == 3
+    assert "11 qubits after reduction" in capsys.readouterr().err
+    assert reached == []
 
 
 def test_cli_encode_and_pool(tmp_path, capsys):

@@ -11,7 +11,6 @@ from mivqe.screening import (
     correlation_strength,
     generate_pool,
     percentile_of_strengths,
-    percentiles,
     pool_size,
     pool_strengths,
     screen_pool,
@@ -127,12 +126,12 @@ def test_screen_pool_noop_and_top_word():
     mi = mi_from_entries(entries)
     pool = generate_pool(n)
 
-    assert screen_pool(pool, mi, 1.0).words == pool.words
-
     strengths = pool_strengths(pool, mi)
+    assert screen_pool(pool, strengths, 1.0)[0].words == pool.words
+
     top = strengths.max()
     n_top = int((strengths == top).sum())
-    screened = screen_pool(pool, mi, n_top / len(pool))
+    screened, _ = screen_pool(pool, strengths, n_top / len(pool))
     assert all(
         correlation_strength(w, mi) == top for w in screened.words
     )
@@ -147,11 +146,14 @@ def test_screen_pool_brute_force_set():
     np.fill_diagonal(entries, 0.0)
     mi = mi_from_entries(entries)
     pool = generate_pool(n)
-    scored = percentiles(pool, mi)
+    slow = [correlation_strength(w, mi) for w in pool]
+    # percentile by direct count: share of the pool at least as strong
+    pct = {w: sum(s >= c for s in slow) / len(pool) for w, c in zip(pool, slow)}
     for p_cut in (0.05, 0.2, 0.5, 0.9):
-        screened = screen_pool(pool, mi, p_cut)
-        expected = {s.word for s in scored if s.percentile <= p_cut}
+        screened, kept = screen_pool(pool, pool_strengths(pool, mi), p_cut)
+        expected = {w for w in pool if pct[w] <= p_cut}
         assert set(screened.words) == expected
+        assert [pool.words[i] for i in kept] == list(screened.words)
         # canonical order preserved
         keys = [w.sort_key() for w in screened.words]
         assert keys == sorted(keys)
@@ -165,11 +167,11 @@ def test_screening_monotonicity():
     np.fill_diagonal(entries, 0.0)
     mi = mi_from_entries(entries)
     pool = generate_pool(n)
-    scored = percentiles(pool, mi)
-    p_min = min(s.percentile for s in scored)
+    strengths = pool_strengths(pool, mi)
+    p_min = percentile_of_strengths(strengths, strengths).min()
     previous: set = set()
     for p_cut in (p_min, 0.3, 0.6, 1.0):
-        kept = set(screen_pool(pool, mi, p_cut).words)
+        kept = set(screen_pool(pool, strengths, p_cut)[0].words)
         assert previous <= kept
         previous = kept
 
@@ -195,7 +197,7 @@ def test_screen_pool_empty_raises():
     pool = generate_pool(2)
     # all strengths tie at 0, so every percentile is 1.0
     with pytest.raises(ScreeningError):
-        screen_pool(pool, mi, 0.5)
+        screen_pool(pool, pool_strengths(pool, mi), 0.5)
 
 
 def test_pool_text_round_trip():
@@ -217,8 +219,8 @@ def test_screening_report_csv():
     n = 2
     entries = np.array([[0.0, 0.4], [0.4, 0.0]])
     pool = generate_pool(n)
-    scored = percentiles(pool, mi_from_entries(entries))
-    csv = screening_report_csv(scored, p_cut=0.5)
+    strengths = pool_strengths(pool, mi_from_entries(entries))
+    csv = screening_report_csv(pool, strengths, p_cut=0.5)
     lines = csv.strip().splitlines()
     assert lines[0] == "word,strength,percentile,kept"
     assert len(lines) == len(pool) + 1
