@@ -4,9 +4,10 @@ acceptance rule, joint basin-hopping reoptimization, and screening-rate stats.
 Because every entangler generator P satisfies P^2 = I, the single-layer
 energy is an exact sinusoid E(tau) = A + B cos 2tau + C sin 2tau, so a trial
 costs three energy evaluations and no 1-D optimizer. The pool scorer below
-goes one step further: it tabulates <s|W|s> for every Pauli word W at once
-via a Walsh-Hadamard transform, after which each of the 32k pool words costs
-a handful of table gathers.
+goes one step further: two Walsh-Hadamard transforms per step give B and C
+for every pool word at once (half a million words at 10 qubits), and the
+few words near a selection boundary are recomputed by the exact term sum so
+that float noise cannot reorder tied words.
 """
 
 from __future__ import annotations
@@ -145,13 +146,45 @@ def _tau_minimum(b, c):
     return np.where(tau > np.pi / 2, tau - np.pi, tau)[()]
 
 
-class PoolScorer:
-    """Vectorized sinusoid fits for every pool word against a frozen state.
+def _fwht(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along the last axis (length 2^m).
 
-    For the frozen state s, T[x, z] = sum_k (-1)^{|k & z|} conj(s[k^x]) s[k]
-    holds every <s|W|s> up to the i^y phase; one 2^n x 2^n Walsh-Hadamard
-    product per step replaces per-word state preparation entirely. The
-    anticommuting split of H against each word then gives B and C exactly.
+    out[..., j] = sum_k (-1)^{|j & k|} a[..., k], by m butterfly passes.
+    """
+    out = np.array(a, dtype=np.float64)
+    size = out.shape[-1]
+    h = 1
+    while h < size:
+        v = out.reshape(*out.shape[:-1], size // (2 * h), 2, h)
+        lo = v[..., 0, :].copy()
+        hi = v[..., 1, :]
+        v[..., 0, :] += hi
+        np.subtract(lo, hi, out=hi)
+        h *= 2
+    return out
+
+
+class PoolScorer:
+    """Sinusoid fits for every pool word against a frozen real state s.
+
+    With the anticommuting part H_a of H against a word P, the trial energy
+    is E(tau) = E0 - B + B cos 2tau + C sin 2tau, B = <H_a>, C = <i P H_a>.
+
+    Transform path (every word): with f_i = c_i <P_i>, B_P = (E0 - G_P) / 2,
+    where G is one length-4^n Walsh-Hadamard transform of f placed at
+    (z_i << n) | x_i and read at (x_P << n) | z_P. C_P = +-T_sigma[x_P, z_P]
+    (+ for y_P = 1 mod 4), where T_sigma is the row-wise transform of
+    sigma[k ^ x] s[k] and sigma = H s. One step costs O(4^n n), whatever the
+    term count.
+
+    Term-sum path (exact): B and C summed over the anticommuting terms in
+    H.terms order, reading T[x, z] = sum_k (-1)^{|k & z|} s[k ^ x] s[k].
+    Given the strengths, scores() recomputes by this path every word whose
+    transform descent lies within 2 * slack of a selection boundary, so
+    select_entangler's choice, acceptable count and the chosen tau are the
+    term-sum ones bit for bit; float noise at 1e-14 would otherwise reorder
+    exactly tied words. slack = 1e-9 (1 + sum |c_i|) exceeds the transform's
+    rounding error, (terms + 2^n + 2n) 2 eps sum |c_i|, a thousandfold.
     """
 
     def __init__(self, H: PauliSum, pool: EntanglerPool, chunk: int = 4096):
@@ -159,7 +192,7 @@ class PoolScorer:
             raise AdaptiveError("Hamiltonian and pool qubit counts differ")
         if H.n_qubits > SCORER_MAX_QUBITS:
             raise AdaptiveError(f"pool scorer limited to {SCORER_MAX_QUBITS} qubits")
-        self.n = H.n_qubits
+        n = self.n = H.n_qubits
         self.chunk = chunk
         self.coeffs = np.array([c for c, _ in H.terms])
         self.tx = np.array([w.x_mask for _, w in H.terms], dtype=np.uint64)
@@ -167,12 +200,19 @@ class PoolScorer:
         self.ty = np.array([w.y_count for _, w in H.terms])
         if np.any(self.ty % 2):
             raise AdaptiveError("pool scorer requires an even-Y (real) Hamiltonian")
-        self.px = np.array([w.x_mask for w in pool.words], dtype=np.uint64)
-        self.pz = np.array([w.z_mask for w in pool.words], dtype=np.uint64)
-        self.py = np.array([w.y_count for w in pool.words])
+        self.px = pool.x
+        self.pz = pool.z
+        self.py = np.bitwise_count(pool.x & pool.z).astype(np.int64)
         if np.any(self.py % 2 == 0):
             raise AdaptiveError("pool words must have odd Y count")
-        dim = 1 << self.n
+        self.slack = 1e-9 * (1.0 + float(np.abs(self.coeffs).sum()))
+        self.refined = np.empty(0, dtype=np.intp)
+        self._h_action, _ = compile_sum_action(H)
+        shift = np.uint64(n)
+        self._term_slot = ((self.tz << shift) | self.tx).astype(np.intp)
+        self._word_slot = ((self.px << shift) | self.pz).astype(np.intp)
+        self._c_sign = np.where(self.py % 4 == 1, 1.0, -1.0)
+        dim = 1 << n
         k = np.arange(dim, dtype=np.uint64)
         # Hadamard sign matrix (-1)^{|k & z|}
         self._signs = 1.0 - 2.0 * (
@@ -180,33 +220,35 @@ class PoolScorer:
         ).astype(np.float64)
         self._kx = (k[:, None] ^ k[None, :]).astype(np.intp)
 
-    def _word_table(self, state: np.ndarray) -> np.ndarray:
-        s = state
-        if np.abs(s.imag).max() > 1e-13:
+    @staticmethod
+    def _real(state: np.ndarray) -> np.ndarray:
+        if np.abs(state.imag).max() > 1e-13:
             raise AdaptiveError(
                 "frozen state has imaginary amplitudes; odd-Y layers preserve "
                 "real states, so this indicates a non-real reference"
             )
-        s = s.real
-        u = s[self._kx] * s[None, :]
-        return u @ self._signs
+        return state.real
 
-    def scores(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """(descents, tau_stars, e0) for every pool word."""
-        T = self._word_table(state)
-        # <P_i> for the Hamiltonian terms; i^y is +-1 here (even y)
+    def _word_table(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """T[x, z] and f_i = c_i <P_i> for the Hamiltonian terms."""
+        T = (s[self._kx] * s[None, :]) @ self._signs
+        # <P_i> = i^y_i T[x_i, z_i], and i^y_i is +-1 here (even y)
         term_signs = np.where(self.ty % 4 == 0, 1.0, -1.0)
-        t_vals = term_signs * T[self.tx.astype(np.intp), self.tz.astype(np.intp)]
-        weighted = self.coeffs * t_vals
-        e0 = float(weighted.sum())
+        f = self.coeffs * (term_signs * T[self.tx.astype(np.intp), self.tz.astype(np.intp)])
+        return T, f
 
-        n_pool = len(self.px)
-        descents = np.zeros(n_pool)
-        taus = np.zeros(n_pool)
-        for start in range(0, n_pool, self.chunk):
-            px = self.px[start : start + self.chunk]
-            pz = self.pz[start : start + self.chunk]
-            py = self.py[start : start + self.chunk]
+    def _term_sum(
+        self, T: np.ndarray, f: np.ndarray, idx: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(descents, taus) of the pool words idx by the exact term sum."""
+        b = np.empty(len(idx))
+        c = np.empty(len(idx))
+        for start in range(0, len(idx), self.chunk):
+            cols = idx[start : start + self.chunk]
+            # numpy sums a lone column pairwise but several columns term by
+            # term; a duplicate keeps every word on the term-by-term order
+            sel = np.resize(cols, max(len(cols), 2))
+            px, pz, py = self.px[sel], self.pz[sel], self.py[sel]
             anti = (
                 (
                     np.bitwise_count(self.tx[:, None] & pz[None, :])
@@ -214,7 +256,7 @@ class PoolScorer:
                 )
                 & np.uint64(1)
             ).astype(bool)
-            b = np.where(anti, weighted[:, None], 0.0).sum(axis=0)
+            bb = np.where(anti, f[:, None], 0.0).sum(axis=0)
             # <P_i P> = i^{y_i + y_P + 2|z_i & x_P|} T[x_i^x_P, z_i^z_P];
             # the exponent is odd here, so -i * <P_i P> = +-T[...]
             pc = np.bitwise_count(self.tz[:, None] & px[None, :]).astype(np.int64)
@@ -222,11 +264,67 @@ class PoolScorer:
             signs = np.where(exponent == 1, 1.0, -1.0)
             gx = (self.tx[:, None] ^ px[None, :]).astype(np.intp)
             gz = (self.tz[:, None] ^ pz[None, :]).astype(np.intp)
-            prod_vals = T[gx, gz]
-            c = np.where(anti, self.coeffs[:, None] * signs * prod_vals, 0.0).sum(axis=0)
-            # E(0) - E_min = B + sqrt(B^2 + C^2)
-            descents[start : start + self.chunk] = b + np.hypot(b, c)
-            taus[start : start + self.chunk] = _tau_minimum(b, c)
+            cc = np.where(anti, self.coeffs[:, None] * signs * T[gx, gz], 0.0).sum(axis=0)
+            b[start : start + len(cols)] = bb[: len(cols)]
+            c[start : start + len(cols)] = cc[: len(cols)]
+        # E(0) - E_min = B + sqrt(B^2 + C^2)
+        return b + np.hypot(b, c), _tau_minimum(b, c)
+
+    def term_sum_scores(self, state: np.ndarray, indices=None) -> tuple[np.ndarray, np.ndarray]:
+        """(descents, taus) by the exact term sum, for indices or the whole pool."""
+        T, f = self._word_table(self._real(state))
+        idx = np.arange(len(self.px)) if indices is None else np.asarray(indices, dtype=np.intp)
+        return self._term_sum(T, f, idx)
+
+    def scores(
+        self,
+        state: np.ndarray,
+        strengths: np.ndarray | None = None,
+        descent_fraction: float = 0.3,
+    ) -> tuple[np.ndarray, np.ndarray, float]:
+        """(descents, tau_stars, e0) for every pool word.
+
+        Without strengths every value comes from the transform path. With
+        them, the words that can change select_entangler(descents, strengths,
+        descent_fraction) are recomputed by the term sum (their indices are
+        left in self.refined), in two stages:
+        1. words within 2 slack of the max descent or of the acceptance
+           threshold, which makes the max and the acceptable set exact;
+        2. the acceptable words of the top strength within 2 slack of that
+           group's max descent, which makes the winner and its tau exact.
+        """
+        s = self._real(state)
+        T, f = self._word_table(s)
+        e0 = float(f.sum())
+        F = np.zeros(1 << (2 * self.n))
+        F[self._term_slot] = f
+        b = 0.5 * (e0 - _fwht(F)[self._word_slot])
+        sigma = self._h_action(s)
+        c = self._c_sign * _fwht(sigma[self._kx] * s[None, :]).ravel()[self._word_slot]
+        descents = b + np.hypot(b, c)
+        taus = _tau_minimum(b, c)
+        self.refined = np.empty(0, dtype=np.intp)
+        if strengths is None:
+            return descents, taus, e0
+
+        band = 2.0 * self.slack
+        strengths = np.asarray(strengths, dtype=float)
+
+        def refine(mask):
+            idx = np.flatnonzero(mask)
+            descents[idx], taus[idx] = self._term_sum(T, f, idx)
+            self.refined = np.union1d(self.refined, idx)
+
+        top = descents.max()
+        refine(
+            (descents >= top - band)
+            | (np.abs(descents - descent_fraction * top) <= band)
+        )
+        top = descents.max()
+        if top > 0.0:
+            acceptable = descents >= descent_fraction * top
+            group = acceptable & (strengths == strengths[acceptable].max())
+            refine(group & (descents >= descents[group].max() - band))
         return descents, taus, e0
 
 
@@ -329,7 +427,7 @@ def run_adaptive(
     else:
         recent_descents: list[float] = []
         for step in range(1, config.max_steps + 1):
-            descents, taus, e0 = scorer.scores(state)
+            descents, taus, e0 = scorer.scores(state, strengths, config.descent_fraction)
             if abs(e0 - energy) > 1e-8:
                 raise AdaptiveError(
                     f"scorer energy {e0} disagrees with tracked energy {energy}"
@@ -342,7 +440,7 @@ def run_adaptive(
                 stop_reason = "no improving entangler"
                 converged = is_converged(energy) if reference_energy is not None else True
                 break
-            word = pool.words[chosen]
+            word = pool.word(chosen)
             ansatz = ansatz.with_layer(word, float(taus[chosen]))
             rng = np.random.default_rng(np.random.SeedSequence((config.seed, step)))
             params, e_new = joint_optimize(ansatz, H, config.optimizer, rng=rng)

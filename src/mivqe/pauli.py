@@ -273,7 +273,10 @@ def parse_pauli_sum(text: str) -> PauliSum:
         if line.lower().startswith("qubits:"):
             if n_qubits is not None:
                 raise PauliError("duplicate qubits header")
-            n_qubits = int(line.split(":", 1)[1])
+            try:
+                n_qubits = int(line.split(":", 1)[1])
+            except ValueError:
+                raise PauliError(f"invalid qubits header {line!r}") from None
             continue
         if n_qubits is None:
             raise PauliError("missing 'qubits: <n>' header before first term")

@@ -35,11 +35,20 @@ from .reference import (
 from .screening import (
     EntanglerPool,
     generate_pool,
+    odd_y_multiplicities,
     percentile_of_strengths,
+    pool_size,
     pool_strengths,
     screen_pool,
+    support_strengths,
 )
 from .simulator import Ansatz
+
+
+# Largest encoded register an unreduced baseline accepts: its support table
+# is a 2^n-entry Python loop, and the full-register sector check runs the
+# 16-qubit exact backend.
+BASELINE_MAX_QUBITS = 16
 
 
 class PipelineError(RuntimeError):
@@ -127,10 +136,17 @@ def prepare_problem(cfg: RunConfig) -> Problem:
             f"{H.n_qubits} qubits after reduction exceed the "
             f"{SCORER_MAX_QUBITS}-qubit limit of the pool scorer",
         )
+    unreduced_baseline = cfg.baseline == "unreduced" and bool(removed)
+    if unreduced_baseline and n_encoded > BASELINE_MAX_QUBITS:
+        raise PipelineError(
+            "pool",
+            f"{n_encoded} encoded qubits exceed the {BASELINE_MAX_QUBITS}-qubit "
+            f"limit of the unreduced baseline",
+        )
     try:
         pool = generate_pool(H.n_qubits)
         if removed:
-            pool = EntanglerPool(pool.n_qubits, pool.words, "stationary_reduced")
+            pool = EntanglerPool(pool.n_qubits, pool.x, pool.z, "stationary_reduced")
     except Exception as exc:
         raise PipelineError("pool", exc) from exc
 
@@ -192,16 +208,19 @@ def prepare_problem(cfg: RunConfig) -> Problem:
 
     try:
         strengths = pool_strengths(pool, mi)
-        if cfg.baseline == "reduced" or not removed:
-            baseline_strengths = strengths
-            baseline_size = len(pool)
+        if unreduced_baseline:
+            # one entry per support mask of the encoded register, counted
+            # once per odd-Y word on that support: no 4^n pool is built
+            baseline_strengths = support_strengths(
+                n_encoded, mi.embedded(index_map, n_encoded)
+            )
+            baseline_counts = odd_y_multiplicities(n_encoded)
+            baseline_size = pool_size(n_encoded)
         else:
-            mi_embedded = mi.embedded(index_map, n_encoded)
-            baseline_pool = generate_pool(n_encoded)
-            baseline_strengths = pool_strengths(baseline_pool, mi_embedded)
-            baseline_size = len(baseline_pool)
+            baseline_strengths, baseline_counts = strengths, None
+            baseline_size = len(pool)
         percentiles = percentile_of_strengths(
-            strengths, baseline_strengths, baseline_size
+            strengths, baseline_strengths, baseline_size, baseline_counts
         )
 
         if cfg.p_cut is not None:
@@ -218,7 +237,7 @@ def prepare_problem(cfg: RunConfig) -> Problem:
         hamiltonian=H,
         reference_bits=bits,
         pool=pool,
-        full_pool_size=(4**H.n_qubits - 2**H.n_qubits) // 2,
+        full_pool_size=pool_size(H.n_qubits),
         mi=mi,
         strengths=strengths,
         percentiles=percentiles,
@@ -405,8 +424,7 @@ def mi_report(cfg: RunConfig, settings: list[MpsBackend]) -> dict:
     report, problem = run_pipeline(cfg)
     chosen = [s.word for s in report.steps]
     pool = problem.pool
-    word_index = {w: i for i, w in enumerate(pool.words)}
-    chosen_idx = np.array([word_index[w] for w in chosen], dtype=int)
+    chosen_idx = np.array([pool.index(w) for w in chosen], dtype=int)
 
     exact_strengths = problem.strengths
     exact_pct = problem.percentiles

@@ -10,6 +10,7 @@ baseline pool at least as strong, ties counted inclusively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,17 +26,52 @@ def pool_size(n_qubits: int) -> int:
     return (4**n_qubits - 2**n_qubits) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntanglerPool:
+    """Pool words as parallel uint64 x/z mask arrays, in pool order.
+
+    The arrays are all that scoring, strengths and screening read. ``words``
+    builds PauliWord objects on first use, for pool text and tests; no
+    per-step path touches it.
+    """
+
     n_qubits: int
-    words: tuple[PauliWord, ...]
+    x: np.ndarray
+    z: np.ndarray
     provenance: str = "original"
 
+    def __post_init__(self):
+        if self.x.ndim != 1 or self.x.shape != self.z.shape:
+            raise ScreeningError("pool x and z masks must be 1-D arrays of equal length")
+
+    @classmethod
+    def from_words(cls, n_qubits: int, words, provenance: str = "custom") -> "EntanglerPool":
+        words = list(words)
+        x = np.array([w.x_mask for w in words], dtype=np.uint64)
+        z = np.array([w.z_mask for w in words], dtype=np.uint64)
+        return cls(n_qubits, x, z, provenance)
+
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.x)
 
     def __iter__(self):
         return iter(self.words)
+
+    @cached_property
+    def words(self) -> tuple[PauliWord, ...]:
+        return tuple(self.word(i) for i in range(len(self)))
+
+    def word(self, i: int) -> PauliWord:
+        return PauliWord(self.n_qubits, int(self.x[i]), int(self.z[i]))
+
+    def index(self, word: PauliWord) -> int:
+        """Position of word in the pool; ScreeningError if it is absent."""
+        hits = np.flatnonzero(
+            (self.x == np.uint64(word.x_mask)) & (self.z == np.uint64(word.z_mask))
+        )
+        if not len(hits):
+            raise ScreeningError(f"word {format_pauli_factors(word)!r} is not in the pool")
+        return int(hits[0])
 
     def to_text(self) -> str:
         lines = [f"# pool provenance: {self.provenance}", f"qubits: {self.n_qubits}"]
@@ -51,7 +87,10 @@ class EntanglerPool:
             if not line:
                 continue
             if line.lower().startswith("qubits:"):
-                n_qubits = int(line.split(":", 1)[1])
+                try:
+                    n_qubits = int(line.split(":", 1)[1])
+                except ValueError:
+                    raise ScreeningError(f"invalid qubits header {line!r}") from None
                 continue
             if n_qubits is None:
                 raise ScreeningError("missing 'qubits: <n>' header")
@@ -63,22 +102,28 @@ class EntanglerPool:
             raise ScreeningError("missing 'qubits: <n>' header")
         if len(set(words)) != len(words):
             raise ScreeningError("pool contains duplicate words")
-        return cls(n_qubits, tuple(words), provenance)
+        return cls.from_words(n_qubits, words, provenance)
 
 
 def generate_pool(n_qubits: int) -> EntanglerPool:
     """All odd-Y Pauli words on n qubits in canonical order."""
     if n_qubits < 1:
         raise ScreeningError("n_qubits must be positive")
-    n = n_qubits
-    size = 1 << n
+    size = 1 << n_qubits
     z = np.repeat(np.arange(size, dtype=np.uint64), size)
     x = np.tile(np.arange(size, dtype=np.uint64), size)
     odd = (np.bitwise_count(x & z) & np.uint64(1)).astype(bool)
-    words = tuple(
-        PauliWord(n, int(xm), int(zm)) for xm, zm in zip(x[odd], z[odd])
-    )
-    return EntanglerPool(n, words, "original")
+    return EntanglerPool(n_qubits, x[odd], z[odd], "original")
+
+
+def odd_y_multiplicities(n_qubits: int) -> np.ndarray:
+    """Odd-Y words per support mask: (3^L - 1) / 2 for a support of L qubits.
+
+    Each support qubit carries X, Y or Z, and half of the 3^L - 1 non-balanced
+    choices have an odd Y count; the entries sum to pool_size(n_qubits).
+    """
+    weights = np.bitwise_count(np.arange(1 << n_qubits, dtype=np.uint64)).astype(np.int64)
+    return (3**weights - 1) // 2
 
 
 def _mi_entries(mi) -> np.ndarray:
@@ -111,27 +156,47 @@ def correlation_strength(word: PauliWord, mi) -> float:
     return _support_strength(entries, support)
 
 
-def pool_strengths(pool: EntanglerPool, mi) -> np.ndarray:
-    """Correlation strengths for a whole pool via a per-support-mask table."""
+def support_strengths(n_qubits: int, mi) -> np.ndarray:
+    """Correlation strength of every support mask on n qubits (2^n entries)."""
     entries = _mi_entries(mi)
-    n = pool.n_qubits
+    n = n_qubits
     if entries.shape[0] < n:
         raise ScreeningError("MI matrix smaller than pool qubit count")
     table = np.zeros(1 << n)
     for mask in range(1 << n):
         table[mask] = _support_strength(entries, [q for q in range(n) if (mask >> q) & 1])
-    supports = np.fromiter((w.support for w in pool.words), dtype=np.int64, count=len(pool))
-    return table[supports]
+    return table
+
+
+def pool_strengths(pool: EntanglerPool, mi) -> np.ndarray:
+    """Correlation strengths for a whole pool via the per-support-mask table."""
+    table = support_strengths(pool.n_qubits, mi)
+    return table[(pool.x | pool.z).astype(np.intp)]
 
 
 def percentile_of_strengths(
-    strengths: np.ndarray, baseline_strengths: np.ndarray, baseline_size: int | None = None
+    strengths: np.ndarray,
+    baseline_strengths: np.ndarray,
+    baseline_size: int | None = None,
+    baseline_counts: np.ndarray | None = None,
 ) -> np.ndarray:
-    """percentile(c) = |{baseline strength >= c}| / N(baseline), ties inclusive."""
-    baseline = np.sort(np.asarray(baseline_strengths, dtype=float))
-    n = baseline_size if baseline_size is not None else len(baseline)
-    # count of baseline entries >= c  ==  len - first index where entry >= c
-    counts = len(baseline) - np.searchsorted(baseline, strengths, side="left")
+    """percentile(c) = |{baseline strength >= c}| / N(baseline), ties inclusive.
+
+    baseline_counts, if given, is how many baseline words share each entry of
+    baseline_strengths (e.g. one entry per support mask, weighted by
+    odd_y_multiplicities); by default every entry is one word.
+    """
+    baseline_strengths = np.asarray(baseline_strengths, dtype=float)
+    order = np.argsort(baseline_strengths, kind="stable")
+    baseline = baseline_strengths[order]
+    if baseline_counts is None:
+        counts_sorted = np.ones(len(baseline), dtype=np.int64)
+    else:
+        counts_sorted = np.asarray(baseline_counts, dtype=np.int64)[order]
+    # at_least[i] = words with strength >= baseline[i]; at_least[len] = 0
+    at_least = np.concatenate([np.cumsum(counts_sorted[::-1])[::-1], [0]])
+    n = baseline_size if baseline_size is not None else int(at_least[0])
+    counts = at_least[np.searchsorted(baseline, strengths, side="left")]
     return counts / n
 
 
@@ -153,8 +218,10 @@ def screen_pool(
             f"screening at p_cut={p_cut} leaves an empty pool "
             f"(minimum achievable percentile is {pct.min():.3g})"
         )
-    words = tuple(pool.words[i] for i in kept)
-    return EntanglerPool(pool.n_qubits, words, f"screened(p_cut={p_cut:.12g})"), kept
+    screened = EntanglerPool(
+        pool.n_qubits, pool.x[kept], pool.z[kept], f"screened(p_cut={p_cut:.12g})"
+    )
+    return screened, kept
 
 
 def screening_report_csv(

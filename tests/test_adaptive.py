@@ -251,7 +251,7 @@ def test_run_adaptive_no_improving_entangler():
 
     n = 2
     H = PauliSum(n, [(1.0, PauliWord(n, 0, 0b01))])  # Z0
-    pool = EntanglerPool(n, (PauliWord.from_label("IY"),), "custom")
+    pool = EntanglerPool.from_words(n, [PauliWord.from_label("IY")], "custom")
     report, _ = run_adaptive(
         H,
         pool,
@@ -305,3 +305,75 @@ def test_screening_equivalence_small_molecule():
     for a, b in zip(full_report.steps, scr_report.steps):
         assert abs(a.energy - b.energy) < 1e-8
         assert abs(a.tau - b.tau) < 1e-6
+
+
+def _swap01(word):
+    """word with the factors of qubits 0 and 1 exchanged."""
+
+    def swap(m):
+        return m ^ 0b11 if (m ^ (m >> 1)) & 1 else m
+
+    return PauliWord(word.n_qubits, swap(word.x_mask), swap(word.z_mask))
+
+
+def _mirrored_problem(rng, n, basis):
+    """Even-Y H, real state and strengths all symmetric under swapping qubits
+    0 and 1, so every word and its mirror image tie exactly in descent and
+    strength; only float noise could order them."""
+    half = random_even_sum(rng, n, 3 * n)
+    H = PauliSum(n, list(half.terms) + [(c, _swap01(w)) for c, w in half.terms])
+    k = np.arange(2**n)
+    mirror = k ^ (((k ^ (k >> 1)) & 1) * 0b11)
+    if basis:
+        bits = [int(b) for b in rng.integers(0, 2, size=n)]
+        bits[1] = bits[0]
+        state = basis_state(n, bits)
+    else:
+        v = rng.normal(size=2**n)
+        v = v + v[mirror]
+        state = (v / np.linalg.norm(v)).astype(complex)
+    entries = rng.uniform(0, 1, size=(n, n))
+    entries = entries + entries.T
+    p = [1, 0, *range(2, n)]
+    entries = entries + entries[p][:, p]
+    pool = generate_pool(n)
+    return H, pool, state, pool_strengths(pool, entries)
+
+
+def _assert_selection_is_term_sum(scorer, state, strengths, fraction=0.3):
+    descents, taus, _ = scorer.scores(state, strengths, fraction)
+    exact_d, exact_t = scorer.term_sum_scores(state)
+    chosen, count = select_entangler(descents, strengths, fraction)
+    assert (chosen, count) == select_entangler(exact_d, strengths, fraction)
+    assert taus[chosen] == exact_t[chosen]
+    assert descents[chosen] == exact_d[chosen]
+    assert np.array_equal(descents[scorer.refined], exact_d[scorer.refined])
+    # every word the refine left alone is within the slack of the term sum
+    assert np.abs(descents - exact_d).max() <= scorer.slack
+    return chosen
+
+
+@pytest.mark.parametrize("basis", [True, False], ids=["basis", "random"])
+def test_pool_scorer_selection_equals_term_sum_on_mirror_ties(basis):
+    rng = np.random.default_rng(87 + basis)
+    twins = 0
+    for n in (3, 4, 5, 6):
+        for _ in range(4):
+            H, pool, state, strengths = _mirrored_problem(rng, n, basis)
+            scorer = PoolScorer(H, pool)
+            chosen = _assert_selection_is_term_sum(scorer, state, strengths)
+            twins += pool.index(_swap01(pool.word(chosen))) != chosen
+    assert twins  # some winners do have a tied mirror image
+
+
+def test_pool_scorer_single_refined_word_keeps_term_order():
+    """A lone refined word must be summed term by term, as it is among many
+    words; numpy would sum a single column pairwise and change its bits."""
+    rng = np.random.default_rng(89)
+    n = 4
+    H = random_even_sum(rng, n, 60)
+    pool = generate_pool(n)
+    scorer = PoolScorer(H, pool)
+    state = real_random_state(rng, n)
+    _assert_selection_is_term_sum(scorer, state, np.zeros(len(pool)))
+    assert len(scorer.refined) == 1

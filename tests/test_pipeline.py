@@ -89,6 +89,37 @@ def test_unreduced_baseline_percentiles():
     assert unreduced.p_max != reduced.p_max
 
 
+def test_unreduced_baseline_equals_brute_force_pool():
+    """Support-table percentiles equal a count over the full 6-qubit pool."""
+    from mivqe.pipeline import prepare_problem
+    from mivqe.screening import generate_pool, pool_strengths
+
+    problem = prepare_problem(lih_config(baseline="unreduced"))
+    n = problem.n_qubits_encoded
+    removed = {q for q, _ in problem.removed_qubits}
+    index_map = {q: i for i, q in enumerate(q for q in range(n) if q not in removed)}
+    baseline = pool_strengths(generate_pool(n), problem.mi.embedded(index_map, n))
+    assert len(baseline) == problem.baseline_pool_size == 2016
+    expected = np.array([np.count_nonzero(baseline >= c) for c in problem.strengths]) / 2016
+    assert np.array_equal(problem.percentiles, expected)
+
+
+def test_unreduced_baseline_builds_no_encoded_register_pool(monkeypatch):
+    import mivqe.pipeline
+
+    calls = []
+    generate_pool = mivqe.pipeline.generate_pool
+
+    def spy(n_qubits):
+        calls.append(n_qubits)
+        return generate_pool(n_qubits)
+
+    monkeypatch.setattr(mivqe.pipeline, "generate_pool", spy)
+    problem = mivqe.pipeline.prepare_problem(lih_config(baseline="unreduced"))
+    assert problem.n_qubits_encoded == 6
+    assert calls == [problem.hamiltonian.n_qubits] == [4]
+
+
 def test_pauli_sum_input_descent_stall(tmp_path):
     text = encode_fcidump_to_text(lih_config())
     path = tmp_path / "lih.pauli"
@@ -382,6 +413,9 @@ BAD_INPUTS = {
         "--mi", _write(tmp / "mi.csv", "qubit,0,1\n0,0,x\n1,x,0\n"),
     ],
     "pool_zero_qubits": lambda tmp: ["pool", "--n-qubits", "0"],
+    "pauli_sum_non_integer_qubits": lambda tmp: [
+        "run", "--pauli-sum", _write(tmp / "bad.pauli", "qubits: abc\n1.0 Z0\n"),
+    ],
     "mps_non_integer": lambda tmp: ["run", "--fcidump", LIH, "--reference", "mps:chi=x,sweeps=2"],
     "fcidump_non_integer_norb": lambda tmp: [
         "run", "--fcidump",
@@ -424,6 +458,25 @@ def test_oversized_register_rejected_before_heavy_work(tmp_path, monkeypatch, ca
     code = main(["run", "--pauli-sum", _write(tmp_path / "chain.pauli", text)])
     assert code == 3
     assert "11 qubits after reduction" in capsys.readouterr().err
+    assert reached == []
+
+
+def test_unreduced_baseline_register_limit_checked_first(tmp_path, monkeypatch, capsys):
+    import mivqe.pipeline
+
+    reached = []
+    monkeypatch.setattr(mivqe.pipeline, "exact_ground_state",
+                        lambda *a, **kw: reached.append("exact_ground_state"))
+    monkeypatch.setattr(mivqe.pipeline, "generate_pool",
+                        lambda *a, **kw: reached.append("generate_pool"))
+    # a 3-qubit XX chain plus 15 Z-only qubits: the run register stays small,
+    # the 18-qubit encoded register is past the baseline limit
+    n = 18
+    text = f"qubits: {n}\n1.0 X0 X1\n1.0 X1 X2\n" + "".join(f"0.5 Z{q}\n" for q in range(3, n))
+    path = _write(tmp_path / "wide.pauli", text)
+    code = main(["run", "--pauli-sum", path, "--baseline", "unreduced"])
+    assert code == 3
+    assert "18 encoded qubits exceed" in capsys.readouterr().err
     assert reached == []
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mivqe.pauli import PauliWord
+from mivqe.pauli import PauliError, PauliWord, parse_pauli_sum
 from mivqe.reference import MIMatrix
 from mivqe.screening import (
     EntanglerPool,
@@ -212,6 +212,15 @@ def test_pool_import_rejects_invalid_words():
         EntanglerPool.from_text("qubits: 2\nX0 X1\n")  # even Y count
     with pytest.raises(ScreeningError):
         EntanglerPool.from_text("qubits: 2\nY0\nY0\n")  # duplicate
+
+
+@pytest.mark.parametrize("parse, error", [
+    (parse_pauli_sum, PauliError),
+    (EntanglerPool.from_text, ScreeningError),
+], ids=["pauli_sum", "pool"])
+def test_non_integer_qubits_header_raises_typed_error(parse, error):
+    with pytest.raises(error, match="qubits header"):
+        parse("qubits: abc\n")
 
 
 def test_screening_report_csv():
