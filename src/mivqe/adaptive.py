@@ -174,8 +174,9 @@ class PoolScorer:
     where G is one length-4^n Walsh-Hadamard transform of f placed at
     (z_i << n) | x_i and read at (x_P << n) | z_P. C_P = +-T_sigma[x_P, z_P]
     (+ for y_P = 1 mod 4), where T_sigma is the row-wise transform of
-    sigma[k ^ x] s[k] and sigma = H s. One step costs O(4^n n), whatever the
-    term count.
+    sigma[k ^ x] s[k] and sigma = H s. One step costs O(8^n) for the word
+    table T below, which the exact path reads, plus O(4^n n) for the two
+    transforms, plus O(terms x refined words) for the refine.
 
     Term-sum path (exact): B and C summed over the anticommuting terms in
     H.terms order, reading T[x, z] = sum_k (-1)^{|k & z|} s[k ^ x] s[k].
@@ -185,6 +186,8 @@ class PoolScorer:
     term-sum ones bit for bit; float noise at 1e-14 would otherwise reorder
     exactly tied words. slack = 1e-9 (1 + sum |c_i|) exceeds the transform's
     rounding error, (terms + 2^n + 2n) 2 eps sum |c_i|, a thousandfold.
+    Words that commute with every term of H have B = C = 0 exactly; they get
+    their exact descent 0 without the term sum.
     """
 
     def __init__(self, H: PauliSum, pool: EntanglerPool, chunk: int = 4096):
@@ -206,11 +209,14 @@ class PoolScorer:
         if np.any(self.py % 2 == 0):
             raise AdaptiveError("pool words must have odd Y count")
         self.slack = 1e-9 * (1.0 + float(np.abs(self.coeffs).sum()))
-        self.refined = np.empty(0, dtype=np.intp)
         self._h_action, _ = compile_sum_action(H)
         shift = np.uint64(n)
         self._term_slot = ((self.tz << shift) | self.tx).astype(np.intp)
         self._word_slot = ((self.px << shift) | self.pz).astype(np.intp)
+        # the transform of the terms' indicator reads, per word, commuting
+        # minus anticommuting terms (small integers, so exact in floats)
+        counts = np.bincount(self._term_slot, minlength=1 << (2 * n))
+        self._inert = _fwht(counts)[self._word_slot] == len(self.coeffs)
         self._c_sign = np.where(self.py % 4 == 1, 1.0, -1.0)
         dim = 1 << n
         k = np.arange(dim, dtype=np.uint64)
@@ -270,28 +276,30 @@ class PoolScorer:
         # E(0) - E_min = B + sqrt(B^2 + C^2)
         return b + np.hypot(b, c), _tau_minimum(b, c)
 
-    def term_sum_scores(self, state: np.ndarray, indices=None) -> tuple[np.ndarray, np.ndarray]:
-        """(descents, taus) by the exact term sum, for indices or the whole pool."""
+    def term_sum_scores(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(descents, taus) of the whole pool by the exact term sum."""
         T, f = self._word_table(self._real(state))
-        idx = np.arange(len(self.px)) if indices is None else np.asarray(indices, dtype=np.intp)
-        return self._term_sum(T, f, idx)
+        return self._term_sum(T, f, np.arange(len(self.px)))
 
     def scores(
         self,
         state: np.ndarray,
-        strengths: np.ndarray | None = None,
-        descent_fraction: float = 0.3,
+        strengths: np.ndarray,
+        descent_fraction: float,
     ) -> tuple[np.ndarray, np.ndarray, float]:
         """(descents, tau_stars, e0) for every pool word.
 
-        Without strengths every value comes from the transform path. With
-        them, the words that can change select_entangler(descents, strengths,
-        descent_fraction) are recomputed by the term sum (their indices are
-        left in self.refined), in two stages:
+        Transform values, except that the words which can change
+        select_entangler(descents, strengths, descent_fraction) are
+        recomputed by the term sum, in two stages:
         1. words within 2 slack of the max descent or of the acceptance
            threshold, which makes the max and the acceptable set exact;
         2. the acceptable words of the top strength within 2 slack of that
            group's max descent, which makes the winner and its tau exact.
+        Near convergence, once the max descent is below about 7 slack, every
+        word of (near-)zero descent lies in the stage-1 band; at an
+        eigenstate of H that is every word that does not commute with all of
+        H, and the step costs about what the full term sum does.
         """
         s = self._real(state)
         T, f = self._word_table(s)
@@ -303,17 +311,15 @@ class PoolScorer:
         c = self._c_sign * _fwht(sigma[self._kx] * s[None, :]).ravel()[self._word_slot]
         descents = b + np.hypot(b, c)
         taus = _tau_minimum(b, c)
-        self.refined = np.empty(0, dtype=np.intp)
-        if strengths is None:
-            return descents, taus, e0
+        descents[self._inert] = 0.0
+        taus[self._inert] = _tau_minimum(0.0, 0.0)
 
         band = 2.0 * self.slack
         strengths = np.asarray(strengths, dtype=float)
 
         def refine(mask):
-            idx = np.flatnonzero(mask)
+            idx = np.flatnonzero(mask & ~self._inert)
             descents[idx], taus[idx] = self._term_sum(T, f, idx)
-            self.refined = np.union1d(self.refined, idx)
 
         top = descents.max()
         refine(
@@ -338,6 +344,11 @@ def select_entangler(
     Acceptable words reach the descent fraction of the best descent; among
     them the largest correlation strength wins, ties broken by larger
     descent, then by canonical (pool) order.
+
+    PoolScorer.scores makes exact the words near this rule's boundaries (the
+    max, the >= threshold, the top-strength group and its descent tie-break);
+    a change to the rule must change that refine with it, or the choice can
+    stop being the term-sum one.
     """
     descents = np.asarray(descents, dtype=float)
     strengths = np.asarray(strengths, dtype=float)

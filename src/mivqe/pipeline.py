@@ -27,6 +27,7 @@ from .fermion import build_hamiltonian, hf_occupations, s_squared_operator
 from .mps import mps_ground_state
 from .pauli import PauliSum, format_pauli_sum, parse_pauli_sum
 from .reference import (
+    EXACT_MAX_QUBITS,
     LanczosConvergenceError,
     MIMatrix,
     exact_ground_state,
@@ -43,12 +44,6 @@ from .screening import (
     support_strengths,
 )
 from .simulator import Ansatz
-
-
-# Largest encoded register an unreduced baseline accepts: its support table
-# is a 2^n-entry Python loop, and the full-register sector check runs the
-# 16-qubit exact backend.
-BASELINE_MAX_QUBITS = 16
 
 
 class PipelineError(RuntimeError):
@@ -137,10 +132,12 @@ def prepare_problem(cfg: RunConfig) -> Problem:
             f"{SCORER_MAX_QUBITS}-qubit limit of the pool scorer",
         )
     unreduced_baseline = cfg.baseline == "unreduced" and bool(removed)
-    if unreduced_baseline and n_encoded > BASELINE_MAX_QUBITS:
+    # the unreduced baseline's 2^n support table over the encoded register
+    # is held to the exact backend's 2^n-amplitude limit
+    if unreduced_baseline and n_encoded > EXACT_MAX_QUBITS:
         raise PipelineError(
             "pool",
-            f"{n_encoded} encoded qubits exceed the {BASELINE_MAX_QUBITS}-qubit "
+            f"{n_encoded} encoded qubits exceed the {EXACT_MAX_QUBITS}-qubit "
             f"limit of the unreduced baseline",
         )
     try:

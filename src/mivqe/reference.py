@@ -17,6 +17,9 @@ from .simulator import compile_sum_action, rdm
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-12
 
+# Largest register the exact backend accepts.
+EXACT_MAX_QUBITS = 16
+
 
 class ReferenceError(RuntimeError):
     pass
@@ -44,8 +47,8 @@ def exact_ground_state(
     ||H v - E v|| < tol. Raises LanczosConvergenceError otherwise.
     """
     n = H.n_qubits
-    if n > 16:
-        raise ReferenceError("exact backend limited to 16 qubits")
+    if n > EXACT_MAX_QUBITS:
+        raise ReferenceError(f"exact backend limited to {EXACT_MAX_QUBITS} qubits")
     dim = 2**n
     action, real_valued = compile_sum_action(H)
     dtype = np.float64 if real_valued else np.complex128

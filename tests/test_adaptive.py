@@ -16,7 +16,7 @@ from mivqe.adaptive import (
 )
 from mivqe.encodings import EncodingSpec, encode, hf_reference
 from mivqe.fermion import build_hamiltonian, hf_occupations
-from mivqe.pauli import PauliSum, PauliWord
+from mivqe.pauli import PauliSum, PauliWord, commutes
 from mivqe.reference import exact_ground_state, mutual_information
 from mivqe.screening import generate_pool, percentile_of_strengths, pool_strengths
 from mivqe.simulator import Ansatz, apply_pauli_exponential, basis_state, expectation
@@ -96,7 +96,7 @@ def test_pool_scorer_matches_score_entangler():
         pool = generate_pool(n)
         scorer = PoolScorer(H, pool)
         state = real_random_state(rng, n)
-        descents, taus, e0 = scorer.scores(state)
+        descents, taus, e0 = scorer.scores(state, np.zeros(len(pool)), 0.3)
         assert abs(e0 - expectation(state, H)) < 1e-10
         for idx in rng.choice(len(pool), size=25, replace=False):
             d_ref, t_ref = score_entangler(state, H, pool.words[idx])
@@ -159,7 +159,7 @@ def test_joint_optimize_single_layer_closed_form():
     state = basis_state(n, [1, 0, 1])
     pool = generate_pool(n)
     scorer = PoolScorer(H, pool)
-    descents, taus, e0 = scorer.scores(state)
+    descents, taus, e0 = scorer.scores(state, np.zeros(len(pool)), 0.3)
     idx = int(np.argmax(descents))
     ansatz = Ansatz(n, [1, 0, 1], [pool.words[idx]], [taus[idx]])
     params, energy = joint_optimize(
@@ -340,17 +340,35 @@ def _mirrored_problem(rng, n, basis):
     return H, pool, state, pool_strengths(pool, entries)
 
 
+def _scores_and_refined(scorer, state, strengths, fraction=0.3):
+    """scorer.scores plus the pool indices it recomputed by the term sum."""
+    calls = []
+    term_sum = scorer._term_sum
+
+    def spy(T, f, idx):
+        calls.append(np.array(idx))
+        return term_sum(T, f, idx)
+
+    scorer._term_sum = spy
+    try:
+        descents, taus, _ = scorer.scores(state, strengths, fraction)
+    finally:
+        del scorer._term_sum
+    refined = np.concatenate([np.empty(0, dtype=np.intp), *calls])
+    return descents, taus, np.unique(refined)
+
+
 def _assert_selection_is_term_sum(scorer, state, strengths, fraction=0.3):
-    descents, taus, _ = scorer.scores(state, strengths, fraction)
     exact_d, exact_t = scorer.term_sum_scores(state)
+    descents, taus, refined = _scores_and_refined(scorer, state, strengths, fraction)
     chosen, count = select_entangler(descents, strengths, fraction)
     assert (chosen, count) == select_entangler(exact_d, strengths, fraction)
     assert taus[chosen] == exact_t[chosen]
     assert descents[chosen] == exact_d[chosen]
-    assert np.array_equal(descents[scorer.refined], exact_d[scorer.refined])
+    assert np.array_equal(descents[refined], exact_d[refined])
     # every word the refine left alone is within the slack of the term sum
     assert np.abs(descents - exact_d).max() <= scorer.slack
-    return chosen
+    return chosen, refined
 
 
 @pytest.mark.parametrize("basis", [True, False], ids=["basis", "random"])
@@ -361,7 +379,7 @@ def test_pool_scorer_selection_equals_term_sum_on_mirror_ties(basis):
         for _ in range(4):
             H, pool, state, strengths = _mirrored_problem(rng, n, basis)
             scorer = PoolScorer(H, pool)
-            chosen = _assert_selection_is_term_sum(scorer, state, strengths)
+            chosen, _ = _assert_selection_is_term_sum(scorer, state, strengths)
             twins += pool.index(_swap01(pool.word(chosen))) != chosen
     assert twins  # some winners do have a tied mirror image
 
@@ -375,5 +393,46 @@ def test_pool_scorer_single_refined_word_keeps_term_order():
     pool = generate_pool(n)
     scorer = PoolScorer(H, pool)
     state = real_random_state(rng, n)
-    _assert_selection_is_term_sum(scorer, state, np.zeros(len(pool)))
-    assert len(scorer.refined) == 1
+    _, refined = _assert_selection_is_term_sum(scorer, state, np.zeros(len(pool)))
+    assert len(refined) == 1
+
+
+def test_pool_scorer_never_recomputes_words_commuting_with_all_terms():
+    """At an eigenstate every descent is 0, so the whole pool lies in the
+    refine band. Words that commute with every term of H are exactly 0
+    without the term sum; all the others are recomputed, and every value
+    equals the term sum bit for bit."""
+    n = 4
+    H = PauliSum(n, [
+        (0.7, PauliWord.from_label("ZIII")),
+        (-0.4, PauliWord.from_label("IZZI")),
+        (0.2, PauliWord.from_label("ZIIZ")),
+    ])
+    state = np.zeros(2**n, dtype=complex)
+    state[int(np.argmin(np.diag(dense_sum(H)).real))] = 1.0
+    pool = generate_pool(n)
+    scorer = PoolScorer(H, pool)
+    inert = np.array([all(commutes(w, t) for _, t in H.terms) for w in pool.words])
+    assert inert.any() and not inert.all()
+
+    exact_d, exact_t = scorer.term_sum_scores(state)
+    descents, taus, refined = _scores_and_refined(scorer, state, np.zeros(len(pool)))
+    assert np.array_equal(refined, np.flatnonzero(~inert))
+    assert np.array_equal(descents, exact_d) and np.array_equal(taus, exact_t)
+    assert not descents.any()
+    with pytest.raises(NoImprovingEntangler):
+        select_entangler(descents, np.zeros(len(pool)), 0.3)
+
+    # at a random state the transforms leave ~1e-16 on such a word (here
+    # Y3, with H on qubits 0-2); it still reads the term sum's exact values
+    rng = np.random.default_rng(90)
+    H = PauliSum(n, [(c, PauliWord(n, w.x_mask, w.z_mask))
+                     for c, w in random_even_sum(rng, 3, 12).terms])
+    state = real_random_state(rng, n)
+    scorer = PoolScorer(H, pool)
+    inert = np.array([all(commutes(w, t) for _, t in H.terms) for w in pool.words])
+    exact_d, exact_t = scorer.term_sum_scores(state)
+    descents, taus, _ = scorer.scores(state, np.zeros(len(pool)), 0.3)
+    assert inert.any()
+    assert np.array_equal(descents[inert], exact_d[inert])
+    assert np.array_equal(taus[inert], exact_t[inert])

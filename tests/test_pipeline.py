@@ -173,7 +173,9 @@ def test_screening_equivalence_boundary_case():
     )
     assert [s.as_dict()["word"] for s in rep.steps] == words_full[:diverge]
     scorer = PoolScorer(partial.hamiltonian, partial.pool)
-    descents, _, _ = scorer.scores(ansatz.prepare())
+    descents, _, _ = scorer.scores(
+        ansatz.prepare(), partial.strengths, cfg_partial.descent_fraction
+    )
     best = int(np.argmax(descents))
     assert partial.percentiles[best] > p_cut
     _, scr_idx = screen_pool(partial.pool, partial.strengths, p_cut)
