@@ -380,7 +380,7 @@ def joint_optimize(
     if rng is None:
         rng = np.random.default_rng(0)
     h_action, _ = compile_sum_action(H)
-    objective = partial(energy_and_gradient, ansatz, h_action)
+    objective = partial(energy_and_gradient, ansatz.compile(), h_action)
 
     x0 = np.array(ansatz.parameters, dtype=float)
     e_in = objective(x0)[0]

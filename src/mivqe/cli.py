@@ -26,6 +26,7 @@ from .pipeline import (
     mi_report,
     run_pipeline,
     sweep,
+    write_text_atomic,
 )
 from .reference import ReferenceError
 from .screening import ScreeningError
@@ -118,7 +119,7 @@ def _cmd_sweep(args) -> int:
     if base.output:
         out_dir = Path(base.output)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "sweep.csv").write_text(table)
+        write_text_atomic(out_dir / "sweep.csv", table)
         print(f"wrote {out_dir / 'sweep.csv'}")
     print(table, end="")
     not_conv = sum(1 for line in table.splitlines()[1:] if ",false," in line)
@@ -147,7 +148,7 @@ def _cmd_encode(args) -> int:
     cfg = _config_from_args(args)
     text = encode_fcidump_to_text(cfg)
     if args.out:
-        Path(args.out).write_text(text)
+        write_text_atomic(Path(args.out), text)
         print(f"wrote {args.out}")
     else:
         print(text, end="")
@@ -169,12 +170,14 @@ def _cmd_pool(args) -> int:
         if args.p_cut is not None:
             pool, _ = screen_pool(full_pool, strengths, args.p_cut)
         if args.report:
-            Path(args.report).write_text(screening_report_csv(full_pool, strengths, args.p_cut))
+            write_text_atomic(
+                Path(args.report), screening_report_csv(full_pool, strengths, args.p_cut)
+            )
             print(f"wrote {args.report}")
     elif args.p_cut is not None:
         raise ConfigError("--p-cut requires --mi")
     if args.out:
-        Path(args.out).write_text(pool.to_text())
+        write_text_atomic(Path(args.out), pool.to_text())
         print(f"wrote {args.out} ({len(pool)} words)")
     else:
         print(f"pool size: {len(pool)}")

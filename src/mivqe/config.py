@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 from .adaptive import AdaptiveConfig, OptimizerConfig
-from .encodings import canonical_mapping
+from .encodings import EncodingError, canonical_mapping
 
 
 class ConfigError(ValueError):
@@ -50,7 +50,10 @@ class RunConfig:
     def __post_init__(self):
         if (self.fcidump is None) == (self.pauli_sum is None):
             raise ConfigError("exactly one of fcidump/pauli_sum must be set")
-        self.mapping = canonical_mapping(self.mapping)
+        try:
+            self.mapping = canonical_mapping(self.mapping)
+        except EncodingError as exc:
+            raise ConfigError(str(exc)) from None
         if self.grouping not in ("abab", "aabb"):
             raise ConfigError(f"unknown grouping {self.grouping!r}")
         if self.p_cut is not None and not (0.0 < self.p_cut <= 1.0):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -331,8 +332,22 @@ def _manifest(cfg: RunConfig, extra: dict | None = None) -> dict:
     return out
 
 
+def write_text_atomic(path: Path, text: str) -> None:
+    """Write text to path through a temporary file in the same directory.
+
+    os.replace then swaps it in, so path holds either its old content or all
+    of text, never a partial write.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def run_pipeline(cfg: RunConfig) -> tuple[RunReport, Problem]:
@@ -355,13 +370,15 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunReport, Problem]:
         try:
             out = Path(cfg.output)
             out.mkdir(parents=True, exist_ok=True)
+            # the manifest marks a complete artifact set: a previous run's
+            # goes first and this run's is written last, so an interrupted
+            # rerun cannot look complete
+            (out / "manifest.json").unlink(missing_ok=True)
             _write_json(out / "report.json", report_to_dict(problem, report, ansatz))
-            (out / "steps.csv").write_text(steps_csv(report))
-            (out / "mi.csv").write_text(problem.mi.to_csv())
+            write_text_atomic(out / "steps.csv", steps_csv(report))
+            write_text_atomic(out / "mi.csv", problem.mi.to_csv())
             if cfg.p_cut is not None:
-                (out / "pool_screened.txt").write_text(problem.pool.to_text())
-            # manifest written last: its presence marks a complete artifact set,
-            # so an interrupted write leaves the partial set flagged
+                write_text_atomic(out / "pool_screened.txt", problem.pool.to_text())
             _write_json(out / "manifest.json", _manifest(cfg))
         except PipelineError:
             raise
@@ -476,6 +493,8 @@ def mi_report(cfg: RunConfig, settings: list[MpsBackend]) -> dict:
     if cfg.output is not None:
         out_dir = Path(cfg.output)
         out_dir.mkdir(parents=True, exist_ok=True)
+        # mi_report.json, written last, marks a complete set (as manifest.json)
+        (out_dir / "mi_report.json").unlink(missing_ok=True)
         header = ["index", "word"] + list(out["columns"].keys())
         lines = [",".join(header)]
         for i, word in enumerate(out["entanglers"]):
@@ -483,11 +502,11 @@ def mi_report(cfg: RunConfig, settings: list[MpsBackend]) -> dict:
             for tag in out["columns"]:
                 row.append(f"{out['columns'][tag]['percentiles'][i]:.12g}")
             lines.append(",".join(row))
-        (out_dir / "mi_compare.csv").write_text("\n".join(lines) + "\n")
+        write_text_atomic(out_dir / "mi_compare.csv", "\n".join(lines) + "\n")
         for tag, col in columns.items():
             if "mi_csv" in col:
                 safe = tag.replace(":", "_").replace(",", "_").replace("=", "")
-                (out_dir / f"mi_{safe}.csv").write_text(col["mi_csv"])
+                write_text_atomic(out_dir / f"mi_{safe}.csv", col["mi_csv"])
         _write_json(out_dir / "mi_report.json", out)
     return out
 

@@ -178,16 +178,20 @@ class MIMatrix:
         if header[0] != "qubit":
             raise ReferenceError("MI CSV must start with a 'qubit' header row")
         n = len(header) - 1
-        entries = np.zeros((n, n))
         if len(rows) != n + 1:
             raise ReferenceError("MI CSV row count does not match header")
+        # one full row per qubit, collected before any n x n allocation
+        entries: list = [None] * n
         for row in rows[1:]:
             parts = row.split(",")
             try:
-                entries[int(parts[0])] = [float(x) for x in parts[1:]]
-            except (ValueError, IndexError):
+                q, values = int(parts[0]), [float(x) for x in parts[1:]]
+            except ValueError:
                 raise ReferenceError(f"malformed MI CSV row {row!r}") from None
-        return cls(entries)
+            if not 0 <= q < n or entries[q] is not None or len(values) != n:
+                raise ReferenceError(f"malformed MI CSV row {row!r}")
+            entries[q] = values
+        return cls(np.array(entries, dtype=float).reshape(n, n))
 
 
 def mutual_information(state) -> MIMatrix:

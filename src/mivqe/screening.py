@@ -91,6 +91,8 @@ class EntanglerPool:
                     n_qubits = int(line.split(":", 1)[1])
                 except ValueError:
                     raise ScreeningError(f"invalid qubits header {line!r}") from None
+                if not 1 <= n_qubits <= 64:
+                    raise ScreeningError(f"pool masks hold 1 to 64 qubits, got {n_qubits}")
                 continue
             if n_qubits is None:
                 raise ScreeningError("missing 'qubits: <n>' header")

@@ -4,6 +4,12 @@ States are numpy complex vectors of length 2^n with qubit q on bit q of the
 basis index. A Pauli word never becomes a matrix: its action is an index XOR
 with a sign/phase lookup computed from the (x, z) masks, and exponentials use
 exp(-i P t) = cos(t) I - i sin(t) P since P^2 = I.
+
+Both are compiled for repeated use, without changing a single float
+operation: compile_sum_action turns a PauliSum into one pair of
+(terms x 2^n) gather and phase-sign tables, and Ansatz.compile keeps each
+layer's (i^y factor, signs, gather) for the many energy-and-gradient
+evaluations of one reoptimization.
 """
 
 from __future__ import annotations
@@ -32,29 +38,38 @@ def basis_state(n_qubits: int, bits) -> np.ndarray:
     return state
 
 
-def _signs_and_gather(word: PauliWord) -> tuple[np.ndarray, np.ndarray | None]:
-    """(-1)^{|k & z|} for every basis index k, and the gather k -> k ^ x.
+def _word_tables(word: PauliWord) -> tuple[complex, np.ndarray, np.ndarray | None]:
+    """(i^y factor, signs, gather) of a Pauli word: P v = factor (signs v)[gather].
 
-    The gather is None for a diagonal word (x = 0).
+    signs[k] = (-1)^{|k & z|}; the gather k -> k ^ x is None for a diagonal
+    word (x = 0).
     """
     dim = 2**word.n_qubits
     k = np.arange(dim, dtype=np.uint64)
     parity = np.bitwise_count(k & np.uint64(word.z_mask)) & np.uint64(1)
     signs = 1.0 - 2.0 * parity.astype(np.float64)
     gather = np.arange(dim, dtype=np.intp) ^ word.x_mask if word.x_mask else None
-    return signs, gather
+    return _I_POW[word.y_count % 4], signs, gather
+
+
+def _apply_tables(state: np.ndarray, tables) -> np.ndarray:
+    factor, signs, gather = tables
+    out = factor * (signs * state)
+    return out if gather is None else out[gather]
+
+
+def _rotate(state: np.ndarray, tables, tau: float) -> np.ndarray:
+    return np.cos(tau) * state - 1j * np.sin(tau) * _apply_tables(state, tables)
 
 
 def apply_pauli_word(state: np.ndarray, word: PauliWord) -> np.ndarray:
     """P |state> via index XOR and phase lookup; no matrix materialized."""
-    signs, gather = _signs_and_gather(word)
-    out = _I_POW[word.y_count % 4] * (signs * state)
-    return out if gather is None else out[gather]
+    return _apply_tables(state, _word_tables(word))
 
 
 def apply_pauli_exponential(state: np.ndarray, word: PauliWord, tau: float) -> np.ndarray:
     """exp(-i * word * tau) |state>."""
-    return np.cos(tau) * state - 1j * np.sin(tau) * apply_pauli_word(state, word)
+    return _rotate(state, _word_tables(word), tau)
 
 
 def expectation(state: np.ndarray, H: PauliSum) -> float:
@@ -68,32 +83,47 @@ def expectation(state: np.ndarray, H: PauliSum) -> float:
     return float(acc.real)
 
 
-def compile_sum_action(H: PauliSum):
-    """Precompute per-term sign vectors and gathers for repeated H*v products.
+# Table entries (terms x columns) per block of the compiled H action.
+_BLOCK_ENTRIES = 1 << 15
 
-    This is the one place a PauliSum acts on a state: Lanczos, expectation
-    and the adjoint gradient all use it. Terms accumulate in H.terms order;
-    that order is part of the run's float behaviour and stays fixed.
+
+def compile_sum_action(H: PauliSum):
+    """Compile H into gather and phase-sign tables for repeated H*v products.
+
+    This is the one place a PauliSum acts on a state: Lanczos, expectation,
+    the pool scorer's sigma = H s and the adjoint gradient all use it. With
+    term t = c_t P_t, G[t, k] = k ^ x_t and
+    PS[t, k] = c_t i^{y_t} (-1)^{|G[t, k] & z_t|}, so (H v)[k] is the sum
+    over t of PS[t, k] v[G[t, k]]. The sum runs over power-of-two column
+    blocks of at least two columns: numpy then adds the rows of a block in
+    H.terms order, starting from 0, exactly as a term-by-term loop does
+    (a lone column would be summed pairwise). That order is part of the
+    run's float behaviour and stays fixed.
 
     Returns (action, real_valued): action works on real or complex vectors;
     real_valued reports whether every term has an even Y count, i.e. the
-    matrix is real in the computational basis.
+    matrix is real in the computational basis (PS is then float64).
     """
+    dim = 2**H.n_qubits
     real_valued = all(w.y_count % 2 == 0 for _, w in H.terms)
-    compiled = []
-    for coeff, word in H.terms:
-        phase = (1j**word.y_count) * coeff
-        if real_valued:
-            phase = phase.real
-        compiled.append((phase, *_signs_and_gather(word)))
+    phase = np.array([(1j**w.y_count) * c for c, w in H.terms], dtype=complex)
+    if real_valued:
+        phase = phase.real
+    x = np.array([w.x_mask for _, w in H.terms], dtype=np.int32)
+    z = np.array([w.z_mask for _, w in H.terms], dtype=np.int32)
+    width = 2
+    while 2 * width <= dim and 2 * width * len(phase) <= _BLOCK_ENTRIES:
+        width *= 2
+    # (blocks, terms, width): every block is one contiguous table
+    G = np.arange(dim, dtype=np.int32).reshape(-1, 1, width) ^ x[:, None]
+    # a select, not phase * (1 - 2 parity): no float temporaries of the
+    # table's size, which would set the peak memory of small runs
+    PS = np.where(np.bitwise_count(G & z[:, None]) & 1, -phase[:, None], phase[:, None])
 
     def action(v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        for phase, signs, gather in compiled:
-            term = signs * v
-            if gather is not None:
-                term = term[gather]
-            out += phase * term
+        out = np.empty(dim, dtype=np.result_type(PS, v))
+        for g, ps, block in zip(G, PS, out.reshape(-1, width)):
+            np.sum(ps * v[g], axis=0, out=block)
         return out
 
     return action, real_valued
@@ -129,30 +159,36 @@ class Ansatz:
     def reference_state(self) -> np.ndarray:
         return basis_state(self.n_qubits, self.reference_bits)
 
+    def compile(self) -> "CompiledAnsatz":
+        return CompiledAnsatz(
+            self.reference_state(), tuple(_word_tables(w) for w in self.words)
+        )
+
     def prepare(self, parameters=None) -> np.ndarray:
         params = self.parameters if parameters is None else list(parameters)
         if len(params) != len(self.words):
             raise SimulatorError("parameter count mismatch")
-        state = self.reference_state()
-        for word, tau in zip(self.words, params):
-            state = apply_pauli_exponential(state, word, tau)
+        return self.compile().prepare(params)
+
+
+@dataclass(frozen=True)
+class CompiledAnsatz:
+    """An ansatz's reference state and per-layer word tables, built once for
+    the many evaluations of one optimization."""
+
+    reference: np.ndarray
+    layers: tuple
+
+    def prepare(self, parameters) -> np.ndarray:
+        state = self.reference
+        for tables, tau in zip(self.layers, parameters):
+            state = _rotate(state, tables, tau)
         return state
 
 
-def evaluate_ansatz(ansatz: Ansatz, H: PauliSum, parameters=None):
-    """Energy and final state of the ansatz circuit."""
-    state = ansatz.prepare(parameters)
-    return expectation(state, H), state
-
-
-def gradient(ansatz: Ansatz, H: PauliSum, parameters=None) -> np.ndarray:
-    """Analytic dE/dtau; see energy_and_gradient."""
-    params = ansatz.parameters if parameters is None else list(parameters)
-    action, _ = compile_sum_action(H)
-    return energy_and_gradient(ansatz, action, params)[1]
-
-
-def energy_and_gradient(ansatz: Ansatz, h_action, parameters) -> tuple[float, np.ndarray]:
+def energy_and_gradient(
+    ansatz: CompiledAnsatz, h_action, parameters
+) -> tuple[float, np.ndarray]:
     """E(params) and dE/dtau by one forward and one reverse sweep (adjoint method).
 
     h_action is the compiled H product from compile_sum_action. With psi_k
@@ -166,10 +202,10 @@ def energy_and_gradient(ansatz: Ansatz, h_action, parameters) -> tuple[float, np
     energy = float(np.real(np.vdot(psi, lam)))
     grads = np.zeros(len(params))
     for k in range(len(params) - 1, -1, -1):
-        word, tau = ansatz.words[k], params[k]
-        grads[k] = 2.0 * np.imag(np.vdot(lam, apply_pauli_word(psi, word)))
-        psi = apply_pauli_exponential(psi, word, -tau)
-        lam = apply_pauli_exponential(lam, word, -tau)
+        tables, tau = ansatz.layers[k], params[k]
+        grads[k] = 2.0 * np.imag(np.vdot(lam, _apply_tables(psi, tables)))
+        psi = _rotate(psi, tables, -tau)
+        lam = _rotate(lam, tables, -tau)
     return energy, grads
 
 

@@ -1,13 +1,21 @@
-"""Independent dense-matrix oracles shared by the test suite.
+"""Independent oracles shared by the test suite.
 
-Everything here builds explicit numpy matrices from first principles (kron
+Most of this builds explicit numpy matrices from first principles (kron
 products, occupation-number ladder action) so that library code paths are
-checked against a redundant construction, not against themselves.
+checked against a redundant construction, not against themselves. The
+term-by-term H action and the per-word energy and gradient are the plain
+loops the compiled simulator paths must reproduce bit for bit.
 """
 
 import numpy as np
 
 from mivqe.pauli import PauliSum, PauliWord
+from mivqe.simulator import (
+    Ansatz,
+    compile_sum_action,
+    energy_and_gradient,
+    expectation,
+)
 
 _SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -78,3 +86,73 @@ def fermion_dense(op, n_modes: int) -> np.ndarray:
             if not dead:
                 out[occ, ket] += coeff * sign
     return out
+
+
+def _signs_and_gather(word: PauliWord, k: np.ndarray):
+    parity = np.bitwise_count(k & np.uint64(word.z_mask)) & np.uint64(1)
+    signs = 1.0 - 2.0 * parity.astype(np.float64)
+    gather = k.astype(np.intp) ^ word.x_mask if word.x_mask else None
+    return signs, gather
+
+
+def term_by_term_action(H: PauliSum):
+    """H*v as a loop over H.terms, accumulated in order from zero."""
+    real_valued = all(w.y_count % 2 == 0 for _, w in H.terms)
+    k = np.arange(2**H.n_qubits, dtype=np.uint64)
+    compiled = []
+    for coeff, word in H.terms:
+        phase = (1j**word.y_count) * coeff
+        if real_valued:
+            phase = phase.real
+        compiled.append((phase, *_signs_and_gather(word, k)))
+
+    def action(v: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(v)
+        for phase, signs, gather in compiled:
+            term = signs * v
+            if gather is not None:
+                term = term[gather]
+            out += phase * term
+        return out
+
+    return action
+
+
+def _word_action(state: np.ndarray, word: PauliWord) -> np.ndarray:
+    signs, gather = _signs_and_gather(word, np.arange(len(state), dtype=np.uint64))
+    out = np.array([1, 1j, -1, -1j])[word.y_count % 4] * (signs * state)
+    return out if gather is None else out[gather]
+
+
+def _word_exponential(state: np.ndarray, word: PauliWord, tau) -> np.ndarray:
+    return np.cos(tau) * state - 1j * np.sin(tau) * _word_action(state, word)
+
+
+def per_word_energy_and_gradient(ansatz: Ansatz, h_action, parameters):
+    """The adjoint energy and gradient, every layer rebuilt from its word."""
+    params = list(parameters)
+    psi = ansatz.reference_state()
+    for word, tau in zip(ansatz.words, params):
+        psi = _word_exponential(psi, word, tau)
+    lam = h_action(psi)
+    energy = float(np.real(np.vdot(psi, lam)))
+    grads = np.zeros(len(params))
+    for k in range(len(params) - 1, -1, -1):
+        word, tau = ansatz.words[k], params[k]
+        grads[k] = 2.0 * np.imag(np.vdot(lam, _word_action(psi, word)))
+        psi = _word_exponential(psi, word, -tau)
+        lam = _word_exponential(lam, word, -tau)
+    return energy, grads
+
+
+def evaluate_ansatz(ansatz: Ansatz, H: PauliSum, parameters=None):
+    """Energy and final state of the ansatz circuit."""
+    state = ansatz.prepare(parameters)
+    return expectation(state, H), state
+
+
+def gradient(ansatz: Ansatz, H: PauliSum, parameters=None) -> np.ndarray:
+    """Analytic dE/dtau; see simulator.energy_and_gradient."""
+    params = ansatz.parameters if parameters is None else list(parameters)
+    action, _ = compile_sum_action(H)
+    return energy_and_gradient(ansatz.compile(), action, params)[1]

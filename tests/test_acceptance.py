@@ -27,12 +27,10 @@ from mivqe.simulator import (
     apply_pauli_word,
     basis_state,
     compile_sum_action,
-    evaluate_ansatz,
-    gradient,
 )
 
 from conftest import FIXTURE_DIR
-from helpers import dense_sum, random_state, random_word
+from helpers import dense_sum, evaluate_ansatz, gradient, random_state, random_word
 
 H2_GEOMETRIES = ["0.60", "0.75", "0.90", "1.10", "1.30", "1.50", "1.80"]
 LIH_GEOMETRIES = ["1.20", "1.60", "2.00", "2.40"]

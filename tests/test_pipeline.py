@@ -62,6 +62,49 @@ def test_run_pipeline_deterministic_bytes(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == content
 
 
+def fail_writes_midway(monkeypatch, name):
+    """Make Path.write_text write half of any file whose name holds name, then fail."""
+    write_text = Path.write_text
+
+    def half_then_fail(self, text, *args, **kwargs):
+        if name in self.name:
+            write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("no space left on device")
+        return write_text(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", half_then_fail)
+
+
+def test_interrupted_artifact_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    cfg = lih_config(output=str(tmp_path / "run"))
+    run_pipeline(cfg)
+    out = tmp_path / "run"
+    complete = {path.name: path.read_bytes() for path in out.iterdir()}
+    fail_writes_midway(monkeypatch, "steps.csv")
+
+    with pytest.raises(PipelineError, match="artifacts"):
+        run_pipeline(cfg)
+    # the rerun wrote report.json, then failed: the old manifest is gone and
+    # steps.csv is still the old, complete file; no temporary file is left
+    assert sorted(path.name for path in out.iterdir()) == ["mi.csv", "report.json", "steps.csv"]
+    assert (out / "steps.csv").read_bytes() == complete["steps.csv"]
+
+    fresh = tmp_path / "fresh"
+    with pytest.raises(PipelineError, match="artifacts"):
+        run_pipeline(lih_config(output=str(fresh)))
+    assert sorted(path.name for path in fresh.iterdir()) == ["report.json"]
+
+
+def test_cli_interrupted_pool_write_keeps_old_file(tmp_path, monkeypatch):
+    pool_file = tmp_path / "pool.txt"
+    pool_file.write_text("old\n")
+    fail_writes_midway(monkeypatch, "pool.txt")
+    with pytest.raises(OSError):
+        main(["pool", "--n-qubits", "3", "--out", str(pool_file)])
+    assert [path.name for path in tmp_path.iterdir()] == ["pool.txt"]
+    assert pool_file.read_text() == "old\n"
+
+
 def test_run_pipeline_screened_rerun_matches(tmp_path):
     full, _ = run_pipeline(lih_config())
     assert full.converged

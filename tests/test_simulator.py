@@ -10,13 +10,22 @@ from mivqe.simulator import (
     apply_pauli_exponential,
     apply_pauli_word,
     basis_state,
-    evaluate_ansatz,
+    compile_sum_action,
+    energy_and_gradient,
     expectation,
-    gradient,
     rdm,
 )
 
-from helpers import dense_sum, dense_word, random_state, random_word
+from helpers import (
+    dense_sum,
+    dense_word,
+    evaluate_ansatz,
+    gradient,
+    per_word_energy_and_gradient,
+    random_state,
+    random_word,
+    term_by_term_action,
+)
 
 
 def test_apply_word_matches_dense():
@@ -170,6 +179,94 @@ def test_gradient_zero_at_stationary_point():
     H = PauliSum(1, [(1.0, PauliWord.from_label("Z"))])
     ansatz = Ansatz(1, [0], [PauliWord.from_label("Y")], [np.pi / 2])
     assert abs(gradient(ansatz, H)[0]) < 1e-12
+
+
+def random_sum(rng, n, n_terms, real_valued):
+    """A sum of exactly n_terms distinct words; even-Y words only if real_valued."""
+    if real_valued:
+        n_terms = min(n_terms, (4**n + 2**n) // 2)
+    terms = {}
+    while len(terms) < n_terms:
+        word = random_word(rng, n)
+        if real_valued and word.y_count % 2:
+            continue
+        terms[word] = float(rng.normal())
+    return PauliSum(n, [(c, w) for w, c in terms.items()])
+
+
+def ansatz_states(rng, n, layers=3):
+    """Real amplitudes with signed-zero imaginary parts, as the reoptimizer sees."""
+    ansatz = Ansatz(n, [int(b) for b in rng.integers(0, 2, size=n)])
+    while len(ansatz) < layers:
+        word = random_word(rng, n)
+        if word.y_count % 2:
+            ansatz = ansatz.with_layer(word, float(rng.normal()))
+    psi = ansatz.prepare()
+    return [psi, -psi]
+
+
+def sample_vectors(rng, n, real_valued):
+    dim = 2**n
+    vectors = [random_state(rng, n), basis_state(n, [1] * n), *ansatz_states(rng, n)]
+    if real_valued:
+        # the term loop cannot add a complex H into a real vector
+        basis = np.zeros(dim)
+        basis[int(rng.integers(dim))] = -1.0
+        vectors += [rng.normal(size=dim), basis, ansatz_states(rng, n)[0].real.copy()]
+    return vectors
+
+
+def assert_same_action(H, vectors):
+    compiled, _ = compile_sum_action(H)
+    reference = term_by_term_action(H)
+    for v in vectors:
+        got, want = compiled(v), reference(v)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("real_valued", [True, False])
+def test_compiled_action_is_term_loop_bit_for_bit(real_valued):
+    rng = np.random.default_rng(49 + real_valued)
+    for _ in range(60):
+        n = int(rng.integers(1, 9))
+        n_terms = int(rng.integers(1, min(4**n, 300) + 1))
+        H = random_sum(rng, n, n_terms, real_valued)
+        real = compile_sum_action(H)[1]
+        assert real == all(w.y_count % 2 == 0 for _, w in H.terms)
+        assert_same_action(H, sample_vectors(rng, n, real))
+
+
+@pytest.mark.parametrize("label, coeff", [("I", -1.5), ("III", 0.25), ("Z", -1.0),
+                                          ("XZ", 2.0), ("YI", 0.7)])
+def test_compiled_action_single_term_and_identity(label, coeff):
+    rng = np.random.default_rng(51)
+    H = PauliSum(len(label), [(coeff, PauliWord.from_label(label))])
+    assert_same_action(H, sample_vectors(rng, len(label), "Y" not in label))
+
+
+def test_compiled_action_keeps_term_order_without_a_lone_column():
+    # 968 terms on 1024 amplitudes: a block width of 2^15 // 968 = 33 would
+    # leave one column, which numpy sums pairwise instead of term by term
+    rng = np.random.default_rng(52)
+    H = random_sum(rng, 10, 968, real_valued=True)
+    assert_same_action(H, [rng.normal(size=1024), random_state(rng, 10)])
+
+
+def test_compiled_ansatz_energy_and_gradient_bit_for_bit():
+    rng = np.random.default_rng(53)
+    for trial in range(20):
+        n = int(rng.integers(1, 8))
+        H = random_sum(rng, n, int(rng.integers(1, min(4**n, 60) + 1)), trial % 2 == 0)
+        ansatz = Ansatz(n, [int(b) for b in rng.integers(0, 2, size=n)])
+        for _ in range(int(rng.integers(1, 12))):
+            ansatz = ansatz.with_layer(random_word(rng, n), float(rng.normal()))
+        params = rng.normal(size=len(ansatz))
+        action, _ = compile_sum_action(H)
+        energy, grads = energy_and_gradient(ansatz.compile(), action, params)
+        want_e, want_g = per_word_energy_and_gradient(ansatz, term_by_term_action(H), params)
+        assert np.float64(energy).tobytes() == np.float64(want_e).tobytes()
+        assert grads.tobytes() == want_g.tobytes()
 
 
 def test_rdm_product_state():
