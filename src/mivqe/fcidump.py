@@ -14,6 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 DUPLICATE_TOLERANCE = 1e-10
+# 32 spatial orbitals are 64 spin-orbital qubits, the width of the pool's
+# uint64 masks; the limit is checked before the NORB^4 integral tensors exist
+MAX_ORBITALS = 32
 
 
 class FcidumpError(ValueError):
@@ -59,6 +62,8 @@ def _parse_header(text: str) -> tuple[int, int, int, str]:
         raise FcidumpError(f"non-integer header value: {exc}") from None
     if n < 1:
         raise FcidumpError(f"NORB must be positive, got {n}")
+    if n > MAX_ORBITALS:
+        raise FcidumpError(f"NORB={n} exceeds the {MAX_ORBITALS}-orbital limit")
     return n, nelec, ms2, text[m.end():]
 
 

@@ -7,7 +7,16 @@ float64.
 
 Site q of the chain is qubit q; a dense basis index puts site q on bit q.
 MPS site tensors have shape (left_bond, 2, right_bond); MPO site tensors
-(left_bond, right_bond, 2, 2) with (out, in) physical legs.
+(left_bond, right_bond, 2, 2) with (out, in) physical legs. Environments are
+indexed (bra bond, MPO bond, ket bond).
+
+Every network is contracted as a fixed sequence of pairwise ``tensordot``
+steps: one environment step, one effective-Hamiltonian matvec or one
+``mpo_expectation`` site costs O(chi^3 D + chi^2 D^2) for MPS bond chi and
+MPO bond D, where a single multi-operand ``einsum`` loops over all indices
+at once (O(chi^4 D^2)). ``mps_ground_state`` takes a prebuilt MPO so that
+several DMRG settings on one Hamiltonian share a single ``build_mpo``, and
+``MPSState.local_densities`` canonicalizes once for all RDMs of a state.
 """
 
 from __future__ import annotations
@@ -169,7 +178,7 @@ class MPSState:
     def norm(self) -> float:
         env = np.ones((1, 1))
         for A in self.tensors:
-            env = np.einsum("ab,asc,bsd->cd", env, A, A)
+            env = _transfer(env, A)
         return float(np.sqrt(env[0, 0]))
 
     def to_statevector(self) -> np.ndarray:
@@ -204,46 +213,95 @@ class MPSState:
         ts[0] = ts[0] / nrm
         return MPSState(ts, center=0)
 
-    def _right_environments(self) -> list[np.ndarray]:
-        n = len(self.tensors)
+    def local_densities(self) -> "LocalDensities":
+        """One- and two-site RDMs, sharing one canonical form of this state."""
+        mps = self.left_canonicalize()
+        n = len(mps.tensors)
         R = [None] * (n + 1)
         R[n] = np.ones((1, 1))
         for k in range(n - 1, -1, -1):
-            A = self.tensors[k]
-            R[k] = np.einsum("asb,bc,dsc->ad", A, R[k + 1], A)
-        return R
+            A = mps.tensors[k]
+            R[k] = np.tensordot(np.tensordot(A, R[k + 1], ([2], [0])), A, ([1, 2], [1, 2]))
+        return LocalDensities(mps.tensors, R)
 
     def single_density_matrix(self, q: int) -> np.ndarray:
-        mps = self.left_canonicalize()
-        R = mps._right_environments()
-        A = mps.tensors[q]
-        rho = np.einsum("asb,bc,atc->st", A, R[q + 1], A)
-        return rho
+        return self.local_densities().single(q)
 
     def pair_density_matrix(self, i: int, j: int) -> np.ndarray:
         """2-qubit RDM with index s_i + 2*s_j, by transfer contraction only."""
+        return self.local_densities().pair(i, j)
+
+
+def _transfer(E: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """E[..., b, c] -> E[..., d, e]: one site of <psi|psi> on the last two legs."""
+    T = np.tensordot(E, A, ([E.ndim - 2], [0]))  # (..., c, u, d)
+    return np.tensordot(T, A, ([E.ndim - 2, E.ndim - 1], [0, 1]))  # (..., d, e)
+
+
+@dataclass
+class LocalDensities:
+    """RDMs of a left-canonical MPS; R[k] contracts sites k..n-1 (bra, ket)."""
+
+    tensors: list[np.ndarray]
+    R: list[np.ndarray]
+
+    def single(self, q: int) -> np.ndarray:
+        A = self.tensors[q]
+        return np.tensordot(np.tensordot(A, self.R[q + 1], ([2], [0])), A, ([0, 2], [0, 2]))
+
+    def pair(self, i: int, j: int) -> np.ndarray:
         if i == j:
             raise MpsError("pair needs two distinct sites")
         if i > j:
             i, j = j, i
-        mps = self.left_canonicalize()
-        R = mps._right_environments()
-        A = mps.tensors[i]
-        # E[s, s', b, b'] with identity left environment (left-canonical)
-        E = np.einsum("asb,atc->stbc", A, A)
+        A = self.tensors[i]
+        # E[s, t, b, c] with identity left environment (left-canonical)
+        E = np.tensordot(A, A, ([0], [0])).transpose(0, 2, 1, 3)
         for k in range(i + 1, j):
-            Ak = mps.tensors[k]
-            E = np.einsum("stbc,bud,cue->stde", E, Ak, Ak)
-        Aj = mps.tensors[j]
-        rho4 = np.einsum("stbc,bud,de,cve->sutv", E, Aj, R[j + 1], Aj)
+            E = _transfer(E, self.tensors[k])
+        Aj = self.tensors[j]
+        T = np.tensordot(np.tensordot(E, Aj, ([2], [0])), self.R[j + 1], ([4], [0]))
+        rho4 = np.tensordot(T, Aj, ([2, 4], [0, 2])).transpose(0, 2, 1, 3)  # (s, u, t, v)
         # index order (s_i, s_j): fastest index is the first site
         return rho4.reshape(4, 4, order="F").astype(complex)
+
+
+def _left_env_step(L: np.ndarray, A: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """L[a, m, b] -> L[c, n, d] across one site (bra A[a, s, c], ket A[b, t, d])."""
+    T = np.tensordot(L, A, ([0], [0]))  # (m, b, s, c)
+    T = np.tensordot(T, W, ([0, 2], [0, 2]))  # (b, c, n, t)
+    return np.tensordot(T, A, ([0, 3], [0, 1]))  # (c, n, d)
+
+
+def _right_env_step(R: np.ndarray, A: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """R[b, n, d] -> R[a, m, c] across one site (bra A[a, s, b], ket A[c, t, d])."""
+    T = np.tensordot(A, R, ([2], [2]))  # (c, t, b, n)
+    T = np.tensordot(T, W, ([1, 3], [3, 1]))  # (c, b, m, s)
+    return np.tensordot(T, A, ([1, 3], [2, 1])).transpose(2, 1, 0)  # (a, m, c)
+
+
+def _heff_matvec(L, W1, W2, R, theta: np.ndarray) -> np.ndarray:
+    """Two-site effective Hamiltonian on theta[a, s, t, b] -> out[c, u, v, d]."""
+    T = np.tensordot(L, theta, ([2], [0]))  # (c, m, s, t, b)
+    T = np.tensordot(T, W1, ([1, 2], [0, 3]))  # (c, t, b, n, u)
+    T = np.tensordot(T, W2, ([1, 3], [3, 0]))  # (c, b, u, p, v)
+    return np.tensordot(T, R, ([1, 3], [2, 1]))  # (c, u, v, d)
+
+
+def _heff_dense(L, W1, W2, R) -> np.ndarray:
+    """The same operator as a (c u v d) x (a s t b) matrix, symmetrized."""
+    LW = np.tensordot(L, W1, ([1], [0]))  # (c, a, n, u, s)
+    WR = np.tensordot(W2, R, ([1], [1]))  # (n, v, t, d, b)
+    M = np.tensordot(LW, WR, ([2], [0]))  # (c, a, u, s, v, t, d, b)
+    dim = L.shape[0] * 4 * R.shape[0]
+    M = M.transpose(0, 2, 4, 6, 1, 3, 5, 7).reshape(dim, dim)
+    return 0.5 * (M + M.T)
 
 
 def mpo_expectation(mps: MPSState, mpo: MPO) -> float:
     env = np.ones((1, 1, 1))
     for A, W in zip(mps.tensors, mpo.tensors):
-        env = np.einsum("amb,asc,mnst,btd->cnd", env, A, W, A)
+        env = _left_env_step(env, A, W)
     return float(env[0, 0, 0])
 
 
@@ -280,39 +338,36 @@ def mps_ground_state(
     init_bits=None,
     compression_tol: float = 1e-12,
     sweep_tol: float = 1e-12,
+    mpo: MPO | None = None,
 ) -> tuple[float, MPSState, list[float]]:
     """Two-site DMRG ground-state search over an MPO form of H.
 
     Returns the final Rayleigh-quotient energy (variational: never below the
     true ground energy), the state, and the per-sweep energy trace. Fewer
     sweeps or a smaller chi give a controlled de-converged state for MI
-    robustness experiments.
+    robustness experiments. ``mpo`` is H's MPO when the caller already built
+    it (``compression_tol`` then goes unused); by default it is built here.
     """
     if chi < 1:
         raise MpsError("chi must be at least 1")
     if n_sweeps < 1:
         raise MpsError("need at least one sweep")
     n = H.n_qubits
-    mpo = build_mpo(H, compression_tol)
+    if mpo is None:
+        mpo = build_mpo(H, compression_tol)
+    elif mpo.n_sites != n:
+        raise MpsError(f"MPO has {mpo.n_sites} sites, H has {n} qubits")
     rng = np.random.default_rng(seed)
     # one extra unit of bond freedom during the search helps chi=1 escape
     # the initial product manifold; truncation enforces chi on the result
     mps = _initial_mps(n, max(chi, 2), rng, bits=init_bits)
     tensors = [t.copy() for t in mps.tensors]
 
-    def right_env_from(k, R_next):
-        A, W = tensors[k], mpo.tensors[k]
-        return np.einsum("asb,mnst,bnd,ctd->amc", A, W, R_next, A, optimize=True)
-
-    def left_env_from(k, L_prev):
-        A, W = tensors[k], mpo.tensors[k]
-        return np.einsum("amc,asb,mnst,ctd->bnd", L_prev, A, W, A, optimize=True)
-
     # R[k] contracts sites k..n-1; L[k] contracts sites 0..k-1
     R = [None] * (n + 1)
     R[n] = np.ones((1, 1, 1))
     for k in range(n - 1, 0, -1):
-        R[k] = right_env_from(k, R[k + 1])
+        R[k] = _right_env_step(R[k + 1], tensors[k], mpo.tensors[k])
     L = [None] * (n + 1)
     L[0] = np.ones((1, 1, 1))
 
@@ -325,21 +380,14 @@ def mps_ground_state(
         nrm = np.linalg.norm(theta0)
         theta0 = theta0 / nrm if nrm > 0 else None
 
-        # W[m, n, out, in]; environments are indexed (bra bond, mpo bond,
-        # ket bond) and are NOT bra/ket symmetric once an antisymmetric
-        # site matrix (the real i*Y) sits inside them, so the legs matter
+        # W[m, n, out, in]; environments are NOT bra/ket symmetric once an
+        # antisymmetric site matrix (the real i*Y) sits inside them, so the
+        # legs matter
         def matvec(v):
-            th = v.reshape(dl, 2, 2, dr)
-            out = np.einsum("cma,astb->cmstb", Lenv, th, optimize=True)
-            out = np.einsum("cmstb,mnus->cnutb", out, W1, optimize=True)
-            out = np.einsum("cnutb,npvt,dpb->cuvd", out, W2, Renv, optimize=True)
-            return out.reshape(dim)
+            return _heff_matvec(Lenv, W1, W2, Renv, v.reshape(dl, 2, 2, dr)).reshape(dim)
 
         def dense_builder():
-            M = np.einsum(
-                "cma,mnus,npvt,dpb->cuvdastb", Lenv, W1, W2, Renv, optimize=True
-            ).reshape(dim, dim)
-            return 0.5 * (M + M.T)
+            return _heff_dense(Lenv, W1, W2, Renv)
 
         _, theta = _solve_local(matvec, dim, theta0, dense_builder)
         th = theta.reshape(dl * 2, 2 * dr)
@@ -351,11 +399,11 @@ def mps_ground_state(
         if move_right:
             tensors[i] = u.reshape(dl, 2, keep)
             tensors[i + 1] = (s[:, None] * vt).reshape(keep, 2, dr)
-            L[i + 1] = left_env_from(i, L[i])
+            L[i + 1] = _left_env_step(L[i], tensors[i], mpo.tensors[i])
         else:
             tensors[i] = (u * s).reshape(dl, 2, keep)
             tensors[i + 1] = vt.reshape(keep, 2, dr)
-            R[i + 1] = right_env_from(i + 1, R[i + 2])
+            R[i + 1] = _right_env_step(R[i + 2], tensors[i + 1], mpo.tensors[i + 1])
 
     energies: list[float] = []
     for _sweep in range(n_sweeps):

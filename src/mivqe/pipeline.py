@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import spearmanr
 
-from . import __version__
+from . import __version__, mps
 from .adaptive import SCORER_MAX_QUBITS, RunReport, run_adaptive
 from .config import MpsBackend, RunConfig, parse_reference
 from .encodings import EncodingSpec, encode, hf_reference, reduce_stationary_qubits
@@ -450,6 +450,9 @@ def mi_report(cfg: RunConfig, settings: list[MpsBackend]) -> dict:
             "spearman_vs_exact": 1.0,
         }
     }
+    # one MPO serves every setting; called through the module so that a
+    # wrapper installed on mivqe.mps.build_mpo sees the call
+    mpo = mps.build_mpo(problem.hamiltonian) if settings else None
     for setting in settings:
         e_mps, mps_state, _ = mps_ground_state(
             problem.hamiltonian,
@@ -457,6 +460,7 @@ def mi_report(cfg: RunConfig, settings: list[MpsBackend]) -> dict:
             n_sweeps=setting.sweeps,
             seed=cfg.seed,
             init_bits=problem.reference_bits,
+            mpo=mpo,
         )
         mi_chi = mutual_information(mps_state)
         strengths_chi = pool_strengths(pool, mi_chi)

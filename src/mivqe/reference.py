@@ -196,9 +196,10 @@ class MIMatrix:
 
 def mutual_information(state) -> MIMatrix:
     """MI matrix of a StateVector (numpy array) or MPSState."""
-    if hasattr(state, "pair_density_matrix"):
+    if hasattr(state, "local_densities"):
         n = state.n_qubits
-        single, pair = state.single_density_matrix, state.pair_density_matrix
+        densities = state.local_densities()  # one canonical form for all RDMs
+        single, pair = densities.single, densities.pair
     else:
         state = np.asarray(state)
         n = int(np.log2(len(state)))

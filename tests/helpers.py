@@ -4,12 +4,15 @@ Most of this builds explicit numpy matrices from first principles (kron
 products, occupation-number ladder action) so that library code paths are
 checked against a redundant construction, not against themselves. The
 term-by-term H action and the per-word energy and gradient are the plain
-loops the compiled simulator paths must reproduce bit for bit.
+loops the compiled simulator paths must reproduce bit for bit. The einsum_*
+functions are the MPS tensor networks written as single multi-operand
+einsums, which the pairwise contractions in mivqe.mps must match.
 """
 
 import numpy as np
 
 from mivqe.pauli import PauliSum, PauliWord
+from mivqe.reference import entropy
 from mivqe.simulator import (
     Ansatz,
     compile_sum_action,
@@ -156,3 +159,79 @@ def gradient(ansatz: Ansatz, H: PauliSum, parameters=None) -> np.ndarray:
     params = ansatz.parameters if parameters is None else list(parameters)
     action, _ = compile_sum_action(H)
     return energy_and_gradient(ansatz.compile(), action, params)[1]
+
+
+# MPS tensors are (left, phys, right), MPO tensors (left, right, out, in) and
+# environments (bra bond, MPO bond, ket bond).
+
+
+def einsum_left_env(L, A, W):
+    return np.einsum("amc,asb,mnst,ctd->bnd", L, A, W, A)
+
+
+def einsum_right_env(R, A, W):
+    return np.einsum("asb,mnst,bnd,ctd->amc", A, W, R, A)
+
+
+def einsum_mpo_expectation(mps, mpo) -> float:
+    env = np.ones((1, 1, 1))
+    for A, W in zip(mps.tensors, mpo.tensors):
+        env = np.einsum("amb,asc,mnst,btd->cnd", env, A, W, A)
+    return float(env[0, 0, 0])
+
+
+def einsum_heff_matvec(L, W1, W2, R, theta):
+    out = np.einsum("cma,astb->cmstb", L, theta)
+    out = np.einsum("cmstb,mnus->cnutb", out, W1)
+    return np.einsum("cnutb,npvt,dpb->cuvd", out, W2, R)
+
+
+def einsum_heff_dense(L, W1, W2, R):
+    dim = L.shape[0] * 4 * R.shape[0]
+    M = np.einsum("cma,mnus,npvt,dpb->cuvdastb", L, W1, W2, R).reshape(dim, dim)
+    return 0.5 * (M + M.T)
+
+
+def einsum_norm(mps) -> float:
+    env = np.ones((1, 1))
+    for A in mps.tensors:
+        env = np.einsum("ab,asc,bsd->cd", env, A, A)
+    return float(np.sqrt(env[0, 0]))
+
+
+def _einsum_canonical_envs(mps):
+    mps = mps.left_canonicalize()
+    n = mps.n_qubits
+    R = [None] * (n + 1)
+    R[n] = np.ones((1, 1))
+    for k in range(n - 1, -1, -1):
+        A = mps.tensors[k]
+        R[k] = np.einsum("asb,bc,dsc->ad", A, R[k + 1], A)
+    return mps.tensors, R
+
+
+def einsum_single_density_matrix(mps, q: int) -> np.ndarray:
+    ts, R = _einsum_canonical_envs(mps)
+    return np.einsum("asb,bc,atc->st", ts[q], R[q + 1], ts[q])
+
+
+def einsum_pair_density_matrix(mps, i: int, j: int) -> np.ndarray:
+    ts, R = _einsum_canonical_envs(mps)
+    i, j = min(i, j), max(i, j)
+    E = np.einsum("asb,atc->stbc", ts[i], ts[i])
+    for k in range(i + 1, j):
+        E = np.einsum("stbc,bud,cue->stde", E, ts[k], ts[k])
+    rho4 = np.einsum("stbc,bud,de,cve->sutv", E, ts[j], R[j + 1], ts[j])
+    return rho4.reshape(4, 4, order="F").astype(complex)
+
+
+def per_call_mutual_information(mps) -> np.ndarray:
+    """MI entries of an MPSState, each RDM from its own canonical form."""
+    n = mps.n_qubits
+    singles = [entropy(mps.single_density_matrix(q)) for q in range(n)]
+    entries = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            s_ij = entropy(mps.pair_density_matrix(i, j))
+            entries[i, j] = entries[j, i] = max(0.5 * (singles[i] + singles[j] - s_ij), 0.0)
+    return entries

@@ -1,9 +1,12 @@
 """FCIDUMP parsing: record dispatch, symmetry completion, error paths."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from mivqe.fcidump import FcidumpError, format_fcidump, parse_fcidump
+import mivqe.fcidump
+from mivqe.fcidump import MAX_ORBITALS, FcidumpError, format_fcidump, parse_fcidump
 
 HEADER = "&FCI NORB=2,NELEC=2,MS2=0,\n ORBSYM=1,1,\n ISYM=1,\n /\n"
 
@@ -117,3 +120,18 @@ def test_round_trip_through_format():
     assert np.allclose(back.one_body, h, atol=1e-14)
     assert np.allclose(back.two_body, gs, atol=1e-14)
     assert abs(back.core_energy - -1.234) < 1e-14
+
+
+def test_norb_above_limit_rejected_before_allocation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("integral tensors allocated past the NORB limit")
+
+    monkeypatch.setattr(mivqe.fcidump, "np", SimpleNamespace(zeros=refuse))
+    with pytest.raises(FcidumpError, match=f"{MAX_ORBITALS}-orbital limit"):
+        parse_fcidump("&FCI NORB=300,NELEC=2,MS2=0,\n /\n0.1 0 0 0 0\n")
+
+
+def test_norb_at_limit_parses():
+    ints = parse_fcidump(f"&FCI NORB={MAX_ORBITALS},NELEC=2,MS2=0,\n /\n0.1 0 0 0 0\n")
+    assert ints.n_orbitals == MAX_ORBITALS
+    assert ints.two_body.shape == (MAX_ORBITALS,) * 4

@@ -3,12 +3,36 @@
 import numpy as np
 import pytest
 
-from mivqe.mps import MPSState, MpsError, build_mpo, mpo_expectation, mps_ground_state
+import mivqe.mps
+from mivqe.mps import (
+    MPO,
+    MPSState,
+    MpsError,
+    _heff_dense,
+    _heff_matvec,
+    _left_env_step,
+    _right_env_step,
+    build_mpo,
+    mpo_expectation,
+    mps_ground_state,
+)
 from mivqe.pauli import PauliSum, PauliWord
 from mivqe.reference import exact_ground_state, mutual_information
 from mivqe.simulator import rdm
 
-from helpers import dense_sum, random_word
+from helpers import (
+    dense_sum,
+    einsum_heff_dense,
+    einsum_heff_matvec,
+    einsum_left_env,
+    einsum_mpo_expectation,
+    einsum_norm,
+    einsum_pair_density_matrix,
+    einsum_right_env,
+    einsum_single_density_matrix,
+    per_call_mutual_information,
+    random_word,
+)
 
 
 def random_real_sum(rng, n, n_terms):
@@ -146,3 +170,136 @@ def test_dmrg_deterministic():
     assert t1 == t2
     for a, b in zip(s1.tensors, s2.tensors):
         assert np.array_equal(a, b)
+
+
+# unequal bonds everywhere, bond 1 at both chain ends
+MPS_BONDS = [1, 3, 5, 2, 4, 1]
+MPO_BONDS = [1, 4, 6, 3, 5, 1]
+I_Y = np.array([[0.0, -1.0], [1.0, 0.0]])  # the real i*Y site matrix
+
+
+def random_chain(rng):
+    """Random MPS and MPO; site 1 of the MPO is i*Y only, so it is
+    antisymmetric and a swapped out/in leg flips its sign."""
+    n = len(MPS_BONDS) - 1
+    A = [rng.normal(size=(MPS_BONDS[k], 2, MPS_BONDS[k + 1])) for k in range(n)]
+    W = [rng.normal(size=(MPO_BONDS[k], MPO_BONDS[k + 1], 2, 2)) for k in range(n)]
+    W[1] = rng.normal(size=(MPO_BONDS[1], MPO_BONDS[2]))[:, :, None, None] * I_Y
+    return MPSState(A), MPO(W)
+
+
+def assert_rel_close(new, ref, rtol=1e-12):
+    new, ref = np.asarray(new), np.asarray(ref)
+    assert new.shape == ref.shape
+    assert np.linalg.norm(new - ref) <= rtol * np.linalg.norm(ref)
+
+
+def test_environment_steps_match_einsum_oracles():
+    rng = np.random.default_rng(81)
+    mps, mpo = random_chain(rng)
+    for k, (A, W) in enumerate(zip(mps.tensors, mpo.tensors)):
+        L = rng.normal(size=(MPS_BONDS[k], MPO_BONDS[k], MPS_BONDS[k]))
+        assert_rel_close(_left_env_step(L, A, W), einsum_left_env(L, A, W))
+        R = rng.normal(size=(MPS_BONDS[k + 1], MPO_BONDS[k + 1], MPS_BONDS[k + 1]))
+        assert_rel_close(_right_env_step(R, A, W), einsum_right_env(R, A, W))
+
+
+def test_expectation_and_norm_match_einsum_oracles():
+    rng = np.random.default_rng(82)
+    for _ in range(3):
+        mps, mpo = random_chain(rng)
+        assert_rel_close(mpo_expectation(mps, mpo), einsum_mpo_expectation(mps, mpo))
+        assert_rel_close(mps.norm(), einsum_norm(mps))
+
+
+def test_two_site_operator_matches_einsum_oracles():
+    rng = np.random.default_rng(83)
+    _, mpo = random_chain(rng)
+    n = len(MPS_BONDS) - 1
+    for i in range(n - 1):  # i = 0 and i = n - 2 put a bond-1 environment in
+        dl, dr = MPS_BONDS[i], MPS_BONDS[i + 2]
+        L = rng.normal(size=(dl, MPO_BONDS[i], dl))
+        R = rng.normal(size=(dr, MPO_BONDS[i + 2], dr))
+        W1, W2 = mpo.tensors[i], mpo.tensors[i + 1]
+        theta = rng.normal(size=(dl, 2, 2, dr))
+        assert_rel_close(_heff_matvec(L, W1, W2, R, theta), einsum_heff_matvec(L, W1, W2, R, theta))
+        assert_rel_close(_heff_dense(L, W1, W2, R), einsum_heff_dense(L, W1, W2, R))
+
+
+def test_rdms_match_einsum_oracles():
+    rng = np.random.default_rng(84)
+    mps, _ = random_chain(rng)
+    n = mps.n_qubits
+    for q in range(n):
+        assert_rel_close(mps.single_density_matrix(q), einsum_single_density_matrix(mps, q))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                assert_rel_close(mps.pair_density_matrix(i, j), einsum_pair_density_matrix(mps, i, j))
+
+
+def test_mps_mi_one_canonical_form_equals_per_call_path():
+    rng = np.random.default_rng(85)
+    mps, _ = random_chain(rng)
+    assert mutual_information(mps).entries.tobytes() == per_call_mutual_information(mps).tobytes()
+    H = random_real_sum(rng, 6, 20)
+    _, state, _ = mps_ground_state(H, chi=4, n_sweeps=3)
+    assert mutual_information(state).entries.tobytes() == per_call_mutual_information(state).tobytes()
+
+
+def test_local_matvec_equals_dense_beyond_dense_cutoff():
+    # environments of a real symmetric H around sites 2, 3 of a 6-site MPS
+    # whose bonds make the local problem 12 * 4 * 12 = 576 > _DENSE_SOLVE_CUTOFF
+    rng = np.random.default_rng(86)
+    n, bonds = 6, [1, 2, 12, 7, 12, 2, 1]
+    H = random_real_sum(rng, n, 24)
+    assert any(w.y_count for _, w in H.terms)
+    mpo = build_mpo(H)
+    A = [rng.normal(size=(bonds[k], 2, bonds[k + 1])) for k in range(n)]
+    L = np.ones((1, 1, 1))
+    for k in range(2):
+        L = _left_env_step(L, A[k], mpo.tensors[k])
+    R = np.ones((1, 1, 1))
+    for k in range(n - 1, 3, -1):
+        R = _right_env_step(R, A[k], mpo.tensors[k])
+    dim = 12 * 4 * 12
+    assert dim > mivqe.mps._DENSE_SOLVE_CUTOFF
+    M = _heff_dense(L, mpo.tensors[2], mpo.tensors[3], R)
+    for _ in range(3):
+        v = rng.normal(size=dim)
+        out = _heff_matvec(L, mpo.tensors[2], mpo.tensors[3], R, v.reshape(12, 2, 2, 12))
+        assert_rel_close(out.reshape(dim), M @ v)
+
+
+def test_dmrg_iterative_local_solver_matches_exact(monkeypatch):
+    # 9 qubits is the smallest chain where chi = 16 both holds the ground
+    # state exactly (bonds <= 2^4) and gives local problems of 8*4*16 = 512
+    # > _DENSE_SOLVE_CUTOFF, so eigsh solves them
+    calls = []
+    eigsh = mivqe.mps.eigsh
+
+    def spy(op, **kwargs):
+        calls.append(op.shape[0])
+        return eigsh(op, **kwargs)
+
+    monkeypatch.setattr(mivqe.mps, "eigsh", spy)
+    rng = np.random.default_rng(87)
+    n = 9
+    H = random_real_sum(rng, n, 30)
+    e_exact, _ = exact_ground_state(H)
+    e_mps, state, _ = mps_ground_state(H, chi=16, n_sweeps=10)
+    assert calls and max(calls) > mivqe.mps._DENSE_SOLVE_CUTOFF
+    assert abs(e_mps - e_exact) < 1e-8
+    assert state.max_bond() <= 16
+
+
+def test_dmrg_given_mpo_equals_building_its_own():
+    rng = np.random.default_rng(88)
+    H = random_real_sum(rng, 5, 14)
+    e1, s1, t1 = mps_ground_state(H, chi=3, n_sweeps=4, seed=2)
+    e2, s2, t2 = mps_ground_state(H, chi=3, n_sweeps=4, seed=2, mpo=build_mpo(H))
+    assert (e1, t1) == (e2, t2)
+    for a, b in zip(s1.tensors, s2.tensors):
+        assert np.array_equal(a, b)
+    with pytest.raises(MpsError):
+        mps_ground_state(H, chi=3, n_sweeps=1, mpo=build_mpo(random_real_sum(rng, 4, 6)))

@@ -1,9 +1,10 @@
 """Property tests for the text parsers: any input parses or raises the
 parser's typed error, never another exception.
 
-Generated sizes stay small: qubits headers up to 70 and NORB up to 9, so no
-example allocates more than a few kilobytes (a parser never builds a 2^n
-table, and parse_fcidump's NORB^4 tensor stays tiny).
+Generated sizes stay small: qubits headers up to 70 and NORB up to 40, so no
+example allocates more than a few megabytes (a parser never builds a 2^n
+table, parse_fcidump rejects NORB above fcidump.MAX_ORBITALS = 32 before its
+NORB^4 tensors exist, and even a broken limit would allocate 40^4 floats).
 """
 
 import re
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from mivqe.config import ConfigError, parse_config, parse_reference
-from mivqe.fcidump import FcidumpError, parse_fcidump
+from mivqe.fcidump import MAX_ORBITALS, FcidumpError, parse_fcidump
 from mivqe.pauli import PauliError, parse_pauli_sum
 from mivqe.reference import MIMatrix, ReferenceError
 from mivqe.screening import EntanglerPool, ScreeningError
@@ -129,13 +130,14 @@ def test_parse_config_parses_or_raises_config_error(text):
 index = st.integers(-1, 7).map(str)
 record = st.builds(lambda v, i, j, k, l: f"{v} {i} {j} {k} {l}", number, index, index, index, index)
 header_value = st.one_of(st.integers(-2, 6).map(str), junk)
+norb_value = st.one_of(header_value, st.integers(MAX_ORBITALS - 2, 40).map(str))
 fcidump_text = st.one_of(
     st.text(max_size=200),
     st.builds(
         lambda norb, nelec, ms2, records: (
             f"&FCI NORB={norb},NELEC={nelec},MS2={ms2},\n /\n" + "\n".join(records)
         ),
-        header_value,
+        norb_value,
         header_value,
         header_value,
         st.lists(st.one_of(record, junk), max_size=10),
@@ -146,12 +148,14 @@ fcidump_text = st.one_of(
 @PROPERTY
 @given(fcidump_text)
 def test_parse_fcidump_parses_or_raises_fcidump_error(text):
-    # parse_fcidump allocates NORB^4 floats: never hand it a large NORB
-    assume(not re.search(r"NORB\s*=\s*[0-9]{2}", text, re.I))
+    # NORB past the limit must raise; none above 40 is generated, so a broken
+    # limit would still allocate at most 40^4 floats
+    assume(all(int(v) <= 40 for v in re.findall(r"NORB\s*=\s*([0-9]+)", text, re.I)))
     try:
-        parse_fcidump(text)
+        ints = parse_fcidump(text)
     except FcidumpError:
-        pass
+        return
+    assert ints.n_orbitals <= MAX_ORBITALS
 
 
 @pytest.mark.parametrize("text", [

@@ -384,6 +384,23 @@ def test_mi_report_exact_vs_backends(tmp_path):
     assert header.startswith("index,word,exact,")
 
 
+def test_mi_report_builds_one_mpo_for_all_settings(monkeypatch):
+    import mivqe.mps
+
+    built = []
+    build_mpo = mivqe.mps.build_mpo
+
+    def spy(H, *args, **kwargs):
+        built.append(build_mpo(H, *args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(mivqe.mps, "build_mpo", spy)
+    settings = [MpsBackend(chi=2, sweeps=1), MpsBackend(chi=2, sweeps=2), MpsBackend(chi=4, sweeps=1)]
+    out = mi_report(lih_config(max_steps=1), settings)
+    assert len(built) == 1
+    assert set(out["columns"]) == {"exact"} | {s.tag() for s in settings}
+
+
 def test_config_file_parsing(tmp_path):
     text = (
         "fcidump = {}\n"
@@ -487,6 +504,20 @@ def test_cli_pool_rejects_size_above_limit(monkeypatch, capsys):
     monkeypatch.setattr(mivqe.screening, "generate_pool", unguarded)
     assert main(["pool", "--n-qubits", "40"]) == 3
     assert "qubit pool limit" in capsys.readouterr().err
+
+
+def test_cli_fcidump_norb_above_limit_exits_3(tmp_path, monkeypatch, capsys):
+    from types import SimpleNamespace
+
+    import mivqe.fcidump
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integral tensors allocated past the NORB limit")
+
+    monkeypatch.setattr(mivqe.fcidump, "np", SimpleNamespace(zeros=refuse))
+    path = _write(tmp_path / "big.fcidump", "&FCI NORB=300,NELEC=2,MS2=0,\n /\n0.1 0 0 0 0\n")
+    assert main(["run", "--fcidump", path]) == 3
+    assert "32-orbital limit" in capsys.readouterr().err
 
 
 def test_oversized_register_rejected_before_heavy_work(tmp_path, monkeypatch, capsys):
