@@ -12,7 +12,7 @@ that float noise cannot reorder tied words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -20,17 +20,17 @@ from scipy.optimize import basinhopping
 
 from .pauli import PauliSum, PauliWord, format_pauli_factors
 from .screening import EntanglerPool
-from .simulator import (
-    Ansatz,
-    apply_pauli_exponential,
-    compile_sum_action,
-    energy_and_gradient,
-    expectation,
-)
+from .simulator import Ansatz, compile_sum_action, energy_and_gradient, expectation
 
 # Largest register the pool scorer (and so a run) accepts: its 4^n-entry
 # word table and the odd-Y pool of (4^n - 2^n)/2 words must fit in memory.
 SCORER_MAX_QUBITS = 10
+# Pool words per block of the scorer's exact term sum.
+TERM_SUM_CHUNK = 4096
+# Without a reference energy a run stops once each of the last
+# DESCENT_FLOOR_WINDOW steps descended less than DESCENT_FLOOR hartree.
+DESCENT_FLOOR = 1e-6
+DESCENT_FLOOR_WINDOW = 3
 
 
 class AdaptiveError(RuntimeError):
@@ -39,22 +39,6 @@ class AdaptiveError(RuntimeError):
 
 class NoImprovingEntangler(AdaptiveError):
     """Every pool word has non-positive descent at the current state."""
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Basin-hopping knobs: hop count, Metropolis temperature, step size."""
-
-    hops: int = 10
-    temperature: float = 0.5
-    step_size: float = 1e-6
-    local_tolerance: float = 1e-8
-
-    def __post_init__(self):
-        if self.hops < 0:
-            raise AdaptiveError("hops must be non-negative")
-        if self.temperature <= 0:
-            raise AdaptiveError("temperature must be positive")
 
 
 @dataclass
@@ -109,31 +93,38 @@ class RunReport:
         return [s.energy for s in self.steps]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdaptiveConfig:
+    """The run settings the adaptive loop reads, named as in RunConfig.
+
+    convergence_tol is in hartree against the reference energy; hops,
+    temperature and step_size drive basin hopping, and local_tol is the
+    BFGS gradient tolerance.
+    """
+
     descent_fraction: float = 0.3
     max_steps: int = 30
-    convergence_tol: float = 1e-3  # hartree against the reference energy
-    descent_floor: float = 1e-6  # stall threshold when no reference exists
-    descent_floor_window: int = 3
+    convergence_tol: float = 1e-3
     seed: int = 7
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    hops: int = 10
+    temperature: float = 0.5
+    step_size: float = 1e-6
+    local_tol: float = 1e-8
 
-
-def score_entangler(state: np.ndarray, H: PauliSum, word: PauliWord) -> tuple[float, float]:
-    """(descent, tau*) of one entangler trial via the exact sinusoid fit.
-
-    Three evaluations pin E(tau) = A + B cos 2tau + C sin 2tau:
-    A = (E(pi/4) + E(-pi/4)) / 2, C = (E(pi/4) - E(-pi/4)) / 2, B = E(0) - A.
-    """
-    e0 = expectation(state, H)
-    e_plus = expectation(apply_pauli_exponential(state, word, np.pi / 4), H)
-    e_minus = expectation(apply_pauli_exponential(state, word, -np.pi / 4), H)
-    a = 0.5 * (e_plus + e_minus)
-    c = 0.5 * (e_plus - e_minus)
-    b = e0 - a
-    minimum = a - np.hypot(b, c)
-    return e0 - minimum, _tau_minimum(b, c)
+    def __post_init__(self):
+        # written so that NaN fails every check
+        for ok, message in (
+            (0.0 < self.descent_fraction <= 1.0, "descent_fraction must lie in (0, 1]"),
+            (self.max_steps >= 0, "max_steps must be non-negative"),
+            (self.convergence_tol > 0.0, "convergence_tol must be positive"),
+            (self.seed >= 0, "seed must be non-negative"),
+            (self.hops >= 0, "hops must be non-negative"),
+            (self.temperature > 0.0, "temperature must be positive"),
+            (self.step_size > 0.0, "step_size must be positive"),
+            (self.local_tol > 0.0, "local_tol must be positive"),
+        ):
+            if not ok:
+                raise AdaptiveError(message)
 
 
 def _tau_minimum(b, c):
@@ -190,13 +181,12 @@ class PoolScorer:
     their exact descent 0 without the term sum.
     """
 
-    def __init__(self, H: PauliSum, pool: EntanglerPool, chunk: int = 4096):
+    def __init__(self, H: PauliSum, pool: EntanglerPool):
         if H.n_qubits != pool.n_qubits:
             raise AdaptiveError("Hamiltonian and pool qubit counts differ")
         if H.n_qubits > SCORER_MAX_QUBITS:
             raise AdaptiveError(f"pool scorer limited to {SCORER_MAX_QUBITS} qubits")
         n = self.n = H.n_qubits
-        self.chunk = chunk
         self.coeffs = np.array([c for c, _ in H.terms])
         self.tx = np.array([w.x_mask for _, w in H.terms], dtype=np.uint64)
         self.tz = np.array([w.z_mask for _, w in H.terms], dtype=np.uint64)
@@ -249,8 +239,8 @@ class PoolScorer:
         """(descents, taus) of the pool words idx by the exact term sum."""
         b = np.empty(len(idx))
         c = np.empty(len(idx))
-        for start in range(0, len(idx), self.chunk):
-            cols = idx[start : start + self.chunk]
+        for start in range(0, len(idx), TERM_SUM_CHUNK):
+            cols = idx[start : start + TERM_SUM_CHUNK]
             # numpy sums a lone column pairwise but several columns term by
             # term; a duplicate keeps every word on the term-by-term order
             sel = np.resize(cols, max(len(cols), 2))
@@ -275,11 +265,6 @@ class PoolScorer:
             c[start : start + len(cols)] = cc[: len(cols)]
         # E(0) - E_min = B + sqrt(B^2 + C^2)
         return b + np.hypot(b, c), _tau_minimum(b, c)
-
-    def term_sum_scores(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(descents, taus) of the whole pool by the exact term sum."""
-        T, f = self._word_table(self._real(state))
-        return self._term_sum(T, f, np.arange(len(self.px)))
 
     def scores(
         self,
@@ -365,7 +350,7 @@ def select_entangler(
 def joint_optimize(
     ansatz: Ansatz,
     H: PauliSum,
-    cfg: OptimizerConfig,
+    cfg: AdaptiveConfig,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, float]:
     """Basin-hopping reoptimization of all layer parameters.
@@ -393,7 +378,7 @@ def joint_optimize(
         minimizer_kwargs={
             "method": "BFGS",
             "jac": True,
-            "options": {"gtol": cfg.local_tolerance},
+            "options": {"gtol": cfg.local_tol},
         },
         rng=rng,
     )
@@ -454,7 +439,7 @@ def run_adaptive(
             word = pool.word(chosen)
             ansatz = ansatz.with_layer(word, float(taus[chosen]))
             rng = np.random.default_rng(np.random.SeedSequence((config.seed, step)))
-            params, e_new = joint_optimize(ansatz, H, config.optimizer, rng=rng)
+            params, e_new = joint_optimize(ansatz, H, config, rng=rng)
             ansatz = Ansatz(H.n_qubits, list(reference_bits), list(ansatz.words), list(params))
             descent_achieved = energy - e_new
             steps.append(
@@ -475,11 +460,8 @@ def run_adaptive(
                 break
             if reference_energy is None:
                 recent_descents.append(descent_achieved)
-                window = recent_descents[-config.descent_floor_window :]
-                if (
-                    len(window) == config.descent_floor_window
-                    and max(window) < config.descent_floor
-                ):
+                window = recent_descents[-DESCENT_FLOOR_WINDOW:]
+                if len(window) == DESCENT_FLOOR_WINDOW and max(window) < DESCENT_FLOOR:
                     converged, stop_reason = True, "descent stalled"
                     break
 

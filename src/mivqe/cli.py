@@ -3,14 +3,15 @@
 Verbs: run (full pipeline), sweep (bond-length series), mi-report
 (de-convergence comparison), encode (FCIDUMP -> Pauli text), pool
 (generate/screen entangler pools). Exit codes: 0 success, 2 the run finished
-without reaching convergence, 3 input error (PipelineError or any of
-INPUT_ERRORS).
+without reaching convergence, 3 input error (a usage error, PipelineError or
+any of INPUT_ERRORS).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .adaptive import SCORER_MAX_QUBITS, AdaptiveError
@@ -44,44 +45,32 @@ INPUT_ERRORS = (
 )
 
 
+class UsageError(Exception):
+    """A command line argparse rejects: a bad flag value or an unknown flag."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse would print the usage and exit 2, the not-converged code
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """One string-valued flag per RunConfig key: parse_config types and checks it."""
     p.add_argument("--config", help="flat key=value config file; flags override it")
-    p.add_argument("--fcidump", help="FCIDUMP input path")
-    p.add_argument("--pauli-sum", dest="pauli_sum", help="Pauli-sum text input path")
-    p.add_argument("--mapping", help="jordan_wigner | parity | bravyi_kitaev (jw/bk ok)")
-    p.add_argument("--grouping", help="abab | aabb")
-    p.add_argument("--reduce-stationary", dest="reduce_stationary",
-                   choices=["true", "false"], help="drop Z-only qubits (default true)")
-    p.add_argument("--p-cut", dest="p_cut", type=float, help="screening cutoff in (0,1]")
-    p.add_argument("--reference", help="exact | mps:chi=<n>,sweeps=<n> | mi:<csv path>")
-    p.add_argument("--descent-fraction", dest="descent_fraction", type=float)
-    p.add_argument("--spin-penalty", dest="spin_penalty", type=float,
-                   help="S^2 penalty weight in hartree")
-    p.add_argument("--max-steps", dest="max_steps", type=int)
-    p.add_argument("--convergence-tol", dest="convergence_tol", type=float)
-    p.add_argument("--baseline", choices=["reduced", "unreduced"],
-                   help="pool for percentile denominators")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--hops", type=int, help="basin-hopping iterations")
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--step-size", dest="step_size", type=float)
-    p.add_argument("--local-tol", dest="local_tol", type=float)
-    p.add_argument("--output", help="artifact directory")
+    for setting in fields(RunConfig):
+        p.add_argument(
+            "--" + setting.name.replace("_", "-"),
+            dest=setting.name,
+            help=setting.metadata.get("help"),
+        )
 
 
 def _config_from_args(args, **extra) -> RunConfig:
     text = ""
     if args.config:
         text = Path(args.config).read_text()
-    keys = [
-        "fcidump", "pauli_sum", "mapping", "grouping", "p_cut", "reference",
-        "descent_fraction", "spin_penalty", "max_steps", "convergence_tol",
-        "baseline", "seed", "hops", "temperature", "step_size", "local_tol",
-        "output",
-    ]
-    overrides = {k: getattr(args, k, None) for k in keys}
-    if getattr(args, "reduce_stationary", None) is not None:
-        overrides["reduce_stationary"] = args.reduce_stationary == "true"
+    overrides = {setting.name: getattr(args, setting.name) for setting in fields(RunConfig)}
     overrides.update(extra)
     return parse_config(text, **overrides)
 
@@ -185,7 +174,7 @@ def _cmd_pool(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mivqe",
         description="MI-assisted adaptive VQE on a classical simulator",
     )
@@ -223,11 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except PipelineError as exc:
+    except (UsageError, PipelineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except INPUT_ERRORS as exc:

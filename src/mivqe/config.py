@@ -1,15 +1,20 @@
 """Run configuration: a flat key=value text format mirrored by the CLI flags.
 
-Unset keys take the documented defaults; exactly one Hamiltonian source
-(fcidump or pauli_sum) must be set. The same text format is echoed into the
-run manifest so a run can be reproduced from its artifacts alone.
+RunConfig is the one table of run settings: each field gives a key's name,
+value type and default, and its "help" metadata is the CLI flag's help text.
+Every key reaches RunConfig through parse_config, whether it came from a
+config file or a flag, and the range checks run as the RunConfig is built.
+Unset keys take the defaults; exactly one Hamiltonian source (fcidump or
+pauli_sum) must be set. The same text format is echoed into the run manifest
+so a run can be reproduced from its artifacts alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass, field, fields
 
-from .adaptive import AdaptiveConfig, OptimizerConfig
+from .adaptive import AdaptiveConfig, AdaptiveError
 from .encodings import EncodingError, canonical_mapping
 
 
@@ -26,26 +31,31 @@ class MpsBackend:
         return f"mps:chi={self.chi},sweeps={self.sweeps}"
 
 
+def _setting(default, text: str):
+    """A RunConfig field whose CLI flag shows text as its help."""
+    return field(default=default, metadata={"help": text})
+
+
 @dataclass
 class RunConfig:
-    fcidump: str | None = None
-    pauli_sum: str | None = None
-    mapping: str = "jordan_wigner"
-    grouping: str = "abab"
-    reduce_stationary: bool = True
-    p_cut: float | None = None
-    reference: str = "exact"  # exact | mps:chi=<n>,sweeps=<n> | mi:<path>
+    fcidump: str | None = _setting(None, "FCIDUMP input path")
+    pauli_sum: str | None = _setting(None, "Pauli-sum text input path")
+    mapping: str = _setting("jordan_wigner", "jordan_wigner | parity | bravyi_kitaev (jw/bk ok)")
+    grouping: str = _setting("abab", "abab | aabb")
+    reduce_stationary: bool = _setting(True, "drop Z-only qubits: true | false (default true)")
+    p_cut: float | None = _setting(None, "screening cutoff in (0,1]")
+    reference: str = _setting("exact", "exact | mps:chi=<n>,sweeps=<n> | mi:<csv path>")
     descent_fraction: float = 0.3
-    spin_penalty: float | None = None
+    spin_penalty: float | None = _setting(None, "S^2 penalty weight in hartree")
     max_steps: int = 30
     convergence_tol: float = 1e-3
-    baseline: str = "reduced"  # reduced | unreduced
+    baseline: str = _setting("reduced", "pool for percentile denominators: reduced | unreduced")
     seed: int = 7
-    hops: int = 10
+    hops: int = _setting(10, "basin-hopping iterations")
     temperature: float = 0.5
     step_size: float = 1e-6
     local_tol: float = 1e-8
-    output: str | None = None
+    output: str | None = _setting(None, "artifact directory")
 
     def __post_init__(self):
         if (self.fcidump is None) == (self.pauli_sum is None):
@@ -58,23 +68,18 @@ class RunConfig:
             raise ConfigError(f"unknown grouping {self.grouping!r}")
         if self.p_cut is not None and not (0.0 < self.p_cut <= 1.0):
             raise ConfigError("p_cut must lie in (0, 1]")
+        if self.spin_penalty is not None and not math.isfinite(self.spin_penalty):
+            raise ConfigError("spin_penalty must be finite")
         if self.baseline not in ("reduced", "unreduced"):
             raise ConfigError(f"unknown baseline {self.baseline!r}")
         parse_reference(self.reference)
+        try:
+            self.adaptive_config()
+        except AdaptiveError as exc:
+            raise ConfigError(str(exc)) from None
 
     def adaptive_config(self) -> AdaptiveConfig:
-        return AdaptiveConfig(
-            descent_fraction=self.descent_fraction,
-            max_steps=self.max_steps,
-            convergence_tol=self.convergence_tol,
-            seed=self.seed,
-            optimizer=OptimizerConfig(
-                hops=self.hops,
-                temperature=self.temperature,
-                step_size=self.step_size,
-                local_tolerance=self.local_tol,
-            ),
-        )
+        return AdaptiveConfig(**{f.name: getattr(self, f.name) for f in fields(AdaptiveConfig)})
 
     def to_text(self) -> str:
         lines = []
@@ -112,6 +117,8 @@ def parse_reference(text: str):
                 raise ConfigError(f"mps option {key} needs an integer, got {val!r}") from None
         if len(opts) != 2:
             raise ConfigError("mps reference needs chi=<n>,sweeps=<n>")
+        if min(opts.values()) < 1:
+            raise ConfigError("mps reference needs chi and sweeps of at least 1")
         return MpsBackend(opts["chi"], opts["sweeps"])
     raise ConfigError(f"unknown reference backend {text!r}")
 
@@ -136,34 +143,18 @@ def parse_config(text: str, **overrides) -> RunConfig:
     for key, val in values.items():
         if key not in valid:
             raise ConfigError(f"unknown config key {key!r}")
-        if isinstance(val, str):
-            typed[key] = _coerce(key, val)
-        else:
-            typed[key] = val
+        typed[key] = _coerce(valid[key], val) if isinstance(val, str) else val
     return RunConfig(**typed)
 
 
-def _coerce(key: str, val: str):
-    kind = {
-        "reduce_stationary": "bool",
-        "p_cut": "float",
-        "descent_fraction": "float",
-        "spin_penalty": "float",
-        "convergence_tol": "float",
-        "temperature": "float",
-        "step_size": "float",
-        "local_tol": "float",
-        "max_steps": "int",
-        "seed": "int",
-        "hops": "int",
-    }.get(key, "str")
+# Value parsers by the annotation's first type: with postponed annotations
+# a field's type is a string such as 'float | None'.
+_PARSERS = {"bool": lambda val: _BOOL[val.lower()], "float": float, "int": int, "str": str}
+
+
+def _coerce(setting, val: str):
+    parse = _PARSERS[setting.type.split("|")[0].strip()]
     try:
-        if kind == "bool":
-            return _BOOL[val.lower()]
-        if kind == "float":
-            return float(val)
-        if kind == "int":
-            return int(val)
+        return parse(val)
     except (KeyError, ValueError):
-        raise ConfigError(f"bad value for {key}: {val!r}") from None
-    return val
+        raise ConfigError(f"bad value for {setting.name}: {val!r}") from None

@@ -196,12 +196,6 @@ def s_squared_operator(n_orbitals: int) -> FermionOperator:
     return sz * sz + 0.5 * (s_plus * s_minus + s_minus * s_plus)
 
 
-def number_operator(n_modes: int) -> FermionOperator:
-    return FermionOperator(
-        {((m, True), (m, False)): 1.0 for m in range(n_modes)}, normalize=False
-    )
-
-
 def grouping_permutation(n_orbitals: int, grouping: str) -> list[int]:
     """Map alternating spin-orbital indices to the requested grouping's indices.
 

@@ -54,15 +54,6 @@ class MPO:
     def bond_dimensions(self) -> list[int]:
         return [t.shape[1] for t in self.tensors[:-1]]
 
-    def to_dense(self) -> np.ndarray:
-        """Dense matrix (for small-n tests); bit q of the index is site q."""
-        acc = self.tensors[0][0]  # (Dr, 2, 2)
-        for W in self.tensors[1:]:
-            # the new site's physical index becomes the high bit
-            acc = np.einsum("bkl,bcij->cikjl", acc, W)
-            d = acc.shape[1] * acc.shape[2]
-            acc = acc.reshape(acc.shape[0], d, d)
-        return acc[0]
 
 
 def _word_mpo_tensors(coeff: float, word: PauliWord) -> list[np.ndarray]:
@@ -181,14 +172,6 @@ class MPSState:
             env = _transfer(env, A)
         return float(np.sqrt(env[0, 0]))
 
-    def to_statevector(self) -> np.ndarray:
-        T = np.ones((1, 1))
-        dim = 1
-        for A in self.tensors:
-            T = np.einsum("pb,bsc->spc", T, A).reshape(2 * dim, A.shape[2])
-            dim *= 2
-        return T[:, 0].astype(complex)
-
     def left_canonicalize(self) -> "MPSState":
         ts = [t.copy() for t in self.tensors]
         for i in range(len(ts) - 1):
@@ -224,12 +207,6 @@ class MPSState:
             R[k] = np.tensordot(np.tensordot(A, R[k + 1], ([2], [0])), A, ([1, 2], [1, 2]))
         return LocalDensities(mps.tensors, R)
 
-    def single_density_matrix(self, q: int) -> np.ndarray:
-        return self.local_densities().single(q)
-
-    def pair_density_matrix(self, i: int, j: int) -> np.ndarray:
-        """2-qubit RDM with index s_i + 2*s_j, by transfer contraction only."""
-        return self.local_densities().pair(i, j)
 
 
 def _transfer(E: np.ndarray, A: np.ndarray) -> np.ndarray:

@@ -188,16 +188,6 @@ class PauliSum:
         return f"PauliSum(n_qubits={self.n_qubits}, terms={len(self._terms)})"
 
 
-def conjugate_sum(H: PauliSum, P: PauliWord) -> PauliSum:
-    """P H P for a Pauli word P: flips the sign of terms anticommuting with P."""
-    if H.n_qubits != P.n_qubits:
-        raise PauliError("qubit-count mismatch between sum and word")
-    return PauliSum(
-        H.n_qubits,
-        [(c if commutes(w, P) else -c, w) for c, w in H.terms],
-    )
-
-
 def format_pauli_factors(word: PauliWord) -> str:
     """Factor list like ``"X0 Z2"``; empty string for the identity."""
     parts = []

@@ -13,11 +13,11 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from . import __version__, mps
 from .adaptive import SCORER_MAX_QUBITS, RunReport, run_adaptive
@@ -53,6 +53,20 @@ class PipelineError(RuntimeError):
         self.stage = stage
 
 
+@contextmanager
+def _stage(name: str):
+    """Report any error raised in the block as a PipelineError of stage name.
+
+    A PipelineError passes through unchanged, keeping its own stage.
+    """
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as exc:
+        raise PipelineError(name, exc) from exc
+
+
 def _fmt(x: float) -> float:
     """Round through 12 significant digits for deterministic artifacts."""
     return float(f"{x:.12g}")
@@ -86,11 +100,9 @@ class Problem:
 def _load_hamiltonian(cfg: RunConfig):
     """Returns (encoded PauliSum, reference bits, n encoded qubits)."""
     if cfg.fcidump is not None:
-        try:
+        with _stage("parse"):
             ints = load_fcidump(cfg.fcidump)
-        except Exception as exc:
-            raise PipelineError("parse", exc) from exc
-        try:
+        with _stage("encode"):
             op = build_hamiltonian(ints)
             if cfg.spin_penalty is not None:
                 op = op + cfg.spin_penalty * s_squared_operator(ints.n_orbitals)
@@ -100,13 +112,9 @@ def _load_hamiltonian(cfg: RunConfig):
                 ints.n_orbitals, ints.n_electrons, ints.ms2, cfg.grouping
             )
             bits = hf_reference(spec, occ)
-        except Exception as exc:
-            raise PipelineError("encode", exc) from exc
         return H, bits
-    try:
+    with _stage("parse"):
         H = parse_pauli_sum(Path(cfg.pauli_sum).read_text())
-    except Exception as exc:
-        raise PipelineError("parse", exc) from exc
     # imported Hamiltonians start from |0...0> unless stationary bits say otherwise
     return H, [0] * H.n_qubits
 
@@ -116,10 +124,8 @@ def prepare_problem(cfg: RunConfig) -> Problem:
     n_encoded = H_full.n_qubits
 
     if cfg.reduce_stationary:
-        try:
+        with _stage("reduce"):
             H, removed, index_map = reduce_stationary_qubits(H_full, bits_full)
-        except Exception as exc:
-            raise PipelineError("reduce", exc) from exc
         survivors = sorted(index_map, key=index_map.get)
         bits = [bits_full[q] for q in survivors]
     else:
@@ -141,19 +147,17 @@ def prepare_problem(cfg: RunConfig) -> Problem:
             f"{n_encoded} encoded qubits exceed the {EXACT_MAX_QUBITS}-qubit "
             f"limit of the unreduced baseline",
         )
-    try:
+    with _stage("pool"):
         pool = generate_pool(H.n_qubits)
         if removed:
             pool = EntanglerPool(pool.n_qubits, pool.x, pool.z, "stationary_reduced")
-    except Exception as exc:
-        raise PipelineError("pool", exc) from exc
 
     reference = parse_reference(cfg.reference)
     reference_energy = None
     reference_note = ""
     warnings: list[str] = []
     mps_gap = None
-    try:
+    with _stage("reference"):
         # the convergence reference is always the exact backend when it
         # converges; the MI source (exact / MPS / import) is independent
         try:
@@ -199,12 +203,8 @@ def prepare_problem(cfg: RunConfig) -> Problem:
                     f"true ground state: full-register ground {e_full:.12g} vs "
                     f"reduced-sector {reference_energy:.12g}"
                 )
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError("reference", exc) from exc
 
-    try:
+    with _stage("screen"):
         strengths = pool_strengths(pool, mi)
         if unreduced_baseline:
             # one entry per support mask of the encoded register, counted
@@ -225,10 +225,6 @@ def prepare_problem(cfg: RunConfig) -> Problem:
             pool, kept = screen_pool(pool, strengths, cfg.p_cut)
             strengths = strengths[kept]
             percentiles = percentiles[kept]
-    except PipelineError:
-        raise
-    except Exception as exc:
-        raise PipelineError("screen", exc) from exc
 
     return Problem(
         config=cfg,
@@ -352,7 +348,7 @@ def _write_json(path: Path, obj: dict) -> None:
 
 def run_pipeline(cfg: RunConfig) -> tuple[RunReport, Problem]:
     problem = prepare_problem(cfg)
-    try:
+    with _stage("adapt"):
         report, ansatz = run_adaptive(
             problem.hamiltonian,
             problem.pool,
@@ -363,11 +359,9 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunReport, Problem]:
             reference_energy=problem.reference_energy,
             baseline_pool_size=problem.baseline_pool_size,
         )
-    except Exception as exc:
-        raise PipelineError("adapt", exc) from exc
 
     if cfg.output is not None:
-        try:
+        with _stage("artifacts"):
             out = Path(cfg.output)
             out.mkdir(parents=True, exist_ok=True)
             # the manifest marks a complete artifact set: a previous run's
@@ -380,10 +374,6 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunReport, Problem]:
             if cfg.p_cut is not None:
                 write_text_atomic(out / "pool_screened.txt", problem.pool.to_text())
             _write_json(out / "manifest.json", _manifest(cfg))
-        except PipelineError:
-            raise
-        except Exception as exc:
-            raise PipelineError("artifacts", exc) from exc
     return report, problem
 
 
@@ -414,6 +404,9 @@ def sweep(tagged_configs: list[tuple[str, RunConfig]], workers: int = 1) -> str:
     """Run independent configs and aggregate (tag, p_max, p_avg, N_ent, converged)."""
     if not tagged_configs:
         raise PipelineError("sweep", "no configs given")
+    # a fork-started pool starts all max_workers processes at the first
+    # submit, so never ask for more than there are configs
+    workers = min(workers, len(tagged_configs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, tagged_configs))
@@ -435,6 +428,8 @@ def mi_report(cfg: RunConfig, settings: list[MpsBackend]) -> dict:
     (chi, sweeps) MI estimate: achieved energy gap, per-entangler percentile
     trace, p_max lift, and the Spearman rank correlation of pool strengths.
     """
+    from scipy.stats import spearmanr  # kept off the import path of the other verbs
+
     report, problem = run_pipeline(cfg)
     chosen = [s.word for s in report.steps]
     pool = problem.pool

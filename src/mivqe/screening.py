@@ -145,19 +145,6 @@ def _support_strength(entries: np.ndarray, support: list[int]) -> float:
     return 2.0 * total / (L * (L - 1))
 
 
-def correlation_strength(word: PauliWord, mi) -> float:
-    """Average MI over ordered qubit pairs in the word's support.
-
-    Single-qubit words have no pairs; their strength is defined as 0 so they
-    rank last.
-    """
-    entries = _mi_entries(mi)
-    support = [q for q in range(word.n_qubits) if (word.support >> q) & 1]
-    if max(support, default=-1) >= entries.shape[0]:
-        raise ScreeningError("word support outside MI matrix range")
-    return _support_strength(entries, support)
-
-
 def support_strengths(n_qubits: int, mi) -> np.ndarray:
     """Correlation strength of every support mask on n qubits (2^n entries)."""
     entries = _mi_entries(mi)

@@ -62,16 +62,6 @@ def _rotate(state: np.ndarray, tables, tau: float) -> np.ndarray:
     return np.cos(tau) * state - 1j * np.sin(tau) * _apply_tables(state, tables)
 
 
-def apply_pauli_word(state: np.ndarray, word: PauliWord) -> np.ndarray:
-    """P |state> via index XOR and phase lookup; no matrix materialized."""
-    return _apply_tables(state, _word_tables(word))
-
-
-def apply_pauli_exponential(state: np.ndarray, word: PauliWord, tau: float) -> np.ndarray:
-    """exp(-i * word * tau) |state>."""
-    return _rotate(state, _word_tables(word), tau)
-
-
 def expectation(state: np.ndarray, H: PauliSum) -> float:
     """<state| H |state> as a real number (imaginary residue discarded)."""
     if len(state) != 2**H.n_qubits:

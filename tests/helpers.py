@@ -7,14 +7,26 @@ term-by-term H action and the per-word energy and gradient are the plain
 loops the compiled simulator paths must reproduce bit for bit. The einsum_*
 functions are the MPS tensor networks written as single multi-operand
 einsums, which the pairwise contractions in mivqe.mps must match.
+
+The rest are reference paths the package itself no longer calls: the
+single-word Pauli action and exponential, the three-evaluation sinusoid fit
+of one entangler, the pool scorer's exact term sum over the whole pool, the
+per-word correlation strength, P H P, the number operator, the dense MPO and
+MPS, and the RDMs of an MPS one call at a time.
 """
 
 import numpy as np
 
-from mivqe.pauli import PauliSum, PauliWord
+from mivqe.adaptive import PoolScorer, _tau_minimum
+from mivqe.fermion import FermionOperator
+from mivqe.pauli import PauliError, PauliSum, PauliWord, commutes
 from mivqe.reference import entropy
+from mivqe.screening import ScreeningError, _mi_entries, _support_strength
 from mivqe.simulator import (
     Ansatz,
+    _apply_tables,
+    _rotate,
+    _word_tables,
     compile_sum_action,
     energy_and_gradient,
     expectation,
@@ -225,13 +237,103 @@ def einsum_pair_density_matrix(mps, i: int, j: int) -> np.ndarray:
     return rho4.reshape(4, 4, order="F").astype(complex)
 
 
+def single_density_matrix(mps, q: int) -> np.ndarray:
+    return mps.local_densities().single(q)
+
+
+def pair_density_matrix(mps, i: int, j: int) -> np.ndarray:
+    """2-qubit RDM with index s_i + 2*s_j, by transfer contraction only."""
+    return mps.local_densities().pair(i, j)
+
+
 def per_call_mutual_information(mps) -> np.ndarray:
     """MI entries of an MPSState, each RDM from its own canonical form."""
     n = mps.n_qubits
-    singles = [entropy(mps.single_density_matrix(q)) for q in range(n)]
+    singles = [entropy(single_density_matrix(mps, q)) for q in range(n)]
     entries = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            s_ij = entropy(mps.pair_density_matrix(i, j))
+            s_ij = entropy(pair_density_matrix(mps, i, j))
             entries[i, j] = entries[j, i] = max(0.5 * (singles[i] + singles[j] - s_ij), 0.0)
     return entries
+
+
+def mpo_to_dense(mpo) -> np.ndarray:
+    """Dense matrix of an MPO; bit q of the index is site q."""
+    acc = mpo.tensors[0][0]  # (Dr, 2, 2)
+    for W in mpo.tensors[1:]:
+        # the new site's physical index becomes the high bit
+        acc = np.einsum("bkl,bcij->cikjl", acc, W)
+        d = acc.shape[1] * acc.shape[2]
+        acc = acc.reshape(acc.shape[0], d, d)
+    return acc[0]
+
+
+def mps_to_statevector(mps) -> np.ndarray:
+    T = np.ones((1, 1))
+    dim = 1
+    for A in mps.tensors:
+        T = np.einsum("pb,bsc->spc", T, A).reshape(2 * dim, A.shape[2])
+        dim *= 2
+    return T[:, 0].astype(complex)
+
+
+def apply_pauli_word(state: np.ndarray, word: PauliWord) -> np.ndarray:
+    """P |state> via index XOR and phase lookup; no matrix materialized."""
+    return _apply_tables(state, _word_tables(word))
+
+
+def apply_pauli_exponential(state: np.ndarray, word: PauliWord, tau: float) -> np.ndarray:
+    """exp(-i * word * tau) |state>."""
+    return _rotate(state, _word_tables(word), tau)
+
+
+def score_entangler(state: np.ndarray, H: PauliSum, word: PauliWord) -> tuple[float, float]:
+    """(descent, tau*) of one entangler trial via the exact sinusoid fit.
+
+    Three evaluations pin E(tau) = A + B cos 2tau + C sin 2tau:
+    A = (E(pi/4) + E(-pi/4)) / 2, C = (E(pi/4) - E(-pi/4)) / 2, B = E(0) - A.
+    """
+    e0 = expectation(state, H)
+    e_plus = expectation(apply_pauli_exponential(state, word, np.pi / 4), H)
+    e_minus = expectation(apply_pauli_exponential(state, word, -np.pi / 4), H)
+    a = 0.5 * (e_plus + e_minus)
+    c = 0.5 * (e_plus - e_minus)
+    b = e0 - a
+    minimum = a - np.hypot(b, c)
+    return e0 - minimum, _tau_minimum(b, c)
+
+
+def term_sum_scores(scorer: PoolScorer, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(descents, taus) of the scorer's whole pool by its exact term sum."""
+    T, f = scorer._word_table(scorer._real(state))
+    return scorer._term_sum(T, f, np.arange(len(scorer.px)))
+
+
+def correlation_strength(word: PauliWord, mi) -> float:
+    """Average MI over ordered qubit pairs in the word's support.
+
+    Single-qubit words have no pairs; their strength is defined as 0 so they
+    rank last.
+    """
+    entries = _mi_entries(mi)
+    support = [q for q in range(word.n_qubits) if (word.support >> q) & 1]
+    if max(support, default=-1) >= entries.shape[0]:
+        raise ScreeningError("word support outside MI matrix range")
+    return _support_strength(entries, support)
+
+
+def conjugate_sum(H: PauliSum, P: PauliWord) -> PauliSum:
+    """P H P for a Pauli word P: flips the sign of terms anticommuting with P."""
+    if H.n_qubits != P.n_qubits:
+        raise PauliError("qubit-count mismatch between sum and word")
+    return PauliSum(
+        H.n_qubits,
+        [(c if commutes(w, P) else -c, w) for c, w in H.terms],
+    )
+
+
+def number_operator(n_modes: int) -> FermionOperator:
+    return FermionOperator(
+        {((m, True), (m, False)): 1.0 for m in range(n_modes)}, normalize=False
+    )

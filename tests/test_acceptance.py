@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from mivqe.adaptive import score_entangler
 from mivqe.config import MpsBackend, RunConfig
 from mivqe.encodings import EncodingSpec, encode, hf_reference, reduce_stationary_qubits
 from mivqe.fcidump import load_fcidump
@@ -22,15 +21,18 @@ from mivqe.pauli import PauliSum, PauliWord
 from mivqe.pipeline import run_pipeline
 from mivqe.reference import exact_ground_state, mutual_information
 from mivqe.screening import generate_pool, pool_strengths
-from mivqe.simulator import (
-    Ansatz,
-    apply_pauli_word,
-    basis_state,
-    compile_sum_action,
-)
+from mivqe.simulator import Ansatz, basis_state, compile_sum_action
 
 from conftest import FIXTURE_DIR
-from helpers import dense_sum, evaluate_ansatz, gradient, random_state, random_word
+from helpers import (
+    apply_pauli_word,
+    dense_sum,
+    evaluate_ansatz,
+    gradient,
+    random_state,
+    random_word,
+    score_entangler,
+)
 
 H2_GEOMETRIES = ["0.60", "0.75", "0.90", "1.10", "1.30", "1.50", "1.80"]
 LIH_GEOMETRIES = ["1.20", "1.60", "2.00", "2.40"]

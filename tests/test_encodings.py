@@ -16,13 +16,12 @@ from mivqe.fermion import (
     FermionOperator,
     build_hamiltonian,
     hf_occupations,
-    number_operator,
     s_squared_operator,
 )
 from mivqe.fcidump import MolecularIntegrals
 from mivqe.pauli import PauliSum, PauliWord
 
-from helpers import dense_sum, fermion_dense
+from helpers import dense_sum, fermion_dense, number_operator
 
 MAPPINGS = ["jordan_wigner", "parity", "bravyi_kitaev"]
 

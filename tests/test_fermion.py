@@ -9,11 +9,10 @@ from mivqe.fermion import (
     build_hamiltonian,
     grouping_permutation,
     hf_occupations,
-    number_operator,
     s_squared_operator,
 )
 
-from helpers import fermion_dense
+from helpers import fermion_dense, number_operator
 
 
 def det_state(n_modes, occupied):

@@ -30,8 +30,12 @@ from helpers import (
     einsum_pair_density_matrix,
     einsum_right_env,
     einsum_single_density_matrix,
+    mpo_to_dense,
+    mps_to_statevector,
+    pair_density_matrix,
     per_call_mutual_information,
     random_word,
+    single_density_matrix,
 )
 
 
@@ -49,7 +53,7 @@ def test_single_term_mpo_bond_dimension_one():
     H = PauliSum(2, [(0.8, PauliWord.from_label("ZZ"))])
     mpo = build_mpo(H)
     assert mpo.bond_dimensions() == [1]
-    assert np.allclose(mpo.to_dense(), dense_sum(H).real, atol=1e-12)
+    assert np.allclose(mpo_to_dense(mpo), dense_sum(H).real, atol=1e-12)
 
 
 def test_mpo_action_matches_pauli_sum():
@@ -60,7 +64,7 @@ def test_mpo_action_matches_pauli_sum():
         if len(H) == 0:
             continue
         mpo = build_mpo(H, compression_tol=1e-12)
-        M = mpo.to_dense()
+        M = mpo_to_dense(mpo)
         D = dense_sum(H).real
         for _ in range(3):
             v = rng.normal(size=2**n)
@@ -72,7 +76,7 @@ def test_mpo_lossless_at_zero_tolerance():
     n = 4
     H = random_real_sum(rng, n, 20)
     mpo = build_mpo(H, compression_tol=0.0)
-    assert np.allclose(mpo.to_dense(), dense_sum(H).real, atol=1e-10)
+    assert np.allclose(mpo_to_dense(mpo), dense_sum(H).real, atol=1e-10)
 
 
 def test_mpo_compression_reduces_bond():
@@ -83,7 +87,7 @@ def test_mpo_compression_reduces_bond():
     H = PauliSum(n, terms)
     mpo = build_mpo(H, compression_tol=1e-12)
     assert max(mpo.bond_dimensions()) <= 4
-    assert np.allclose(mpo.to_dense(), dense_sum(H).real, atol=1e-8)
+    assert np.allclose(mpo_to_dense(mpo), dense_sum(H).real, atol=1e-8)
 
 
 def test_mpo_rejects_odd_y():
@@ -98,7 +102,7 @@ def test_dmrg_z_field_product_state():
     energy, state, trace = mps_ground_state(H, chi=1, n_sweeps=8)
     assert abs(energy + n) < 1e-10
     assert state.max_bond() == 1
-    dense = state.to_statevector()
+    dense = mps_to_statevector(state)
     assert abs(abs(dense[-1]) - 1.0) < 1e-8  # |11...1>
     assert all(e2 <= e1 + 1e-10 for e1, e2 in zip(trace, trace[1:]))
 
@@ -136,15 +140,15 @@ def test_mps_rdms_match_dense():
     n = 5
     H = random_real_sum(rng, n, 14)
     _, state, _ = mps_ground_state(H, chi=2 ** (n // 2), n_sweeps=16)
-    dense = state.to_statevector()
+    dense = mps_to_statevector(state)
     dense = dense / np.linalg.norm(dense)
     for q in range(n):
-        rho_mps = state.single_density_matrix(q)
+        rho_mps = single_density_matrix(state, q)
         rho_dense = rdm(dense, [q])
         assert np.allclose(rho_mps, rho_dense, atol=1e-9)
     for i in range(n):
         for j in range(i + 1, n):
-            rho_mps = state.pair_density_matrix(i, j)
+            rho_mps = pair_density_matrix(state, i, j)
             rho_dense = rdm(dense, [i, j])
             assert np.allclose(rho_mps, rho_dense, atol=1e-9)
 
@@ -231,11 +235,11 @@ def test_rdms_match_einsum_oracles():
     mps, _ = random_chain(rng)
     n = mps.n_qubits
     for q in range(n):
-        assert_rel_close(mps.single_density_matrix(q), einsum_single_density_matrix(mps, q))
+        assert_rel_close(single_density_matrix(mps, q), einsum_single_density_matrix(mps, q))
     for i in range(n):
         for j in range(n):
             if i != j:
-                assert_rel_close(mps.pair_density_matrix(i, j), einsum_pair_density_matrix(mps, i, j))
+                assert_rel_close(pair_density_matrix(mps, i, j), einsum_pair_density_matrix(mps, i, j))
 
 
 def test_mps_mi_one_canonical_form_equals_per_call_path():

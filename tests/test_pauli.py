@@ -8,7 +8,6 @@ from mivqe.pauli import (
     PauliSum,
     PauliWord,
     commutes,
-    conjugate_sum,
     format_pauli_sum,
     format_pauli_text,
     multiply,
@@ -16,7 +15,7 @@ from mivqe.pauli import (
     parse_pauli_text,
 )
 
-from helpers import dense_word, dense_sum, random_word
+from helpers import conjugate_sum, dense_word, dense_sum, random_word
 
 
 def test_single_qubit_products():

@@ -1,11 +1,17 @@
 """Pipeline orchestration, artifacts, sweeps, MI reports, CLI surface."""
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mivqe.cli
+import mivqe.pipeline
 from mivqe.cli import main
 from mivqe.config import ConfigError, MpsBackend, RunConfig, parse_config
 from mivqe.pipeline import (
@@ -465,6 +471,22 @@ def _write(path, text):
     return str(path)
 
 
+# (flag, value) pairs outside a run setting's allowed range
+BAD_SETTINGS = [
+    ("--descent-fraction", "2"),
+    ("--descent-fraction", "0"),
+    ("--max-steps", "-1"),
+    ("--convergence-tol", "-1"),
+    ("--seed", "-1"),
+    ("--hops", "-1"),
+    ("--temperature", "0"),
+    ("--step-size", "-1"),
+    ("--local-tol", "-1"),
+    ("--local-tol", "nan"),
+    ("--spin-penalty", "nan"),
+    ("--reference", "mps:chi=0,sweeps=2"),
+]
+
 BAD_INPUTS = {
     "mi_entry_above_one": lambda tmp: [
         "pool", "--n-qubits", "2",
@@ -483,6 +505,18 @@ BAD_INPUTS = {
         "run", "--fcidump",
         _write(tmp / "bad.fcidump", "&FCI NORB=abc,NELEC=2,MS2=0,\n /\n0.1 0 0 0 0\n"),
     ],
+    # usage errors: argparse rejects these
+    "flag_unknown": lambda tmp: ["run", "--fcidump", LIH, "--bogus", "1"],
+    "flag_bad_value": lambda tmp: ["sweep", "--workers", "x", LIH],
+    "pool_non_integer_qubits": lambda tmp: ["pool", "--n-qubits", "x"],
+    # run settings out of range, or of the wrong type
+    "hops_non_integer": lambda tmp: ["run", "--fcidump", LIH, "--hops", "x"],
+    **{
+        f"{flag[2:]}_{value}": lambda tmp, flag=flag, value=value: [
+            "run", "--fcidump", LIH, flag, value,
+        ]
+        for flag, value in BAD_SETTINGS
+    },
 }
 
 
@@ -535,6 +569,120 @@ def test_oversized_register_rejected_before_heavy_work(tmp_path, monkeypatch, ca
     assert code == 3
     assert "11 qubits after reduction" in capsys.readouterr().err
     assert reached == []
+
+
+@pytest.mark.parametrize("flag,value", BAD_SETTINGS)
+def test_bad_run_setting_rejected_before_any_stage(flag, value, monkeypatch, capsys):
+    reached = []
+    for name in ("load_fcidump", "generate_pool", "exact_ground_state"):
+        monkeypatch.setattr(mivqe.pipeline, name,
+                            lambda *a, name=name, **kw: reached.append(name))
+    assert main(["run", "--fcidump", LIH, flag, value]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and flag[2:].replace("-", "_") in err
+    assert reached == []
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--help"])
+    assert exit_.value.code == 0
+    assert "--descent-fraction" in capsys.readouterr().out
+
+
+SAMPLE_VALUES = ["x", "-1", "0", "0.5", "2", "true", "jw", "mps:chi=2,sweeps=1"]
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(RunConfig)])
+def test_flag_and_config_file_parse_alike(key, tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        raise PipelineError("adapt", "stopped after parsing")
+
+    monkeypatch.setattr(mivqe.cli, "run_pipeline", capture)
+    base = [] if key == "fcidump" else ["--fcidump", LIH]
+    base_text = "" if key == "fcidump" else f"fcidump = {LIH}\n"
+    for value in SAMPLE_VALUES:
+        seen.clear()
+        flag_code = main(["run", *base, "--" + key.replace("_", "-"), value])
+        flag_out = (list(seen), capsys.readouterr().err)
+        seen.clear()
+        path = _write(tmp_path / "run.cfg", f"{base_text}{key} = {value}\n")
+        file_code = main(["run", "--config", path])
+        file_out = (list(seen), capsys.readouterr().err)
+        assert (flag_code, flag_out) == (file_code, file_out), (key, value)
+        assert flag_code == 3
+
+
+def test_sweep_caps_workers_at_config_count(monkeypatch):
+    requested = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(mivqe.pipeline, "ProcessPoolExecutor", SerialExecutor)
+    missing = str(FIXTURE_DIR / "missing.fcidump")
+    tagged = [(tag, lih_config(fcidump=missing)) for tag in ("a", "b", "c")]
+    table = sweep(tagged, workers=5000)
+    assert requested == [3]
+    assert len(table.strip().splitlines()) == 4
+    sweep(tagged[:1], workers=5000)  # one config runs in-process
+    assert requested == [3]
+
+
+def _raise_value_error(*args, **kwargs):
+    raise ValueError("injected")
+
+
+STAGE_CALLEES = [
+    ("parse", "load_fcidump"),
+    ("encode", "build_hamiltonian"),
+    ("reduce", "reduce_stationary_qubits"),
+    ("pool", "generate_pool"),
+    ("reference", "exact_ground_state"),
+    ("screen", "pool_strengths"),
+    ("adapt", "run_adaptive"),
+    ("artifacts", "write_text_atomic"),
+]
+
+
+@pytest.mark.parametrize("stage,callee", STAGE_CALLEES)
+def test_stage_errors_name_their_stage(stage, callee, tmp_path, monkeypatch):
+    monkeypatch.setattr(mivqe.pipeline, callee, _raise_value_error)
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(lih_config(max_steps=1, output=str(tmp_path / "run")))
+    assert err.value.stage == stage
+    assert str(err.value) == f"stage '{stage}' failed: injected"
+    assert isinstance(err.value.__cause__, ValueError)
+
+
+def test_pauli_sum_parse_error_names_parse_stage(tmp_path):
+    path = _write(tmp_path / "bad.pauli", "qubits: abc\n1.0 Z0\n")
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(RunConfig(pauli_sum=path))
+    assert err.value.stage == "parse"
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    code = "import sys, mivqe.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(mivqe.cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_unreduced_baseline_register_limit_checked_first(tmp_path, monkeypatch, capsys):

@@ -8,7 +8,6 @@ from mivqe.reference import MIMatrix
 from mivqe.screening import (
     EntanglerPool,
     ScreeningError,
-    correlation_strength,
     generate_pool,
     percentile_of_strengths,
     pool_size,
@@ -16,6 +15,8 @@ from mivqe.screening import (
     screen_pool,
     screening_report_csv,
 )
+
+from helpers import correlation_strength
 
 
 def mi_from_entries(entries):

@@ -7,8 +7,6 @@ from mivqe.pauli import PauliSum, PauliWord
 from mivqe.simulator import (
     Ansatz,
     SimulatorError,
-    apply_pauli_exponential,
-    apply_pauli_word,
     basis_state,
     compile_sum_action,
     energy_and_gradient,
@@ -17,6 +15,8 @@ from mivqe.simulator import (
 )
 
 from helpers import (
+    apply_pauli_exponential,
+    apply_pauli_word,
     dense_sum,
     dense_word,
     evaluate_ansatz,
