@@ -71,8 +71,6 @@ class RunReport:
     reference_energy: float | None
     hf_energy: float
     final_energy: float
-    pool_provenance: str
-    baseline_pool_size: int
 
     @property
     def n_ent(self) -> int:
@@ -395,8 +393,6 @@ def run_adaptive(
     reference_bits,
     config: AdaptiveConfig,
     reference_energy: float | None = None,
-    pool_provenance: str | None = None,
-    baseline_pool_size: int | None = None,
 ) -> tuple[RunReport, Ansatz]:
     """Adaptive construction loop: score, select, append, jointly reoptimize.
 
@@ -472,7 +468,5 @@ def run_adaptive(
         reference_energy=reference_energy,
         hf_energy=hf_energy,
         final_energy=energy,
-        pool_provenance=pool_provenance or pool.provenance,
-        baseline_pool_size=baseline_pool_size if baseline_pool_size is not None else len(pool),
     )
     return report, ansatz

@@ -15,7 +15,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .adaptive import SCORER_MAX_QUBITS, AdaptiveError
-from .config import ConfigError, MpsBackend, RunConfig, parse_config, parse_reference
+from .config import ConfigError, RunConfig, parse_config, parse_reference
 from .encodings import EncodingError
 from .fcidump import FcidumpError
 from .fermion import FermionError
@@ -117,12 +117,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_mi_report(args) -> int:
     cfg = _config_from_args(args)
-    settings = []
-    for spec in args.mps or []:
-        backend = parse_reference(f"mps:{spec}")
-        if not isinstance(backend, MpsBackend):
-            raise ConfigError(f"bad --mps setting {spec!r}")
-        settings.append(backend)
+    settings = [parse_reference(f"mps:{spec}") for spec in args.mps or []]
     out = mi_report(cfg, settings)
     print(f"mi-report over {out['n_ent']} entanglers:")
     for tag, col in out["columns"].items():
@@ -146,7 +141,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_pool(args) -> int:
     from .reference import MIMatrix
-    from .screening import generate_pool, pool_strengths, screen_pool, screening_report_csv
+    from .screening import generate_pool, screen_pool, screening_report_csv, support_strengths
 
     if args.n_qubits > SCORER_MAX_QUBITS:
         raise ConfigError(
@@ -155,12 +150,12 @@ def _cmd_pool(args) -> int:
     pool = generate_pool(args.n_qubits)
     if args.mi:
         mi = MIMatrix.from_csv(Path(args.mi).read_text())
-        full_pool, strengths = pool, pool_strengths(pool, mi)
+        full_pool, table = pool, support_strengths(args.n_qubits, mi)
         if args.p_cut is not None:
-            pool, _ = screen_pool(full_pool, strengths, args.p_cut)
+            pool, _ = screen_pool(full_pool, table, args.p_cut)
         if args.report:
             write_text_atomic(
-                Path(args.report), screening_report_csv(full_pool, strengths, args.p_cut)
+                Path(args.report), screening_report_csv(full_pool, table, args.p_cut)
             )
             print(f"wrote {args.report}")
     elif args.p_cut is not None:

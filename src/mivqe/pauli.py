@@ -79,9 +79,6 @@ class PauliWord:
     def y_count(self) -> int:
         return (self.x_mask & self.z_mask).bit_count()
 
-    def is_identity(self) -> bool:
-        return self.x_mask == 0 and self.z_mask == 0
-
     def factor(self, q: int) -> str:
         return _LETTER_FOR_BITS[((self.x_mask >> q) & 1, (self.z_mask >> q) & 1)]
 
@@ -90,10 +87,6 @@ class PauliWord:
 
     def __str__(self) -> str:
         return format_pauli_factors(self)
-
-    # sort key shared by PauliSum canonical order and pool generation
-    def sort_key(self) -> tuple[int, int]:
-        return (self.z_mask, self.x_mask)
 
 
 def multiply(a: PauliWord, b: PauliWord) -> tuple[int, PauliWord]:
@@ -114,13 +107,6 @@ def multiply(a: PauliWord, b: PauliWord) -> tuple[int, PauliWord]:
         + 2 * (a.z_mask & b.x_mask).bit_count()
     ) % 4
     return phase, product
-
-
-def commutes(a: PauliWord, b: PauliWord) -> bool:
-    """True iff a*b = b*a (symplectic product has even parity)."""
-    _check_same_size(a, b)
-    anti = (a.x_mask & b.z_mask).bit_count() + (a.z_mask & b.x_mask).bit_count()
-    return anti % 2 == 0
 
 
 class PauliSum:

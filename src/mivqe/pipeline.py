@@ -37,7 +37,6 @@ from .reference import (
 from .screening import (
     EntanglerPool,
     generate_pool,
-    odd_y_multiplicities,
     percentile_of_strengths,
     pool_size,
     pool_strengths,
@@ -84,17 +83,31 @@ class Problem:
     hamiltonian: PauliSum
     reference_bits: list[int]
     pool: EntanglerPool
-    full_pool_size: int
     mi: MIMatrix
     strengths: np.ndarray
     percentiles: np.ndarray
     reference_energy: float | None
     removed_qubits: list[tuple[int, int]]
     n_qubits_encoded: int
-    baseline_pool_size: int
     reference_note: str
+    # under baseline = unreduced with qubits removed: each run qubit's place
+    # in the encoded register that the percentiles are counted on
+    baseline_index_map: dict[int, int] | None = None
     mps_energy_gap: float | None = None
     warnings: list[str] | None = None
+
+    @property
+    def baseline_pool_size(self) -> int:
+        lifted = self.baseline_index_map is not None
+        return pool_size(self.n_qubits_encoded if lifted else self.hamiltonian.n_qubits)
+
+
+def _support_tables(mi, n_qubits: int, n_encoded: int, baseline_index_map):
+    """The run register's support table of mi and the baseline's (lifted or the same)."""
+    table = support_strengths(n_qubits, mi)
+    if baseline_index_map is None:
+        return table, table
+    return table, support_strengths(n_encoded, mi.embedded(baseline_index_map, n_encoded))
 
 
 def _load_hamiltonian(cfg: RunConfig):
@@ -138,10 +151,10 @@ def prepare_problem(cfg: RunConfig) -> Problem:
             f"{H.n_qubits} qubits after reduction exceed the "
             f"{SCORER_MAX_QUBITS}-qubit limit of the pool scorer",
         )
-    unreduced_baseline = cfg.baseline == "unreduced" and bool(removed)
+    baseline_index_map = index_map if cfg.baseline == "unreduced" and removed else None
     # the unreduced baseline's 2^n support table over the encoded register
     # is held to the exact backend's 2^n-amplitude limit
-    if unreduced_baseline and n_encoded > EXACT_MAX_QUBITS:
+    if baseline_index_map is not None and n_encoded > EXACT_MAX_QUBITS:
         raise PipelineError(
             "pool",
             f"{n_encoded} encoded qubits exceed the {EXACT_MAX_QUBITS}-qubit "
@@ -205,24 +218,11 @@ def prepare_problem(cfg: RunConfig) -> Problem:
                 )
 
     with _stage("screen"):
-        strengths = pool_strengths(pool, mi)
-        if unreduced_baseline:
-            # one entry per support mask of the encoded register, counted
-            # once per odd-Y word on that support: no 4^n pool is built
-            baseline_strengths = support_strengths(
-                n_encoded, mi.embedded(index_map, n_encoded)
-            )
-            baseline_counts = odd_y_multiplicities(n_encoded)
-            baseline_size = pool_size(n_encoded)
-        else:
-            baseline_strengths, baseline_counts = strengths, None
-            baseline_size = len(pool)
-        percentiles = percentile_of_strengths(
-            strengths, baseline_strengths, baseline_size, baseline_counts
-        )
-
+        table, baseline = _support_tables(mi, H.n_qubits, n_encoded, baseline_index_map)
+        strengths = pool_strengths(pool, table)
+        percentiles = percentile_of_strengths(strengths, baseline)
         if cfg.p_cut is not None:
-            pool, kept = screen_pool(pool, strengths, cfg.p_cut)
+            pool, kept = screen_pool(pool, table, cfg.p_cut)
             strengths = strengths[kept]
             percentiles = percentiles[kept]
 
@@ -231,15 +231,14 @@ def prepare_problem(cfg: RunConfig) -> Problem:
         hamiltonian=H,
         reference_bits=bits,
         pool=pool,
-        full_pool_size=pool_size(H.n_qubits),
         mi=mi,
         strengths=strengths,
         percentiles=percentiles,
         reference_energy=reference_energy,
         removed_qubits=removed,
         n_qubits_encoded=n_encoded,
-        baseline_pool_size=baseline_size,
         reference_note=reference_note,
+        baseline_index_map=baseline_index_map,
         mps_energy_gap=mps_gap,
         warnings=warnings,
     )
@@ -357,7 +356,6 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunReport, Problem]:
             problem.reference_bits,
             cfg.adaptive_config(),
             reference_energy=problem.reference_energy,
-            baseline_pool_size=problem.baseline_pool_size,
         )
 
     if cfg.output is not None:
@@ -427,6 +425,8 @@ def mi_report(cfg: RunConfig, settings: list[MpsBackend]) -> dict:
     default) reference, then re-scores the adopted entanglers under each
     (chi, sweeps) MI estimate: achieved energy gap, per-entangler percentile
     trace, p_max lift, and the Spearman rank correlation of pool strengths.
+    Every column counts percentiles as the run does: against the run's
+    baseline, over the whole pool (also when the run screened it).
     """
     from scipy.stats import spearmanr  # kept off the import path of the other verbs
 
@@ -458,8 +458,11 @@ def mi_report(cfg: RunConfig, settings: list[MpsBackend]) -> dict:
             mpo=mpo,
         )
         mi_chi = mutual_information(mps_state)
-        strengths_chi = pool_strengths(pool, mi_chi)
-        pct_chi = percentile_of_strengths(strengths_chi, strengths_chi)
+        table_chi, baseline_chi = _support_tables(
+            mi_chi, pool.n_qubits, problem.n_qubits_encoded, problem.baseline_index_map
+        )
+        strengths_chi = pool_strengths(pool, table_chi)
+        pct_chi = percentile_of_strengths(strengths_chi, baseline_chi)
         # quantize before ranking so exactly degenerate strengths stay tied
         # instead of being permuted by sub-1e-10 backend noise
         qa = np.round(exact_strengths, 10)

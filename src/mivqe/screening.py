@@ -5,6 +5,11 @@ words commute with a real Hamiltonian and can never lower the energy), in
 the canonical (z_mask, x_mask) order. A word's correlation strength is the
 average pair MI over its support, and its percentile is the fraction of the
 baseline pool at least as strong, ties counted inclusively.
+
+Both depend only on the word's support mask, so every percentile is counted
+on one table of 2^m support strengths (support_strengths): the baseline pool
+is the whole odd-Y pool of an m-qubit register, with (3^L - 1)/2 words on
+each support of L qubits, and a word reads its entry by its support mask.
 """
 
 from __future__ import annotations
@@ -157,50 +162,41 @@ def support_strengths(n_qubits: int, mi) -> np.ndarray:
     return table
 
 
-def pool_strengths(pool: EntanglerPool, mi) -> np.ndarray:
-    """Correlation strengths for a whole pool via the per-support-mask table."""
-    table = support_strengths(pool.n_qubits, mi)
+def pool_strengths(pool: EntanglerPool, table: np.ndarray) -> np.ndarray:
+    """Each word's strength: its support's entry in support_strengths(pool.n_qubits, mi)."""
+    if len(table) != 1 << pool.n_qubits:
+        raise ScreeningError(f"a {pool.n_qubits}-qubit pool needs a 2^{pool.n_qubits}-entry table")
     return table[(pool.x | pool.z).astype(np.intp)]
 
 
-def percentile_of_strengths(
-    strengths: np.ndarray,
-    baseline_strengths: np.ndarray,
-    baseline_size: int | None = None,
-    baseline_counts: np.ndarray | None = None,
-) -> np.ndarray:
-    """percentile(c) = |{baseline strength >= c}| / N(baseline), ties inclusive.
+def percentile_of_strengths(strengths: np.ndarray, baseline_table: np.ndarray) -> np.ndarray:
+    """percentile(c) = |{baseline words with strength >= c}| / pool_size(m), ties inclusive.
 
-    baseline_counts, if given, is how many baseline words share each entry of
-    baseline_strengths (e.g. one entry per support mask, weighted by
-    odd_y_multiplicities); by default every entry is one word.
+    baseline_table is the 2^m support table of the baseline register; its
+    pool has odd_y_multiplicities(m) words on each support.
     """
-    baseline_strengths = np.asarray(baseline_strengths, dtype=float)
-    order = np.argsort(baseline_strengths, kind="stable")
-    baseline = baseline_strengths[order]
-    if baseline_counts is None:
-        counts_sorted = np.ones(len(baseline), dtype=np.int64)
-    else:
-        counts_sorted = np.asarray(baseline_counts, dtype=np.int64)[order]
-    # at_least[i] = words with strength >= baseline[i]; at_least[len] = 0
-    at_least = np.concatenate([np.cumsum(counts_sorted[::-1])[::-1], [0]])
-    n = baseline_size if baseline_size is not None else int(at_least[0])
+    m = len(baseline_table).bit_length() - 1
+    order = np.argsort(baseline_table, kind="stable")
+    baseline = baseline_table[order]
+    # at_least[i] = words with strength >= baseline[i]; at_least[2^m] = 0
+    at_least = np.concatenate([np.cumsum(odd_y_multiplicities(m)[order][::-1])[::-1], [0]])
     counts = at_least[np.searchsorted(baseline, strengths, side="left")]
-    return counts / n
+    return counts / pool_size(m)
 
 
 def screen_pool(
-    pool: EntanglerPool, strengths: np.ndarray, p_cut: float
+    pool: EntanglerPool, table: np.ndarray, p_cut: float
 ) -> tuple[EntanglerPool, np.ndarray]:
-    """Keep the words whose percentile within the pool is <= p_cut.
+    """Keep the words whose percentile within the register's pool is <= p_cut.
 
-    strengths are the pool's own (pool_strengths); boundary ties are all
-    kept. Returns the screened pool and the kept indices into pool, in pool
-    order.
+    table is the register's support table (as for pool_strengths), so the
+    percentile counts the register's whole odd-Y pool: pool itself when it
+    comes from generate_pool. Boundary ties are all kept. Returns the
+    screened pool and the kept indices into pool, in pool order.
     """
     if not (0.0 < p_cut <= 1.0):
         raise ScreeningError("p_cut must lie in (0, 1]")
-    pct = percentile_of_strengths(strengths, strengths)
+    pct = percentile_of_strengths(pool_strengths(pool, table), table)
     kept = np.flatnonzero(pct <= p_cut)
     if not len(kept):
         raise ScreeningError(
@@ -214,10 +210,11 @@ def screen_pool(
 
 
 def screening_report_csv(
-    pool: EntanglerPool, strengths: np.ndarray, p_cut: float | None = None
+    pool: EntanglerPool, table: np.ndarray, p_cut: float | None = None
 ) -> str:
-    """One row per pool word: strength, percentile within the pool, kept flag."""
-    pct = percentile_of_strengths(strengths, strengths)
+    """One row per pool word: strength, percentile within the register's pool, kept flag."""
+    strengths = pool_strengths(pool, table)
+    pct = percentile_of_strengths(strengths, table)
     lines = ["word,strength,percentile,kept"]
     for word, c, p in zip(pool.words, strengths, pct):
         kept = "" if p_cut is None else str(int(p <= p_cut))

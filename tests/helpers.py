@@ -11,15 +11,16 @@ einsums, which the pairwise contractions in mivqe.mps must match.
 The rest are reference paths the package itself no longer calls: the
 single-word Pauli action and exponential, the three-evaluation sinusoid fit
 of one entangler, the pool scorer's exact term sum over the whole pool, the
-per-word correlation strength, P H P, the number operator, the dense MPO and
-MPS, and the RDMs of an MPS one call at a time.
+per-word correlation strength and percentile count, the Pauli commutation
+test, identity check and canonical sort key, P H P, the number operator, the
+dense MPO and MPS, and the RDMs of an MPS one call at a time.
 """
 
 import numpy as np
 
 from mivqe.adaptive import PoolScorer, _tau_minimum
 from mivqe.fermion import FermionOperator
-from mivqe.pauli import PauliError, PauliSum, PauliWord, commutes
+from mivqe.pauli import PauliError, PauliSum, PauliWord, _check_same_size
 from mivqe.reference import entropy
 from mivqe.screening import ScreeningError, _mi_entries, _support_strength
 from mivqe.simulator import (
@@ -321,6 +322,33 @@ def correlation_strength(word: PauliWord, mi) -> float:
     if max(support, default=-1) >= entries.shape[0]:
         raise ScreeningError("word support outside MI matrix range")
     return _support_strength(entries, support)
+
+
+def commutes(a: PauliWord, b: PauliWord) -> bool:
+    """True iff a*b = b*a (symplectic product has even parity)."""
+    _check_same_size(a, b)
+    anti = (a.x_mask & b.z_mask).bit_count() + (a.z_mask & b.x_mask).bit_count()
+    return anti % 2 == 0
+
+
+def is_identity(word: PauliWord) -> bool:
+    return word.x_mask == 0 and word.z_mask == 0
+
+
+def sort_key(word: PauliWord) -> tuple[int, int]:
+    """The canonical (z_mask, x_mask) order of PauliSum terms and of the pool."""
+    return (word.z_mask, word.x_mask)
+
+
+def per_word_percentiles(strengths, baseline_strengths) -> np.ndarray:
+    """percentile(c) = |{baseline word strengths >= c}| / |baseline|, ties inclusive.
+
+    The count over one strength per baseline word that the support-table
+    percentile_of_strengths must reproduce bit for bit.
+    """
+    baseline = np.sort(np.asarray(baseline_strengths, dtype=float), kind="stable")
+    at_least = len(baseline) - np.searchsorted(baseline, strengths, side="left")
+    return at_least / len(baseline)
 
 
 def conjugate_sum(H: PauliSum, P: PauliWord) -> PauliSum:

@@ -20,7 +20,7 @@ from mivqe.mps import mps_ground_state
 from mivqe.pauli import PauliSum, PauliWord
 from mivqe.pipeline import run_pipeline
 from mivqe.reference import exact_ground_state, mutual_information
-from mivqe.screening import generate_pool, pool_strengths
+from mivqe.screening import generate_pool, pool_strengths, support_strengths
 from mivqe.simulator import Ansatz, basis_state, compile_sum_action
 
 from conftest import FIXTURE_DIR
@@ -298,8 +298,9 @@ def test_criterion_9_mps_backend():
         gap = e_low - e_exact
         assert gap > 0.0
         pool = generate_pool(n)
-        s_exact = np.round(pool_strengths(pool, mi_exact), 10)
-        s_low = np.round(pool_strengths(pool, mutual_information(low_state)), 10)
+        s_exact = np.round(pool_strengths(pool, support_strengths(n, mi_exact)), 10)
+        mi_low = mutual_information(low_state)
+        s_low = np.round(pool_strengths(pool, support_strengths(n, mi_low)), 10)
         if np.ptp(s_low) > 0 and np.ptp(s_exact) > 0:
             from scipy.stats import spearmanr
 

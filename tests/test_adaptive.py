@@ -14,13 +14,19 @@ from mivqe.adaptive import (
 )
 from mivqe.encodings import EncodingSpec, encode, hf_reference
 from mivqe.fermion import build_hamiltonian, hf_occupations
-from mivqe.pauli import PauliSum, PauliWord, commutes
+from mivqe.pauli import PauliSum, PauliWord
 from mivqe.reference import exact_ground_state, mutual_information
-from mivqe.screening import generate_pool, percentile_of_strengths, pool_strengths
+from mivqe.screening import (
+    generate_pool,
+    percentile_of_strengths,
+    pool_strengths,
+    support_strengths,
+)
 from mivqe.simulator import Ansatz, basis_state, expectation
 
 from helpers import (
     apply_pauli_exponential,
+    commutes,
     dense_sum,
     dense_word,
     random_state,
@@ -212,8 +218,9 @@ def _molecule_problem(grouping="abab", mapping="jordan_wigner"):
     e_ref, state = exact_ground_state(H)
     mi = mutual_information(state)
     pool = generate_pool(H.n_qubits)
-    strengths = pool_strengths(pool, mi)
-    pct = percentile_of_strengths(strengths, strengths)
+    table = support_strengths(H.n_qubits, mi)
+    strengths = pool_strengths(pool, table)
+    pct = percentile_of_strengths(strengths, table)
     return H, pool, strengths, pct, bits, e_ref, mi
 
 
@@ -294,14 +301,14 @@ def test_screening_equivalence_small_molecule():
     """Rerun with the screened pool at p_cut = p_max: identical step sequence."""
     from mivqe.screening import screen_pool
 
-    H, pool, strengths, pct, bits, e_ref, _ = _molecule_problem()
+    H, pool, strengths, pct, bits, e_ref, mi = _molecule_problem()
     cfg = AdaptiveConfig(seed=9)
     full_report, _ = run_adaptive(
         H, pool, strengths, pct, bits, cfg, reference_energy=e_ref
     )
     assert full_report.converged
     p_cut = full_report.p_max + 1e-9
-    screened, kept = screen_pool(pool, strengths, p_cut)
+    screened, kept = screen_pool(pool, support_strengths(H.n_qubits, mi), p_cut)
     scr_report, _ = run_adaptive(
         H, screened, strengths[kept], pct[kept], bits, cfg, reference_energy=e_ref
     )
@@ -343,7 +350,7 @@ def _mirrored_problem(rng, n, basis):
     p = [1, 0, *range(2, n)]
     entries = entries + entries[p][:, p]
     pool = generate_pool(n)
-    return H, pool, state, pool_strengths(pool, entries)
+    return H, pool, state, pool_strengths(pool, support_strengths(n, entries))
 
 
 def _scores_and_refined(scorer, state, strengths, fraction=0.3):

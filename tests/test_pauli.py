@@ -7,7 +7,6 @@ from mivqe.pauli import (
     PauliError,
     PauliSum,
     PauliWord,
-    commutes,
     format_pauli_sum,
     format_pauli_text,
     multiply,
@@ -15,7 +14,7 @@ from mivqe.pauli import (
     parse_pauli_text,
 )
 
-from helpers import conjugate_sum, dense_word, dense_sum, random_word
+from helpers import commutes, conjugate_sum, dense_word, dense_sum, is_identity, random_word
 
 
 def test_single_qubit_products():
@@ -148,7 +147,7 @@ def test_parse_pauli_text_example():
 def test_parse_identity_term():
     coeff, word = parse_pauli_text("1.0", n_qubits=3)
     assert coeff == 1.0
-    assert word.is_identity()
+    assert is_identity(word)
 
 
 @pytest.mark.parametrize(

@@ -141,13 +141,14 @@ def test_unreduced_baseline_percentiles():
 def test_unreduced_baseline_equals_brute_force_pool():
     """Support-table percentiles equal a count over the full 6-qubit pool."""
     from mivqe.pipeline import prepare_problem
-    from mivqe.screening import generate_pool, pool_strengths
+    from mivqe.screening import generate_pool, pool_strengths, support_strengths
 
     problem = prepare_problem(lih_config(baseline="unreduced"))
     n = problem.n_qubits_encoded
     removed = {q for q, _ in problem.removed_qubits}
     index_map = {q: i for i, q in enumerate(q for q in range(n) if q not in removed)}
-    baseline = pool_strengths(generate_pool(n), problem.mi.embedded(index_map, n))
+    table = support_strengths(n, problem.mi.embedded(index_map, n))
+    baseline = pool_strengths(generate_pool(n), table)
     assert len(baseline) == problem.baseline_pool_size == 2016
     expected = np.array([np.count_nonzero(baseline >= c) for c in problem.strengths]) / 2016
     assert np.array_equal(problem.percentiles, expected)
@@ -195,7 +196,7 @@ def test_screening_equivalence_boundary_case():
 
     from mivqe.adaptive import PoolScorer, run_adaptive, select_entangler
     from mivqe.pipeline import prepare_problem
-    from mivqe.screening import screen_pool
+    from mivqe.screening import screen_pool, support_strengths
 
     base = dict(fcidump=str(FIXTURE_DIR / "lih_2.40.fcidump"),
                 mapping="parity", grouping="aabb", seed=7)
@@ -227,7 +228,8 @@ def test_screening_equivalence_boundary_case():
     )
     best = int(np.argmax(descents))
     assert partial.percentiles[best] > p_cut
-    _, scr_idx = screen_pool(partial.pool, partial.strengths, p_cut)
+    table = support_strengths(partial.hamiltonian.n_qubits, partial.mi)
+    _, scr_idx = screen_pool(partial.pool, table, p_cut)
     assert descents[scr_idx].max() < descents.max()
 
 
@@ -388,6 +390,22 @@ def test_mi_report_exact_vs_backends(tmp_path):
     assert (tmp_path / "mi" / "mi_compare.csv").exists()
     header = (tmp_path / "mi" / "mi_compare.csv").read_text().splitlines()[0]
     assert header.startswith("index,word,exact,")
+
+
+@pytest.mark.parametrize("flags", [dict(p_cut=0.3), dict(baseline="unreduced")],
+                         ids=["p_cut", "unreduced"])
+def test_mi_report_columns_share_the_run_baseline(flags):
+    """Each column counts percentiles against the run's baseline over the
+    whole pool: a DMRG setting exact to ~1e-13 Ha reproduces the exact
+    column under screening and under the unreduced baseline alike."""
+    cfg = lih_config(fcidump=str(FIXTURE_DIR / "lih_2.00.fcidump"), max_steps=4, **flags)
+    out = mi_report(cfg, [MpsBackend(chi=16, sweeps=8)])
+    exact = out["columns"]["exact"]
+    mps = out["columns"]["mps:chi=16,sweeps=8"]
+    assert abs(mps["energy_gap"]) < 1e-12
+    assert mps["spearman_vs_exact"] == 1.0
+    assert mps["percentiles"] == pytest.approx(exact["percentiles"], abs=1e-9)
+    assert mps["p_max"] == pytest.approx(exact["p_max"], abs=1e-9)
 
 
 def test_mi_report_builds_one_mpo_for_all_settings(monkeypatch):

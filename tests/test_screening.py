@@ -9,18 +9,27 @@ from mivqe.screening import (
     EntanglerPool,
     ScreeningError,
     generate_pool,
+    odd_y_multiplicities,
     percentile_of_strengths,
     pool_size,
     pool_strengths,
     screen_pool,
     screening_report_csv,
+    support_strengths,
 )
 
-from helpers import correlation_strength
+from helpers import correlation_strength, is_identity, per_word_percentiles, sort_key
 
 
 def mi_from_entries(entries):
     return MIMatrix(np.asarray(entries, dtype=float))
+
+
+def random_mi(rng, n, high=1.0):
+    entries = rng.uniform(0, high, size=(n, n))
+    entries = 0.5 * (entries + entries.T)
+    np.fill_diagonal(entries, 0.0)
+    return mi_from_entries(entries)
 
 
 def test_pool_size_closed_form():
@@ -47,9 +56,9 @@ def test_pool_words_all_odd_y_unique_canonical():
     pool = generate_pool(3)
     assert all(w.y_count % 2 == 1 for w in pool)
     assert len(set(pool.words)) == len(pool)
-    keys = [w.sort_key() for w in pool]
+    keys = [sort_key(w) for w in pool]
     assert keys == sorted(keys)
-    assert not any(w.is_identity() for w in pool)
+    assert not any(is_identity(w) for w in pool)
 
 
 def test_correlation_strength_single_pair():
@@ -76,32 +85,49 @@ def test_correlation_strength_single_qubit_is_zero():
 def test_pool_strengths_match_scalar_path():
     rng = np.random.default_rng(61)
     n = 4
-    entries = rng.uniform(0, 1, size=(n, n))
-    entries = 0.5 * (entries + entries.T)
-    np.fill_diagonal(entries, 0.0)
-    mi = mi_from_entries(entries)
+    mi = random_mi(rng, n)
     pool = generate_pool(n)
-    fast = pool_strengths(pool, mi)
+    fast = pool_strengths(pool, support_strengths(n, mi))
     slow = np.array([correlation_strength(w, mi) for w in pool])
     assert np.array_equal(fast, slow)
 
 
+def test_support_table_size_is_checked():
+    pool = generate_pool(3)
+    for size in (4, 16):
+        with pytest.raises(ScreeningError, match="2\\^3-entry table"):
+            pool_strengths(pool, np.zeros(size))
+
+
+def test_multiplicities_count_the_pool():
+    for n in range(1, 7):
+        pool = generate_pool(n)
+        support = (pool.x | pool.z).astype(np.intp)
+        assert np.array_equal(np.bincount(support, minlength=1 << n), odd_y_multiplicities(n))
+
+
 def test_percentile_example():
-    strengths = np.array([0.9, 0.5, 0.5, 0.1])
-    pct = percentile_of_strengths(strengths, strengths)
-    assert np.allclose(pct, [0.25, 0.75, 0.75, 1.0])
+    # 2 qubits: Y0 and Y1 alone on supports 1 and 2, four words on support 3;
+    # support 0 holds no word, so its entry never counts
+    table = np.array([5.0, 0.9, 0.5, 0.1])
+    pct = percentile_of_strengths(np.array([0.9, 0.5, 0.3, 0.1, 0.0]), table)
+    assert np.array_equal(pct, np.array([1, 2, 2, 6, 6]) / 6)
 
 
 def test_percentile_full_tie():
-    strengths = np.full(5, 0.3)
-    assert np.allclose(percentile_of_strengths(strengths, strengths), 1.0)
+    table = np.full(1 << 4, 0.3)
+    pool = generate_pool(4)
+    pct = percentile_of_strengths(pool_strengths(pool, table), table)
+    assert np.array_equal(pct, np.ones(len(pool)))
 
 
 def test_percentile_monotonicity_random():
     rng = np.random.default_rng(62)
+    pool = generate_pool(3)
     for _ in range(50):
-        strengths = rng.uniform(0, 1, size=30)
-        pct = percentile_of_strengths(strengths, strengths)
+        table = rng.uniform(0, 1, size=1 << 3)
+        strengths = pool_strengths(pool, table)
+        pct = percentile_of_strengths(strengths, table)
         order = np.argsort(-strengths)
         for a, b in zip(order[:-1], order[1:]):
             if strengths[a] > strengths[b]:
@@ -112,27 +138,28 @@ def test_percentile_monotonicity_random():
 
 def test_percentile_of_maximum():
     rng = np.random.default_rng(63)
-    strengths = rng.uniform(0, 1, size=40)
-    strengths[[3, 17, 29]] = 2.0
-    pct = percentile_of_strengths(strengths, strengths)
-    assert np.allclose(pct[[3, 17, 29]], 3 / 40)
+    n = 5
+    table = rng.uniform(0, 1, size=1 << n)
+    top = [3, 17, 29]
+    table[top] = 2.0
+    pct = percentile_of_strengths(table[top], table)
+    expected = odd_y_multiplicities(n)[top].sum() / pool_size(n)
+    assert np.array_equal(pct, np.full(3, expected))
 
 
 def test_screen_pool_noop_and_top_word():
     rng = np.random.default_rng(64)
     n = 3
-    entries = rng.uniform(0, 1, size=(n, n))
-    entries = 0.5 * (entries + entries.T)
-    np.fill_diagonal(entries, 0.0)
-    mi = mi_from_entries(entries)
+    mi = random_mi(rng, n)
     pool = generate_pool(n)
+    table = support_strengths(n, mi)
 
-    strengths = pool_strengths(pool, mi)
-    assert screen_pool(pool, strengths, 1.0)[0].words == pool.words
+    strengths = pool_strengths(pool, table)
+    assert screen_pool(pool, table, 1.0)[0].words == pool.words
 
     top = strengths.max()
     n_top = int((strengths == top).sum())
-    screened, _ = screen_pool(pool, strengths, n_top / len(pool))
+    screened, _ = screen_pool(pool, table, n_top / len(pool))
     assert all(
         correlation_strength(w, mi) == top for w in screened.words
     )
@@ -142,37 +169,30 @@ def test_screen_pool_noop_and_top_word():
 def test_screen_pool_brute_force_set():
     rng = np.random.default_rng(65)
     n = 4
-    entries = rng.uniform(0, 0.9, size=(n, n))
-    entries = 0.5 * (entries + entries.T)
-    np.fill_diagonal(entries, 0.0)
-    mi = mi_from_entries(entries)
+    mi = random_mi(rng, n, high=0.9)
     pool = generate_pool(n)
     slow = [correlation_strength(w, mi) for w in pool]
     # percentile by direct count: share of the pool at least as strong
     pct = {w: sum(s >= c for s in slow) / len(pool) for w, c in zip(pool, slow)}
     for p_cut in (0.05, 0.2, 0.5, 0.9):
-        screened, kept = screen_pool(pool, pool_strengths(pool, mi), p_cut)
+        screened, kept = screen_pool(pool, support_strengths(n, mi), p_cut)
         expected = {w for w in pool if pct[w] <= p_cut}
         assert set(screened.words) == expected
         assert [pool.words[i] for i in kept] == list(screened.words)
         # canonical order preserved
-        keys = [w.sort_key() for w in screened.words]
+        keys = [sort_key(w) for w in screened.words]
         assert keys == sorted(keys)
 
 
 def test_screening_monotonicity():
     rng = np.random.default_rng(66)
     n = 3
-    entries = rng.uniform(0, 0.9, size=(n, n))
-    entries = 0.5 * (entries + entries.T)
-    np.fill_diagonal(entries, 0.0)
-    mi = mi_from_entries(entries)
     pool = generate_pool(n)
-    strengths = pool_strengths(pool, mi)
-    p_min = percentile_of_strengths(strengths, strengths).min()
+    table = support_strengths(n, random_mi(rng, n, high=0.9))
+    p_min = percentile_of_strengths(pool_strengths(pool, table), table).min()
     previous: set = set()
     for p_cut in (p_min, 0.3, 0.6, 1.0):
-        kept = set(screen_pool(pool, strengths, p_cut)[0].words)
+        kept = set(screen_pool(pool, table, p_cut)[0].words)
         assert previous <= kept
         previous = kept
 
@@ -180,17 +200,57 @@ def test_screening_monotonicity():
 def test_mi_scaling_covariance():
     rng = np.random.default_rng(67)
     n = 4
-    entries = rng.uniform(0, 0.5, size=(n, n))
-    entries = 0.5 * (entries + entries.T)
-    np.fill_diagonal(entries, 0.0)
+    entries = random_mi(rng, n, high=0.5).entries
     pool = generate_pool(n)
-    base = pool_strengths(pool, entries)
+    base_table = support_strengths(n, entries)
+    base = pool_strengths(pool, base_table)
     for factor in (0.25, 2.0):
-        scaled = pool_strengths(pool, entries * factor)
+        table = support_strengths(n, entries * factor)
+        scaled = pool_strengths(pool, table)
         assert np.allclose(scaled, base * factor, rtol=1e-12)
-        pct_base = percentile_of_strengths(base, base)
-        pct_scaled = percentile_of_strengths(scaled, scaled)
+        pct_base = percentile_of_strengths(base, base_table)
+        pct_scaled = percentile_of_strengths(scaled, table)
         assert np.array_equal(pct_base, pct_scaled)
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_table_percentiles_equal_per_word_count(seed):
+    """Support-table percentiles and screening equal a count over one
+    strength per word, bit for bit, for both baselines. MI entries drawn
+    from three levels rounded to 3 digits make strengths tie across
+    supports."""
+    rng = np.random.default_rng(seed)
+    n_encoded = int(rng.integers(2, 7))
+    n = int(rng.integers(2, n_encoded + 1))
+    stationary = set(rng.choice(n_encoded, n_encoded - n, replace=False).tolist())
+    index_map = {q: i for i, q in enumerate(q for q in range(n_encoded) if q not in stationary)}
+    entries = rng.choice(np.round(rng.uniform(0, 1, size=3), 3), size=(n, n))
+    entries = np.triu(entries, 1) + np.triu(entries, 1).T
+    mi = mi_from_entries(entries)
+    pool = generate_pool(n)
+    table = support_strengths(n, mi)
+    strengths = pool_strengths(pool, table)
+    word_strengths = np.array([correlation_strength(w, mi) for w in pool])
+    assert np.array_equal(strengths, word_strengths)
+
+    pct = percentile_of_strengths(strengths, table)
+    assert np.array_equal(pct, per_word_percentiles(word_strengths, word_strengths))
+
+    lifted = mi.embedded(index_map, n_encoded)
+    encoded_words = [correlation_strength(w, lifted) for w in generate_pool(n_encoded)]
+    pct_unreduced = percentile_of_strengths(strengths, support_strengths(n_encoded, lifted))
+    assert np.array_equal(pct_unreduced, per_word_percentiles(word_strengths, encoded_words))
+
+    # every distinct percentile is a boundary p_cut, plus a cut between two
+    for p_cut in [*np.unique(pct), float(np.mean(np.unique(pct)[:2]))]:
+        expected = np.flatnonzero(per_word_percentiles(word_strengths, word_strengths) <= p_cut)
+        if not len(expected):
+            with pytest.raises(ScreeningError):
+                screen_pool(pool, table, p_cut)
+            continue
+        screened, kept = screen_pool(pool, table, p_cut)
+        assert np.array_equal(kept, expected)
+        assert screened.words == tuple(pool.word(i) for i in expected)
 
 
 def test_screen_pool_empty_raises():
@@ -198,7 +258,7 @@ def test_screen_pool_empty_raises():
     pool = generate_pool(2)
     # all strengths tie at 0, so every percentile is 1.0
     with pytest.raises(ScreeningError):
-        screen_pool(pool, pool_strengths(pool, mi), 0.5)
+        screen_pool(pool, support_strengths(2, mi), 0.5)
 
 
 def test_pool_text_round_trip():
@@ -229,8 +289,7 @@ def test_screening_report_csv():
     n = 2
     entries = np.array([[0.0, 0.4], [0.4, 0.0]])
     pool = generate_pool(n)
-    strengths = pool_strengths(pool, mi_from_entries(entries))
-    csv = screening_report_csv(pool, strengths, p_cut=0.5)
+    csv = screening_report_csv(pool, support_strengths(n, mi_from_entries(entries)), p_cut=0.5)
     lines = csv.strip().splitlines()
     assert lines[0] == "word,strength,percentile,kept"
     assert len(lines) == len(pool) + 1
