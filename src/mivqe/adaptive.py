@@ -389,19 +389,24 @@ def run_adaptive(
     H: PauliSum,
     pool: EntanglerPool,
     strengths: np.ndarray,
-    percentiles: np.ndarray,
+    percentile_table: np.ndarray,
     reference_bits,
     config: AdaptiveConfig,
     reference_energy: float | None = None,
 ) -> tuple[RunReport, Ansatz]:
     """Adaptive construction loop: score, select, append, jointly reoptimize.
 
-    strengths/percentiles are per-pool-word arrays computed by the caller
-    against the declared baseline pool; the percentile of each adopted word
-    feeds the p_max / p_avg screening rates.
+    strengths holds one entry per pool word. percentile_table is the 2^n
+    support table of percentiles the caller counted against the declared
+    baseline pool; each adopted word reads its entry by its support mask,
+    and these feed the p_max / p_avg screening rates.
     """
-    if len(strengths) != len(pool) or len(percentiles) != len(pool):
-        raise AdaptiveError("strengths/percentiles must match the pool")
+    if len(strengths) != len(pool):
+        raise AdaptiveError("strengths must match the pool")
+    if len(percentile_table) != 1 << pool.n_qubits:
+        raise AdaptiveError(
+            f"a {pool.n_qubits}-qubit pool needs a 2^{pool.n_qubits}-entry percentile table"
+        )
     scorer = PoolScorer(H, pool)
     ansatz = Ansatz(H.n_qubits, list(reference_bits))
     state = ansatz.reference_state()
@@ -445,7 +450,7 @@ def run_adaptive(
                     tau=float(params[-1]),
                     energy=e_new,
                     descent=descent_achieved,
-                    percentile=float(percentiles[chosen]),
+                    percentile=float(percentile_table[word.support]),
                     acceptable_count=acceptable_count,
                 )
             )

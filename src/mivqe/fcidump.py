@@ -142,23 +142,3 @@ def load_fcidump(path) -> MolecularIntegrals:
     with open(path) as fh:
         return parse_fcidump(fh.read())
 
-
-def format_fcidump(ints: MolecularIntegrals, threshold: float = 0.0) -> str:
-    """Write integrals back out as FCIDUMP text (unique elements only)."""
-    n = ints.n_orbitals
-    lines = [f"&FCI NORB={n},NELEC={ints.n_electrons},MS2={ints.ms2},", " /"]
-    for i in range(n):
-        for j in range(i + 1):
-            for k in range(i + 1):
-                lmax = j + 1 if k == i else k + 1
-                for l in range(lmax):
-                    v = ints.two_body[i, j, k, l]
-                    if abs(v) > threshold:
-                        lines.append(f"{v:.16e} {i + 1} {j + 1} {k + 1} {l + 1}")
-    for i in range(n):
-        for j in range(i + 1):
-            v = ints.one_body[i, j]
-            if abs(v) > threshold:
-                lines.append(f"{v:.16e} {i + 1} {j + 1} 0 0")
-    lines.append(f"{ints.core_energy:.16e} 0 0 0 0")
-    return "\n".join(lines) + "\n"

@@ -17,6 +17,8 @@ MPO bond D, where a single multi-operand ``einsum`` loops over all indices
 at once (O(chi^4 D^2)). ``mps_ground_state`` takes a prebuilt MPO so that
 several DMRG settings on one Hamiltonian share a single ``build_mpo``, and
 ``MPSState.local_densities`` canonicalizes once for all RDMs of a state.
+The sweeps stop early once two sweep energies agree to SWEEP_RTOL relative
+to max(1, |E|), so the stop does not depend on the energy's scale.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ _SITE_REAL = {
 }
 
 _DENSE_SOLVE_CUTOFF = 400
+# DMRG stops once two sweep energies differ by less than this fraction of
+# max(1, |E|): an absolute tolerance sits within float summation noise of
+# energies near -75 hartree
+SWEEP_RTOL = 1e-12
 
 
 class MpsError(RuntimeError):
@@ -151,10 +157,9 @@ def build_mpo(H: PauliSum, compression_tol: float = 1e-12, batch: int = 48) -> M
 
 @dataclass
 class MPSState:
-    """Bond-limited matrix product state with an orthogonality-center flag."""
+    """Bond-limited matrix product state."""
 
     tensors: list[np.ndarray]
-    center: int | None = None  # sites < center are left-canonical, > center right
 
     @property
     def n_qubits(self) -> int:
@@ -162,9 +167,6 @@ class MPSState:
 
     def bond_dimensions(self) -> list[int]:
         return [t.shape[2] for t in self.tensors[:-1]]
-
-    def max_bond(self) -> int:
-        return max(self.bond_dimensions(), default=1)
 
     def norm(self) -> float:
         env = np.ones((1, 1))
@@ -182,7 +184,7 @@ class MPSState:
         last = ts[-1]
         nrm = np.linalg.norm(last)
         ts[-1] = last / nrm
-        return MPSState(ts, center=len(ts) - 1)
+        return MPSState(ts)
 
     def right_canonicalize(self) -> "MPSState":
         ts = [t.copy() for t in self.tensors]
@@ -194,7 +196,7 @@ class MPSState:
             ts[i - 1] = np.einsum("asb,cb->asc", ts[i - 1], r)
         nrm = np.linalg.norm(ts[0])
         ts[0] = ts[0] / nrm
-        return MPSState(ts, center=0)
+        return MPSState(ts)
 
     def local_densities(self) -> "LocalDensities":
         """One- and two-site RDMs, sharing one canonical form of this state."""
@@ -313,8 +315,6 @@ def mps_ground_state(
     n_sweeps: int,
     seed: int = 7,
     init_bits=None,
-    compression_tol: float = 1e-12,
-    sweep_tol: float = 1e-12,
     mpo: MPO | None = None,
 ) -> tuple[float, MPSState, list[float]]:
     """Two-site DMRG ground-state search over an MPO form of H.
@@ -322,8 +322,9 @@ def mps_ground_state(
     Returns the final Rayleigh-quotient energy (variational: never below the
     true ground energy), the state, and the per-sweep energy trace. Fewer
     sweeps or a smaller chi give a controlled de-converged state for MI
-    robustness experiments. ``mpo`` is H's MPO when the caller already built
-    it (``compression_tol`` then goes unused); by default it is built here.
+    robustness experiments. The sweeps stop early once two sweep energies
+    differ by less than SWEEP_RTOL * max(1, |E|). ``mpo`` is H's MPO when the
+    caller already built it; by default it is built here.
     """
     if chi < 1:
         raise MpsError("chi must be at least 1")
@@ -331,7 +332,7 @@ def mps_ground_state(
         raise MpsError("need at least one sweep")
     n = H.n_qubits
     if mpo is None:
-        mpo = build_mpo(H, compression_tol)
+        mpo = build_mpo(H)
     elif mpo.n_sites != n:
         raise MpsError(f"MPO has {mpo.n_sites} sites, H has {n} qubits")
     rng = np.random.default_rng(seed)
@@ -388,11 +389,12 @@ def mps_ground_state(
             solve_bond(i, move_right=True)
         for i in range(n - 2, -1, -1):
             solve_bond(i, move_right=False)
-        state = MPSState([t.copy() for t in tensors], center=0)
+        state = MPSState([t.copy() for t in tensors])
         nrm2 = state.norm() ** 2
         energies.append(mpo_expectation(state, mpo) / nrm2)
-        if len(energies) > 1 and abs(energies[-2] - energies[-1]) < sweep_tol:
+        tol = SWEEP_RTOL * max(1.0, abs(energies[-1]))
+        if len(energies) > 1 and abs(energies[-2] - energies[-1]) < tol:
             break
 
-    final = MPSState([t.copy() for t in tensors], center=0)
+    final = MPSState([t.copy() for t in tensors])
     return energies[-1], final, energies

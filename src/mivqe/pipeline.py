@@ -37,6 +37,7 @@ from .reference import (
 from .screening import (
     EntanglerPool,
     generate_pool,
+    odd_y_multiplicities,
     percentile_of_strengths,
     pool_size,
     pool_strengths,
@@ -85,7 +86,9 @@ class Problem:
     pool: EntanglerPool
     mi: MIMatrix
     strengths: np.ndarray
-    percentiles: np.ndarray
+    # the 2^n support table of percentiles against the baseline pool; a word
+    # reads its percentile by its support mask
+    percentile_table: np.ndarray
     reference_energy: float | None
     removed_qubits: list[tuple[int, int]]
     n_qubits_encoded: int
@@ -108,6 +111,14 @@ def _support_tables(mi, n_qubits: int, n_encoded: int, baseline_index_map):
     if baseline_index_map is None:
         return table, table
     return table, support_strengths(n_encoded, mi.embedded(baseline_index_map, n_encoded))
+
+
+def _mps_mi(H: PauliSum, backend: MpsBackend, seed: int, bits, mpo=None):
+    """(energy, MI) of H's DMRG ground state at the backend's chi and sweeps."""
+    e_mps, state, _trace = mps_ground_state(
+        H, chi=backend.chi, n_sweeps=backend.sweeps, seed=seed, init_bits=bits, mpo=mpo
+    )
+    return e_mps, mutual_information(state)
 
 
 def _load_hamiltonian(cfg: RunConfig):
@@ -151,6 +162,8 @@ def prepare_problem(cfg: RunConfig) -> Problem:
             f"{H.n_qubits} qubits after reduction exceed the "
             f"{SCORER_MAX_QUBITS}-qubit limit of the pool scorer",
         )
+    if any(word.y_count % 2 for _, word in H.terms):
+        raise PipelineError("pool", "pool scorer requires an even-Y (real) Hamiltonian")
     baseline_index_map = index_map if cfg.baseline == "unreduced" and removed else None
     # the unreduced baseline's 2^n support table over the encoded register
     # is held to the exact backend's 2^n-amplitude limit
@@ -160,6 +173,15 @@ def prepare_problem(cfg: RunConfig) -> Problem:
             f"{n_encoded} encoded qubits exceed the {EXACT_MAX_QUBITS}-qubit "
             f"limit of the unreduced baseline",
         )
+    warnings: list[str] = []
+    # the stationary-sector check needs the encoded register's exact ground
+    # energy, so it is skipped above the exact backend's limit
+    check_sector = bool(removed) and n_encoded <= EXACT_MAX_QUBITS
+    if removed and not check_sector:
+        warnings.append(
+            f"stationary-qubit sector check skipped: {n_encoded} encoded qubits exceed "
+            f"the {EXACT_MAX_QUBITS}-qubit limit of the exact backend"
+        )
     with _stage("pool"):
         pool = generate_pool(H.n_qubits)
         if removed:
@@ -168,7 +190,6 @@ def prepare_problem(cfg: RunConfig) -> Problem:
     reference = parse_reference(cfg.reference)
     reference_energy = None
     reference_note = ""
-    warnings: list[str] = []
     mps_gap = None
     with _stage("reference"):
         # the convergence reference is always the exact backend when it
@@ -179,14 +200,7 @@ def prepare_problem(cfg: RunConfig) -> Problem:
             warnings.append(f"exact reference unavailable: {exc}")
             exact_state = None
         if isinstance(reference, MpsBackend):
-            e_mps, mps_state, _trace = mps_ground_state(
-                H,
-                chi=reference.chi,
-                n_sweeps=reference.sweeps,
-                seed=cfg.seed,
-                init_bits=bits,
-            )
-            mi = mutual_information(mps_state)
+            e_mps, mi = _mps_mi(H, reference, cfg.seed, bits)
             if reference_energy is not None:
                 mps_gap = e_mps - reference_energy
             reference_note = reference.tag()
@@ -205,7 +219,7 @@ def prepare_problem(cfg: RunConfig) -> Problem:
             reference_note = f"mi import: {mi_path}"
             if reference_energy is None:
                 reference_note += " (descent-stall convergence)"
-        if removed and reference_energy is not None:
+        if check_sector and reference_energy is not None:
             # HF-sector sanity: the reduced ground energy must match the
             # full-register one, otherwise the ground state lives in another
             # stationary sector
@@ -219,12 +233,10 @@ def prepare_problem(cfg: RunConfig) -> Problem:
 
     with _stage("screen"):
         table, baseline = _support_tables(mi, H.n_qubits, n_encoded, baseline_index_map)
-        strengths = pool_strengths(pool, table)
-        percentiles = percentile_of_strengths(strengths, baseline)
+        percentile_table = percentile_of_strengths(table, baseline)
         if cfg.p_cut is not None:
-            pool, kept = screen_pool(pool, table, cfg.p_cut)
-            strengths = strengths[kept]
-            percentiles = percentiles[kept]
+            pool, _ = screen_pool(pool, table, cfg.p_cut)
+        strengths = pool_strengths(pool, table)
 
     return Problem(
         config=cfg,
@@ -233,7 +245,7 @@ def prepare_problem(cfg: RunConfig) -> Problem:
         pool=pool,
         mi=mi,
         strengths=strengths,
-        percentiles=percentiles,
+        percentile_table=percentile_table,
         reference_energy=reference_energy,
         removed_qubits=removed,
         n_qubits_encoded=n_encoded,
@@ -352,7 +364,7 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunReport, Problem]:
             problem.hamiltonian,
             problem.pool,
             problem.strengths,
-            problem.percentiles,
+            problem.percentile_table,
             problem.reference_bits,
             cfg.adaptive_config(),
             reference_energy=problem.reference_energy,
@@ -418,6 +430,39 @@ def sweep(tagged_configs: list[tuple[str, RunConfig]], workers: int = 1) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _mi_column(problem: Problem, mi, supports: list[int], exact=None):
+    """One mi-report column of mi, built from support tables alone.
+
+    Returns the column (the percentiles of the words on supports, counted as
+    the run counts them, their p_max, and the Spearman rank correlation of
+    the pool's strengths against exact) and those strengths. The strengths
+    cover the run register's whole pool, also when the run screened it: each
+    support's strength repeated once per odd-Y word on it, rounded so that
+    exactly degenerate strengths stay tied instead of being permuted by
+    sub-1e-10 backend noise. exact is None for the exact column itself.
+    """
+    from scipy.stats import spearmanr  # kept off the import path of the other verbs
+
+    n = problem.hamiltonian.n_qubits
+    table, baseline = _support_tables(
+        mi, n, problem.n_qubits_encoded, problem.baseline_index_map
+    )
+    pct = percentile_of_strengths(table, baseline)[supports]
+    strengths = np.repeat(np.round(table, 10), odd_y_multiplicities(n))
+    if exact is None:
+        rho = 1.0
+    elif np.ptp(exact) == 0.0 or np.ptp(strengths) == 0.0:
+        rho = None  # rank correlation undefined for constant strengths
+    else:
+        rho = _fmt(spearmanr(exact, strengths).statistic)
+    column = {
+        "percentiles": [_fmt(p) for p in pct],
+        "p_max": _fmt(pct.max()) if len(pct) else None,
+        "spearman_vs_exact": rho,
+    }
+    return column, strengths
+
+
 def mi_report(cfg: RunConfig, settings: list[MpsBackend]) -> dict:
     """De-convergence study: percentile traces of one run under degraded MI.
 
@@ -425,90 +470,47 @@ def mi_report(cfg: RunConfig, settings: list[MpsBackend]) -> dict:
     default) reference, then re-scores the adopted entanglers under each
     (chi, sweeps) MI estimate: achieved energy gap, per-entangler percentile
     trace, p_max lift, and the Spearman rank correlation of pool strengths.
-    Every column counts percentiles as the run does: against the run's
-    baseline, over the whole pool (also when the run screened it).
+    Every column counts percentiles as the run does, against the run's
+    baseline, and ranks the whole pool, also when the run screened it.
     """
-    from scipy.stats import spearmanr  # kept off the import path of the other verbs
-
     report, problem = run_pipeline(cfg)
-    chosen = [s.word for s in report.steps]
-    pool = problem.pool
-    chosen_idx = np.array([pool.index(w) for w in chosen], dtype=int)
-
-    exact_strengths = problem.strengths
-    exact_pct = problem.percentiles
-    columns = {
-        "exact": {
-            "energy_gap": 0.0,
-            "percentiles": [_fmt(float(exact_pct[i])) for i in chosen_idx],
-            "p_max": None if report.p_max is None else _fmt(report.p_max),
-            "spearman_vs_exact": 1.0,
-        }
-    }
+    supports = [s.word.support for s in report.steps]
+    exact_column, exact_strengths = _mi_column(problem, problem.mi, supports)
+    columns = {"exact": {"energy_gap": 0.0, **exact_column}}
+    mi_csvs = {}
     # one MPO serves every setting; called through the module so that a
     # wrapper installed on mivqe.mps.build_mpo sees the call
     mpo = mps.build_mpo(problem.hamiltonian) if settings else None
     for setting in settings:
-        e_mps, mps_state, _ = mps_ground_state(
-            problem.hamiltonian,
-            chi=setting.chi,
-            n_sweeps=setting.sweeps,
-            seed=cfg.seed,
-            init_bits=problem.reference_bits,
-            mpo=mpo,
+        e_mps, mi_chi = _mps_mi(
+            problem.hamiltonian, setting, cfg.seed, problem.reference_bits, mpo
         )
-        mi_chi = mutual_information(mps_state)
-        table_chi, baseline_chi = _support_tables(
-            mi_chi, pool.n_qubits, problem.n_qubits_encoded, problem.baseline_index_map
-        )
-        strengths_chi = pool_strengths(pool, table_chi)
-        pct_chi = percentile_of_strengths(strengths_chi, baseline_chi)
-        # quantize before ranking so exactly degenerate strengths stay tied
-        # instead of being permuted by sub-1e-10 backend noise
-        qa = np.round(exact_strengths, 10)
-        qb = np.round(strengths_chi, 10)
-        if np.ptp(qa) == 0.0 or np.ptp(qb) == 0.0:
-            rho = None  # rank correlation undefined for constant strengths
-        else:
-            rho = float(spearmanr(qa, qb).statistic)
-        gap = (
-            None
-            if problem.reference_energy is None
-            else e_mps - problem.reference_energy
-        )
-        columns[setting.tag()] = {
-            "energy_gap": None if gap is None else _fmt(gap),
-            "percentiles": [_fmt(float(pct_chi[i])) for i in chosen_idx],
-            "p_max": _fmt(float(pct_chi[chosen_idx].max())) if len(chosen_idx) else None,
-            "spearman_vs_exact": None if rho is None else _fmt(rho),
-            "mi_csv": mi_chi.to_csv(),
-        }
+        column, _ = _mi_column(problem, mi_chi, supports, exact_strengths)
+        gap = None if problem.reference_energy is None else _fmt(e_mps - problem.reference_energy)
+        columns[setting.tag()] = {"energy_gap": gap, **column}
+        mi_csvs[setting.tag()] = mi_chi.to_csv()
 
     out = {
-        "n_ent": len(chosen),
+        "n_ent": len(supports),
         "entanglers": [s.as_dict()["word"] for s in report.steps],
-        "columns": {
-            tag: {k: v for k, v in col.items() if k != "mi_csv"}
-            for tag, col in columns.items()
-        },
+        "columns": columns,
     }
     if cfg.output is not None:
         out_dir = Path(cfg.output)
         out_dir.mkdir(parents=True, exist_ok=True)
         # mi_report.json, written last, marks a complete set (as manifest.json)
         (out_dir / "mi_report.json").unlink(missing_ok=True)
-        header = ["index", "word"] + list(out["columns"].keys())
+        header = ["index", "word"] + list(columns)
         lines = [",".join(header)]
         for i, word in enumerate(out["entanglers"]):
             row = [str(i + 1), word]
-            for tag in out["columns"]:
-                row.append(f"{out['columns'][tag]['percentiles'][i]:.12g}")
+            for col in columns.values():
+                row.append(f"{col['percentiles'][i]:.12g}")
             lines.append(",".join(row))
         write_text_atomic(out_dir / "mi_compare.csv", "\n".join(lines) + "\n")
-        for tag, col in columns.items():
-            if "mi_csv" in col:
-                safe = tag.replace(":", "_").replace(",", "_").replace("=", "")
-                write_text_atomic(out_dir / f"mi_{safe}.csv", col["mi_csv"])
+        for tag, text in mi_csvs.items():
+            safe = tag.replace(":", "_").replace(",", "_").replace("=", "")
+            write_text_atomic(out_dir / f"mi_{safe}.csv", text)
         _write_json(out_dir / "mi_report.json", out)
     return out
 

@@ -9,7 +9,10 @@ baseline pool at least as strong, ties counted inclusively.
 Both depend only on the word's support mask, so every percentile is counted
 on one table of 2^m support strengths (support_strengths): the baseline pool
 is the whole odd-Y pool of an m-qubit register, with (3^L - 1)/2 words on
-each support of L qubits, and a word reads its entry by its support mask.
+each support of L qubits. percentile_of_strengths maps a support table of
+strengths to a support table of percentiles, and that table is the only
+form a percentile takes outside this module: a word reads its entry by its
+support mask (pool_strengths gathers them for a whole pool).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .pauli import PauliWord, parse_pauli_factors, format_pauli_factors
+from .pauli import PauliWord, format_pauli_factors
 
 
 class ScreeningError(ValueError):
@@ -69,47 +72,10 @@ class EntanglerPool:
     def word(self, i: int) -> PauliWord:
         return PauliWord(self.n_qubits, int(self.x[i]), int(self.z[i]))
 
-    def index(self, word: PauliWord) -> int:
-        """Position of word in the pool; ScreeningError if it is absent."""
-        hits = np.flatnonzero(
-            (self.x == np.uint64(word.x_mask)) & (self.z == np.uint64(word.z_mask))
-        )
-        if not len(hits):
-            raise ScreeningError(f"word {format_pauli_factors(word)!r} is not in the pool")
-        return int(hits[0])
-
     def to_text(self) -> str:
         lines = [f"# pool provenance: {self.provenance}", f"qubits: {self.n_qubits}"]
         lines += [format_pauli_factors(w) for w in self.words]
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str, provenance: str = "imported") -> "EntanglerPool":
-        n_qubits = None
-        words = []
-        for raw in text.splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.lower().startswith("qubits:"):
-                try:
-                    n_qubits = int(line.split(":", 1)[1])
-                except ValueError:
-                    raise ScreeningError(f"invalid qubits header {line!r}") from None
-                if not 1 <= n_qubits <= 64:
-                    raise ScreeningError(f"pool masks hold 1 to 64 qubits, got {n_qubits}")
-                continue
-            if n_qubits is None:
-                raise ScreeningError("missing 'qubits: <n>' header")
-            word = parse_pauli_factors(line, n_qubits)
-            if word.y_count % 2 == 0:
-                raise ScreeningError(f"pool word {line!r} has an even Y count")
-            words.append(word)
-        if n_qubits is None:
-            raise ScreeningError("missing 'qubits: <n>' header")
-        if len(set(words)) != len(words):
-            raise ScreeningError("pool contains duplicate words")
-        return cls.from_words(n_qubits, words, provenance)
 
 
 def generate_pool(n_qubits: int) -> EntanglerPool:
@@ -138,49 +104,53 @@ def _mi_entries(mi) -> np.ndarray:
     return np.asarray(entries, dtype=float)
 
 
-def _support_strength(entries: np.ndarray, support: list[int]) -> float:
-    """Average MI over the qubit pairs of support; 0 with fewer than two qubits."""
-    L = len(support)
-    if L < 2:
-        return 0.0
-    total = 0.0
-    for a in range(L):
-        for b in range(a + 1, L):
-            total += entries[support[a], support[b]]
-    return 2.0 * total / (L * (L - 1))
-
-
 def support_strengths(n_qubits: int, mi) -> np.ndarray:
-    """Correlation strength of every support mask on n qubits (2^n entries)."""
+    """Correlation strength of every support mask on n qubits (2^n entries).
+
+    A support of L >= 2 qubits averages the MI over its L(L-1)/2 pairs: each
+    mask's sum starts at 0.0 and adds its pairs (a < b) in lexicographic
+    order, then doubles and divides by L(L-1). Supports of fewer than two
+    qubits have strength 0.
+    """
     entries = _mi_entries(mi)
     n = n_qubits
     if entries.shape[0] < n:
         raise ScreeningError("MI matrix smaller than pool qubit count")
-    table = np.zeros(1 << n)
-    for mask in range(1 << n):
-        table[mask] = _support_strength(entries, [q for q in range(n) if (mask >> q) & 1])
-    return table
+    masks = np.arange(1 << n)
+    on = [((masks >> q) & 1).astype(bool) for q in range(n)]
+    total = np.zeros(1 << n)
+    for a in range(n):
+        for b in range(a + 1, n):
+            total[on[a] & on[b]] += entries[a, b]
+    weights = np.bitwise_count(masks)
+    return 2.0 * total / np.maximum(weights * (weights - 1), 1)
 
 
 def pool_strengths(pool: EntanglerPool, table: np.ndarray) -> np.ndarray:
-    """Each word's strength: its support's entry in support_strengths(pool.n_qubits, mi)."""
+    """Each word's entry in a 2^n support table, read by its support mask.
+
+    With table = support_strengths(pool.n_qubits, mi) these are the words'
+    strengths; with a percentile table, their percentiles.
+    """
     if len(table) != 1 << pool.n_qubits:
         raise ScreeningError(f"a {pool.n_qubits}-qubit pool needs a 2^{pool.n_qubits}-entry table")
     return table[(pool.x | pool.z).astype(np.intp)]
 
 
-def percentile_of_strengths(strengths: np.ndarray, baseline_table: np.ndarray) -> np.ndarray:
+def percentile_of_strengths(table: np.ndarray, baseline_table: np.ndarray) -> np.ndarray:
     """percentile(c) = |{baseline words with strength >= c}| / pool_size(m), ties inclusive.
 
-    baseline_table is the 2^m support table of the baseline register; its
-    pool has odd_y_multiplicities(m) words on each support.
+    Both arguments are support tables: the percentile of each of table's
+    supports is counted against baseline_table, the 2^m table of the
+    baseline register, whose pool has odd_y_multiplicities(m) words on each
+    support.
     """
     m = len(baseline_table).bit_length() - 1
     order = np.argsort(baseline_table, kind="stable")
     baseline = baseline_table[order]
     # at_least[i] = words with strength >= baseline[i]; at_least[2^m] = 0
     at_least = np.concatenate([np.cumsum(odd_y_multiplicities(m)[order][::-1])[::-1], [0]])
-    counts = at_least[np.searchsorted(baseline, strengths, side="left")]
+    counts = at_least[np.searchsorted(baseline, table, side="left")]
     return counts / pool_size(m)
 
 
@@ -196,7 +166,7 @@ def screen_pool(
     """
     if not (0.0 < p_cut <= 1.0):
         raise ScreeningError("p_cut must lie in (0, 1]")
-    pct = percentile_of_strengths(pool_strengths(pool, table), table)
+    pct = pool_strengths(pool, percentile_of_strengths(table, table))
     kept = np.flatnonzero(pct <= p_cut)
     if not len(kept):
         raise ScreeningError(
@@ -214,7 +184,7 @@ def screening_report_csv(
 ) -> str:
     """One row per pool word: strength, percentile within the register's pool, kept flag."""
     strengths = pool_strengths(pool, table)
-    pct = percentile_of_strengths(strengths, table)
+    pct = pool_strengths(pool, percentile_of_strengths(table, table))
     lines = ["word,strength,percentile,kept"]
     for word, c, p in zip(pool.words, strengths, pct):
         kept = "" if p_cut is None else str(int(p <= p_cut))

@@ -8,21 +8,31 @@ loops the compiled simulator paths must reproduce bit for bit. The einsum_*
 functions are the MPS tensor networks written as single multi-operand
 einsums, which the pairwise contractions in mivqe.mps must match.
 
-The rest are reference paths the package itself no longer calls: the
-single-word Pauli action and exponential, the three-evaluation sinusoid fit
-of one entangler, the pool scorer's exact term sum over the whole pool, the
-per-word correlation strength and percentile count, the Pauli commutation
-test, identity check and canonical sort key, P H P, the number operator, the
-dense MPO and MPS, and the RDMs of an MPS one call at a time.
+The rest are reference paths and conveniences the package itself no longer
+calls: the single-word Pauli action and exponential, the three-evaluation
+sinusoid fit of one entangler, the pool scorer's exact term sum over the
+whole pool, the per-mask and per-word correlation strength and percentile
+count, a word's position in a pool, the pool text parser, the FCIDUMP
+writer, the largest MPS bond, the Pauli commutation test, identity check and
+canonical sort key, P H P, the number operator, the dense MPO and MPS, and
+the RDMs of an MPS one call at a time.
 """
 
 import numpy as np
 
 from mivqe.adaptive import PoolScorer, _tau_minimum
+from mivqe.fcidump import MolecularIntegrals
 from mivqe.fermion import FermionOperator
-from mivqe.pauli import PauliError, PauliSum, PauliWord, _check_same_size
+from mivqe.pauli import (
+    PauliError,
+    PauliSum,
+    PauliWord,
+    _check_same_size,
+    format_pauli_factors,
+    parse_pauli_factors,
+)
 from mivqe.reference import entropy
-from mivqe.screening import ScreeningError, _mi_entries, _support_strength
+from mivqe.screening import EntanglerPool, ScreeningError, _mi_entries
 from mivqe.simulator import (
     Ansatz,
     _apply_tables,
@@ -311,6 +321,29 @@ def term_sum_scores(scorer: PoolScorer, state: np.ndarray) -> tuple[np.ndarray, 
     return scorer._term_sum(T, f, np.arange(len(scorer.px)))
 
 
+def support_strength(entries: np.ndarray, support: list[int]) -> float:
+    """Average MI over the qubit pairs of support; 0 with fewer than two qubits."""
+    L = len(support)
+    if L < 2:
+        return 0.0
+    total = 0.0
+    for a in range(L):
+        for b in range(a + 1, L):
+            total += entries[support[a], support[b]]
+    return 2.0 * total / (L * (L - 1))
+
+
+def per_mask_support_strengths(n_qubits: int, mi) -> np.ndarray:
+    """support_strengths as one support_strength call per mask."""
+    entries = _mi_entries(mi)
+    return np.array(
+        [
+            support_strength(entries, [q for q in range(n_qubits) if (mask >> q) & 1])
+            for mask in range(1 << n_qubits)
+        ]
+    )
+
+
 def correlation_strength(word: PauliWord, mi) -> float:
     """Average MI over ordered qubit pairs in the word's support.
 
@@ -321,7 +354,7 @@ def correlation_strength(word: PauliWord, mi) -> float:
     support = [q for q in range(word.n_qubits) if (word.support >> q) & 1]
     if max(support, default=-1) >= entries.shape[0]:
         raise ScreeningError("word support outside MI matrix range")
-    return _support_strength(entries, support)
+    return support_strength(entries, support)
 
 
 def commutes(a: PauliWord, b: PauliWord) -> bool:
@@ -365,3 +398,66 @@ def number_operator(n_modes: int) -> FermionOperator:
     return FermionOperator(
         {((m, True), (m, False)): 1.0 for m in range(n_modes)}, normalize=False
     )
+
+
+def pool_index(pool: EntanglerPool, word: PauliWord) -> int:
+    """Position of word in the pool; ScreeningError if it is absent."""
+    hits = np.flatnonzero((pool.x == np.uint64(word.x_mask)) & (pool.z == np.uint64(word.z_mask)))
+    if not len(hits):
+        raise ScreeningError(f"word {format_pauli_factors(word)!r} is not in the pool")
+    return int(hits[0])
+
+
+def pool_from_text(text: str, provenance: str = "imported") -> EntanglerPool:
+    """Parse EntanglerPool.to_text output: a 'qubits: <n>' header, one odd-Y word a line."""
+    n_qubits = None
+    words = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.lower().startswith("qubits:"):
+            try:
+                n_qubits = int(line.split(":", 1)[1])
+            except ValueError:
+                raise ScreeningError(f"invalid qubits header {line!r}") from None
+            if not 1 <= n_qubits <= 64:
+                raise ScreeningError(f"pool masks hold 1 to 64 qubits, got {n_qubits}")
+            continue
+        if n_qubits is None:
+            raise ScreeningError("missing 'qubits: <n>' header")
+        word = parse_pauli_factors(line, n_qubits)
+        if word.y_count % 2 == 0:
+            raise ScreeningError(f"pool word {line!r} has an even Y count")
+        words.append(word)
+    if n_qubits is None:
+        raise ScreeningError("missing 'qubits: <n>' header")
+    if len(set(words)) != len(words):
+        raise ScreeningError("pool contains duplicate words")
+    return EntanglerPool.from_words(n_qubits, words, provenance)
+
+
+def format_fcidump(ints: MolecularIntegrals, threshold: float = 0.0) -> str:
+    """Write integrals back out as FCIDUMP text (unique elements only)."""
+    n = ints.n_orbitals
+    lines = [f"&FCI NORB={n},NELEC={ints.n_electrons},MS2={ints.ms2},", " /"]
+    for i in range(n):
+        for j in range(i + 1):
+            for k in range(i + 1):
+                lmax = j + 1 if k == i else k + 1
+                for l in range(lmax):
+                    v = ints.two_body[i, j, k, l]
+                    if abs(v) > threshold:
+                        lines.append(f"{v:.16e} {i + 1} {j + 1} {k + 1} {l + 1}")
+    for i in range(n):
+        for j in range(i + 1):
+            v = ints.one_body[i, j]
+            if abs(v) > threshold:
+                lines.append(f"{v:.16e} {i + 1} {j + 1} 0 0")
+    lines.append(f"{ints.core_energy:.16e} 0 0 0 0")
+    return "\n".join(lines) + "\n"
+
+
+def max_bond(mps) -> int:
+    """Largest bond dimension of an MPSState (1 for a single site)."""
+    return max(mps.bond_dimensions(), default=1)

@@ -29,6 +29,7 @@ from helpers import (
     commutes,
     dense_sum,
     dense_word,
+    pool_index,
     random_state,
     random_word,
     score_entangler,
@@ -220,7 +221,7 @@ def _molecule_problem(grouping="abab", mapping="jordan_wigner"):
     pool = generate_pool(H.n_qubits)
     table = support_strengths(H.n_qubits, mi)
     strengths = pool_strengths(pool, table)
-    pct = percentile_of_strengths(strengths, table)
+    pct = percentile_of_strengths(table, table)
     return H, pool, strengths, pct, bits, e_ref, mi
 
 
@@ -246,7 +247,7 @@ def test_run_adaptive_zero_steps_when_reference_is_ground():
     H = PauliSum(n, [(1.0, PauliWord(n, 0, 1 << q)) for q in range(n)])
     pool = generate_pool(n)
     strengths = np.zeros(len(pool))
-    pct = np.ones(len(pool))
+    pct = np.ones(1 << n)
     e_ref, _ = exact_ground_state(H)
     report, ansatz = run_adaptive(
         H, pool, strengths, pct, [1, 1, 1], AdaptiveConfig(), reference_energy=e_ref
@@ -269,7 +270,7 @@ def test_run_adaptive_no_improving_entangler():
         H,
         pool,
         np.zeros(len(pool)),
-        np.ones(len(pool)),
+        np.ones(1 << n),
         [0, 0],
         AdaptiveConfig(),
         reference_energy=exact_ground_state(H)[0],
@@ -310,7 +311,7 @@ def test_screening_equivalence_small_molecule():
     p_cut = full_report.p_max + 1e-9
     screened, kept = screen_pool(pool, support_strengths(H.n_qubits, mi), p_cut)
     scr_report, _ = run_adaptive(
-        H, screened, strengths[kept], pct[kept], bits, cfg, reference_energy=e_ref
+        H, screened, strengths[kept], pct, bits, cfg, reference_energy=e_ref
     )
     assert [s.as_dict()["word"] for s in full_report.steps] == [
         s.as_dict()["word"] for s in scr_report.steps
@@ -393,7 +394,7 @@ def test_pool_scorer_selection_equals_term_sum_on_mirror_ties(basis):
             H, pool, state, strengths = _mirrored_problem(rng, n, basis)
             scorer = PoolScorer(H, pool)
             chosen, _ = _assert_selection_is_term_sum(scorer, state, strengths)
-            twins += pool.index(_swap01(pool.word(chosen))) != chosen
+            twins += pool_index(pool, _swap01(pool.word(chosen))) != chosen
     assert twins  # some winners do have a tied mirror image
 
 

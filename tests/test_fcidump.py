@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import mivqe.fcidump
-from mivqe.fcidump import MAX_ORBITALS, FcidumpError, format_fcidump, parse_fcidump
+from mivqe.fcidump import MAX_ORBITALS, FcidumpError, parse_fcidump
+
+from helpers import format_fcidump
 
 HEADER = "&FCI NORB=2,NELEC=2,MS2=0,\n ORBSYM=1,1,\n ISYM=1,\n /\n"
 

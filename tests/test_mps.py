@@ -30,6 +30,7 @@ from helpers import (
     einsum_pair_density_matrix,
     einsum_right_env,
     einsum_single_density_matrix,
+    max_bond,
     mpo_to_dense,
     mps_to_statevector,
     pair_density_matrix,
@@ -101,7 +102,7 @@ def test_dmrg_z_field_product_state():
     H = PauliSum(n, [(1.0, PauliWord(n, 0, 1 << q)) for q in range(n)])
     energy, state, trace = mps_ground_state(H, chi=1, n_sweeps=8)
     assert abs(energy + n) < 1e-10
-    assert state.max_bond() == 1
+    assert max_bond(state) == 1
     dense = mps_to_statevector(state)
     assert abs(abs(dense[-1]) - 1.0) < 1e-8  # |11...1>
     assert all(e2 <= e1 + 1e-10 for e1, e2 in zip(trace, trace[1:]))
@@ -119,7 +120,7 @@ def test_dmrg_matches_exact_at_full_bond():
         assert e_mps >= e_exact - 1e-9  # variational
         assert abs(e_mps - e_exact) < 1e-8
         assert abs(state.norm() - 1.0) < 1e-8
-        assert state.max_bond() <= chi
+        assert max_bond(state) <= chi
 
 
 def test_dmrg_truncated_chi_gap_positive():
@@ -132,7 +133,7 @@ def test_dmrg_truncated_chi_gap_positive():
     e_exact, _ = exact_ground_state(H)
     e_mps, state, _ = mps_ground_state(H, chi=1, n_sweeps=10)
     assert e_mps > e_exact + 1e-6
-    assert state.max_bond() == 1
+    assert max_bond(state) == 1
 
 
 def test_mps_rdms_match_dense():
@@ -294,7 +295,26 @@ def test_dmrg_iterative_local_solver_matches_exact(monkeypatch):
     e_mps, state, _ = mps_ground_state(H, chi=16, n_sweeps=10)
     assert calls and max(calls) > mivqe.mps._DENSE_SOLVE_CUTOFF
     assert abs(e_mps - e_exact) < 1e-8
-    assert state.max_bond() <= 16
+    assert max_bond(state) <= 16
+
+
+def test_dmrg_early_stop_is_relative_to_the_energy():
+    """H and 1e3 H have the same DMRG path up to float noise, so the sweeps
+    stop after the same sweep: the stop compares the energy change with
+    SWEEP_RTOL * max(1, |E|), not an absolute tolerance."""
+    from mivqe.config import RunConfig
+    from mivqe.pipeline import prepare_problem
+
+    from conftest import FIXTURE_DIR
+
+    problem = prepare_problem(
+        RunConfig(fcidump=str(FIXTURE_DIR / "lih_1.60.fcidump"), mapping="parity", grouping="aabb")
+    )
+    H, bits = problem.hamiltonian, problem.reference_bits
+    _, _, trace = mps_ground_state(H, chi=4, n_sweeps=8, seed=7, init_bits=bits)
+    _, _, scaled = mps_ground_state(H * 1e3, chi=4, n_sweeps=8, seed=7, init_bits=bits)
+    assert len(trace) < 8
+    assert len(scaled) == len(trace)
 
 
 def test_dmrg_given_mpo_equals_building_its_own():

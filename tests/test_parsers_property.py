@@ -17,7 +17,9 @@ from mivqe.config import ConfigError, parse_config, parse_reference
 from mivqe.fcidump import MAX_ORBITALS, FcidumpError, parse_fcidump
 from mivqe.pauli import PauliError, parse_pauli_sum
 from mivqe.reference import MIMatrix, ReferenceError
-from mivqe.screening import EntanglerPool, ScreeningError
+from mivqe.screening import ScreeningError
+
+from helpers import pool_from_text
 
 PROPERTY = settings(
     max_examples=100,
@@ -66,7 +68,7 @@ def test_parse_pauli_sum_parses_or_raises_pauli_error(text):
 def test_pool_from_text_parses_or_raises_typed_error(text):
     # words are read by the Pauli parser, whose error passes through
     try:
-        EntanglerPool.from_text(text)
+        pool_from_text(text)
     except (ScreeningError, PauliError):
         pass
 
@@ -170,4 +172,4 @@ def test_mi_csv_rejects_rows_it_used_to_misread(text):
 
 def test_pool_text_beyond_mask_width_raises_screening_error():
     with pytest.raises(ScreeningError):
-        EntanglerPool.from_text("qubits: 70\nY65")
+        pool_from_text("qubits: 70\nY65")

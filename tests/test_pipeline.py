@@ -151,7 +151,7 @@ def test_unreduced_baseline_equals_brute_force_pool():
     baseline = pool_strengths(generate_pool(n), table)
     assert len(baseline) == problem.baseline_pool_size == 2016
     expected = np.array([np.count_nonzero(baseline >= c) for c in problem.strengths]) / 2016
-    assert np.array_equal(problem.percentiles, expected)
+    assert np.array_equal(pool_strengths(problem.pool, problem.percentile_table), expected)
 
 
 def test_unreduced_baseline_builds_no_encoded_register_pool(monkeypatch):
@@ -168,6 +168,64 @@ def test_unreduced_baseline_builds_no_encoded_register_pool(monkeypatch):
     problem = mivqe.pipeline.prepare_problem(lih_config(baseline="unreduced"))
     assert problem.n_qubits_encoded == 6
     assert calls == [problem.hamiltonian.n_qubits] == [4]
+
+
+ODD_Y_SUM = "qubits: 2\n1.0 Z0\n0.5 X0 X1\n0.2 Y0 Z1\n"
+
+
+@pytest.mark.parametrize("reference", ["exact", "mps:chi=2,sweeps=2"])
+def test_odd_y_sum_is_rejected_before_pool_and_lanczos(reference, tmp_path, monkeypatch):
+    def refuse(name):
+        def spy(*args, **kwargs):
+            raise AssertionError(f"{name} ran before the even-Y check")
+        return spy
+
+    for name in ("generate_pool", "exact_ground_state", "mps_ground_state"):
+        monkeypatch.setattr(mivqe.pipeline, name, refuse(name))
+    path = tmp_path / "odd.pauli"
+    path.write_text(ODD_Y_SUM)
+    cfg = RunConfig(pauli_sum=str(path), reference=reference, seed=7)
+    with pytest.raises(PipelineError) as err:
+        mivqe.pipeline.prepare_problem(cfg)
+    assert err.value.stage == "pool"
+    assert "even-Y (real) Hamiltonian" in str(err.value)
+
+
+def _z_tail_chain():
+    """18 qubits: an XX chain with Z fields on qubits 0-9, Z-only qubits 10-17."""
+    lines = ["qubits: 18"]
+    lines += [f"1.0 X{q} X{q + 1}" for q in range(9)]
+    lines += [f"0.{q + 1} Z{q}" for q in range(10)]
+    lines += [f"0.5 Z{q}" for q in range(10, 18)]
+    return "\n".join(lines) + "\n"
+
+
+def test_sector_check_is_skipped_above_exact_limit(tmp_path, monkeypatch):
+    """Reduction takes the sum to 10 qubits; the encoded register's 18 are
+    beyond the exact backend, so the run skips the stationary-sector check
+    and says so in report.json instead of failing after the pool is built."""
+    sizes = []
+    exact_ground_state = mivqe.pipeline.exact_ground_state
+
+    def spy(H, *args, **kwargs):
+        sizes.append(H.n_qubits)
+        return exact_ground_state(H, *args, **kwargs)
+
+    monkeypatch.setattr(mivqe.pipeline, "exact_ground_state", spy)
+    path = tmp_path / "tail.pauli"
+    path.write_text(_z_tail_chain())
+    out = tmp_path / "run"
+    code = main([
+        "run", "--pauli-sum", str(path), "--max-steps", "1", "--hops", "0",
+        "--output", str(out),
+    ])
+    assert code in (0, 2)
+    assert sizes == [10]
+    report = json.loads((out / "report.json").read_text())
+    assert report["n_qubits_encoded"] == 18 and report["n_qubits"] == 10
+    assert any(
+        "sector check skipped" in w and "18 encoded qubits" in w for w in report["warnings"]
+    )
 
 
 def test_pauli_sum_input_descent_stall(tmp_path):
@@ -218,7 +276,7 @@ def test_screening_equivalence_boundary_case():
     partial = prepare_problem(cfg_partial)
     rep, ansatz = run_adaptive(
         partial.hamiltonian, partial.pool, partial.strengths,
-        partial.percentiles, partial.reference_bits,
+        partial.percentile_table, partial.reference_bits,
         cfg_partial.adaptive_config(), reference_energy=partial.reference_energy,
     )
     assert [s.as_dict()["word"] for s in rep.steps] == words_full[:diverge]
@@ -227,7 +285,7 @@ def test_screening_equivalence_boundary_case():
         ansatz.prepare(), partial.strengths, cfg_partial.descent_fraction
     )
     best = int(np.argmax(descents))
-    assert partial.percentiles[best] > p_cut
+    assert partial.percentile_table[partial.pool.word(best).support] > p_cut
     table = support_strengths(partial.hamiltonian.n_qubits, partial.mi)
     _, scr_idx = screen_pool(partial.pool, table, p_cut)
     assert descents[scr_idx].max() < descents.max()
@@ -408,6 +466,19 @@ def test_mi_report_columns_share_the_run_baseline(flags):
     assert mps["p_max"] == pytest.approx(exact["p_max"], abs=1e-9)
 
 
+def test_mi_report_spearman_ranks_the_whole_pool_under_p_cut():
+    """Spearman ranks the register's whole pool, as the percentiles count it:
+    screening the run leaves it unchanged (it ranked only the 30 screened of
+    the 120 words, 0.644379479418, before)."""
+    lih = str(FIXTURE_DIR / "lih_2.00.fcidump")
+    setting = MpsBackend(chi=2, sweeps=2)
+    screened = mi_report(lih_config(fcidump=lih, max_steps=4, p_cut=0.3), [setting])
+    full = mi_report(lih_config(fcidump=lih, max_steps=4), [setting])
+    rho = screened["columns"][setting.tag()]["spearman_vs_exact"]
+    assert rho == pytest.approx(0.991767968939, abs=1e-9)
+    assert rho == full["columns"][setting.tag()]["spearman_vs_exact"]
+
+
 def test_mi_report_builds_one_mpo_for_all_settings(monkeypatch):
     import mivqe.mps
 
@@ -518,6 +589,7 @@ BAD_INPUTS = {
     "pauli_sum_non_integer_qubits": lambda tmp: [
         "run", "--pauli-sum", _write(tmp / "bad.pauli", "qubits: abc\n1.0 Z0\n"),
     ],
+    "pauli_sum_odd_y": lambda tmp: ["run", "--pauli-sum", _write(tmp / "odd.pauli", ODD_Y_SUM)],
     "mps_non_integer": lambda tmp: ["run", "--fcidump", LIH, "--reference", "mps:chi=x,sweeps=2"],
     "fcidump_non_integer_norb": lambda tmp: [
         "run", "--fcidump",
@@ -734,9 +806,9 @@ def test_cli_encode_and_pool(tmp_path, capsys):
     pool_file = tmp_path / "pool.txt"
     code = main(["pool", "--n-qubits", "4", "--out", str(pool_file)])
     assert code == 0
-    from mivqe.screening import EntanglerPool
+    from helpers import pool_from_text
 
-    pool = EntanglerPool.from_text(pool_file.read_text())
+    pool = pool_from_text(pool_file.read_text())
     assert len(pool) == 120
 
 

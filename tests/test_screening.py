@@ -6,7 +6,6 @@ import pytest
 from mivqe.pauli import PauliError, PauliWord, parse_pauli_sum
 from mivqe.reference import MIMatrix
 from mivqe.screening import (
-    EntanglerPool,
     ScreeningError,
     generate_pool,
     odd_y_multiplicities,
@@ -18,7 +17,14 @@ from mivqe.screening import (
     support_strengths,
 )
 
-from helpers import correlation_strength, is_identity, per_word_percentiles, sort_key
+from helpers import (
+    correlation_strength,
+    is_identity,
+    per_mask_support_strengths,
+    per_word_percentiles,
+    pool_from_text,
+    sort_key,
+)
 
 
 def mi_from_entries(entries):
@@ -90,6 +96,19 @@ def test_pool_strengths_match_scalar_path():
     fast = pool_strengths(pool, support_strengths(n, mi))
     slow = np.array([correlation_strength(w, mi) for w in pool])
     assert np.array_equal(fast, slow)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_support_table_equals_per_mask_sum(n):
+    """The vectorized table adds each mask's pairs in the per-mask order, bit
+    for bit, also when 3-digit MI entries make strengths tie across supports."""
+    rng = np.random.default_rng(70 + n)
+    for entries in (rng.random((n, n)), rng.choice([0.125, 0.25, 0.5], size=(n, n))):
+        entries = np.round(np.triu(entries, 1), 3)
+        entries = entries + entries.T
+        assert support_strengths(n, entries).tobytes() == per_mask_support_strengths(
+            n, entries
+        ).tobytes()
 
 
 def test_support_table_size_is_checked():
@@ -263,21 +282,21 @@ def test_screen_pool_empty_raises():
 
 def test_pool_text_round_trip():
     pool = generate_pool(3)
-    back = EntanglerPool.from_text(pool.to_text())
+    back = pool_from_text(pool.to_text())
     assert back.words == pool.words
     assert back.n_qubits == 3
 
 
 def test_pool_import_rejects_invalid_words():
     with pytest.raises(ScreeningError):
-        EntanglerPool.from_text("qubits: 2\nX0 X1\n")  # even Y count
+        pool_from_text("qubits: 2\nX0 X1\n")  # even Y count
     with pytest.raises(ScreeningError):
-        EntanglerPool.from_text("qubits: 2\nY0\nY0\n")  # duplicate
+        pool_from_text("qubits: 2\nY0\nY0\n")  # duplicate
 
 
 @pytest.mark.parametrize("parse, error", [
     (parse_pauli_sum, PauliError),
-    (EntanglerPool.from_text, ScreeningError),
+    (pool_from_text, ScreeningError),
 ], ids=["pauli_sum", "pool"])
 def test_non_integer_qubits_header_raises_typed_error(parse, error):
     with pytest.raises(error, match="qubits header"):
