@@ -152,7 +152,7 @@ def _cmd_pool(args) -> int:
         mi = MIMatrix.from_csv(Path(args.mi).read_text())
         full_pool, table = pool, support_strengths(args.n_qubits, mi)
         if args.p_cut is not None:
-            pool, _ = screen_pool(full_pool, table, args.p_cut)
+            pool = screen_pool(full_pool, table, args.p_cut)
         if args.report:
             write_text_atomic(
                 Path(args.report), screening_report_csv(full_pool, table, args.p_cut)

@@ -44,7 +44,7 @@ from .screening import (
     screen_pool,
     support_strengths,
 )
-from .simulator import Ansatz
+from .simulator import MAX_ACTION_ENTRIES, Ansatz, action_entries
 
 
 class PipelineError(RuntimeError):
@@ -164,6 +164,12 @@ def prepare_problem(cfg: RunConfig) -> Problem:
         )
     if any(word.y_count % 2 for _, word in H.terms):
         raise PipelineError("pool", "pool scorer requires an even-Y (real) Hamiltonian")
+    if action_entries(H) > MAX_ACTION_ENTRIES:
+        raise PipelineError(
+            "pool",
+            f"{len(H)} terms on {H.n_qubits} qubits exceed the "
+            f"{MAX_ACTION_ENTRIES}-entry limit of the compiled Hamiltonian",
+        )
     baseline_index_map = index_map if cfg.baseline == "unreduced" and removed else None
     # the unreduced baseline's 2^n support table over the encoded register
     # is held to the exact backend's 2^n-amplitude limit
@@ -175,13 +181,21 @@ def prepare_problem(cfg: RunConfig) -> Problem:
         )
     warnings: list[str] = []
     # the stationary-sector check needs the encoded register's exact ground
-    # energy, so it is skipped above the exact backend's limit
-    check_sector = bool(removed) and n_encoded <= EXACT_MAX_QUBITS
-    if removed and not check_sector:
+    # energy, so it is skipped above the exact backend's limits
+    check_sector = False
+    if removed and n_encoded > EXACT_MAX_QUBITS:
         warnings.append(
             f"stationary-qubit sector check skipped: {n_encoded} encoded qubits exceed "
             f"the {EXACT_MAX_QUBITS}-qubit limit of the exact backend"
         )
+    elif removed and action_entries(H_full) > MAX_ACTION_ENTRIES:
+        warnings.append(
+            f"stationary-qubit sector check skipped: {len(H_full)} terms on {n_encoded} "
+            f"encoded qubits exceed the {MAX_ACTION_ENTRIES}-entry limit of the "
+            f"compiled Hamiltonian"
+        )
+    else:
+        check_sector = bool(removed)
     with _stage("pool"):
         pool = generate_pool(H.n_qubits)
         if removed:
@@ -235,7 +249,7 @@ def prepare_problem(cfg: RunConfig) -> Problem:
         table, baseline = _support_tables(mi, H.n_qubits, n_encoded, baseline_index_map)
         percentile_table = percentile_of_strengths(table, baseline)
         if cfg.p_cut is not None:
-            pool, _ = screen_pool(pool, table, cfg.p_cut)
+            pool = screen_pool(pool, table, cfg.p_cut)
         strengths = pool_strengths(pool, table)
 
     return Problem(

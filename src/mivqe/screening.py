@@ -154,15 +154,13 @@ def percentile_of_strengths(table: np.ndarray, baseline_table: np.ndarray) -> np
     return counts / pool_size(m)
 
 
-def screen_pool(
-    pool: EntanglerPool, table: np.ndarray, p_cut: float
-) -> tuple[EntanglerPool, np.ndarray]:
+def screen_pool(pool: EntanglerPool, table: np.ndarray, p_cut: float) -> EntanglerPool:
     """Keep the words whose percentile within the register's pool is <= p_cut.
 
     table is the register's support table (as for pool_strengths), so the
     percentile counts the register's whole odd-Y pool: pool itself when it
     comes from generate_pool. Boundary ties are all kept. Returns the
-    screened pool and the kept indices into pool, in pool order.
+    screened pool, in pool order.
     """
     if not (0.0 < p_cut <= 1.0):
         raise ScreeningError("p_cut must lie in (0, 1]")
@@ -173,10 +171,9 @@ def screen_pool(
             f"screening at p_cut={p_cut} leaves an empty pool "
             f"(minimum achievable percentile is {pct.min():.3g})"
         )
-    screened = EntanglerPool(
+    return EntanglerPool(
         pool.n_qubits, pool.x[kept], pool.z[kept], f"screened(p_cut={p_cut:.12g})"
     )
-    return screened, kept
 
 
 def screening_report_csv(

@@ -6,10 +6,11 @@ with a sign/phase lookup computed from the (x, z) masks, and exponentials use
 exp(-i P t) = cos(t) I - i sin(t) P since P^2 = I.
 
 Both are compiled for repeated use, without changing a single float
-operation: compile_sum_action turns a PauliSum into one pair of
-(terms x 2^n) gather and phase-sign tables, and Ansatz.compile keeps each
-layer's (i^y factor, signs, gather) for the many energy-and-gradient
-evaluations of one reoptimization.
+operation: compile_sum_action turns a PauliSum into one CSR matrix that
+keeps every term's entry apart, in term order, so each product adds the
+terms as a term-by-term loop does; Ansatz.compile keeps each layer's
+(i^y factor, signs, gather) for the many energy-and-gradient evaluations of
+one reoptimization.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .pauli import PauliSum, PauliWord
 
@@ -58,8 +60,13 @@ def _apply_tables(state: np.ndarray, tables) -> np.ndarray:
     return out if gather is None else out[gather]
 
 
+def _combine(state: np.ndarray, word_state: np.ndarray, tau: float) -> np.ndarray:
+    """exp(-i P tau) state, given word_state = P state."""
+    return np.cos(tau) * state - 1j * np.sin(tau) * word_state
+
+
 def _rotate(state: np.ndarray, tables, tau: float) -> np.ndarray:
-    return np.cos(tau) * state - 1j * np.sin(tau) * _apply_tables(state, tables)
+    return _combine(state, _apply_tables(state, tables), tau)
 
 
 def expectation(state: np.ndarray, H: PauliSum) -> float:
@@ -73,27 +80,43 @@ def expectation(state: np.ndarray, H: PauliSum) -> float:
     return float(acc.real)
 
 
-# Table entries (terms x columns) per block of the compiled H action.
-_BLOCK_ENTRIES = 1 << 15
+# Largest len(H) * 2^n a compiled H action may store: 2^27 entries, 1.5 GiB
+# for a real H at 12 B per entry (int32 column, float64 value). The bound
+# also keeps every CSR index within int32.
+MAX_ACTION_ENTRIES = 1 << 27
+
+
+def action_entries(H: PauliSum) -> int:
+    """Entries the compiled action of H stores: one per term and basis state."""
+    return len(H) * 2**H.n_qubits
 
 
 def compile_sum_action(H: PauliSum):
-    """Compile H into gather and phase-sign tables for repeated H*v products.
+    """Compile H into one unmerged CSR matrix for repeated H*v products.
 
     This is the one place a PauliSum acts on a state: Lanczos, expectation,
     the pool scorer's sigma = H s and the adjoint gradient all use it. With
-    term t = c_t P_t, G[t, k] = k ^ x_t and
-    PS[t, k] = c_t i^{y_t} (-1)^{|G[t, k] & z_t|}, so (H v)[k] is the sum
-    over t of PS[t, k] v[G[t, k]]. The sum runs over power-of-two column
-    blocks of at least two columns: numpy then adds the rows of a block in
-    H.terms order, starting from 0, exactly as a term-by-term loop does
-    (a lone column would be summed pairwise). That order is part of the
-    run's float behaviour and stays fixed.
+    term t = c_t P_t, row k stores len(H) entries in H.terms order: entry t
+    has column k ^ x_t and value c_t i^{y_t} (-1)^{|(k ^ x_t) & z_t|}.
+    Entries that share a column are not merged and the row is not sorted,
+    so scipy's CSR product starts each row at 0.0 and adds one rounded
+    product per term, in term order, exactly as a term-by-term loop does.
+    That order is part of the run's float behaviour and stays fixed: a
+    merged CSR matrix would move H v by a few ulp.
 
     Returns (action, real_valued): action works on real or complex vectors;
     real_valued reports whether every term has an even Y count, i.e. the
-    matrix is real in the computational basis (PS is then float64).
+    matrix is real in the computational basis (its values are then float64,
+    and a complex vector's real and imaginary parts are multiplied
+    separately, which is what the term loop's products amount to).
+    Raises SimulatorError above MAX_ACTION_ENTRIES, before any allocation.
     """
+    entries = action_entries(H)
+    if entries > MAX_ACTION_ENTRIES:
+        raise SimulatorError(
+            f"compiled H action needs {entries} entries, above the "
+            f"{MAX_ACTION_ENTRIES}-entry limit"
+        )
     dim = 2**H.n_qubits
     real_valued = all(w.y_count % 2 == 0 for _, w in H.terms)
     phase = np.array([(1j**w.y_count) * c for c, w in H.terms], dtype=complex)
@@ -101,20 +124,21 @@ def compile_sum_action(H: PauliSum):
         phase = phase.real
     x = np.array([w.x_mask for _, w in H.terms], dtype=np.int32)
     z = np.array([w.z_mask for _, w in H.terms], dtype=np.int32)
-    width = 2
-    while 2 * width <= dim and 2 * width * len(phase) <= _BLOCK_ENTRIES:
-        width *= 2
-    # (blocks, terms, width): every block is one contiguous table
-    G = np.arange(dim, dtype=np.int32).reshape(-1, 1, width) ^ x[:, None]
+    # (dim, terms) in row-major order: row k's entries in term order
+    columns = np.arange(dim, dtype=np.int32)[:, None] ^ x
     # a select, not phase * (1 - 2 parity): no float temporaries of the
-    # table's size, which would set the peak memory of small runs
-    PS = np.where(np.bitwise_count(G & z[:, None]) & 1, -phase[:, None], phase[:, None])
+    # matrix's size, which would set the peak memory of small runs
+    values = np.where(np.bitwise_count(columns & z) & 1, -phase, phase)
+    indptr = np.arange(0, entries + 1, len(H), dtype=np.int32)
+    matrix = csr_array((values.ravel(), columns.ravel(), indptr), shape=(dim, dim))
 
     def action(v: np.ndarray) -> np.ndarray:
-        out = np.empty(dim, dtype=np.result_type(PS, v))
-        for g, ps, block in zip(G, PS, out.reshape(-1, width)):
-            np.sum(ps * v[g], axis=0, out=block)
-        return out
+        if real_valued and np.iscomplexobj(v):
+            out = np.empty(dim, dtype=complex)
+            out.real = matrix @ v.real
+            out.imag = matrix @ v.imag
+            return out
+        return matrix @ v
 
     return action, real_valued
 
@@ -193,8 +217,9 @@ def energy_and_gradient(
     grads = np.zeros(len(params))
     for k in range(len(params) - 1, -1, -1):
         tables, tau = ansatz.layers[k], params[k]
-        grads[k] = 2.0 * np.imag(np.vdot(lam, _apply_tables(psi, tables)))
-        psi = _rotate(psi, tables, -tau)
+        word_psi = _apply_tables(psi, tables)
+        grads[k] = 2.0 * np.imag(np.vdot(lam, word_psi))
+        psi = _combine(psi, word_psi, -tau)
         lam = _rotate(lam, tables, -tau)
     return energy, grads
 

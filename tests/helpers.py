@@ -4,7 +4,9 @@ Most of this builds explicit numpy matrices from first principles (kron
 products, occupation-number ladder action) so that library code paths are
 checked against a redundant construction, not against themselves. The
 term-by-term H action and the per-word energy and gradient are the plain
-loops the compiled simulator paths must reproduce bit for bit. The einsum_*
+loops the compiled simulator paths must reproduce bit for bit; the merged
+CSR action is the same matrix summed in another order, which they must not
+be. The einsum_*
 functions are the MPS tensor networks written as single multi-operand
 einsums, which the pairwise contractions in mivqe.mps must match.
 
@@ -142,6 +144,31 @@ def term_by_term_action(H: PauliSum):
         return out
 
     return action
+
+
+def merged_csr_action(H: PauliSum):
+    """H*v through the CSR matrix of H with the entries that share a column
+    summed, as scipy's canonical form keeps it: the same matrix as the term
+    loop's, with other float additions."""
+    from scipy.sparse import coo_array
+
+    dim = 2**H.n_qubits
+    k = np.arange(dim, dtype=np.uint64)
+    rows, cols, values = [], [], []
+    for coeff, word in H.terms:
+        signs, gather = _signs_and_gather(word, k)
+        col = k.astype(np.intp) if gather is None else gather
+        rows.append(k.astype(np.intp))
+        cols.append(col)
+        values.append((1j**word.y_count) * coeff * signs[col])
+    values = np.concatenate(values)
+    if all(w.y_count % 2 == 0 for _, w in H.terms):
+        values = values.real
+    matrix = coo_array(
+        (values, (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
+    ).tocsr()
+    matrix.sum_duplicates()
+    return lambda v: matrix @ v
 
 
 def _word_action(state: np.ndarray, word: PauliWord) -> np.ndarray:

@@ -309,9 +309,10 @@ def test_screening_equivalence_small_molecule():
     )
     assert full_report.converged
     p_cut = full_report.p_max + 1e-9
-    screened, kept = screen_pool(pool, support_strengths(H.n_qubits, mi), p_cut)
+    table = support_strengths(H.n_qubits, mi)
+    screened = screen_pool(pool, table, p_cut)
     scr_report, _ = run_adaptive(
-        H, screened, strengths[kept], pct, bits, cfg, reference_energy=e_ref
+        H, screened, pool_strengths(screened, table), pct, bits, cfg, reference_energy=e_ref
     )
     assert [s.as_dict()["word"] for s in full_report.steps] == [
         s.as_dict()["word"] for s in scr_report.steps

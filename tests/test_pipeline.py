@@ -228,6 +228,32 @@ def test_sector_check_is_skipped_above_exact_limit(tmp_path, monkeypatch):
     )
 
 
+def test_sector_check_is_skipped_above_entry_limit(tmp_path, monkeypatch):
+    """The reduced sum fits the compiled-action limit but the encoded one
+    does not: the run skips the stationary-sector check with a warning
+    instead of compiling the encoded register's Hamiltonian."""
+    from mivqe.pipeline import prepare_problem
+
+    sizes = []
+    exact_ground_state = mivqe.pipeline.exact_ground_state
+
+    def spy(H, *args, **kwargs):
+        sizes.append(H.n_qubits)
+        return exact_ground_state(H, *args, **kwargs)
+
+    monkeypatch.setattr(mivqe.pipeline, "exact_ground_state", spy)
+    # a 3-qubit XX chain and three Z-only qubits: 3 terms x 2^3 = 24 entries
+    # after reduction, 5 terms x 2^6 = 320 before; a limit of 100 splits them
+    monkeypatch.setattr(mivqe.pipeline, "MAX_ACTION_ENTRIES", 100)
+    text = "qubits: 6\n1.0 X0 X1\n1.0 X1 X2\n" + "".join(f"0.5 Z{q}\n" for q in range(3, 6))
+    problem = prepare_problem(RunConfig(pauli_sum=_write(tmp_path / "tail.pauli", text)))
+    assert problem.n_qubits_encoded == 6 and problem.hamiltonian.n_qubits == 3
+    assert sizes == [3]
+    assert any(
+        "sector check skipped" in w and "100-entry limit" in w for w in problem.warnings
+    )
+
+
 def test_pauli_sum_input_descent_stall(tmp_path):
     text = encode_fcidump_to_text(lih_config())
     path = tmp_path / "lih.pauli"
@@ -254,7 +280,12 @@ def test_screening_equivalence_boundary_case():
 
     from mivqe.adaptive import PoolScorer, run_adaptive, select_entangler
     from mivqe.pipeline import prepare_problem
-    from mivqe.screening import screen_pool, support_strengths
+    from mivqe.screening import (
+        percentile_of_strengths,
+        pool_strengths,
+        screen_pool,
+        support_strengths,
+    )
 
     base = dict(fcidump=str(FIXTURE_DIR / "lih_2.40.fcidump"),
                 mapping="parity", grouping="aabb", seed=7)
@@ -287,7 +318,11 @@ def test_screening_equivalence_boundary_case():
     best = int(np.argmax(descents))
     assert partial.percentile_table[partial.pool.word(best).support] > p_cut
     table = support_strengths(partial.hamiltonian.n_qubits, partial.mi)
-    _, scr_idx = screen_pool(partial.pool, table, p_cut)
+    # the words screen_pool keeps: percentile within the register's pool <= p_cut
+    pct = pool_strengths(partial.pool, percentile_of_strengths(table, table))
+    scr_idx = np.flatnonzero(pct <= p_cut)
+    screened = screen_pool(partial.pool, table, p_cut)
+    assert screened.words == tuple(partial.pool.word(i) for i in scr_idx)
     assert descents[scr_idx].max() < descents.max()
 
 
@@ -658,6 +693,25 @@ def test_oversized_register_rejected_before_heavy_work(tmp_path, monkeypatch, ca
     code = main(["run", "--pauli-sum", _write(tmp_path / "chain.pauli", text)])
     assert code == 3
     assert "11 qubits after reduction" in capsys.readouterr().err
+    assert reached == []
+
+
+def test_hamiltonian_above_entry_limit_rejected_before_heavy_work(
+    tmp_path, monkeypatch, capsys
+):
+    reached = []
+    monkeypatch.setattr(mivqe.pipeline, "exact_ground_state",
+                        lambda *a, **kw: reached.append("exact_ground_state"))
+    monkeypatch.setattr(mivqe.pipeline, "generate_pool",
+                        lambda *a, **kw: reached.append("generate_pool"))
+    # 2 terms x 2^3 = 16 entries against a limit of 15
+    monkeypatch.setattr(mivqe.pipeline, "MAX_ACTION_ENTRIES", 15)
+    path = _write(tmp_path / "chain.pauli", "qubits: 3\n1.0 X0 X1\n1.0 X1 X2\n")
+    with pytest.raises(PipelineError) as err:
+        run_pipeline(RunConfig(pauli_sum=path))
+    assert err.value.stage == "pool"
+    assert main(["run", "--pauli-sum", path]) == 3
+    assert "2 terms on 3 qubits exceed the 15-entry limit" in capsys.readouterr().err
     assert reached == []
 
 

@@ -174,11 +174,11 @@ def test_screen_pool_noop_and_top_word():
     table = support_strengths(n, mi)
 
     strengths = pool_strengths(pool, table)
-    assert screen_pool(pool, table, 1.0)[0].words == pool.words
+    assert screen_pool(pool, table, 1.0).words == pool.words
 
     top = strengths.max()
     n_top = int((strengths == top).sum())
-    screened, _ = screen_pool(pool, table, n_top / len(pool))
+    screened = screen_pool(pool, table, n_top / len(pool))
     assert all(
         correlation_strength(w, mi) == top for w in screened.words
     )
@@ -194,10 +194,9 @@ def test_screen_pool_brute_force_set():
     # percentile by direct count: share of the pool at least as strong
     pct = {w: sum(s >= c for s in slow) / len(pool) for w, c in zip(pool, slow)}
     for p_cut in (0.05, 0.2, 0.5, 0.9):
-        screened, kept = screen_pool(pool, support_strengths(n, mi), p_cut)
-        expected = {w for w in pool if pct[w] <= p_cut}
-        assert set(screened.words) == expected
-        assert [pool.words[i] for i in kept] == list(screened.words)
+        screened = screen_pool(pool, support_strengths(n, mi), p_cut)
+        kept = [i for i, w in enumerate(pool) if pct[w] <= p_cut]
+        assert screened.words == tuple(pool.words[i] for i in kept)
         # canonical order preserved
         keys = [sort_key(w) for w in screened.words]
         assert keys == sorted(keys)
@@ -211,7 +210,7 @@ def test_screening_monotonicity():
     p_min = percentile_of_strengths(pool_strengths(pool, table), table).min()
     previous: set = set()
     for p_cut in (p_min, 0.3, 0.6, 1.0):
-        kept = set(screen_pool(pool, table, p_cut)[0].words)
+        kept = set(screen_pool(pool, table, p_cut).words)
         assert previous <= kept
         previous = kept
 
@@ -267,8 +266,7 @@ def test_table_percentiles_equal_per_word_count(seed):
             with pytest.raises(ScreeningError):
                 screen_pool(pool, table, p_cut)
             continue
-        screened, kept = screen_pool(pool, table, p_cut)
-        assert np.array_equal(kept, expected)
+        screened = screen_pool(pool, table, p_cut)
         assert screened.words == tuple(pool.word(i) for i in expected)
 
 

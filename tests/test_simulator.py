@@ -21,6 +21,7 @@ from helpers import (
     dense_word,
     evaluate_ansatz,
     gradient,
+    merged_csr_action,
     per_word_energy_and_gradient,
     random_state,
     random_word,
@@ -208,6 +209,11 @@ def ansatz_states(rng, n, layers=3):
 def sample_vectors(rng, n, real_valued):
     dim = 2**n
     vectors = [random_state(rng, n), basis_state(n, [1] * n), *ansatz_states(rng, n)]
+    # real states held as complex128 with -0.0 imaginary parts
+    for real in (rng.normal(size=dim), basis_state(n, [0] * n).real):
+        v = np.empty(dim, dtype=complex)
+        v.real, v.imag = real, -0.0
+        vectors.append(v)
     if real_valued:
         # the term loop cannot add a complex H into a real vector
         basis = np.zeros(dim)
@@ -246,11 +252,60 @@ def test_compiled_action_single_term_and_identity(label, coeff):
 
 
 def test_compiled_action_keeps_term_order_without_a_lone_column():
-    # 968 terms on 1024 amplitudes: a block width of 2^15 // 968 = 33 would
-    # leave one column, which numpy sums pairwise instead of term by term
+    # 968 terms on 1024 amplitudes: a case that once split the action into
+    # single-column blocks, which numpy summed pairwise instead of term by term
     rng = np.random.default_rng(52)
     H = random_sum(rng, 10, 968, real_valued=True)
     assert_same_action(H, [rng.normal(size=1024), random_state(rng, 10)])
+
+
+def test_compiled_action_is_not_the_merged_matrix():
+    # summing the entries that share a column first gives the same matrix
+    # with other roundings: on this pinned case the merged CSR's bytes differ
+    # from the term loop's, while the compiled action's equal them
+    rng = np.random.default_rng(54)
+    H = random_sum(rng, 6, 200, real_valued=True)
+    for v in (rng.normal(size=64), random_state(rng, 6)):
+        want = term_by_term_action(H)(v)
+        merged = merged_csr_action(H)(v)
+        assert np.allclose(merged, want, rtol=0, atol=1e-12)
+        assert merged.tobytes() != want.tobytes()
+        assert compile_sum_action(H)[0](v).tobytes() == want.tobytes()
+
+
+class _SizedSum:
+    """Just the size of a PauliSum: n_qubits and a term count."""
+
+    def __init__(self, n_qubits, n_terms):
+        self.n_qubits, self.n_terms = n_qubits, n_terms
+
+    def __len__(self):
+        return self.n_terms
+
+    @property
+    def terms(self):
+        raise AssertionError("terms read past the size check")
+
+
+def test_compile_rejects_sums_above_the_entry_limit(monkeypatch):
+    import mivqe.simulator as simulator
+
+    # the bound keeps every CSR index within int32
+    assert simulator.MAX_ACTION_ENTRIES < 2**31
+    # the smallest 10-qubit sum above the limit is rejected before its terms
+    # are read or any table allocated
+    monkeypatch.setattr(simulator, "np", None)
+    n_terms = simulator.MAX_ACTION_ENTRIES // 2**10 + 1
+    with pytest.raises(SimulatorError, match="entry limit"):
+        compile_sum_action(_SizedSum(10, n_terms))
+    monkeypatch.undo()
+    # at the limit a sum compiles: a small limit keeps it small
+    H = PauliSum(2, [(1.0, PauliWord.from_label("XZ")), (0.5, PauliWord.from_label("ZI"))])
+    monkeypatch.setattr(simulator, "MAX_ACTION_ENTRIES", 8)
+    compile_sum_action(H)
+    monkeypatch.setattr(simulator, "MAX_ACTION_ENTRIES", 7)
+    with pytest.raises(SimulatorError, match="8 entries, above the 7-entry limit"):
+        compile_sum_action(H)
 
 
 def test_compiled_ansatz_energy_and_gradient_bit_for_bit():
