@@ -20,7 +20,7 @@ from scipy.optimize import basinhopping
 
 from .pauli import PauliSum, PauliWord, format_pauli_factors
 from .screening import EntanglerPool
-from .simulator import Ansatz, compile_sum_action, energy_and_gradient, expectation
+from .simulator import Ansatz, compile_sum_action, energy_and_gradient
 
 # Largest register the pool scorer (and so a run) accepts: its 4^n-entry
 # word table and the odd-Y pool of (4^n - 2^n)/2 words must fit in memory.
@@ -176,10 +176,11 @@ class PoolScorer:
     exactly tied words. slack = 1e-9 (1 + sum |c_i|) exceeds the transform's
     rounding error, (terms + 2^n + 2n) 2 eps sum |c_i|, a thousandfold.
     Words that commute with every term of H have B = C = 0 exactly; they get
-    their exact descent 0 without the term sum.
+    their exact descent 0 without the term sum. h_action is H's compiled
+    product from compile_sum_action, which gives sigma.
     """
 
-    def __init__(self, H: PauliSum, pool: EntanglerPool):
+    def __init__(self, H: PauliSum, pool: EntanglerPool, h_action):
         if H.n_qubits != pool.n_qubits:
             raise AdaptiveError("Hamiltonian and pool qubit counts differ")
         if H.n_qubits > SCORER_MAX_QUBITS:
@@ -197,7 +198,7 @@ class PoolScorer:
         if np.any(self.py % 2 == 0):
             raise AdaptiveError("pool words must have odd Y count")
         self.slack = 1e-9 * (1.0 + float(np.abs(self.coeffs).sum()))
-        self._h_action, _ = compile_sum_action(H)
+        self._h_action = h_action
         shift = np.uint64(n)
         self._term_slot = ((self.tz << shift) | self.tx).astype(np.intp)
         self._word_slot = ((self.px << shift) | self.pz).astype(np.intp)
@@ -347,7 +348,7 @@ def select_entangler(
 
 def joint_optimize(
     ansatz: Ansatz,
-    H: PauliSum,
+    h_action,
     cfg: AdaptiveConfig,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, float]:
@@ -357,13 +358,13 @@ def joint_optimize(
     incoming parameters, then cfg.hops uniform perturbations of magnitude
     cfg.step_size with Metropolis acceptance at cfg.temperature. The best
     energy found is returned and never exceeds the incoming energy.
+    h_action is the compiled H product from compile_sum_action.
     """
     if len(ansatz) == 0:
         raise AdaptiveError("joint optimization needs at least one layer")
     if rng is None:
         rng = np.random.default_rng(0)
-    h_action, _ = compile_sum_action(H)
-    objective = partial(energy_and_gradient, ansatz.compile(), h_action)
+    objective = partial(energy_and_gradient, ansatz, h_action)
 
     x0 = np.array(ansatz.parameters, dtype=float)
     e_in = objective(x0)[0]
@@ -399,7 +400,8 @@ def run_adaptive(
     strengths holds one entry per pool word. percentile_table is the 2^n
     support table of percentiles the caller counted against the declared
     baseline pool; each adopted word reads its entry by its support mask,
-    and these feed the p_max / p_avg screening rates.
+    and these feed the p_max / p_avg screening rates. H is compiled once,
+    here, for the HF energy, the scorer and every reoptimization.
     """
     if len(strengths) != len(pool):
         raise AdaptiveError("strengths must match the pool")
@@ -407,10 +409,11 @@ def run_adaptive(
         raise AdaptiveError(
             f"a {pool.n_qubits}-qubit pool needs a 2^{pool.n_qubits}-entry percentile table"
         )
-    scorer = PoolScorer(H, pool)
+    h_action, _ = compile_sum_action(H)
+    scorer = PoolScorer(H, pool, h_action)
     ansatz = Ansatz(H.n_qubits, list(reference_bits))
     state = ansatz.reference_state()
-    hf_energy = expectation(state, H)
+    hf_energy = float(np.vdot(state, h_action(state)).real)
     energy = hf_energy
 
     def is_converged(e: float) -> bool:
@@ -440,8 +443,8 @@ def run_adaptive(
             word = pool.word(chosen)
             ansatz = ansatz.with_layer(word, float(taus[chosen]))
             rng = np.random.default_rng(np.random.SeedSequence((config.seed, step)))
-            params, e_new = joint_optimize(ansatz, H, config, rng=rng)
-            ansatz = Ansatz(H.n_qubits, list(reference_bits), list(ansatz.words), list(params))
+            params, e_new = joint_optimize(ansatz, h_action, config, rng=rng)
+            ansatz = ansatz.with_parameters(params)
             descent_achieved = energy - e_new
             steps.append(
                 StepRecord(

@@ -10,6 +10,8 @@ any of INPUT_ERRORS).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -111,7 +113,7 @@ def _cmd_sweep(args) -> int:
         write_text_atomic(out_dir / "sweep.csv", table)
         print(f"wrote {out_dir / 'sweep.csv'}")
     print(table, end="")
-    not_conv = sum(1 for line in table.splitlines()[1:] if ",false," in line)
+    not_conv = sum(row["converged"] != "true" for row in csv.DictReader(io.StringIO(table)))
     return EXIT_NOT_CONVERGED if not_conv else EXIT_OK
 
 

@@ -2,6 +2,8 @@
 
 RunConfig is the one table of run settings: each field gives a key's name,
 value type and default, and its "help" metadata is the CLI flag's help text.
+The adaptive loop's settings take their defaults from AdaptiveConfig, which
+declares each of them once.
 Every key reaches RunConfig through parse_config, whether it came from a
 config file or a flag, and the range checks run as the RunConfig is built.
 Unset keys take the defaults; exactly one Hamiltonian source (fcidump or
@@ -45,16 +47,16 @@ class RunConfig:
     reduce_stationary: bool = _setting(True, "drop Z-only qubits: true | false (default true)")
     p_cut: float | None = _setting(None, "screening cutoff in (0,1]")
     reference: str = _setting("exact", "exact | mps:chi=<n>,sweeps=<n> | mi:<csv path>")
-    descent_fraction: float = 0.3
+    descent_fraction: float = AdaptiveConfig.descent_fraction
     spin_penalty: float | None = _setting(None, "S^2 penalty weight in hartree")
-    max_steps: int = 30
-    convergence_tol: float = 1e-3
+    max_steps: int = AdaptiveConfig.max_steps
+    convergence_tol: float = AdaptiveConfig.convergence_tol
     baseline: str = _setting("reduced", "pool for percentile denominators: reduced | unreduced")
-    seed: int = 7
-    hops: int = _setting(10, "basin-hopping iterations")
-    temperature: float = 0.5
-    step_size: float = 1e-6
-    local_tol: float = 1e-8
+    seed: int = AdaptiveConfig.seed
+    hops: int = _setting(AdaptiveConfig.hops, "basin-hopping iterations")
+    temperature: float = AdaptiveConfig.temperature
+    step_size: float = AdaptiveConfig.step_size
+    local_tol: float = AdaptiveConfig.local_tol
     output: str | None = _setting(None, "artifact directory")
 
     def __post_init__(self):

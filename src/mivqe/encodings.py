@@ -52,7 +52,6 @@ def canonical_mapping(name: str) -> str:
 class EncodingSpec:
     mapping: str = "jordan_wigner"
     grouping: str = "abab"
-    reduce_stationary: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "mapping", canonical_mapping(self.mapping))
@@ -87,7 +86,6 @@ def _gf2_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     n = A.shape[0]
     aug = np.concatenate([A.copy() % 2, rhs.reshape(n, 1) % 2], axis=1).astype(np.uint8)
     row = 0
-    pivots = []
     for col in range(n):
         pivot = None
         for r in range(row, n):
@@ -100,7 +98,6 @@ def _gf2_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         for r in range(n):
             if r != row and aug[r, col]:
                 aug[r] ^= aug[row]
-        pivots.append(col)
         row += 1
     return aug[:, n]
 

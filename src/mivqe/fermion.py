@@ -40,10 +40,6 @@ class FermionOperator:
             l: c for l, c in sorted(raw.items()) if abs(c) > TERM_CUTOFF
         }
 
-    @classmethod
-    def constant(cls, value: float) -> "FermionOperator":
-        return cls({(): value}, normalize=False)
-
     def n_modes(self) -> int:
         return 1 + max(
             (mode for ladder in self.terms for mode, _ in ladder), default=-1

@@ -166,10 +166,6 @@ class PauliSum:
                 return c
         return 0.0
 
-    def constant(self) -> float:
-        """Coefficient of the identity word."""
-        return self.coefficient(PauliWord.identity(self.n_qubits))
-
     def __repr__(self) -> str:
         return f"PauliSum(n_qubits={self.n_qubits}, terms={len(self._terms)})"
 

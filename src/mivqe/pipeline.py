@@ -9,7 +9,9 @@ reruns with the same seed are byte-identical.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -130,7 +132,7 @@ def _load_hamiltonian(cfg: RunConfig):
             op = build_hamiltonian(ints)
             if cfg.spin_penalty is not None:
                 op = op + cfg.spin_penalty * s_squared_operator(ints.n_orbitals)
-            spec = EncodingSpec(cfg.mapping, cfg.grouping, cfg.reduce_stationary)
+            spec = EncodingSpec(cfg.mapping, cfg.grouping)
             H = encode(op, spec)
             occ = hf_occupations(
                 ints.n_orbitals, ints.n_electrons, ints.ms2, cfg.grouping
@@ -425,7 +427,11 @@ def _sweep_row(args):
 
 
 def sweep(tagged_configs: list[tuple[str, RunConfig]], workers: int = 1) -> str:
-    """Run independent configs and aggregate (tag, p_max, p_avg, N_ent, converged)."""
+    """Run independent configs and aggregate (tag, p_max, p_avg, N_ent, converged).
+
+    The table is CSV: a field holding a comma or a quote (an error message,
+    say) is quoted, so every row reads back as the header's six columns.
+    """
     if not tagged_configs:
         raise PipelineError("sweep", "no configs given")
     # a fork-started pool starts all max_workers processes at the first
@@ -436,12 +442,13 @@ def sweep(tagged_configs: list[tuple[str, RunConfig]], workers: int = 1) -> str:
             rows = list(pool.map(_sweep_row, tagged_configs))
     else:
         rows = [_sweep_row(tc) for tc in tagged_configs]
-    lines = ["tag,p_max,p_avg,n_ent,converged,error"]
-    for r in rows:
-        lines.append(
-            f"{r['tag']},{r['p_max']},{r['p_avg']},{r['n_ent']},{r['converged']},{r['error']}"
-        )
-    return "\n".join(lines) + "\n"
+    table = io.StringIO()
+    writer = csv.DictWriter(
+        table, ("tag", "p_max", "p_avg", "n_ent", "converged", "error"), lineterminator="\n"
+    )
+    writer.writeheader()
+    writer.writerows(rows)
+    return table.getvalue()
 
 
 def _mi_column(problem: Problem, mi, supports: list[int], exact=None):

@@ -5,17 +5,17 @@ basis index. A Pauli word never becomes a matrix: its action is an index XOR
 with a sign/phase lookup computed from the (x, z) masks, and exponentials use
 exp(-i P t) = cos(t) I - i sin(t) P since P^2 = I.
 
-Both are compiled for repeated use, without changing a single float
+Both are built once for repeated use, without changing a single float
 operation: compile_sum_action turns a PauliSum into one CSR matrix that
 keeps every term's entry apart, in term order, so each product adds the
-terms as a term-by-term loop does; Ansatz.compile keeps each layer's
-(i^y factor, signs, gather) for the many energy-and-gradient evaluations of
-one reoptimization.
+terms as a term-by-term loop does; an Ansatz builds each layer's
+(i^y factor, signs, gather) when the layer is added and keeps it for every
+later state preparation and energy-and-gradient evaluation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -69,17 +69,6 @@ def _rotate(state: np.ndarray, tables, tau: float) -> np.ndarray:
     return _combine(state, _apply_tables(state, tables), tau)
 
 
-def expectation(state: np.ndarray, H: PauliSum) -> float:
-    """<state| H |state> as a real number (imaginary residue discarded)."""
-    if len(state) != 2**H.n_qubits:
-        raise SimulatorError("state length does not match Hamiltonian qubit count")
-    action, _ = compile_sum_action(H)
-    acc = np.vdot(state, action(state))
-    if abs(acc.imag) > 1e-8:
-        raise SimulatorError(f"expectation has imaginary residue {acc.imag}")
-    return float(acc.real)
-
-
 # Largest len(H) * 2^n a compiled H action may store: 2^27 entries, 1.5 GiB
 # for a real H at 12 B per entry (int32 column, float64 value). The bound
 # also keeps every CSR index within int32.
@@ -94,7 +83,7 @@ def action_entries(H: PauliSum) -> int:
 def compile_sum_action(H: PauliSum):
     """Compile H into one unmerged CSR matrix for repeated H*v products.
 
-    This is the one place a PauliSum acts on a state: Lanczos, expectation,
+    This is the one place a PauliSum acts on a state: Lanczos, the HF energy,
     the pool scorer's sigma = H s and the adjoint gradient all use it. With
     term t = c_t P_t, row k stores len(H) entries in H.terms order: entry t
     has column k ^ x_t and value c_t i^{y_t} (-1)^{|(k ^ x_t) & z_t|}.
@@ -147,61 +136,54 @@ def compile_sum_action(H: PauliSum):
 class Ansatz:
     """Ordered product of Pauli-word exponentials applied to a basis reference.
 
-    Layer i is applied first; parameters are the rotation angles tau.
+    Layer i is applied first; parameters are the rotation angles tau. layers
+    holds each word's (i^y factor, signs, gather), built once when the word
+    joins: with_layer builds only the new word's tables and with_parameters
+    builds none, so an adaptive run builds one table set per adopted word.
     """
 
     n_qubits: int
     reference_bits: list[int]
     words: list[PauliWord] = field(default_factory=list)
     parameters: list[float] = field(default_factory=list)
+    layers: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.words) != len(self.parameters):
             raise SimulatorError("words and parameters length mismatch")
+        if self.layers is None:
+            self.layers = tuple(_word_tables(w) for w in self.words)
+        self._reference = self.reference_state()
 
     def __len__(self) -> int:
         return len(self.words)
 
     def with_layer(self, word: PauliWord, tau: float) -> "Ansatz":
-        return Ansatz(
-            self.n_qubits,
-            list(self.reference_bits),
-            self.words + [word],
-            self.parameters + [tau],
+        return replace(
+            self,
+            words=self.words + [word],
+            parameters=self.parameters + [tau],
+            layers=self.layers + (_word_tables(word),),
         )
+
+    def with_parameters(self, parameters) -> "Ansatz":
+        return replace(self, parameters=list(parameters))
 
     def reference_state(self) -> np.ndarray:
         return basis_state(self.n_qubits, self.reference_bits)
 
-    def compile(self) -> "CompiledAnsatz":
-        return CompiledAnsatz(
-            self.reference_state(), tuple(_word_tables(w) for w in self.words)
-        )
-
     def prepare(self, parameters=None) -> np.ndarray:
-        params = self.parameters if parameters is None else list(parameters)
-        if len(params) != len(self.words):
+        params = self.parameters if parameters is None else parameters
+        if len(params) != len(self.layers):
             raise SimulatorError("parameter count mismatch")
-        return self.compile().prepare(params)
-
-
-@dataclass(frozen=True)
-class CompiledAnsatz:
-    """An ansatz's reference state and per-layer word tables, built once for
-    the many evaluations of one optimization."""
-
-    reference: np.ndarray
-    layers: tuple
-
-    def prepare(self, parameters) -> np.ndarray:
-        state = self.reference
-        for tables, tau in zip(self.layers, parameters):
+        state = self._reference
+        for tables, tau in zip(self.layers, params):
             state = _rotate(state, tables, tau)
         return state
 
 
 def energy_and_gradient(
-    ansatz: CompiledAnsatz, h_action, parameters
+    ansatz: Ansatz, h_action, parameters
 ) -> tuple[float, np.ndarray]:
     """E(params) and dE/dtau by one forward and one reverse sweep (adjoint method).
 

@@ -11,7 +11,8 @@ functions are the MPS tensor networks written as single multi-operand
 einsums, which the pairwise contractions in mivqe.mps must match.
 
 The rest are reference paths and conveniences the package itself no longer
-calls: the single-word Pauli action and exponential, the three-evaluation
+calls: the expectation of a PauliSum, a pool scorer with H compiled for it,
+the single-word Pauli action and exponential, the three-evaluation
 sinusoid fit of one entangler, the pool scorer's exact term sum over the
 whole pool, the per-mask and per-word correlation strength and percentile
 count, a word's position in a pool, the pool text parser, the FCIDUMP
@@ -37,12 +38,12 @@ from mivqe.reference import entropy
 from mivqe.screening import EntanglerPool, ScreeningError, _mi_entries
 from mivqe.simulator import (
     Ansatz,
+    SimulatorError,
     _apply_tables,
     _rotate,
     _word_tables,
     compile_sum_action,
     energy_and_gradient,
-    expectation,
 )
 
 _SINGLE = {
@@ -198,6 +199,22 @@ def per_word_energy_and_gradient(ansatz: Ansatz, h_action, parameters):
     return energy, grads
 
 
+def expectation(state: np.ndarray, H: PauliSum) -> float:
+    """<state| H |state> as a real number (imaginary residue discarded)."""
+    if len(state) != 2**H.n_qubits:
+        raise SimulatorError("state length does not match Hamiltonian qubit count")
+    action, _ = compile_sum_action(H)
+    acc = np.vdot(state, action(state))
+    if abs(acc.imag) > 1e-8:
+        raise SimulatorError(f"expectation has imaginary residue {acc.imag}")
+    return float(acc.real)
+
+
+def pool_scorer(H: PauliSum, pool: EntanglerPool) -> PoolScorer:
+    """A PoolScorer with its own compiled H, as run_adaptive builds one."""
+    return PoolScorer(H, pool, compile_sum_action(H)[0])
+
+
 def evaluate_ansatz(ansatz: Ansatz, H: PauliSum, parameters=None):
     """Energy and final state of the ansatz circuit."""
     state = ansatz.prepare(parameters)
@@ -208,7 +225,7 @@ def gradient(ansatz: Ansatz, H: PauliSum, parameters=None) -> np.ndarray:
     """Analytic dE/dtau; see simulator.energy_and_gradient."""
     params = ansatz.parameters if parameters is None else list(parameters)
     action, _ = compile_sum_action(H)
-    return energy_and_gradient(ansatz.compile(), action, params)[1]
+    return energy_and_gradient(ansatz, action, params)[1]
 
 
 # MPS tensors are (left, phys, right), MPO tensors (left, right, out, in) and

@@ -7,7 +7,6 @@ from scipy.optimize import minimize_scalar
 from mivqe.adaptive import (
     AdaptiveConfig,
     NoImprovingEntangler,
-    PoolScorer,
     joint_optimize,
     run_adaptive,
     select_entangler,
@@ -22,14 +21,16 @@ from mivqe.screening import (
     pool_strengths,
     support_strengths,
 )
-from mivqe.simulator import Ansatz, basis_state, expectation
+from mivqe.simulator import Ansatz, basis_state, compile_sum_action
 
 from helpers import (
     apply_pauli_exponential,
     commutes,
     dense_sum,
     dense_word,
+    expectation,
     pool_index,
+    pool_scorer,
     random_state,
     random_word,
     score_entangler,
@@ -107,7 +108,7 @@ def test_pool_scorer_matches_score_entangler():
     for n in (3, 4):
         H = random_even_sum(rng, n, 10)
         pool = generate_pool(n)
-        scorer = PoolScorer(H, pool)
+        scorer = pool_scorer(H, pool)
         state = real_random_state(rng, n)
         descents, taus, e0 = scorer.scores(state, np.zeros(len(pool)), 0.3)
         assert abs(e0 - expectation(state, H)) < 1e-10
@@ -171,12 +172,12 @@ def test_joint_optimize_single_layer_closed_form():
     H = random_even_sum(rng, n, 8)
     state = basis_state(n, [1, 0, 1])
     pool = generate_pool(n)
-    scorer = PoolScorer(H, pool)
+    scorer = pool_scorer(H, pool)
     descents, taus, e0 = scorer.scores(state, np.zeros(len(pool)), 0.3)
     idx = int(np.argmax(descents))
     ansatz = Ansatz(n, [1, 0, 1], [pool.words[idx]], [taus[idx]])
     params, energy = joint_optimize(
-        ansatz, H, AdaptiveConfig(), rng=np.random.default_rng(1)
+        ansatz, compile_sum_action(H)[0], AdaptiveConfig(), rng=np.random.default_rng(1)
     )
     assert abs(energy - (e0 - descents[idx])) < 1e-8
 
@@ -193,7 +194,9 @@ def test_joint_optimize_zero_hops_plain_descent():
         ansatz = ansatz.with_layer(w, float(rng.normal() * 0.1))
     e_start = expectation(ansatz.prepare(), H)
     cfg = AdaptiveConfig(hops=0)
-    params, energy = joint_optimize(ansatz, H, cfg, rng=np.random.default_rng(2))
+    params, energy = joint_optimize(
+        ansatz, compile_sum_action(H)[0], cfg, rng=np.random.default_rng(2)
+    )
     assert energy <= e_start + 1e-12
 
 
@@ -203,8 +206,9 @@ def test_joint_optimize_deterministic():
     H = random_even_sum(rng, n, 8)
     w = next(w for w in generate_pool(n).words if w.weight > 1)
     ansatz = Ansatz(n, [0, 1, 0], [w], [0.3])
-    out1 = joint_optimize(ansatz, H, AdaptiveConfig(), rng=np.random.default_rng(5))
-    out2 = joint_optimize(ansatz, H, AdaptiveConfig(), rng=np.random.default_rng(5))
+    h_action, _ = compile_sum_action(H)
+    out1 = joint_optimize(ansatz, h_action, AdaptiveConfig(), rng=np.random.default_rng(5))
+    out2 = joint_optimize(ansatz, h_action, AdaptiveConfig(), rng=np.random.default_rng(5))
     assert np.array_equal(out1[0], out2[0])
     assert out1[1] == out2[1]
 
@@ -239,6 +243,37 @@ def test_run_adaptive_converges_and_monotone():
     assert 0.0 < report.p_avg
     # recorded taus match the returned ansatz
     assert [s.tau for s in report.steps] == ansatz.parameters
+
+
+def test_run_adaptive_compiles_h_once_and_each_layer_once(monkeypatch):
+    """One compiled H serves the HF energy, the scorer and every
+    reoptimization; each adopted word's tables are built once, as its layer
+    joins the ansatz, and reused by every later step."""
+    import mivqe.adaptive
+    import mivqe.simulator
+
+    calls = {"compile_sum_action": 0, "_word_tables": 0}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(mivqe.adaptive, "compile_sum_action")
+    count(mivqe.simulator, "_word_tables")
+    n = 4
+    H = random_even_sum(np.random.default_rng(91), n, 24)
+    pool = generate_pool(n)
+    cfg = AdaptiveConfig(max_steps=4, hops=2)
+    report, _ = run_adaptive(
+        H, pool, np.zeros(len(pool)), np.ones(1 << n), [1, 0, 1, 0], cfg
+    )
+    assert report.n_ent == 4
+    assert calls == {"compile_sum_action": 1, "_word_tables": report.n_ent}
 
 
 def test_run_adaptive_zero_steps_when_reference_is_ground():
@@ -393,7 +428,7 @@ def test_pool_scorer_selection_equals_term_sum_on_mirror_ties(basis):
     for n in (3, 4, 5, 6):
         for _ in range(4):
             H, pool, state, strengths = _mirrored_problem(rng, n, basis)
-            scorer = PoolScorer(H, pool)
+            scorer = pool_scorer(H, pool)
             chosen, _ = _assert_selection_is_term_sum(scorer, state, strengths)
             twins += pool_index(pool, _swap01(pool.word(chosen))) != chosen
     assert twins  # some winners do have a tied mirror image
@@ -406,7 +441,7 @@ def test_pool_scorer_single_refined_word_keeps_term_order():
     n = 4
     H = random_even_sum(rng, n, 60)
     pool = generate_pool(n)
-    scorer = PoolScorer(H, pool)
+    scorer = pool_scorer(H, pool)
     state = real_random_state(rng, n)
     _, refined = _assert_selection_is_term_sum(scorer, state, np.zeros(len(pool)))
     assert len(refined) == 1
@@ -426,7 +461,7 @@ def test_pool_scorer_never_recomputes_words_commuting_with_all_terms():
     state = np.zeros(2**n, dtype=complex)
     state[int(np.argmin(np.diag(dense_sum(H)).real))] = 1.0
     pool = generate_pool(n)
-    scorer = PoolScorer(H, pool)
+    scorer = pool_scorer(H, pool)
     inert = np.array([all(commutes(w, t) for _, t in H.terms) for w in pool.words])
     assert inert.any() and not inert.all()
 
@@ -444,7 +479,7 @@ def test_pool_scorer_never_recomputes_words_commuting_with_all_terms():
     H = PauliSum(n, [(c, PauliWord(n, w.x_mask, w.z_mask))
                      for c, w in random_even_sum(rng, 3, 12).terms])
     state = real_random_state(rng, n)
-    scorer = PoolScorer(H, pool)
+    scorer = pool_scorer(H, pool)
     inert = np.array([all(commutes(w, t) for _, t in H.terms) for w in pool.words])
     exact_d, exact_t = term_sum_scores(scorer, state)
     descents, taus, _ = scorer.scores(state, np.zeros(len(pool)), 0.3)

@@ -21,7 +21,7 @@ from mivqe.fermion import (
 from mivqe.fcidump import MolecularIntegrals
 from mivqe.pauli import PauliSum, PauliWord
 
-from helpers import dense_sum, fermion_dense, number_operator
+from helpers import dense_sum, expectation, fermion_dense, number_operator
 
 MAPPINGS = ["jordan_wigner", "parity", "bravyi_kitaev"]
 
@@ -83,8 +83,6 @@ def test_hf_reference_counts_electrons(mapping, grouping):
     N = encode(number_operator(2 * n_orb), spec)
     state = np.zeros(2 ** (2 * n_orb), dtype=complex)
     state[sum(b << q for q, b in enumerate(bits))] = 1.0
-    from mivqe.simulator import expectation
-
     assert abs(expectation(state, N) - n_elec) < 1e-10
 
 

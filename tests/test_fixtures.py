@@ -8,10 +8,10 @@ from mivqe.encodings import EncodingSpec, encode, hf_reference
 from mivqe.fcidump import load_fcidump
 from mivqe.fermion import build_hamiltonian, hf_occupations
 from mivqe.reference import exact_ground_state
-from mivqe.simulator import basis_state, expectation
+from mivqe.simulator import basis_state
 
 from conftest import FIXTURE_DIR
-from helpers import dense_sum, fermion_dense
+from helpers import dense_sum, expectation, fermion_dense
 
 
 def test_fixture_checksums():

@@ -1,5 +1,7 @@
 """Pipeline orchestration, artifacts, sweeps, MI reports, CLI surface."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -12,6 +14,7 @@ import pytest
 
 import mivqe.cli
 import mivqe.pipeline
+from mivqe.adaptive import AdaptiveConfig
 from mivqe.cli import main
 from mivqe.config import ConfigError, MpsBackend, RunConfig, parse_config
 from mivqe.pipeline import (
@@ -278,7 +281,7 @@ def test_screening_equivalence_boundary_case():
     """
     import numpy as np
 
-    from mivqe.adaptive import PoolScorer, run_adaptive, select_entangler
+    from mivqe.adaptive import run_adaptive, select_entangler
     from mivqe.pipeline import prepare_problem
     from mivqe.screening import (
         percentile_of_strengths,
@@ -286,6 +289,8 @@ def test_screening_equivalence_boundary_case():
         screen_pool,
         support_strengths,
     )
+
+    from helpers import pool_scorer
 
     base = dict(fcidump=str(FIXTURE_DIR / "lih_2.40.fcidump"),
                 mapping="parity", grouping="aabb", seed=7)
@@ -311,7 +316,7 @@ def test_screening_equivalence_boundary_case():
         cfg_partial.adaptive_config(), reference_energy=partial.reference_energy,
     )
     assert [s.as_dict()["word"] for s in rep.steps] == words_full[:diverge]
-    scorer = PoolScorer(partial.hamiltonian, partial.pool)
+    scorer = pool_scorer(partial.hamiltonian, partial.pool)
     descents, _, _ = scorer.scores(
         ansatz.prepare(), partial.strengths, cfg_partial.descent_fraction
     )
@@ -453,6 +458,25 @@ def test_sweep_isolates_failures():
     assert bad[5] != ""
 
 
+def test_sweep_quotes_an_error_that_holds_a_comma(tmp_path):
+    """An H2 MI imported into the LiH run has the wrong qubit count, and the
+    message that fails the run holds a comma: the row still reads back as
+    the header's columns, and the CLI counts it as not converged."""
+    h2 = str(FIXTURE_DIR / "h2_0.75.fcidump")
+    run_pipeline(lih_config(fcidump=h2, output=str(tmp_path / "h2")))
+    out = tmp_path / "sw"
+    code = main([
+        "sweep", "--reference", f"mi:{tmp_path / 'h2' / 'mi.csv'}", "--mapping", "parity",
+        "--grouping", "aabb", "--output", str(out), h2, LIH,
+    ])
+    rows = list(csv.DictReader(io.StringIO((out / "sweep.csv").read_text())))
+    header = ["tag", "p_max", "p_avg", "n_ent", "converged", "error"]
+    assert [list(r) for r in rows] == [header, header]
+    assert [r["converged"] for r in rows] == ["true", "false"]
+    assert "imported MI is for 6 qubits, run needs 4" in rows[1]["error"]
+    assert code == 2
+
+
 def test_mi_report_exact_vs_backends(tmp_path):
     cfg = lih_config(output=str(tmp_path / "mi"))
     out = mi_report(cfg, [MpsBackend(chi=4, sweeps=16), MpsBackend(chi=1, sweeps=2)])
@@ -547,6 +571,14 @@ def test_config_file_parsing(tmp_path):
     assert cfg.reduce_stationary is False
     cfg2 = parse_config(text, seed=99)
     assert cfg2.seed == 99
+
+
+def test_run_config_adaptive_defaults_are_adaptive_configs():
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    assert {f.name: defaults[f.name] for f in fields(AdaptiveConfig)} == {
+        f.name: f.default for f in fields(AdaptiveConfig)
+    }
+    assert RunConfig(fcidump=LIH).adaptive_config() == AdaptiveConfig()
 
 
 def test_config_validation_errors():

@@ -10,7 +10,6 @@ from mivqe.simulator import (
     basis_state,
     compile_sum_action,
     energy_and_gradient,
-    expectation,
     rdm,
 )
 
@@ -20,6 +19,7 @@ from helpers import (
     dense_sum,
     dense_word,
     evaluate_ansatz,
+    expectation,
     gradient,
     merged_csr_action,
     per_word_energy_and_gradient,
@@ -318,7 +318,7 @@ def test_compiled_ansatz_energy_and_gradient_bit_for_bit():
             ansatz = ansatz.with_layer(random_word(rng, n), float(rng.normal()))
         params = rng.normal(size=len(ansatz))
         action, _ = compile_sum_action(H)
-        energy, grads = energy_and_gradient(ansatz.compile(), action, params)
+        energy, grads = energy_and_gradient(ansatz, action, params)
         want_e, want_g = per_word_energy_and_gradient(ansatz, term_by_term_action(H), params)
         assert np.float64(energy).tobytes() == np.float64(want_e).tobytes()
         assert grads.tobytes() == want_g.tobytes()
