@@ -136,21 +136,57 @@ def _tau_minimum(b, c):
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform along the last axis (length 2^m).
+    """Unnormalized Walsh-Hadamard transform along the first axis (length 2^m).
 
-    out[..., j] = sum_k (-1)^{|j & k|} a[..., k], by m butterfly passes.
+    out[j, ...] = sum_k (-1)^{|j & k|} a[k, ...], by m butterfly levels,
+    h = 1, 2, 4, ... in turn, each read from one buffer and written to the
+    other. A level pairs whole rows, so on a 2-D input each numpy call runs
+    over h * (row length) contiguous entries; along a last axis the early
+    levels would run over h entries at a time, which costs up to 7x more.
+    A C-contiguous float64 a is one of the two buffers and is overwritten;
+    the result is returned in a or in the other buffer.
     """
-    out = np.array(a, dtype=np.float64)
-    size = out.shape[-1]
-    h = 1
-    while h < size:
-        v = out.reshape(*out.shape[:-1], size // (2 * h), 2, h)
-        lo = v[..., 0, :].copy()
-        hi = v[..., 1, :]
-        v[..., 0, :] += hi
-        np.subtract(lo, hi, out=hi)
-        h *= 2
-    return out
+    src = np.ascontiguousarray(a, dtype=np.float64)
+    buffers = (np.empty_like(src), src)
+    level = 0
+    while 1 << level < len(src):
+        shape = (len(src) >> (level + 1), 2, 1 << level, *src.shape[1:])
+        dst = buffers[level % 2]
+        s, d = src.reshape(shape), dst.reshape(shape)
+        np.add(s[:, 0], s[:, 1], out=d[:, 0])
+        np.subtract(s[:, 0], s[:, 1], out=d[:, 1])
+        src = dst
+        level += 1
+    return src
+
+
+def _commutant(vectors: np.ndarray, bits: int) -> np.ndarray:
+    """Table over GF(2)^bits: True where |v & u| is even for every u in vectors.
+
+    The vectors are row-reduced to a basis of their span, whose orthogonal
+    complement has one basis vector per non-pivot bit; the table marks all
+    2^(bits - rank) sums of those.
+    """
+    rows: list[int] = []  # reduced row echelon form: a pivot bit is set in one row only
+    for u in map(int, vectors):
+        for r in rows:
+            if u >> (r.bit_length() - 1) & 1:
+                u ^= r
+        if u:
+            pivot = u.bit_length() - 1
+            rows = [r ^ u if r >> pivot & 1 else r for r in rows] + [u]
+    pivots = {r.bit_length() - 1: r for r in rows}
+    members = np.zeros(1, dtype=np.intp)
+    for free in range(bits):
+        if free not in pivots:
+            v = 1 << free
+            for pivot, r in pivots.items():
+                if r >> free & 1:
+                    v |= 1 << pivot
+            members = np.concatenate((members, members ^ v))
+    table = np.zeros(1 << bits, dtype=bool)
+    table[members] = True
+    return table
 
 
 class PoolScorer:
@@ -162,10 +198,12 @@ class PoolScorer:
     Transform path (every word): with f_i = c_i <P_i>, B_P = (E0 - G_P) / 2,
     where G is one length-4^n Walsh-Hadamard transform of f placed at
     (z_i << n) | x_i and read at (x_P << n) | z_P. C_P = +-T_sigma[x_P, z_P]
-    (+ for y_P = 1 mod 4), where T_sigma is the row-wise transform of
-    sigma[k ^ x] s[k] and sigma = H s. One step costs O(8^n) for the word
-    table T below, which the exact path reads, plus O(4^n n) for the two
-    transforms, plus O(terms x refined words) for the refine.
+    (+ for y_P = 1 mod 4), where T_sigma[x, z] = sum_k (-1)^{|k & z|}
+    sigma[k ^ x] s[k] and sigma = H s. Both transforms run along the first
+    axis of 2^n x 2^n arrays (see _fwht), so T_sigma is held as its
+    transpose. One step costs O(8^n) for the word table T below, which the
+    exact path reads, plus O(4^n n) for the two transforms, plus
+    O(terms x refined words) for the refine.
 
     Term-sum path (exact): B and C summed over the anticommuting terms in
     H.terms order, reading T[x, z] = sum_k (-1)^{|k & z|} s[k ^ x] s[k].
@@ -176,7 +214,8 @@ class PoolScorer:
     exactly tied words. slack = 1e-9 (1 + sum |c_i|) exceeds the transform's
     rounding error, (terms + 2^n + 2n) 2 eps sum |c_i|, a thousandfold.
     Words that commute with every term of H have B = C = 0 exactly; they get
-    their exact descent 0 without the term sum. h_action is H's compiled
+    their exact descent 0 without the term sum. They are the pool words in
+    the GF(2) commutant of the terms' symplectic vectors, found once. h_action is H's compiled
     product from compile_sum_action, which gives sigma.
     """
 
@@ -199,13 +238,14 @@ class PoolScorer:
             raise AdaptiveError("pool words must have odd Y count")
         self.slack = 1e-9 * (1.0 + float(np.abs(self.coeffs).sum()))
         self._h_action = h_action
+        # flat indices into 2^n x 2^n tables: terms at [x, z], pool words
+        # at [x, z] and [z, x]; P anticommutes with P_i when
+        # |word_zx & term_slot_i| is odd
         shift = np.uint64(n)
-        self._term_slot = ((self.tz << shift) | self.tx).astype(np.intp)
-        self._word_slot = ((self.px << shift) | self.pz).astype(np.intp)
-        # the transform of the terms' indicator reads, per word, commuting
-        # minus anticommuting terms (small integers, so exact in floats)
-        counts = np.bincount(self._term_slot, minlength=1 << (2 * n))
-        self._inert = _fwht(counts)[self._word_slot] == len(self.coeffs)
+        self._term_slot = ((self.tx << shift) | self.tz).astype(np.intp)
+        self._word_xz = ((self.px << shift) | self.pz).astype(np.intp)
+        self._word_zx = ((self.pz << shift) | self.px).astype(np.intp)
+        self._inert = _commutant(self._term_slot, 2 * n)[self._word_zx]
         self._c_sign = np.where(self.py % 4 == 1, 1.0, -1.0)
         dim = 1 << n
         k = np.arange(dim, dtype=np.uint64)
@@ -288,11 +328,18 @@ class PoolScorer:
         s = self._real(state)
         T, f = self._word_table(s)
         e0 = float(f.sum())
-        F = np.zeros(1 << (2 * self.n))
-        F[self._term_slot] = f
-        b = 0.5 * (e0 - _fwht(F)[self._word_slot])
+        # G = the 4^n transform of f placed at (z_i << n) | x_i: its low
+        # levels (over x) first, then its high levels (over z); G[z, x]
+        F = np.zeros((1 << self.n, 1 << self.n))
+        F.ravel()[self._term_slot] = f
+        G = _fwht(np.ascontiguousarray(_fwht(F).T))
+        b = 0.5 * (e0 - G.ravel()[self._word_xz])
+        del F, G  # the 4^n-entry tables are not kept through the refine
         sigma = self._h_action(s)
-        c = self._c_sign * _fwht(sigma[self._kx] * s[None, :]).ravel()[self._word_slot]
+        # [k, x] = sigma[k ^ x] s[k], transformed over k: T_sigma[z, x]
+        T_sigma = _fwht(sigma[self._kx] * s[:, None])
+        c = self._c_sign * T_sigma.ravel()[self._word_zx]
+        del T_sigma
         descents = b + np.hypot(b, c)
         taus = _tau_minimum(b, c)
         descents[self._inert] = 0.0

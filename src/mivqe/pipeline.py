@@ -39,9 +39,9 @@ from .reference import (
 from .screening import (
     EntanglerPool,
     generate_pool,
-    odd_y_multiplicities,
     percentile_of_strengths,
     pool_size,
+    pool_spearman,
     pool_strengths,
     screen_pool,
     support_strengths,
@@ -456,26 +456,24 @@ def _mi_column(problem: Problem, mi, supports: list[int], exact=None):
 
     Returns the column (the percentiles of the words on supports, counted as
     the run counts them, their p_max, and the Spearman rank correlation of
-    the pool's strengths against exact) and those strengths. The strengths
-    cover the run register's whole pool, also when the run screened it: each
-    support's strength repeated once per odd-Y word on it, rounded so that
-    exactly degenerate strengths stay tied instead of being permuted by
-    sub-1e-10 backend noise. exact is None for the exact column itself.
+    the pool's strengths against exact) and the strength table it ranks.
+    The correlation covers the run register's whole pool, also when the run
+    screened it: each support stands for its odd-Y words. Strengths are
+    rounded so that exactly degenerate strengths stay tied instead of being
+    permuted by sub-1e-10 backend noise. exact is None for the exact column
+    itself.
     """
-    from scipy.stats import spearmanr  # kept off the import path of the other verbs
-
     n = problem.hamiltonian.n_qubits
     table, baseline = _support_tables(
         mi, n, problem.n_qubits_encoded, problem.baseline_index_map
     )
     pct = percentile_of_strengths(table, baseline)[supports]
-    strengths = np.repeat(np.round(table, 10), odd_y_multiplicities(n))
+    strengths = np.round(table, 10)
     if exact is None:
         rho = 1.0
-    elif np.ptp(exact) == 0.0 or np.ptp(strengths) == 0.0:
-        rho = None  # rank correlation undefined for constant strengths
     else:
-        rho = _fmt(spearmanr(exact, strengths).statistic)
+        rho = pool_spearman(exact, strengths, n)
+        rho = None if rho is None else _fmt(rho)
     column = {
         "percentiles": [_fmt(p) for p in pct],
         "p_max": _fmt(pct.max()) if len(pct) else None,

@@ -60,6 +60,7 @@ def exact_ground_state(
     v /= np.linalg.norm(v)
 
     max_krylov = min(dim, 120)
+    tmp = np.empty(dim, dtype=dtype)
     iterations = 0
     residual = np.inf
     for _restart in range(max_iterations // max_krylov + 1):
@@ -76,10 +77,12 @@ def exact_ground_state(
             w = w - alpha * basis[-1]
             if len(basis) > 1:
                 w = w - betas[-1] * basis[-2]
-            # full reorthogonalization, two passes
+            # full reorthogonalization, two passes of modified Gram-Schmidt,
+            # updating w in place (w is a fresh array here)
             for _pass in range(2):
                 for b in basis:
-                    w = w - np.vdot(b, w) * b
+                    np.multiply(np.vdot(b, w), b, out=tmp)
+                    np.subtract(w, tmp, out=w)
             beta = float(np.linalg.norm(w))
             if beta < 1e-13:
                 break

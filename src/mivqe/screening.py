@@ -154,6 +154,40 @@ def percentile_of_strengths(table: np.ndarray, baseline_table: np.ndarray) -> np
     return counts / pool_size(m)
 
 
+def _average_ranks(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each entry's 1-based average rank among its table's words.
+
+    The words are table[i] repeated weights[i] times; tied words share the
+    mean of the ranks they span.
+    """
+    values, group = np.unique(table, return_inverse=True)
+    counts = np.bincount(group, weights=weights, minlength=len(values))
+    return (np.cumsum(counts) - (counts - 1.0) / 2.0)[group]
+
+
+def pool_spearman(table_a: np.ndarray, table_b: np.ndarray, n_qubits: int) -> float | None:
+    """Spearman rank correlation of two support tables over the odd-Y pool.
+
+    Each support stands for its odd_y_multiplicities(n_qubits) words, so this
+    is the correlation of the two per-word strength vectors, with average
+    ranks for ties, computed on 2^n entries instead of pool_size(n). None
+    when either side is constant over the pool (no rank correlation).
+    """
+    weights = odd_y_multiplicities(n_qubits)
+    words = weights > 0
+    a, b, weights = table_a[words], table_b[words], weights[words]
+    if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
+        return None
+    # the average ranks of any pool of N words have mean (N + 1) / 2
+    middle = (weights.sum() + 1) / 2.0
+    da = _average_ranks(a, weights) - middle
+    db = _average_ranks(b, weights) - middle
+    return float(
+        np.sum(weights * da * db)
+        / np.sqrt(np.sum(weights * da * da) * np.sum(weights * db * db))
+    )
+
+
 def screen_pool(pool: EntanglerPool, table: np.ndarray, p_cut: float) -> EntanglerPool:
     """Keep the words whose percentile within the register's pool is <= p_cut.
 

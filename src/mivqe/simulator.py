@@ -55,18 +55,19 @@ def _word_tables(word: PauliWord) -> tuple[complex, np.ndarray, np.ndarray | Non
 
 
 def _apply_tables(state: np.ndarray, tables) -> np.ndarray:
+    """P applied to a state, or to each row of a stack of states."""
     factor, signs, gather = tables
     out = factor * (signs * state)
-    return out if gather is None else out[gather]
+    # np.take, not out[..., gather]: fancy indexing a stack along its last
+    # axis returns rows that are not C-contiguous, and np.vdot then sums
+    # such a row in another order (a gradient entry moved from
+    # 5.123975187357405e-05 to 5.123975187356437e-05)
+    return out if gather is None else np.take(out, gather, axis=-1)
 
 
-def _combine(state: np.ndarray, word_state: np.ndarray, tau: float) -> np.ndarray:
-    """exp(-i P tau) state, given word_state = P state."""
-    return np.cos(tau) * state - 1j * np.sin(tau) * word_state
-
-
-def _rotate(state: np.ndarray, tables, tau: float) -> np.ndarray:
-    return _combine(state, _apply_tables(state, tables), tau)
+def _combine(state: np.ndarray, word_state: np.ndarray, cos, sin) -> np.ndarray:
+    """exp(-i P tau) state, given word_state = P state, cos tau and sin tau."""
+    return cos * state - 1j * sin * word_state
 
 
 # Largest len(H) * 2^n a compiled H action may store: 2^27 entries, 1.5 GiB
@@ -97,7 +98,8 @@ def compile_sum_action(H: PauliSum):
     real_valued reports whether every term has an even Y count, i.e. the
     matrix is real in the computational basis (its values are then float64,
     and a complex vector's real and imaginary parts are multiplied
-    separately, which is what the term loop's products amount to).
+    separately, which is what the term loop's products amount to; an
+    all-zero imaginary part gives +0.0 without a product).
     Raises SimulatorError above MAX_ACTION_ENTRIES, before any allocation.
     """
     entries = action_entries(H)
@@ -123,9 +125,14 @@ def compile_sum_action(H: PauliSum):
 
     def action(v: np.ndarray) -> np.ndarray:
         if real_valued and np.iscomplexobj(v):
-            out = np.empty(dim, dtype=complex)
+            out = np.zeros(dim, dtype=complex)
             out.real = matrix @ v.real
-            out.imag = matrix @ v.imag
+            # A real state held as complex (what odd-Y layers leave) has an
+            # all-zero imaginary part. Its product is +0.0 in every entry,
+            # also for -0.0 inputs: the row sum starts at +0.0 and adds only
+            # signed zeros. So the second product is skipped, bit for bit.
+            if v.imag.any():
+                out.imag = matrix @ v.imag
             return out
         return matrix @ v
 
@@ -176,9 +183,10 @@ class Ansatz:
         params = self.parameters if parameters is None else parameters
         if len(params) != len(self.layers):
             raise SimulatorError("parameter count mismatch")
+        taus = np.asarray(params, dtype=float)
         state = self._reference
-        for tables, tau in zip(self.layers, params):
-            state = _rotate(state, tables, tau)
+        for tables, cos, sin in zip(self.layers, np.cos(taus), np.sin(taus)):
+            state = _combine(state, _apply_tables(state, tables), cos, sin)
         return state
 
 
@@ -190,19 +198,23 @@ def energy_and_gradient(
     h_action is the compiled H product from compile_sum_action. With psi_k
     the state after layer k and lam_k = (U_{k+1..N})^dag H psi_N,
     dE/dtau_k = 2 Im <lam_k| P_k |psi_k>. Cost is O(layers * 2^n * terms),
-    not quadratic in the layer count.
+    not quadratic in the layer count. The reverse sweep un-rotates psi and
+    lam as the two rows of one C-contiguous array, so each layer costs one
+    P application and one rotation; every entry gets the float operations
+    of rotating the two states one at a time.
     """
-    params = list(parameters)
-    psi = ansatz.prepare(params)
+    taus = np.array(parameters, dtype=float)
+    psi = ansatz.prepare(taus)
     lam = h_action(psi)
     energy = float(np.real(np.vdot(psi, lam)))
-    grads = np.zeros(len(params))
-    for k in range(len(params) - 1, -1, -1):
-        tables, tau = ansatz.layers[k], params[k]
-        word_psi = _apply_tables(psi, tables)
-        grads[k] = 2.0 * np.imag(np.vdot(lam, word_psi))
-        psi = _combine(psi, word_psi, -tau)
-        lam = _rotate(lam, tables, -tau)
+    grads = np.zeros(len(taus))
+    pair = np.stack((psi, lam))
+    cosines, sines = np.cos(-taus), np.sin(-taus)
+    for k in range(len(taus) - 1, -1, -1):
+        word_pair = _apply_tables(pair, ansatz.layers[k])
+        grads[k] = 2.0 * np.imag(np.vdot(pair[1], word_pair[0]))
+        if k:
+            pair = _combine(pair, word_pair, cosines[k], sines[k])
     return energy, grads
 
 

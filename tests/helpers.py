@@ -3,10 +3,11 @@
 Most of this builds explicit numpy matrices from first principles (kron
 products, occupation-number ladder action) so that library code paths are
 checked against a redundant construction, not against themselves. The
-term-by-term H action and the per-word energy and gradient are the plain
-loops the compiled simulator paths must reproduce bit for bit; the merged
-CSR action is the same matrix summed in another order, which they must not
-be. The einsum_*
+term-by-term H action, the per-word energy and gradient, the radix-2
+Walsh-Hadamard transform and the pool words that commute with all of H by a
+transform of term counts are the plain paths the compiled simulator and the
+pool scorer must reproduce bit for bit; the merged CSR action is the same
+matrix summed in another order, which they must not be. The einsum_*
 functions are the MPS tensor networks written as single multi-operand
 einsums, which the pairwise contractions in mivqe.mps must match.
 
@@ -40,7 +41,7 @@ from mivqe.simulator import (
     Ansatz,
     SimulatorError,
     _apply_tables,
-    _rotate,
+    _combine,
     _word_tables,
     compile_sum_action,
     energy_and_gradient,
@@ -183,7 +184,12 @@ def _word_exponential(state: np.ndarray, word: PauliWord, tau) -> np.ndarray:
 
 
 def per_word_energy_and_gradient(ansatz: Ansatz, h_action, parameters):
-    """The adjoint energy and gradient, every layer rebuilt from its word."""
+    """The adjoint energy and gradient, every layer rebuilt from its word.
+
+    psi and lam are un-rotated one at a time, with one cos and one sin call
+    per layer: the arithmetic that simulator.energy_and_gradient, which
+    un-rotates both as one stacked array, must reproduce bit for bit.
+    """
     params = list(parameters)
     psi = ansatz.reference_state()
     for word, tau in zip(ansatz.words, params):
@@ -340,7 +346,7 @@ def apply_pauli_word(state: np.ndarray, word: PauliWord) -> np.ndarray:
 
 def apply_pauli_exponential(state: np.ndarray, word: PauliWord, tau: float) -> np.ndarray:
     """exp(-i * word * tau) |state>."""
-    return _rotate(state, _word_tables(word), tau)
+    return _combine(state, apply_pauli_word(state, word), np.cos(tau), np.sin(tau))
 
 
 def score_entangler(state: np.ndarray, H: PauliSum, word: PauliWord) -> tuple[float, float]:
@@ -357,6 +363,34 @@ def score_entangler(state: np.ndarray, H: PauliSum, word: PauliWord) -> tuple[fl
     b = e0 - a
     minimum = a - np.hypot(b, c)
     return e0 - minimum, _tau_minimum(b, c)
+
+
+def fwht_radix2(a: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform along the last axis, one in-place radix-2
+    level at a time (h = 1, 2, 4, ...): each output is the same chain of
+    additions as in adaptive._fwht, which runs along the first axis."""
+    out = np.array(a, dtype=np.float64)
+    size = out.shape[-1]
+    h = 1
+    while h < size:
+        v = out.reshape(*out.shape[:-1], size // (2 * h), 2, h)
+        lo = v[..., 0, :].copy()
+        hi = v[..., 1, :]
+        v[..., 0, :] += hi
+        np.subtract(lo, hi, out=hi)
+        h *= 2
+    return out
+
+
+def count_transform_inert(H: PauliSum, pool: EntanglerPool) -> np.ndarray:
+    """Pool words that commute with every term of H, read off the 4^n
+    transform of the terms' counts at (z << n) | x: commuting minus
+    anticommuting terms per word (small integers, so exact in floats)."""
+    n = H.n_qubits
+    slots = [(w.z_mask << n) | w.x_mask for _, w in H.terms]
+    counts = np.bincount(slots, minlength=1 << (2 * n))
+    words = ((pool.x << np.uint64(n)) | pool.z).astype(np.intp)
+    return fwht_radix2(counts)[words] == len(H)
 
 
 def term_sum_scores(scorer: PoolScorer, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -7,6 +7,7 @@ from scipy.optimize import minimize_scalar
 from mivqe.adaptive import (
     AdaptiveConfig,
     NoImprovingEntangler,
+    _fwht,
     joint_optimize,
     run_adaptive,
     select_entangler,
@@ -26,9 +27,11 @@ from mivqe.simulator import Ansatz, basis_state, compile_sum_action
 from helpers import (
     apply_pauli_exponential,
     commutes,
+    count_transform_inert,
     dense_sum,
     dense_word,
     expectation,
+    fwht_radix2,
     pool_index,
     pool_scorer,
     random_state,
@@ -486,3 +489,33 @@ def test_pool_scorer_never_recomputes_words_commuting_with_all_terms():
     assert inert.any()
     assert np.array_equal(descents[inert], exact_d[inert])
     assert np.array_equal(taus[inert], exact_t[inert])
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (2**7,), (2**8,), (2**11,), (2, 5),
+                                   (2**5, 3), (2**7, 2**7), (2**9, 2**9), (2**10, 2**10)])
+def test_fwht_is_the_radix2_transform_bit_for_bit(shape):
+    """_fwht runs along the first axis, each level from one buffer into the
+    other; every output must keep the radix-2 transform's bits, also for a
+    transposed (non-contiguous) input, as the scorer's 4^n transform has."""
+    rng = np.random.default_rng(len(shape) * 1000 + shape[0])
+    a = rng.normal(size=shape)
+    want = fwht_radix2(a.T).T.view(np.uint64)
+    for given in (a.copy(), np.ascontiguousarray(a.T).T):
+        assert np.array_equal(_fwht(given).view(np.uint64), want)
+
+
+def test_inert_mask_is_the_count_transform():
+    """The scorer finds the pool words that commute with all of H from the
+    GF(2) commutant of the terms' symplectic vectors. On every bundled
+    fixture that set holds no pool word, so random sums of few terms are
+    used, whose commutant does."""
+    rng = np.random.default_rng(92)
+    inert_words = 0
+    for n in range(1, 7):
+        pool = generate_pool(n)
+        for n_terms in (1, 2, 3, n + 1, 2 * n, 4 * n):
+            H = random_even_sum(rng, n, n_terms)
+            mask = pool_scorer(H, pool)._inert
+            assert np.array_equal(mask, count_transform_inert(H, pool))
+            inert_words += int(mask.sum())
+    assert inert_words

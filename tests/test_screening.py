@@ -11,6 +11,7 @@ from mivqe.screening import (
     odd_y_multiplicities,
     percentile_of_strengths,
     pool_size,
+    pool_spearman,
     pool_strengths,
     screen_pool,
     screening_report_csv,
@@ -268,6 +269,35 @@ def test_table_percentiles_equal_per_word_count(seed):
             continue
         screened = screen_pool(pool, table, p_cut)
         assert screened.words == tuple(pool.word(i) for i in expected)
+
+
+def test_pool_spearman_equals_spearmanr_over_the_repeated_pool():
+    """Average ranks weighted by the odd-Y multiplicities give the Spearman
+    correlation of the per-word strengths (each support's entry repeated
+    once per word on it) without building them."""
+    from scipy.stats import spearmanr
+
+    rng = np.random.default_rng(33)
+    undefined = 0
+    for _ in range(120):
+        n = int(rng.integers(1, 9))
+        # few levels, so that strengths tie within and across supports
+        a = rng.integers(0, int(rng.integers(1, 6)) + 1, size=2**n) / 7.0
+        noise = rng.normal(size=2**n) * rng.choice([0.0, 0.1, 1.0])
+        b = np.round(a + noise, int(rng.integers(0, 3)))
+        repeats = odd_y_multiplicities(n)
+        A, B = np.repeat(a, repeats), np.repeat(b, repeats)
+        got = pool_spearman(a, b, n)
+        if np.ptp(A) == 0.0 or np.ptp(B) == 0.0:
+            assert got is None
+            undefined += 1
+        else:
+            assert abs(got - spearmanr(A, B).statistic) <= 1e-12
+    assert undefined
+    # the empty support holds no word, so its entry never counts
+    a = np.zeros(8)
+    a[0] = 1.0
+    assert pool_spearman(a, np.arange(8.0), 3) is None
 
 
 def test_screen_pool_empty_raises():

@@ -324,6 +324,75 @@ def test_compiled_ansatz_energy_and_gradient_bit_for_bit():
         assert grads.tobytes() == want_g.tobytes()
 
 
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_stacked_adjoint_sweep_is_the_one_state_loop_bit_for_bit(n):
+    # the run's case (real H, odd-Y words: every imaginary part is a signed
+    # zero), then a real and a complex H with diagonal and even-Y words too
+    rng = np.random.default_rng(60 + n)
+    for real_valued, odd_y_only in ((True, True), (True, False), (False, False)):
+        H = random_sum(rng, n, int(rng.integers(1, min(4**n, 80) + 1)), real_valued)
+        words = [] if odd_y_only else [
+            PauliWord(n, 0, int(rng.integers(1, 2**n))),  # diagonal: gather None
+            PauliWord(n, 2**n - 1, 0),  # X on every qubit: no Y
+        ]
+        while len(words) < 8:
+            word = random_word(rng, n, nontrivial=True)
+            if word.y_count % 2 or not odd_y_only:
+                words.append(word)
+        ansatz = Ansatz(n, [int(b) for b in rng.integers(0, 2, size=n)])
+        for i in rng.permutation(len(words)):
+            ansatz = ansatz.with_layer(words[i], 0.0)
+        params = rng.normal(size=len(ansatz))
+        action, _ = compile_sum_action(H)
+        energy, grads = energy_and_gradient(ansatz, action, params)
+        want_e, want_g = per_word_energy_and_gradient(ansatz, action, params)
+        assert _bits(energy) == _bits(want_e)
+        assert np.array_equal(_bits(grads), _bits(want_g))
+
+
+def test_vectorized_cos_and_sin_equal_scalar_calls():
+    # prepare and energy_and_gradient take cos and sin of all angles in one
+    # call each; that keeps the bits only while numpy's array loops round as
+    # the per-layer scalar calls do (checked for SIMD tails of every length)
+    rng = np.random.default_rng(57)
+    specials = np.array([0.0, -0.0, np.pi / 2, np.pi, 1e-300, 5e-324, 1e300])
+    for length in range(1, 41):
+        for scale in (1e-8, 1e-3, 1.0, 1e3):
+            taus = np.concatenate((rng.normal(size=length) * scale, specials[: length % 8]))
+            for x in (taus, -taus):
+                assert np.array_equal(_bits(np.cos(x)), _bits([np.cos(t) for t in x]))
+                assert np.array_equal(_bits(np.sin(x)), _bits([np.sin(t) for t in x]))
+
+
+def test_action_skips_a_zero_imaginary_part_bit_for_bit():
+    """A real H multiplies a complex vector's parts one at a time. An all-zero
+    imaginary part, +0.0 or -0.0, gives +0.0 without a product, which is what
+    the product gives; any nonzero entry gets both products."""
+    rng = np.random.default_rng(58)
+    for n in (1, 3, 6, 10):
+        H = random_sum(rng, n, int(rng.integers(1, min(4**n, 60) + 1)), real_valued=True)
+        action, real_valued = compile_sum_action(H)
+        assert real_valued
+        real = rng.normal(size=2**n)
+        v = np.empty(2**n, dtype=complex)
+        v.real = real
+        for zero in (0.0, -0.0):
+            v.imag = zero
+            got = action(v)
+            assert np.array_equal(_bits(got.real), _bits(action(real)))
+            assert np.array_equal(_bits(got.imag), _bits(action(v.imag.copy())))
+            assert np.array_equal(_bits(got.imag), _bits(np.zeros(2**n)))
+        v.imag[int(rng.integers(2**n))] = 1.0
+        got = action(v)
+        assert got.imag.any()
+        assert np.array_equal(_bits(got.imag), _bits(action(v.imag.copy())))
+        assert np.array_equal(_bits(got.real), _bits(action(real)))
+
+
 def test_rdm_product_state():
     state = basis_state(2, [0, 1])  # qubit 0 in |0>, qubit 1 in |1>
     assert np.allclose(rdm(state, [0]), np.diag([1.0, 0.0]), atol=1e-14)
