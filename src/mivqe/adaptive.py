@@ -136,15 +136,16 @@ def _tau_minimum(b, c):
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform along the first axis (length 2^m).
+    """Walsh-Hadamard transform along the first axis; consumes its argument.
 
+    Unnormalized, over a first axis of length 2^m:
     out[j, ...] = sum_k (-1)^{|j & k|} a[k, ...], by m butterfly levels,
     h = 1, 2, 4, ... in turn, each read from one buffer and written to the
     other. A level pairs whole rows, so on a 2-D input each numpy call runs
     over h * (row length) contiguous entries; along a last axis the early
     levels would run over h entries at a time, which costs up to 7x more.
-    A C-contiguous float64 a is one of the two buffers and is overwritten;
-    the result is returned in a or in the other buffer.
+    A C-contiguous float64 a is one of the two buffers and is overwritten,
+    so pass a temporary; the result is returned in a or in the other buffer.
     """
     src = np.ascontiguousarray(a, dtype=np.float64)
     buffers = (np.empty_like(src), src)
@@ -158,35 +159,6 @@ def _fwht(a: np.ndarray) -> np.ndarray:
         src = dst
         level += 1
     return src
-
-
-def _commutant(vectors: np.ndarray, bits: int) -> np.ndarray:
-    """Table over GF(2)^bits: True where |v & u| is even for every u in vectors.
-
-    The vectors are row-reduced to a basis of their span, whose orthogonal
-    complement has one basis vector per non-pivot bit; the table marks all
-    2^(bits - rank) sums of those.
-    """
-    rows: list[int] = []  # reduced row echelon form: a pivot bit is set in one row only
-    for u in map(int, vectors):
-        for r in rows:
-            if u >> (r.bit_length() - 1) & 1:
-                u ^= r
-        if u:
-            pivot = u.bit_length() - 1
-            rows = [r ^ u if r >> pivot & 1 else r for r in rows] + [u]
-    pivots = {r.bit_length() - 1: r for r in rows}
-    members = np.zeros(1, dtype=np.intp)
-    for free in range(bits):
-        if free not in pivots:
-            v = 1 << free
-            for pivot, r in pivots.items():
-                if r >> free & 1:
-                    v |= 1 << pivot
-            members = np.concatenate((members, members ^ v))
-    table = np.zeros(1 << bits, dtype=bool)
-    table[members] = True
-    return table
 
 
 class PoolScorer:
@@ -214,9 +186,11 @@ class PoolScorer:
     exactly tied words. slack = 1e-9 (1 + sum |c_i|) exceeds the transform's
     rounding error, (terms + 2^n + 2n) 2 eps sum |c_i|, a thousandfold.
     Words that commute with every term of H have B = C = 0 exactly; they get
-    their exact descent 0 without the term sum. They are the pool words in
-    the GF(2) commutant of the terms' symplectic vectors, found once. h_action is H's compiled
-    product from compile_sum_action, which gives sigma.
+    their exact descent 0 without the term sum. They are found once, where
+    the 4^n transform of the terms' counts equals the number of terms
+    (commuting minus anticommuting terms; integer sums, exact in any order).
+    h_action is H's compiled product from compile_sum_action, which gives
+    sigma.
     """
 
     def __init__(self, H: PauliSum, pool: EntanglerPool, h_action):
@@ -245,7 +219,9 @@ class PoolScorer:
         self._term_slot = ((self.tx << shift) | self.tz).astype(np.intp)
         self._word_xz = ((self.px << shift) | self.pz).astype(np.intp)
         self._word_zx = ((self.pz << shift) | self.px).astype(np.intp)
-        self._inert = _commutant(self._term_slot, 2 * n)[self._word_zx]
+        counts = np.bincount(self._term_slot, minlength=1 << (2 * n))
+        counts = _fwht(np.ascontiguousarray(_fwht(counts.reshape(1 << n, -1)).T))
+        self._inert = counts.ravel()[self._word_xz] == len(self.coeffs)
         self._c_sign = np.where(self.py % 4 == 1, 1.0, -1.0)
         dim = 1 << n
         k = np.arange(dim, dtype=np.uint64)

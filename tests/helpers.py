@@ -3,9 +3,8 @@
 Most of this builds explicit numpy matrices from first principles (kron
 products, occupation-number ladder action) so that library code paths are
 checked against a redundant construction, not against themselves. The
-term-by-term H action, the per-word energy and gradient, the radix-2
-Walsh-Hadamard transform and the pool words that commute with all of H by a
-transform of term counts are the plain paths the compiled simulator and the
+term-by-term H action, the per-word energy and gradient and the radix-2
+Walsh-Hadamard transform are the plain paths the compiled simulator and the
 pool scorer must reproduce bit for bit; the merged CSR action is the same
 matrix summed in another order, which they must not be. The einsum_*
 functions are the MPS tensor networks written as single multi-operand
@@ -380,17 +379,6 @@ def fwht_radix2(a: np.ndarray) -> np.ndarray:
         np.subtract(lo, hi, out=hi)
         h *= 2
     return out
-
-
-def count_transform_inert(H: PauliSum, pool: EntanglerPool) -> np.ndarray:
-    """Pool words that commute with every term of H, read off the 4^n
-    transform of the terms' counts at (z << n) | x: commuting minus
-    anticommuting terms per word (small integers, so exact in floats)."""
-    n = H.n_qubits
-    slots = [(w.z_mask << n) | w.x_mask for _, w in H.terms]
-    counts = np.bincount(slots, minlength=1 << (2 * n))
-    words = ((pool.x << np.uint64(n)) | pool.z).astype(np.intp)
-    return fwht_radix2(counts)[words] == len(H)
 
 
 def term_sum_scores(scorer: PoolScorer, state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -27,7 +27,6 @@ from mivqe.simulator import Ansatz, basis_state, compile_sum_action
 from helpers import (
     apply_pauli_exponential,
     commutes,
-    count_transform_inert,
     dense_sum,
     dense_word,
     expectation,
@@ -504,11 +503,11 @@ def test_fwht_is_the_radix2_transform_bit_for_bit(shape):
         assert np.array_equal(_fwht(given).view(np.uint64), want)
 
 
-def test_inert_mask_is_the_count_transform():
-    """The scorer finds the pool words that commute with all of H from the
-    GF(2) commutant of the terms' symplectic vectors. On every bundled
-    fixture that set holds no pool word, so random sums of few terms are
-    used, whose commutant does."""
+def test_inert_mask_is_the_words_commuting_with_every_term():
+    """The scorer finds the pool words that commute with all of H from one
+    4^n transform of the term counts, run as two first-axis transforms of a
+    2^n x 2^n table. On every bundled fixture that set holds no pool word,
+    so random sums of few terms are used, whose commutant does."""
     rng = np.random.default_rng(92)
     inert_words = 0
     for n in range(1, 7):
@@ -516,6 +515,7 @@ def test_inert_mask_is_the_count_transform():
         for n_terms in (1, 2, 3, n + 1, 2 * n, 4 * n):
             H = random_even_sum(rng, n, n_terms)
             mask = pool_scorer(H, pool)._inert
-            assert np.array_equal(mask, count_transform_inert(H, pool))
+            want = [all(commutes(w, t) for _, t in H.terms) for w in pool.words]
+            assert np.array_equal(mask, want)
             inert_words += int(mask.sum())
     assert inert_words

@@ -14,15 +14,18 @@ bounds come from the change's BENCHMARK.json.
 For every metric it prints each side's median and quartiles, the pairs the
 change won (ties count for neither) and two verdicts:
 
-- gain: the change won at least nine tenths of the pairs, and the medians
-  differ in the change's favour by more than the parent's interquartile
-  range;
-- regression: the change's median is worse than the parent's by more than
-  the metric's bound, a share of the parent's median.
+- gain: shown when at least ten pairs ran, the change won at least nine
+  tenths of them, the medians differ in the change's favour by more than
+  the parent's interquartile range, and no more of the change's runs than
+  of the parent's failed their fingerprints;
+- regression: "regression" when the change's median is worse than the
+  parent's by more than the metric's bound, a share of the parent's median;
+  otherwise "unresolved" when either side's interquartile range is wider
+  than that bound, unless every run of the change beats every run of the
+  parent; otherwise "none".
 
-A run that fails its fingerprints is reported and its values still count.
-The last stdout line is one JSON object with every run's values and the
-verdicts.
+Runs always take the run length of the benchmark. The last stdout line is
+one JSON object with every run's values and the verdicts.
 """
 
 from __future__ import annotations
@@ -34,13 +37,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+MIN_PAIRS = 10  # fewer pairs show no gain
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float | None) -> dict:
+
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One untraced benchmark run; returns its result line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -56,19 +59,31 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+def verdict(parent: list[float], change: list[float], better: str, bound: float,
+            failed: tuple[int, int] = (0, 0)) -> dict:
+    """Gain and regression verdicts for one metric; failed is the number of
+    (parent, change) runs that failed their fingerprints."""
     sign = 1.0 if better == "lower" else -1.0  # sign * (parent - change) > 0: change better
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     p1, p_med, p3 = quartiles(parent)
     c1, c_med, c3 = quartiles(change)
     gap = sign * (p_med - c_med)
+    allowed = bound * abs(p_med)
+    if -gap > allowed:
+        regression = "regression"
+    elif max(p3 - p1, c3 - c1) > allowed and not all(
+            sign * (p - c) > 0 for p in parent for c in change):
+        regression = "unresolved"
+    else:
+        regression = "none"
     return {
         "parent": {"q1": p1, "median": p_med, "q3": p3},
         "change": {"q1": c1, "median": c_med, "q3": c3},
         "wins": wins,
         "pairs": len(parent),
-        "gain": wins >= 0.9 * len(parent) and gap > p3 - p1,
-        "regression": -gap > bound * abs(p_med),
+        "gain": (len(parent) >= MIN_PAIRS and wins >= 0.9 * len(parent)
+                 and gap > p3 - p1 and failed[1] <= failed[0]),
+        "regression": regression,
     }
 
 
@@ -79,8 +94,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length per run (default: run_seconds of BENCHMARK.json)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -94,18 +107,20 @@ def main(argv=None) -> int:
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(sides[side], args.workload, args.seed, args.seconds)
+            result = run_once(sides[side], args.workload, args.seed)
             runs[side].append(result)
             values = ", ".join(f"{m['name']} {result['metrics'][m['name']]['value']:.4g}"
                                for m in metrics)
             flag = "" if result["correct"] else "  FINGERPRINT MISMATCH"
             print(f"pair {i + 1} {side:6s}: {values}{flag}", flush=True)
 
+    failed = {side: sum(not r["correct"] for r in runs[side]) for side in runs}
     verdicts = {}
     for m in metrics:
         name = m["name"]
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
-        v = verdicts[name] = verdict(values["parent"], values["change"], m["better"], m["bound"])
+        v = verdicts[name] = verdict(values["parent"], values["change"], m["better"],
+                                     m["bound"], (failed["parent"], failed["change"]))
         print(f"{name} ({m['unit']}, {m['better']} is better, bound {m['bound']:g}): "
               f"parent median {v['parent']['median']:.4g} "
               f"[{v['parent']['q1']:.4g}, {v['parent']['q3']:.4g}], "
@@ -113,8 +128,7 @@ def main(argv=None) -> int:
               f"[{v['change']['q1']:.4g}, {v['change']['q3']:.4g}], "
               f"change won {v['wins']}/{v['pairs']}; "
               f"gain {'shown' if v['gain'] else 'not shown'}; "
-              f"{'REGRESSION beyond bound' if v['regression'] else 'no regression beyond bound'}")
-    failed = {side: sum(not r["correct"] for r in runs[side]) for side in runs}
+              f"regression {v['regression']}")
     print(f"runs failing fingerprints: parent {failed['parent']}, change {failed['change']}")
     print(json.dumps({
         "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
