@@ -57,6 +57,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def _worker_count(text: str) -> int:
+    """argparse type of --workers: an integer of at least 1."""
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {workers}")
+    return workers
+
+
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     """One string-valued flag per RunConfig key: parse_config types and checks it."""
     p.add_argument("--config", help="flat key=value config file; flags override it")
@@ -184,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="series of runs, aggregate CSV")
     _add_config_flags(p_sweep)
     p_sweep.add_argument("fcidumps", nargs="+", help="FCIDUMP files, one run each")
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=_worker_count, default=1,
+                         help="worker processes, at least 1")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_mi = sub.add_parser("mi-report", help="MI de-convergence comparison")

@@ -34,6 +34,7 @@ from .reference import (
     LanczosConvergenceError,
     MIMatrix,
     exact_ground_state,
+    ground_energy,
     mutual_information,
 )
 from .screening import (
@@ -238,8 +239,8 @@ def prepare_problem(cfg: RunConfig) -> Problem:
         if check_sector and reference_energy is not None:
             # HF-sector sanity: the reduced ground energy must match the
             # full-register one, otherwise the ground state lives in another
-            # stationary sector
-            e_full, _ = exact_ground_state(H_full, seed=cfg.seed)
+            # stationary sector; only the energy is needed, so ARPACK gives it
+            e_full = ground_energy(H_full, seed=cfg.seed)
             if reference_energy - e_full > 1e-9:
                 warnings.append(
                     f"stationary-qubit sector from the HF reference misses the "
@@ -434,6 +435,8 @@ def sweep(tagged_configs: list[tuple[str, RunConfig]], workers: int = 1) -> str:
     """
     if not tagged_configs:
         raise PipelineError("sweep", "no configs given")
+    if workers < 1:
+        raise PipelineError("sweep", f"workers must be at least 1, got {workers}")
     # a fork-started pool starts all max_workers processes at the first
     # submit, so never ask for more than there are configs
     workers = min(workers, len(tagged_configs))

@@ -1,9 +1,12 @@
 """Classically approximated ground states and qubit-pair mutual information.
 
 The exact backend is a Lanczos eigensolver with full reorthogonalization whose
-matrix-vector product is the PauliSum action (no dense matrix). Mutual
-information is I_ij = (S_i + S_j - S_ij) / 2 in bits, so a maximally
-entangled pair scores exactly 1.
+matrix-vector product is the PauliSum action (no dense matrix). Its state
+fixes the MI, so its float operations stay fixed. A check that needs only an
+energy uses ARPACK's Lanczos on the same action instead, which is faster but
+whose bits may vary with the scipy build. Mutual information is
+I_ij = (S_i + S_j - S_ij) / 2 in bits, so a maximally entangled pair scores
+exactly 1.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .pauli import PauliSum
 from .simulator import compile_sum_action, rdm
@@ -35,6 +39,21 @@ class LanczosConvergenceError(ReferenceError):
         self.iterations = iterations
 
 
+def _seeded_start(H: PauliSum, seed: int):
+    """(action, dtype, v): H's compiled action, the dtype it acts in and a
+    random start vector drawn from seed; raises above EXACT_MAX_QUBITS."""
+    if H.n_qubits > EXACT_MAX_QUBITS:
+        raise ReferenceError(f"exact backend limited to {EXACT_MAX_QUBITS} qubits")
+    dim = 2**H.n_qubits
+    action, real_valued = compile_sum_action(H)
+    dtype = np.float64 if real_valued else np.complex128
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=dim).astype(dtype)
+    if not real_valued:
+        v = v + 1j * rng.normal(size=dim)
+    return action, dtype, v
+
+
 def exact_ground_state(
     H: PauliSum,
     tol: float = 1e-9,
@@ -46,17 +65,8 @@ def exact_ground_state(
     The matvec is the PauliSum action; the returned state satisfies
     ||H v - E v|| < tol. Raises LanczosConvergenceError otherwise.
     """
-    n = H.n_qubits
-    if n > EXACT_MAX_QUBITS:
-        raise ReferenceError(f"exact backend limited to {EXACT_MAX_QUBITS} qubits")
-    dim = 2**n
-    action, real_valued = compile_sum_action(H)
-    dtype = np.float64 if real_valued else np.complex128
-
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=dim).astype(dtype)
-    if not real_valued:
-        v = v + 1j * rng.normal(size=dim)
+    action, dtype, v = _seeded_start(H, seed)
+    dim = len(v)
     v /= np.linalg.norm(v)
 
     max_krylov = min(dim, 120)
@@ -112,6 +122,35 @@ def exact_ground_state(
         if iterations >= max_iterations:
             break
     raise LanczosConvergenceError(residual, iterations)
+
+
+def ground_energy(H: PauliSum, tol: float = 1e-9, seed: int = 7) -> float:
+    """Lowest eigenvalue of H by ARPACK's Lanczos (scipy eigsh) on the
+    compiled action, started from a seeded random vector.
+
+    exact_ground_state's contract without its state: the eigenvector x
+    satisfies ||H x - E x|| < tol, and a residual above it or an ARPACK run
+    that does not converge raises LanczosConvergenceError, whose iteration
+    count is the number of H products.
+    """
+    action, dtype, v0 = _seeded_start(H, seed)
+    products = 0
+
+    def matvec(v):
+        nonlocal products
+        products += 1
+        return action(v)
+
+    operator = LinearOperator((len(v0), len(v0)), matvec=matvec, dtype=dtype)
+    try:
+        evals, evecs = eigsh(operator, k=1, which="SA", v0=v0)
+    except ArpackNoConvergence:
+        raise LanczosConvergenceError(np.inf, products) from None
+    energy, x = float(evals[0]), evecs[:, 0]
+    residual = float(np.linalg.norm(action(x) - energy * x))
+    if not residual < tol:
+        raise LanczosConvergenceError(residual, products)
+    return energy
 
 
 def entropy(rho: np.ndarray, trace_tol: float = 1e-8) -> float:

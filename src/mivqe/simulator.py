@@ -8,9 +8,10 @@ exp(-i P t) = cos(t) I - i sin(t) P since P^2 = I.
 Both are built once for repeated use, without changing a single float
 operation: compile_sum_action turns a PauliSum into one CSR matrix that
 keeps every term's entry apart, in term order, so each product adds the
-terms as a term-by-term loop does; an Ansatz builds each layer's
-(i^y factor, signs, gather) when the layer is added and keeps it for every
-later state preparation and energy-and-gradient evaluation.
+terms as a term-by-term loop does; an Ansatz folds each layer's i^y factor
+and signs into two complex tables on the gathered index when the layer is
+added, and keeps them for every later state preparation and
+energy-and-gradient evaluation.
 """
 
 from __future__ import annotations
@@ -40,34 +41,29 @@ def basis_state(n_qubits: int, bits) -> np.ndarray:
     return state
 
 
-def _word_tables(word: PauliWord) -> tuple[complex, np.ndarray, np.ndarray | None]:
-    """(i^y factor, signs, gather) of a Pauli word: P v = factor (signs v)[gather].
+def _word_tables(word: PauliWord) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """(gather, w, r) of a Pauli word, folded: P v = w * v[gather] and
+    -i P v = r * v[gather].
 
-    signs[k] = (-1)^{|k & z|}; the gather k -> k ^ x is None for a diagonal
-    word (x = 0).
+    With signs[k] = (-1)^{|k & z|}, w = i^y signs[gather] and
+    r = (1j i^y) signs[gather]; the gather k -> k ^ x is None for a diagonal
+    word (x = 0). Every folded factor is +-1 or +-i, so w * v[gather] has the
+    nonzero bits of i^y (signs v)[gather], and sin * r * v[gather] those of
+    1j sin i^y (signs v)[gather]; only the signs of zero parts may differ,
+    and neither an H product nor a vdot lets those reach a nonzero result.
+    Both tables are complex: a real times complex array product runs a
+    mixed-type loop that costs more than the complex one.
     """
     dim = 2**word.n_qubits
     k = np.arange(dim, dtype=np.uint64)
+    gather = None
+    if word.x_mask:
+        gather = np.arange(dim, dtype=np.intp) ^ word.x_mask
+        k = k[gather]
     parity = np.bitwise_count(k & np.uint64(word.z_mask)) & np.uint64(1)
     signs = 1.0 - 2.0 * parity.astype(np.float64)
-    gather = np.arange(dim, dtype=np.intp) ^ word.x_mask if word.x_mask else None
-    return _I_POW[word.y_count % 4], signs, gather
-
-
-def _apply_tables(state: np.ndarray, tables) -> np.ndarray:
-    """P applied to a state, or to each row of a stack of states."""
-    factor, signs, gather = tables
-    out = factor * (signs * state)
-    # np.take, not out[..., gather]: fancy indexing a stack along its last
-    # axis returns rows that are not C-contiguous, and np.vdot then sums
-    # such a row in another order (a gradient entry moved from
-    # 5.123975187357405e-05 to 5.123975187356437e-05)
-    return out if gather is None else np.take(out, gather, axis=-1)
-
-
-def _combine(state: np.ndarray, word_state: np.ndarray, cos, sin) -> np.ndarray:
-    """exp(-i P tau) state, given word_state = P state, cos tau and sin tau."""
-    return cos * state - 1j * sin * word_state
+    factor = _I_POW[word.y_count % 4]
+    return gather, factor * signs, (1j * factor) * signs
 
 
 # Largest len(H) * 2^n a compiled H action may store: 2^27 entries, 1.5 GiB
@@ -144,7 +140,7 @@ class Ansatz:
     """Ordered product of Pauli-word exponentials applied to a basis reference.
 
     Layer i is applied first; parameters are the rotation angles tau. layers
-    holds each word's (i^y factor, signs, gather), built once when the word
+    holds each word's folded (gather, w, r) tables, built once when the word
     joins: with_layer builds only the new word's tables and with_parameters
     builds none, so an adaptive run builds one table set per adopted word.
     """
@@ -185,8 +181,9 @@ class Ansatz:
             raise SimulatorError("parameter count mismatch")
         taus = np.asarray(params, dtype=float)
         state = self._reference
-        for tables, cos, sin in zip(self.layers, np.cos(taus), np.sin(taus)):
-            state = _combine(state, _apply_tables(state, tables), cos, sin)
+        for (gather, _, r), cos, sin in zip(self.layers, np.cos(taus), np.sin(taus)):
+            moved = state if gather is None else state.take(gather)
+            state = cos * state - (sin * r) * moved
         return state
 
 
@@ -200,21 +197,27 @@ def energy_and_gradient(
     dE/dtau_k = 2 Im <lam_k| P_k |psi_k>. Cost is O(layers * 2^n * terms),
     not quadratic in the layer count. The reverse sweep un-rotates psi and
     lam as the two rows of one C-contiguous array, so each layer costs one
-    P application and one rotation; every entry gets the float operations
-    of rotating the two states one at a time.
+    gather, one P product for the gradient and one rotation; every entry
+    gets the float operations of rotating the two states one at a time.
     """
     taus = np.array(parameters, dtype=float)
     psi = ansatz.prepare(taus)
     lam = h_action(psi)
-    energy = float(np.real(np.vdot(psi, lam)))
+    energy = float(np.vdot(psi, lam).real)
     grads = np.zeros(len(taus))
-    pair = np.stack((psi, lam))
+    pair = np.empty((2, len(psi)), dtype=complex)
+    pair[0], pair[1] = psi, lam
     cosines, sines = np.cos(-taus), np.sin(-taus)
     for k in range(len(taus) - 1, -1, -1):
-        word_pair = _apply_tables(pair, ansatz.layers[k])
-        grads[k] = 2.0 * np.imag(np.vdot(pair[1], word_pair[0]))
+        gather, w, r = ansatz.layers[k]
+        # ndarray.take along the last axis keeps each row C-contiguous;
+        # fancy indexing would not, and np.vdot then sums such a row in
+        # another order (a gradient entry moved from 5.123975187357405e-05
+        # to 5.123975187356437e-05)
+        moved = pair if gather is None else pair.take(gather, axis=1)
+        grads[k] = 2.0 * np.vdot(pair[1], w * moved[0]).imag
         if k:
-            pair = _combine(pair, word_pair, cosines[k], sines[k])
+            pair = cosines[k] * pair - (sines[k] * r) * moved
     return energy, grads
 
 

@@ -39,9 +39,6 @@ from mivqe.screening import EntanglerPool, ScreeningError, _mi_entries
 from mivqe.simulator import (
     Ansatz,
     SimulatorError,
-    _apply_tables,
-    _combine,
-    _word_tables,
     compile_sum_action,
     energy_and_gradient,
 )
@@ -172,14 +169,16 @@ def merged_csr_action(H: PauliSum):
     return lambda v: matrix @ v
 
 
-def _word_action(state: np.ndarray, word: PauliWord) -> np.ndarray:
+def apply_pauli_word(state: np.ndarray, word: PauliWord) -> np.ndarray:
+    """P |state> via index XOR and phase lookup; no matrix materialized."""
     signs, gather = _signs_and_gather(word, np.arange(len(state), dtype=np.uint64))
     out = np.array([1, 1j, -1, -1j])[word.y_count % 4] * (signs * state)
     return out if gather is None else out[gather]
 
 
-def _word_exponential(state: np.ndarray, word: PauliWord, tau) -> np.ndarray:
-    return np.cos(tau) * state - 1j * np.sin(tau) * _word_action(state, word)
+def apply_pauli_exponential(state: np.ndarray, word: PauliWord, tau) -> np.ndarray:
+    """exp(-i * word * tau) |state>."""
+    return np.cos(tau) * state - 1j * np.sin(tau) * apply_pauli_word(state, word)
 
 
 def per_word_energy_and_gradient(ansatz: Ansatz, h_action, parameters):
@@ -192,15 +191,15 @@ def per_word_energy_and_gradient(ansatz: Ansatz, h_action, parameters):
     params = list(parameters)
     psi = ansatz.reference_state()
     for word, tau in zip(ansatz.words, params):
-        psi = _word_exponential(psi, word, tau)
+        psi = apply_pauli_exponential(psi, word, tau)
     lam = h_action(psi)
     energy = float(np.real(np.vdot(psi, lam)))
     grads = np.zeros(len(params))
     for k in range(len(params) - 1, -1, -1):
         word, tau = ansatz.words[k], params[k]
-        grads[k] = 2.0 * np.imag(np.vdot(lam, _word_action(psi, word)))
-        psi = _word_exponential(psi, word, -tau)
-        lam = _word_exponential(lam, word, -tau)
+        grads[k] = 2.0 * np.imag(np.vdot(lam, apply_pauli_word(psi, word)))
+        psi = apply_pauli_exponential(psi, word, -tau)
+        lam = apply_pauli_exponential(lam, word, -tau)
     return energy, grads
 
 
@@ -336,16 +335,6 @@ def mps_to_statevector(mps) -> np.ndarray:
         T = np.einsum("pb,bsc->spc", T, A).reshape(2 * dim, A.shape[2])
         dim *= 2
     return T[:, 0].astype(complex)
-
-
-def apply_pauli_word(state: np.ndarray, word: PauliWord) -> np.ndarray:
-    """P |state> via index XOR and phase lookup; no matrix materialized."""
-    return _apply_tables(state, _word_tables(word))
-
-
-def apply_pauli_exponential(state: np.ndarray, word: PauliWord, tau: float) -> np.ndarray:
-    """exp(-i * word * tau) |state>."""
-    return _combine(state, apply_pauli_word(state, word), np.cos(tau), np.sin(tau))
 
 
 def score_entangler(state: np.ndarray, H: PauliSum, word: PauliWord) -> tuple[float, float]:

@@ -257,6 +257,30 @@ def test_sector_check_is_skipped_above_entry_limit(tmp_path, monkeypatch):
     )
 
 
+def test_sector_check_solves_the_encoded_register_once(tmp_path, monkeypatch):
+    """The check takes its energy from ground_energy, on the encoded
+    register only; a skipped check calls no solver on it."""
+    from mivqe.pipeline import prepare_problem
+
+    sizes = []
+    ground_energy = mivqe.pipeline.ground_energy
+
+    def spy(H, *args, **kwargs):
+        sizes.append(H.n_qubits)
+        return ground_energy(H, *args, **kwargs)
+
+    monkeypatch.setattr(mivqe.pipeline, "ground_energy", spy)
+    problem = prepare_problem(lih_config())
+    assert problem.n_qubits_encoded == 6 and problem.hamiltonian.n_qubits == 4
+    assert sizes == [6]
+    sizes.clear()
+    monkeypatch.setattr(mivqe.pipeline, "MAX_ACTION_ENTRIES", 100)
+    text = "qubits: 6\n1.0 X0 X1\n1.0 X1 X2\n" + "".join(f"0.5 Z{q}\n" for q in range(3, 6))
+    problem = prepare_problem(RunConfig(pauli_sum=_write(tmp_path / "tail.pauli", text)))
+    assert any("sector check skipped" in w for w in problem.warnings)
+    assert sizes == []
+
+
 def test_pauli_sum_input_descent_stall(tmp_path):
     text = encode_fcidump_to_text(lih_config())
     path = tmp_path / "lih.pauli"
@@ -818,6 +842,36 @@ def test_sweep_caps_workers_at_config_count(monkeypatch):
     assert requested == [3]
 
 
+def _refuse_processes(*args, **kwargs):
+    raise AssertionError("a worker process pool was started")
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_cli_sweep_rejects_workers_below_one(workers, monkeypatch, capsys):
+    reached = []
+    monkeypatch.setattr(mivqe.pipeline, "load_fcidump",
+                        lambda *a, **kw: reached.append("load_fcidump"))
+    monkeypatch.setattr(mivqe.pipeline, "ProcessPoolExecutor", _refuse_processes)
+    assert main(["sweep", "--workers", workers, LIH]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and f"--workers: must be at least 1, got {workers}" in err
+    assert reached == []
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_sweep_rejects_workers_below_one(workers, monkeypatch):
+    reached = []
+    monkeypatch.setattr(mivqe.pipeline, "load_fcidump",
+                        lambda *a, **kw: reached.append("load_fcidump"))
+    monkeypatch.setattr(mivqe.pipeline, "ProcessPoolExecutor", _refuse_processes)
+    with pytest.raises(PipelineError) as err:
+        sweep([("lih", lih_config())], workers=workers)
+    assert err.value.stage == "sweep"
+    assert f"workers must be at least 1, got {workers}" in str(err.value)
+    assert reached == []
+
+
 def _raise_value_error(*args, **kwargs):
     raise ValueError("injected")
 
@@ -828,6 +882,7 @@ STAGE_CALLEES = [
     ("reduce", "reduce_stationary_qubits"),
     ("pool", "generate_pool"),
     ("reference", "exact_ground_state"),
+    ("reference", "ground_energy"),
     ("screen", "pool_strengths"),
     ("adapt", "run_adaptive"),
     ("artifacts", "write_text_atomic"),

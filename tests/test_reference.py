@@ -2,7 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import mivqe.reference
+from mivqe.encodings import EncodingSpec, encode
+from mivqe.fcidump import load_fcidump
+from mivqe.fermion import build_hamiltonian
 from mivqe.pauli import PauliSum, PauliWord
 from mivqe.reference import (
     LanczosConvergenceError,
@@ -10,10 +15,12 @@ from mivqe.reference import (
     ReferenceError,
     entropy,
     exact_ground_state,
+    ground_energy,
     mutual_information,
 )
 from mivqe.simulator import basis_state
 
+from conftest import FIXTURE_DIR
 from helpers import dense_sum, random_state, random_word
 
 
@@ -61,6 +68,66 @@ def test_lanczos_nonconvergence_reports_residual():
     H = PauliSum(3, [(1.0, PauliWord.from_label("XZY")), (0.4, PauliWord.from_label("ZXI"))])
     with pytest.raises(LanczosConvergenceError) as err:
         exact_ground_state(H, tol=0.0)  # unreachable tolerance
+    assert err.value.residual >= 0.0
+    assert err.value.iterations > 0
+
+
+@pytest.mark.parametrize("stem", sorted(p.stem for p in FIXTURE_DIR.glob("*.fcidump")))
+def test_ground_energy_matches_lanczos_on_fixture_registers(stem):
+    """The sector check's solver on every encoded register of the fixture
+    that has stationary qubits, i.e. every register the check sees."""
+    op = build_hamiltonian(load_fcidump(FIXTURE_DIR / f"{stem}.fcidump"))
+    checked = 0
+    for mapping in ("jw", "parity", "bk"):
+        for grouping in ("abab", "aabb"):
+            H = encode(op, EncodingSpec(mapping, grouping))
+            x_union = 0
+            for _, w in H.terms:
+                x_union |= w.x_mask
+            if x_union == 2**H.n_qubits - 1:
+                continue
+            e_lanczos, _ = exact_ground_state(H)
+            assert abs(ground_energy(H) - e_lanczos) < 1e-10, (mapping, grouping)
+            checked += 1
+    # parity/aabb leaves stationary qubits on every fixture
+    assert checked
+
+
+def test_ground_energy_two_qubits_through_the_compiled_action(monkeypatch):
+    products = []
+    compile_sum_action = mivqe.reference.compile_sum_action
+
+    def counted(H):
+        action, real_valued = compile_sum_action(H)
+        return (lambda v: products.append(1) or action(v)), real_valued
+
+    # the solver takes its H product from the module's own import, where a
+    # wrapper like this one sees every call
+    monkeypatch.setattr(mivqe.reference, "compile_sum_action", counted)
+    real = PauliSum(2, [(1.0, PauliWord.from_label("ZI")), (0.5, PauliWord.from_label("IX"))])
+    complex_ = PauliSum(2, [(0.7, PauliWord.from_label("YZ")), (-0.3, PauliWord.from_label("XX")),
+                            (0.2, PauliWord.from_label("ZI"))])
+    for H in (real, complex_):
+        products.clear()
+        energy = ground_energy(H, seed=3)
+        assert products
+        assert abs(energy - exact_ground_state(H, seed=3)[0]) < 1e-10
+        assert abs(energy - np.linalg.eigvalsh(dense_sum(H)).min()) < 1e-10
+
+
+def test_ground_energy_nonconvergence_is_the_typed_error(monkeypatch):
+    H = PauliSum(3, [(1.0, PauliWord.from_label("XZX")), (0.4, PauliWord.from_label("ZXI"))])
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", np.array([]), np.array([]))
+
+    monkeypatch.setattr(mivqe.reference, "eigsh", no_convergence)
+    with pytest.raises(LanczosConvergenceError) as err:
+        ground_energy(H)
+    assert err.value.residual == np.inf
+    monkeypatch.undo()
+    with pytest.raises(LanczosConvergenceError) as err:
+        ground_energy(H, tol=0.0)  # unreachable tolerance
     assert err.value.residual >= 0.0
     assert err.value.iterations > 0
 

@@ -354,6 +354,37 @@ def test_stacked_adjoint_sweep_is_the_one_state_loop_bit_for_bit(n):
         assert np.array_equal(_bits(grads), _bits(want_g))
 
 
+SPECIAL_ANGLES = (0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, 1e-300)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_folded_tables_are_the_per_word_loop_bit_for_bit_at_special_angles(n):
+    """A layer's i^y factor and signs are folded into one complex table.
+    The zero parts of a state then get other signs than the per-word loop
+    gives them, most of all at angles whose cos or sin is 0, 1 or tiny; the
+    energy and the gradient must still be the loop's bits."""
+    rng = np.random.default_rng(90 + n)
+    for real_valued in (True, False):
+        H = random_sum(rng, n, int(rng.integers(1, min(4**n, 40) + 1)), real_valued)
+        words = [
+            PauliWord(n, 0, int(rng.integers(0, 2**n))),  # diagonal: gather None
+            PauliWord(n, 2**n - 1, 0),  # X on every qubit: no Y
+        ]
+        while len(words) < 6:
+            words.append(random_word(rng, n, nontrivial=True))
+        ansatz = Ansatz(n, [int(b) for b in rng.integers(0, 2, size=n)])
+        for i in rng.permutation(len(words)):
+            ansatz = ansatz.with_layer(words[i], 0.0)
+        action, _ = compile_sum_action(H)
+        params = [np.full(len(ansatz), angle) for angle in SPECIAL_ANGLES]
+        params += [rng.choice(SPECIAL_ANGLES, size=len(ansatz)) for _ in range(4)]
+        for p in params:
+            energy, grads = energy_and_gradient(ansatz, action, p)
+            want_e, want_g = per_word_energy_and_gradient(ansatz, action, p)
+            assert _bits(energy) == _bits(want_e), (real_valued, p)
+            assert np.array_equal(_bits(grads), _bits(want_g)), (real_valued, p)
+
+
 def test_vectorized_cos_and_sin_equal_scalar_calls():
     # prepare and energy_and_gradient take cos and sin of all angles in one
     # call each; that keeps the bits only while numpy's array loops round as
