@@ -24,6 +24,9 @@ ENTROPY_EIGENVALUE_FLOOR = 1e-12
 # Largest register the exact backend accepts.
 EXACT_MAX_QUBITS = 16
 
+# Eigenpair residual ||H x - E x|| below which a solver's answer is accepted.
+RESIDUAL_TOL = 1e-9
+
 
 class ReferenceError(RuntimeError):
     pass
@@ -56,7 +59,7 @@ def _seeded_start(H: PauliSum, seed: int):
 
 def exact_ground_state(
     H: PauliSum,
-    tol: float = 1e-9,
+    tol: float = RESIDUAL_TOL,
     max_iterations: int = 2000,
     seed: int = 7,
 ) -> tuple[float, np.ndarray]:
@@ -124,12 +127,12 @@ def exact_ground_state(
     raise LanczosConvergenceError(residual, iterations)
 
 
-def ground_energy(H: PauliSum, tol: float = 1e-9, seed: int = 7) -> float:
+def ground_energy(H: PauliSum, seed: int = 7) -> float:
     """Lowest eigenvalue of H by ARPACK's Lanczos (scipy eigsh) on the
     compiled action, started from a seeded random vector.
 
     exact_ground_state's contract without its state: the eigenvector x
-    satisfies ||H x - E x|| < tol, and a residual above it or an ARPACK run
+    satisfies ||H x - E x|| < RESIDUAL_TOL, and a residual above it or an ARPACK run
     that does not converge raises LanczosConvergenceError, whose iteration
     count is the number of H products.
     """
@@ -148,7 +151,7 @@ def ground_energy(H: PauliSum, tol: float = 1e-9, seed: int = 7) -> float:
         raise LanczosConvergenceError(np.inf, products) from None
     energy, x = float(evals[0]), evecs[:, 0]
     residual = float(np.linalg.norm(action(x) - energy * x))
-    if not residual < tol:
+    if not residual < RESIDUAL_TOL:
         raise LanczosConvergenceError(residual, products)
     return energy
 

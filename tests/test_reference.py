@@ -12,6 +12,7 @@ from mivqe.pauli import PauliSum, PauliWord
 from mivqe.reference import (
     LanczosConvergenceError,
     MIMatrix,
+    RESIDUAL_TOL,
     ReferenceError,
     entropy,
     exact_ground_state,
@@ -125,11 +126,19 @@ def test_ground_energy_nonconvergence_is_the_typed_error(monkeypatch):
     with pytest.raises(LanczosConvergenceError) as err:
         ground_energy(H)
     assert err.value.residual == np.inf
-    monkeypatch.undo()
+    assert err.value.iterations >= 0
+
+    def wrong_vector(*args, **kwargs):
+        # the lowest eigenvalue paired with a vector that is not its eigenvector
+        x = np.zeros((8, 1))
+        x[0, 0] = x[5, 0] = 1 / np.sqrt(2)
+        return np.array([np.linalg.eigvalsh(dense_sum(H)).min()]), x
+
+    monkeypatch.setattr(mivqe.reference, "eigsh", wrong_vector)
     with pytest.raises(LanczosConvergenceError) as err:
-        ground_energy(H, tol=0.0)  # unreachable tolerance
-    assert err.value.residual >= 0.0
-    assert err.value.iterations > 0
+        ground_energy(H)
+    assert np.isfinite(err.value.residual) and err.value.residual >= RESIDUAL_TOL
+    assert err.value.iterations >= 0
 
 
 def test_entropy_pure_and_mixed():
