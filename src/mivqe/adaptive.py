@@ -183,12 +183,12 @@ class PoolScorer:
     transform descent lies within 2 * slack of a selection boundary, so
     select_entangler's choice, acceptable count and the chosen tau are the
     term-sum ones bit for bit; float noise at 1e-14 would otherwise reorder
-    exactly tied words. slack = 1e-9 (1 + sum |c_i|) exceeds the transform's
-    rounding error, (terms + 2^n + 2n) 2 eps sum |c_i|, a thousandfold.
-    Words that commute with every term of H have B = C = 0 exactly; they get
-    their exact descent 0 without the term sum. They are found once, where
-    the 4^n transform of the terms' counts equals the number of terms
-    (commuting minus anticommuting terms; integer sums, exact in any order).
+    exactly tied words. This refine is the one rule that makes selection
+    exact. slack = 1e-9 (1 + sum |c_i|) exceeds the transform's rounding
+    error, (terms + 2^n + 2n) 2 eps sum |c_i|, a thousandfold, so a word
+    outside every band lies on the same side of each boundary by either
+    path: one that commutes with every term of H (exact descent 0) keeps a
+    transform descent within slack of 0, is never acceptable and never wins.
     h_action is H's compiled product from compile_sum_action, which gives
     sigma.
     """
@@ -219,9 +219,6 @@ class PoolScorer:
         self._term_slot = ((self.tx << shift) | self.tz).astype(np.intp)
         self._word_xz = ((self.px << shift) | self.pz).astype(np.intp)
         self._word_zx = ((self.pz << shift) | self.px).astype(np.intp)
-        counts = np.bincount(self._term_slot, minlength=1 << (2 * n))
-        counts = _fwht(np.ascontiguousarray(_fwht(counts.reshape(1 << n, -1)).T))
-        self._inert = counts.ravel()[self._word_xz] == len(self.coeffs)
         self._c_sign = np.where(self.py % 4 == 1, 1.0, -1.0)
         dim = 1 << n
         k = np.arange(dim, dtype=np.uint64)
@@ -298,8 +295,8 @@ class PoolScorer:
            group's max descent, which makes the winner and its tau exact.
         Near convergence, once the max descent is below about 7 slack, every
         word of (near-)zero descent lies in the stage-1 band; at an
-        eigenstate of H that is every word that does not commute with all of
-        H, and the step costs about what the full term sum does.
+        eigenstate of H that is every pool word, and the step costs about
+        what the full term sum does.
         """
         s = self._real(state)
         T, f = self._word_table(s)
@@ -318,14 +315,12 @@ class PoolScorer:
         del T_sigma
         descents = b + np.hypot(b, c)
         taus = _tau_minimum(b, c)
-        descents[self._inert] = 0.0
-        taus[self._inert] = _tau_minimum(0.0, 0.0)
 
         band = 2.0 * self.slack
         strengths = np.asarray(strengths, dtype=float)
 
         def refine(mask):
-            idx = np.flatnonzero(mask & ~self._inert)
+            idx = np.flatnonzero(mask)
             descents[idx], taus[idx] = self._term_sum(T, f, idx)
 
         top = descents.max()
@@ -373,7 +368,7 @@ def joint_optimize(
     ansatz: Ansatz,
     h_action,
     cfg: AdaptiveConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, float]:
     """Basin-hopping reoptimization of all layer parameters.
 
@@ -385,8 +380,6 @@ def joint_optimize(
     """
     if len(ansatz) == 0:
         raise AdaptiveError("joint optimization needs at least one layer")
-    if rng is None:
-        rng = np.random.default_rng(0)
     objective = partial(energy_and_gradient, ansatz, h_action)
 
     x0 = np.array(ansatz.parameters, dtype=float)

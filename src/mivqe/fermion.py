@@ -80,10 +80,10 @@ class FermionOperator:
             out[adj] = out.get(adj, 0.0) + coeff
         return FermionOperator(out, normalize=True)
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
+    def is_hermitian(self) -> bool:
         adj = self.adjoint().terms
         keys = set(self.terms) | set(adj)
-        return all(abs(self.terms.get(k, 0.0) - adj.get(k, 0.0)) <= tol for k in keys)
+        return all(abs(self.terms.get(k, 0.0) - adj.get(k, 0.0)) <= 1e-10 for k in keys)
 
     def __repr__(self) -> str:
         return f"FermionOperator({len(self.terms)} terms)"

@@ -284,12 +284,12 @@ def mpo_expectation(mps: MPSState, mpo: MPO) -> float:
     return float(env[0, 0, 0])
 
 
-def _initial_mps(n: int, chi: int, rng: np.random.Generator, bits=None, noise: float = 0.05):
+def _initial_mps(n: int, chi: int, rng: np.random.Generator, bits=None):
     tensors = []
     for q in range(n):
         dl = min(chi, 2**q, 2 ** (n - q))
         dr = min(chi, 2 ** (q + 1), 2 ** (n - q - 1))
-        T = noise * rng.normal(size=(dl, 2, dr))
+        T = 0.05 * rng.normal(size=(dl, 2, dr))
         if bits is not None:
             T[0, bits[q], 0] += 1.0
         tensors.append(T)

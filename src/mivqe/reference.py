@@ -26,6 +26,9 @@ EXACT_MAX_QUBITS = 16
 
 # Eigenpair residual ||H x - E x|| below which a solver's answer is accepted.
 RESIDUAL_TOL = 1e-9
+# Lanczos iterations exact_ground_state runs, over all restarts, before it
+# gives up.
+LANCZOS_MAX_ITERATIONS = 2000
 
 
 class ReferenceError(RuntimeError):
@@ -57,16 +60,12 @@ def _seeded_start(H: PauliSum, seed: int):
     return action, dtype, v
 
 
-def exact_ground_state(
-    H: PauliSum,
-    tol: float = RESIDUAL_TOL,
-    max_iterations: int = 2000,
-    seed: int = 7,
-) -> tuple[float, np.ndarray]:
+def exact_ground_state(H: PauliSum, seed: int = 7) -> tuple[float, np.ndarray]:
     """Lowest eigenpair of H by Lanczos with full reorthogonalization.
 
     The matvec is the PauliSum action; the returned state satisfies
-    ||H v - E v|| < tol. Raises LanczosConvergenceError otherwise.
+    ||H v - E v|| < RESIDUAL_TOL within LANCZOS_MAX_ITERATIONS iterations.
+    Raises LanczosConvergenceError otherwise.
     """
     action, dtype, v = _seeded_start(H, seed)
     dim = len(v)
@@ -76,7 +75,7 @@ def exact_ground_state(
     tmp = np.empty(dim, dtype=dtype)
     iterations = 0
     residual = np.inf
-    for _restart in range(max_iterations // max_krylov + 1):
+    for _restart in range(LANCZOS_MAX_ITERATIONS // max_krylov + 1):
         basis = [v]
         alphas: list[float] = []
         betas: list[float] = []
@@ -115,14 +114,14 @@ def exact_ground_state(
         energy = float(evals[0])
         residual = float(np.linalg.norm(action(v_new) - energy * v_new))
         v = v_new
-        if residual < tol:
+        if residual < RESIDUAL_TOL:
             state = v.astype(np.complex128)
             # deterministic global phase: largest amplitude real positive
             pivot = int(np.argmax(np.abs(state)))
             phase = state[pivot] / abs(state[pivot])
             state = state / phase
             return energy, state
-        if iterations >= max_iterations:
+        if iterations >= LANCZOS_MAX_ITERATIONS:
             break
     raise LanczosConvergenceError(residual, iterations)
 
@@ -156,12 +155,12 @@ def ground_energy(H: PauliSum, seed: int = 7) -> float:
     return energy
 
 
-def entropy(rho: np.ndarray, trace_tol: float = 1e-8) -> float:
+def entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy in bits; eigenvalues at or below 1e-12 contribute 0."""
     if not np.allclose(rho, rho.conj().T, atol=1e-8):
         raise ReferenceError("density matrix is not Hermitian")
     tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > 1e-8:
         raise ReferenceError(f"density matrix trace {tr} deviates from 1")
     eigs = np.linalg.eigvalsh(rho)
     if eigs.min() < -1e-8:

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import OptimizeResult, minimize_scalar
 
 from mivqe.adaptive import (
+    SCORER_MAX_QUBITS,
     AdaptiveConfig,
+    AdaptiveError,
     NoImprovingEntangler,
     _fwht,
     joint_optimize,
@@ -17,12 +19,13 @@ from mivqe.fermion import build_hamiltonian, hf_occupations
 from mivqe.pauli import PauliSum, PauliWord
 from mivqe.reference import exact_ground_state, mutual_information
 from mivqe.screening import (
+    EntanglerPool,
     generate_pool,
     percentile_of_strengths,
     pool_strengths,
     support_strengths,
 )
-from mivqe.simulator import Ansatz, basis_state, compile_sum_action
+from mivqe.simulator import Ansatz, basis_state, compile_sum_action, energy_and_gradient
 
 from helpers import (
     apply_pauli_exponential,
@@ -298,8 +301,6 @@ def test_run_adaptive_zero_steps_when_reference_is_ground():
 def test_run_adaptive_no_improving_entangler():
     # the only pool word commutes with H: zero descent everywhere, and the
     # reference sits far from the ground energy
-    from mivqe.screening import EntanglerPool
-
     n = 2
     H = PauliSum(n, [(1.0, PauliWord(n, 0, 0b01))])  # Z0
     pool = EntanglerPool.from_words(n, [PauliWord.from_label("IY")], "custom")
@@ -449,11 +450,11 @@ def test_pool_scorer_single_refined_word_keeps_term_order():
     assert len(refined) == 1
 
 
-def test_pool_scorer_never_recomputes_words_commuting_with_all_terms():
+def test_pool_scorer_recomputes_the_whole_pool_at_an_eigenstate():
     """At an eigenstate every descent is 0, so the whole pool lies in the
-    refine band. Words that commute with every term of H are exactly 0
-    without the term sum; all the others are recomputed, and every value
-    equals the term sum bit for bit."""
+    refine band: every word is recomputed by the term sum, including the
+    words that commute with every term of H, and every value equals the
+    term sum bit for bit."""
     n = 4
     H = PauliSum(n, [
         (0.7, PauliWord.from_label("ZIII")),
@@ -469,25 +470,22 @@ def test_pool_scorer_never_recomputes_words_commuting_with_all_terms():
 
     exact_d, exact_t = term_sum_scores(scorer, state)
     descents, taus, refined = _scores_and_refined(scorer, state, np.zeros(len(pool)))
-    assert np.array_equal(refined, np.flatnonzero(~inert))
+    assert np.array_equal(refined, np.arange(len(pool)))
     assert np.array_equal(descents, exact_d) and np.array_equal(taus, exact_t)
     assert not descents.any()
     with pytest.raises(NoImprovingEntangler):
         select_entangler(descents, np.zeros(len(pool)), 0.3)
 
     # at a random state the transforms leave ~1e-16 on such a word (here
-    # Y3, with H on qubits 0-2); it still reads the term sum's exact values
+    # Y3, with H on qubits 0-2); the refine alone keeps the selection exact
     rng = np.random.default_rng(90)
     H = PauliSum(n, [(c, PauliWord(n, w.x_mask, w.z_mask))
                      for c, w in random_even_sum(rng, 3, 12).terms])
     state = real_random_state(rng, n)
     scorer = pool_scorer(H, pool)
     inert = np.array([all(commutes(w, t) for _, t in H.terms) for w in pool.words])
-    exact_d, exact_t = term_sum_scores(scorer, state)
-    descents, taus, _ = scorer.scores(state, np.zeros(len(pool)), 0.3)
     assert inert.any()
-    assert np.array_equal(descents[inert], exact_d[inert])
-    assert np.array_equal(taus[inert], exact_t[inert])
+    _assert_selection_is_term_sum(scorer, state, np.zeros(len(pool)))
 
 
 @pytest.mark.parametrize("shape", [(1,), (2,), (2**7,), (2**8,), (2**11,), (2, 5),
@@ -503,19 +501,80 @@ def test_fwht_is_the_radix2_transform_bit_for_bit(shape):
         assert np.array_equal(_fwht(given).view(np.uint64), want)
 
 
-def test_inert_mask_is_the_words_commuting_with_every_term():
-    """The scorer finds the pool words that commute with all of H from one
-    4^n transform of the term counts, run as two first-axis transforms of a
-    2^n x 2^n table. On every bundled fixture that set holds no pool word,
-    so random sums of few terms are used, whose commutant does."""
-    rng = np.random.default_rng(92)
-    inert_words = 0
-    for n in range(1, 7):
-        pool = generate_pool(n)
-        for n_terms in (1, 2, 3, n + 1, 2 * n, 4 * n):
-            H = random_even_sum(rng, n, n_terms)
-            mask = pool_scorer(H, pool)._inert
-            want = [all(commutes(w, t) for _, t in H.terms) for w in pool.words]
-            assert np.array_equal(mask, want)
-            inert_words += int(mask.sum())
-    assert inert_words
+def test_pool_scorer_rejects_bad_inputs_with_typed_errors():
+    H3 = PauliSum(3, [(1.0, PauliWord.from_label("ZZI"))])
+    with pytest.raises(AdaptiveError, match="qubit counts differ"):
+        pool_scorer(H3, generate_pool(2))
+    # an empty pool, so nothing of the 11-qubit scorer's size is built
+    H11 = PauliSum(11, [(1.0, PauliWord(11, 0, 1))])
+    with pytest.raises(AdaptiveError, match=f"limited to {SCORER_MAX_QUBITS} qubits"):
+        pool_scorer(H11, EntanglerPool.from_words(11, []))
+    odd_y = PauliSum(2, [(1.0, PauliWord.from_label("XY"))])
+    with pytest.raises(AdaptiveError, match="even-Y"):
+        pool_scorer(odd_y, generate_pool(2))
+    even_y_pool = EntanglerPool.from_words(2, [PauliWord.from_label("XY"),
+                                               PauliWord.from_label("XX")])
+    with pytest.raises(AdaptiveError, match="odd Y count"):
+        pool_scorer(PauliSum(2, [(1.0, PauliWord.from_label("ZZ"))]), even_y_pool)
+
+
+def test_pool_scorer_rejects_a_non_real_state():
+    rng = np.random.default_rng(93)
+    n = 3
+    pool = generate_pool(n)
+    scorer = pool_scorer(random_even_sum(rng, n, 6), pool)
+    state = real_random_state(rng, n) * np.exp(0.3j)
+    with pytest.raises(AdaptiveError, match="imaginary amplitudes"):
+        scorer.scores(state, np.zeros(len(pool)), 0.3)
+
+
+def test_run_adaptive_rejects_mismatched_inputs(monkeypatch):
+    import mivqe.adaptive
+
+    n = 3
+    H = random_even_sum(np.random.default_rng(94), n, 8)
+    pool = generate_pool(n)
+    strengths, table = np.zeros(len(pool)), np.ones(1 << n)
+    cfg = AdaptiveConfig(max_steps=1, hops=0)
+    with pytest.raises(AdaptiveError, match="strengths must match the pool"):
+        run_adaptive(H, pool, strengths[:-1], table, [1, 0, 0], cfg)
+    with pytest.raises(AdaptiveError, match="percentile table"):
+        run_adaptive(H, pool, strengths, table[:-1], [1, 0, 0], cfg)
+
+    scores = mivqe.adaptive.PoolScorer.scores
+
+    def shifted(self, *args):
+        descents, taus, e0 = scores(self, *args)
+        return descents, taus, e0 + 1e-6
+
+    monkeypatch.setattr(mivqe.adaptive.PoolScorer, "scores", shifted)
+    with pytest.raises(AdaptiveError, match="disagrees with tracked energy"):
+        run_adaptive(H, pool, strengths, table, [1, 0, 0], cfg)
+
+
+def test_joint_optimize_rejects_an_empty_ansatz():
+    H = PauliSum(2, [(1.0, PauliWord.from_label("ZZ"))])
+    with pytest.raises(AdaptiveError, match="at least one layer"):
+        joint_optimize(Ansatz(2, [0, 1]), compile_sum_action(H)[0], AdaptiveConfig(),
+                       np.random.default_rng(0))
+
+
+def test_joint_optimize_never_returns_a_worse_energy(monkeypatch):
+    """If basin hopping ends above the incoming energy, the incoming
+    parameters and energy come back unchanged."""
+    import mivqe.adaptive
+
+    rng = np.random.default_rng(95)
+    n = 3
+    H = random_even_sum(rng, n, 8)
+    w = next(w for w in generate_pool(n).words if w.weight > 1)
+    ansatz = Ansatz(n, [0, 1, 0], [w], [0.3])
+    h_action, _ = compile_sum_action(H)
+
+    def worse(objective, x0, **kwargs):
+        return OptimizeResult(x=x0 + 0.5, fun=objective(x0)[0] + 1.0)
+
+    monkeypatch.setattr(mivqe.adaptive, "basinhopping", worse)
+    params, energy = joint_optimize(ansatz, h_action, AdaptiveConfig(), np.random.default_rng(0))
+    assert params.tolist() == [0.3]
+    assert energy == energy_and_gradient(ansatz, h_action, np.array([0.3]))[0]

@@ -60,15 +60,17 @@ def test_ground_state_matches_dense_random():
 
 def test_lanczos_residual_contract():
     H = PauliSum(3, [(1.0, PauliWord.from_label("ZZI")), (0.5, PauliWord.from_label("IXX"))])
-    energy, state = exact_ground_state(H, tol=1e-9)
+    energy, state = exact_ground_state(H)
     M = dense_sum(H)
-    assert np.linalg.norm(M @ state - energy * state) < 1e-9
+    assert np.linalg.norm(M @ state - energy * state) < RESIDUAL_TOL
 
 
-def test_lanczos_nonconvergence_reports_residual():
+def test_lanczos_nonconvergence_reports_residual(monkeypatch):
     H = PauliSum(3, [(1.0, PauliWord.from_label("XZY")), (0.4, PauliWord.from_label("ZXI"))])
+    # exact_ground_state reads the bound at call time; 0 is unreachable
+    monkeypatch.setattr(mivqe.reference, "RESIDUAL_TOL", 0.0)
     with pytest.raises(LanczosConvergenceError) as err:
-        exact_ground_state(H, tol=0.0)  # unreachable tolerance
+        exact_ground_state(H)
     assert err.value.residual >= 0.0
     assert err.value.iterations > 0
 
