@@ -10,9 +10,9 @@ come from the Majorana pair
     d_j = i * c_j * Z[occupation weights],
     a_j = (c_j + i d_j) / 2,   a+_j = (c_j - i d_j) / 2,
 
-where the weight sets are solved from A over GF(2). Phases from overlapping
-X/Z factors are handled by the symplectic word product, so the construction
-is valid for any invertible A.
+where both weight sets are read off one GF(2) inverse of A. Phases from
+overlapping X/Z factors are handled by the symplectic word product, so the
+construction is valid for any invertible A.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fermion import FermionOperator, grouping_permutation
-from .pauli import COEFF_CUTOFF, PauliSum, PauliWord, multiply
+from .pauli import COEFF_CUTOFF, PauliSum, PauliWord, mask_product
 
 MAPPINGS = ("jordan_wigner", "parity", "bravyi_kitaev")
 
@@ -81,27 +81,6 @@ def encoding_matrix(mapping: str, n: int) -> np.ndarray:
     return bravyi_kitaev_matrix(n)
 
 
-def _gf2_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs over GF(2) by Gaussian elimination (A invertible)."""
-    n = A.shape[0]
-    aug = np.concatenate([A.copy() % 2, rhs.reshape(n, 1) % 2], axis=1).astype(np.uint8)
-    row = 0
-    for col in range(n):
-        pivot = None
-        for r in range(row, n):
-            if aug[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            raise EncodingError("encoding matrix is singular over GF(2)")
-        aug[[row, pivot]] = aug[[pivot, row]]
-        for r in range(n):
-            if r != row and aug[r, col]:
-                aug[r] ^= aug[row]
-        row += 1
-    return aug[:, n]
-
-
 def _mask(bits) -> int:
     out = 0
     for q, b in enumerate(bits):
@@ -110,64 +89,50 @@ def _mask(bits) -> int:
     return out
 
 
-class _LadderTables:
-    """Per-mode Pauli factors of the encoded ladder operators for one mapping."""
-
-    def __init__(self, mapping: str, n: int):
-        A = encoding_matrix(mapping, n)
-        At = A.T % 2
-        self.n = n
-        self.c_ops: list[list[tuple[complex, PauliWord]]] = []
-        self.d_ops: list[list[tuple[complex, PauliWord]]] = []
-        for j in range(n):
-            flip = _mask(A[:, j])
-            prefix = np.zeros(n, dtype=np.uint8)
-            prefix[:j] = 1
-            parity_mask = _mask(_gf2_solve(At, prefix))
-            occ_vec = np.zeros(n, dtype=np.uint8)
-            occ_vec[j] = 1
-            occ_mask = _mask(_gf2_solve(At, occ_vec))
-
-            x_word = PauliWord(n, flip, 0)
-            zp_word = PauliWord(n, 0, parity_mask)
-            zo_word = PauliWord(n, 0, occ_mask)
-
-            ph_c, c_word = multiply(x_word, zp_word)
-            c_j = [(1j**ph_c, c_word)]
-            ph_d, d_word = multiply(c_word, zo_word)
-            d_j = [(1j * (1j**ph_c) * (1j**ph_d), d_word)]
-            self.c_ops.append(c_j)
-            self.d_ops.append(d_j)
-
-    def ladder(self, mode: int, creation: bool) -> list[tuple[complex, PauliWord]]:
-        """a+_j = (c_j - i d_j)/2, a_j = (c_j + i d_j)/2."""
-        sign = -1j if creation else 1j
-        out = [(0.5 * coeff, word) for coeff, word in self.c_ops[mode]]
-        out += [(0.5 * sign * coeff, word) for coeff, word in self.d_ops[mode]]
-        return out
+def _gf2_inverse_rows(A: np.ndarray) -> list[int]:
+    """Rows of A^-1 over GF(2) as bit masks (bit q is column q), by Gauss-Jordan."""
+    n = A.shape[0]
+    rows = [_mask(A[r]) | 1 << (n + r) for r in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r] >> col & 1), None)
+        if pivot is None:
+            raise EncodingError("encoding matrix is singular over GF(2)")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r] >> col & 1:
+                rows[r] ^= rows[col]
+    return [row >> n for row in rows]
 
 
-def _multiply_termdicts(
-    a: dict[tuple[int, int], complex],
-    factors: list[tuple[complex, PauliWord]],
-    n: int,
-) -> dict[tuple[int, int], complex]:
-    out: dict[tuple[int, int], complex] = {}
-    for (xa, za), ca in a.items():
-        wa = PauliWord(n, xa, za)
-        for cb, wb in factors:
-            phase, word = multiply(wa, wb)
-            key = (word.x_mask, word.z_mask)
-            out[key] = out.get(key, 0.0) + ca * cb * (1j**phase)
-    return out
+def _ladder_factors(mapping: str, n: int) -> dict:
+    """(mode, creation) -> the two (coefficient, x, z) words of the ladder operator.
+
+    a+_j = (c_j - i d_j)/2 and a_j = (c_j + i d_j)/2. The occupation weights
+    of mode j solve A^T w = e_j, so they are column j of (A^T)^-1, i.e. row j
+    of A^-1; the prefix-parity weights solve A^T w = e_0 + ... + e_{j-1}, so
+    they are the running XOR of the occupation weights of modes below j.
+    """
+    A = encoding_matrix(mapping, n)
+    occupation = _gf2_inverse_rows(A)
+    factors = {}
+    parity = 0
+    for j in range(n):
+        ph_c, xc, zc = mask_product(_mask(A[:, j]), 0, 0, parity)
+        ph_d, xd, zd = mask_product(xc, zc, 0, occupation[j])
+        c = 1j**ph_c
+        d = 1j * (1j**ph_c) * (1j**ph_d)
+        for creation, sign in ((False, 1j), (True, -1j)):
+            factors[j, creation] = ((0.5 * c, xc, zc), (0.5 * sign * d, xd, zd))
+        parity ^= occupation[j]
+    return factors
 
 
 def encode(op: FermionOperator, spec: EncodingSpec) -> PauliSum:
     """Encode a Hermitian FermionOperator as a real-coefficient PauliSum.
 
     The operator arrives in the alternating spin-orbital convention; the
-    grouping relabels modes first, then the mapping's ladder tables are
-    multiplied out term by term.
+    grouping relabels modes first, then each ladder string is multiplied out
+    on (x, z) masks, one two-word ladder factor at a time.
     """
     if not op.is_hermitian():
         raise EncodingError("refusing to encode a non-Hermitian operator")
@@ -180,12 +145,17 @@ def encode(op: FermionOperator, spec: EncodingSpec) -> PauliSum:
     perm = grouping_permutation(n_orbitals, spec.grouping)
     grouped = op.relabeled({i: perm[i] for i in range(n_modes)})
 
-    tables = _LadderTables(spec.mapping, n_modes)
+    factors = _ladder_factors(spec.mapping, n_modes)
     acc: dict[tuple[int, int], complex] = {}
     for ladder, coeff in grouped.terms.items():
         term: dict[tuple[int, int], complex] = {(0, 0): complex(coeff)}
-        for mode, creation in ladder:
-            term = _multiply_termdicts(term, tables.ladder(mode, creation), n_modes)
+        for mode_op in ladder:
+            product: dict[tuple[int, int], complex] = {}
+            for (xa, za), ca in term.items():
+                for cb, xb, zb in factors[mode_op]:
+                    phase, x, z = mask_product(xa, za, xb, zb)
+                    product[x, z] = product.get((x, z), 0.0) + ca * cb * (1j**phase)
+            term = product
         for key, c in term.items():
             acc[key] = acc.get(key, 0.0) + c
 

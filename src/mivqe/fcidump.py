@@ -40,8 +40,16 @@ class MolecularIntegrals:
             raise FcidumpError("one_body shape mismatch")
         if self.two_body.shape != (n, n, n, n):
             raise FcidumpError("two_body shape mismatch")
-        if self.n_electrons > 2 * n:
+        nelec, ms2 = self.n_electrons, self.ms2
+        if nelec < 0:
+            raise FcidumpError(f"NELEC must be non-negative, got {nelec}")
+        if nelec > 2 * n:
             raise FcidumpError("more electrons than spin-orbitals")
+        # MS2 = n_alpha - n_beta with n_alpha + n_beta = NELEC
+        if (nelec + ms2) % 2:
+            raise FcidumpError(f"NELEC={nelec} and MS2={ms2} differ in parity")
+        if abs(ms2) > nelec:
+            raise FcidumpError(f"|MS2|={abs(ms2)} exceeds NELEC={nelec}")
 
 
 def _parse_header(text: str) -> tuple[int, int, int, str]:

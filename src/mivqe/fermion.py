@@ -214,7 +214,7 @@ def hf_occupations(n_orbitals: int, n_electrons: int, ms2: int, grouping: str) -
     """Occupation bits of the aufbau determinant in the grouped index order."""
     n_alpha = (n_electrons + ms2) // 2
     n_beta = n_electrons - n_alpha
-    if n_beta < 0 or n_alpha > n_orbitals or n_beta > n_orbitals:
+    if min(n_alpha, n_beta) < 0 or max(n_alpha, n_beta) > n_orbitals:
         raise FermionError("invalid electron count / ms2 combination")
     perm = grouping_permutation(n_orbitals, grouping)
     occ = [0] * (2 * n_orbitals)

@@ -137,17 +137,21 @@ def _compress_tensors(tensors: list[np.ndarray], tol: float) -> list[np.ndarray]
     return ts
 
 
-def build_mpo(H: PauliSum, compression_tol: float = 1e-12, batch: int = 48) -> MPO:
-    """Sum of rank-1 term MPOs, compressed batch by batch."""
+# terms summed into one MPO between compressions
+MPO_BATCH = 48
+
+
+def build_mpo(H: PauliSum, compression_tol: float = 1e-12) -> MPO:
+    """Sum of rank-1 term MPOs, compressed every MPO_BATCH terms."""
     if len(H) == 0:
         raise MpsError("cannot build an MPO from an empty sum")
     if H.n_qubits < 2:
         raise MpsError("MPO backend needs at least 2 sites")
     acc: list[np.ndarray] | None = None
     terms = list(H.terms)
-    for start in range(0, len(terms), batch):
+    for start in range(0, len(terms), MPO_BATCH):
         chunk: list[np.ndarray] | None = None
-        for coeff, word in terms[start : start + batch]:
+        for coeff, word in terms[start : start + MPO_BATCH]:
             t = _word_mpo_tensors(coeff, word)
             chunk = t if chunk is None else _direct_sum(chunk, t)
         acc = chunk if acc is None else _direct_sum(acc, chunk)

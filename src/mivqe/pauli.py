@@ -89,24 +89,29 @@ class PauliWord:
         return format_pauli_factors(self)
 
 
-def multiply(a: PauliWord, b: PauliWord) -> tuple[int, PauliWord]:
-    """Operator product a*b as (phase_exponent, word): a*b = i^phase * word.
+def mask_product(xa: int, za: int, xb: int, zb: int) -> tuple[int, int, int]:
+    """Product of the words (xa, za) * (xb, zb) as (phase, x, z): i^phase * (x, z).
 
     Each word is i^y X^x Z^z; commuting Z^za past X^xb costs
     (-1)^{|za & xb|}, and the i^y bookkeeping of the inputs/output gives the
-    remaining exponent. phase_exponent is reduced mod 4.
+    remaining exponent. phase is reduced mod 4.
     """
-    _check_same_size(a, b)
-    x = a.x_mask ^ b.x_mask
-    z = a.z_mask ^ b.z_mask
-    product = PauliWord(a.n_qubits, x, z)
+    x = xa ^ xb
+    z = za ^ zb
     phase = (
-        a.y_count
-        + b.y_count
-        - product.y_count
-        + 2 * (a.z_mask & b.x_mask).bit_count()
+        (xa & za).bit_count()
+        + (xb & zb).bit_count()
+        - (x & z).bit_count()
+        + 2 * (za & xb).bit_count()
     ) % 4
-    return phase, product
+    return phase, x, z
+
+
+def multiply(a: PauliWord, b: PauliWord) -> tuple[int, PauliWord]:
+    """Operator product a*b as (phase_exponent, word): a*b = i^phase * word."""
+    _check_same_size(a, b)
+    phase, x, z = mask_product(a.x_mask, a.z_mask, b.x_mask, b.z_mask)
+    return phase, PauliWord(a.n_qubits, x, z)
 
 
 class PauliSum:

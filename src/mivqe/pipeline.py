@@ -336,7 +336,7 @@ def steps_csv(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _manifest(cfg: RunConfig, extra: dict | None = None) -> dict:
+def _manifest(cfg: RunConfig) -> dict:
     checksums = {}
     for key in ("fcidump", "pauli_sum"):
         path = getattr(cfg, key)
@@ -345,15 +345,12 @@ def _manifest(cfg: RunConfig, extra: dict | None = None) -> dict:
     ref = parse_reference(cfg.reference)
     if isinstance(ref, tuple) and ref[0] == "mi":
         checksums["mi"] = _sha256(ref[1])
-    out = {
+    return {
         "tool": {"name": "mivqe", "version": __version__},
         "config": cfg.to_text().strip().splitlines(),
         "input_checksums": checksums,
         "seed": cfg.seed,
     }
-    if extra:
-        out.update(extra)
-    return out
 
 
 def write_text_atomic(path: Path, text: str) -> None:
@@ -432,11 +429,17 @@ def sweep(tagged_configs: list[tuple[str, RunConfig]], workers: int = 1) -> str:
 
     The table is CSV: a field holding a comma or a quote (an error message,
     say) is quoted, so every row reads back as the header's six columns.
+    Tags must be distinct: the CLI names each run's artifact directory by
+    its tag (the FCIDUMP's file stem), so two runs must never share one.
     """
     if not tagged_configs:
         raise PipelineError("sweep", "no configs given")
     if workers < 1:
         raise PipelineError("sweep", f"workers must be at least 1, got {workers}")
+    tags = [tag for tag, _ in tagged_configs]
+    duplicates = sorted({tag for tag in tags if tags.count(tag) > 1})
+    if duplicates:
+        raise PipelineError("sweep", f"duplicate tags {duplicates}: each run needs a tag of its own")
     # a fork-started pool starts all max_workers processes at the first
     # submit, so never ask for more than there are configs
     workers = min(workers, len(tagged_configs))

@@ -41,26 +41,22 @@ def basis_state(n_qubits: int, bits) -> np.ndarray:
     return state
 
 
-def _word_tables(word: PauliWord) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+def _word_tables(word: PauliWord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(gather, w, r) of a Pauli word, folded: P v = w * v[gather] and
     -i P v = r * v[gather].
 
     With signs[k] = (-1)^{|k & z|}, w = i^y signs[gather] and
-    r = (1j i^y) signs[gather]; the gather k -> k ^ x is None for a diagonal
-    word (x = 0). Every folded factor is +-1 or +-i, so w * v[gather] has the
-    nonzero bits of i^y (signs v)[gather], and sin * r * v[gather] those of
-    1j sin i^y (signs v)[gather]; only the signs of zero parts may differ,
-    and neither an H product nor a vdot lets those reach a nonzero result.
-    Both tables are complex: a real times complex array product runs a
-    mixed-type loop that costs more than the complex one.
+    r = (1j i^y) signs[gather]; the gather is k -> k ^ x, the identity for
+    a diagonal word (x = 0). Every folded factor is +-1 or +-i, so
+    w * v[gather] has the nonzero bits of i^y (signs v)[gather], and
+    sin * r * v[gather] those of 1j sin i^y (signs v)[gather]; only the
+    signs of zero parts may differ, and neither an H product nor a vdot
+    lets those reach a nonzero result. Both tables are complex: a real
+    times complex array product runs a mixed-type loop that costs more than
+    the complex one.
     """
-    dim = 2**word.n_qubits
-    k = np.arange(dim, dtype=np.uint64)
-    gather = None
-    if word.x_mask:
-        gather = np.arange(dim, dtype=np.intp) ^ word.x_mask
-        k = k[gather]
-    parity = np.bitwise_count(k & np.uint64(word.z_mask)) & np.uint64(1)
+    gather = np.arange(2**word.n_qubits, dtype=np.intp) ^ word.x_mask
+    parity = np.bitwise_count(gather.astype(np.uint64) & np.uint64(word.z_mask)) & np.uint64(1)
     signs = 1.0 - 2.0 * parity.astype(np.float64)
     factor = _I_POW[word.y_count % 4]
     return gather, factor * signs, (1j * factor) * signs
@@ -182,8 +178,7 @@ class Ansatz:
         taus = np.asarray(params, dtype=float)
         state = self._reference
         for (gather, _, r), cos, sin in zip(self.layers, np.cos(taus), np.sin(taus)):
-            moved = state if gather is None else state.take(gather)
-            state = cos * state - (sin * r) * moved
+            state = cos * state - (sin * r) * state.take(gather)
         return state
 
 
@@ -214,7 +209,7 @@ def energy_and_gradient(
         # fancy indexing would not, and np.vdot then sums such a row in
         # another order (a gradient entry moved from 5.123975187357405e-05
         # to 5.123975187356437e-05)
-        moved = pair if gather is None else pair.take(gather, axis=1)
+        moved = pair.take(gather, axis=1)
         grads[k] = 2.0 * np.vdot(pair[1], w * moved[0]).imag
         if k:
             pair = cosines[k] * pair - (sines[k] * r) * moved

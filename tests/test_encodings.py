@@ -1,6 +1,10 @@
 """Fermion-to-qubit mappings: textbook identities, spectra, HF references,
 stationary-qubit elimination."""
 
+import hashlib
+from itertools import product
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,10 +22,13 @@ from mivqe.fermion import (
     hf_occupations,
     s_squared_operator,
 )
-from mivqe.fcidump import MolecularIntegrals
-from mivqe.pauli import PauliSum, PauliWord
+from mivqe.fcidump import MolecularIntegrals, load_fcidump
+from mivqe.pauli import PauliSum, PauliWord, format_pauli_sum
 
+from conftest import FIXTURE_DIR
 from helpers import dense_sum, expectation, fermion_dense, number_operator
+
+ENCODE_DIGESTS = Path(__file__).with_name("encode_sha256.txt")
 
 MAPPINGS = ["jordan_wigner", "parity", "bravyi_kitaev"]
 
@@ -215,3 +222,29 @@ def test_penalized_hamiltonian_keeps_even_y():
     for mapping in MAPPINGS:
         H = encode(op, EncodingSpec(mapping, "aabb"))
         assert all(w.y_count % 2 == 0 for _, w in H.terms)
+
+
+def _recorded_digests() -> dict[str, list[tuple[str, ...]]]:
+    out: dict[str, list[tuple[str, ...]]] = {}
+    for line in ENCODE_DIGESTS.read_text().splitlines():
+        if line and not line.startswith("#"):
+            digest, stem, *setting = line.split()
+            out.setdefault(stem, []).append((digest, *setting))
+    return out
+
+
+@pytest.mark.parametrize("stem", sorted(p.stem for p in FIXTURE_DIR.glob("*.fcidump")))
+def test_fixture_encodings_match_recorded_digests(stem):
+    """Each fixture's 12 qubit Hamiltonians keep every printed bit: the
+    encoder is scalar arithmetic on masks, so numpy and BLAS cannot move it."""
+    recorded = _recorded_digests()[stem]
+    settings = sorted(tuple(row[1:]) for row in recorded)
+    assert settings == sorted(product(MAPPINGS, ("abab", "aabb"), ("none", "0.5")))
+    ints = load_fcidump(FIXTURE_DIR / f"{stem}.fcidump")
+    base = build_hamiltonian(ints)
+    for digest, mapping, grouping, penalty in recorded:
+        op = base
+        if penalty != "none":
+            op = base + float(penalty) * s_squared_operator(ints.n_orbitals)
+        text = format_pauli_sum(encode(op, EncodingSpec(mapping, grouping)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (mapping, grouping, penalty)

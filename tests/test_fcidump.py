@@ -81,6 +81,23 @@ def test_missing_header_keys():
         parse_fcidump(HEADER + "0.5 one 1 0 0")
 
 
+# (NELEC, MS2) pairs that no determinant has: NELEC = n_alpha + n_beta and
+# MS2 = n_alpha - n_beta need both counts to be non-negative integers
+INCONSISTENT_SPIN = [(-2, 0), (1, -3), (2, 1), (3, 0)]
+
+
+@pytest.mark.parametrize("nelec,ms2", INCONSISTENT_SPIN)
+def test_header_nelec_and_ms2_must_describe_a_determinant(nelec, ms2):
+    with pytest.raises(FcidumpError):
+        parse_fcidump(f"&FCI NORB=3,NELEC={nelec},MS2={ms2},\n /\n0.1 0 0 0 0\n")
+
+
+def test_header_open_shells_parse():
+    for nelec, ms2 in ((0, 0), (1, 1), (1, -1), (3, 3), (3, -1), (6, 0)):
+        ints = parse_fcidump(f"&FCI NORB=3,NELEC={nelec},MS2={ms2},\n /\n0.1 0 0 0 0\n")
+        assert (ints.n_electrons, ints.ms2) == (nelec, ms2)
+
+
 def test_out_of_range_indices():
     with pytest.raises(FcidumpError):
         parse_fcidump(HEADER + "0.5 3 1 0 0")

@@ -5,6 +5,7 @@ import pytest
 
 from mivqe.fcidump import MolecularIntegrals
 from mivqe.fermion import (
+    FermionError,
     FermionOperator,
     build_hamiltonian,
     grouping_permutation,
@@ -123,6 +124,12 @@ def test_hf_occupations_groupings():
     assert hf_occupations(3, 2, 0, "abab") == [1, 1, 0, 0, 0, 0]
     assert hf_occupations(3, 2, 0, "aabb") == [1, 0, 0, 1, 0, 0]
     assert hf_occupations(3, 3, 1, "aabb") == [1, 1, 0, 1, 0, 0]
+
+
+def test_hf_occupations_rejects_negative_alpha_count():
+    # NELEC=1 with MS2=-3 once gave n_alpha = -1 and two beta electrons
+    with pytest.raises(FermionError):
+        hf_occupations(3, 1, -3, "abab")
 
 
 def test_relabel_round_trip():

@@ -9,6 +9,7 @@ from mivqe.pauli import (
     PauliWord,
     format_pauli_sum,
     format_pauli_text,
+    mask_product,
     multiply,
     parse_pauli_sum,
     parse_pauli_text,
@@ -26,6 +27,11 @@ def test_single_qubit_products():
     assert multiply(X, Y) == (1, Z)  # X*Y = i Z
     assert multiply(X, X) == (0, I)  # involution
     assert multiply(Z, X) == (1, Y)  # Z*X = i Y
+    # the same table on (x, z) masks: X = (1, 0), Z = (0, 1), Y = (1, 1)
+    assert mask_product(1, 0, 1, 1) == (1, 0, 1)
+    assert mask_product(1, 0, 1, 0) == (0, 0, 0)
+    assert mask_product(0, 1, 1, 0) == (1, 1, 1)
+    assert mask_product(1, 1, 1, 0) == (3, 0, 1)  # Y*X = -i Z
 
 
 def test_multiply_rejects_size_mismatch():
@@ -50,6 +56,10 @@ def test_multiply_matches_dense_matrices():
         lhs = dense_word(a) @ dense_word(b)
         rhs = (1j**phase) * dense_word(prod)
         assert np.allclose(lhs, rhs, atol=1e-12)
+        # the mask product on its own, against the same matrices
+        m_phase, x, z = mask_product(a.x_mask, a.z_mask, b.x_mask, b.z_mask)
+        assert 0 <= m_phase < 4
+        assert np.allclose(lhs, (1j**m_phase) * dense_word(PauliWord(n, x, z)), atol=1e-12)
 
 
 def test_multiply_associative_with_phases():
@@ -63,6 +73,13 @@ def test_multiply_associative_with_phases():
         q2, a_bc = multiply(a, bc)
         assert ab_c == a_bc
         assert (p1 + p2) % 4 == (q1 + q2) % 4
+        # (a b) c = a (b c) on masks alone
+        m1, x_ab, z_ab = mask_product(a.x_mask, a.z_mask, b.x_mask, b.z_mask)
+        m2, x_left, z_left = mask_product(x_ab, z_ab, c.x_mask, c.z_mask)
+        n1, x_bc, z_bc = mask_product(b.x_mask, b.z_mask, c.x_mask, c.z_mask)
+        n2, x_right, z_right = mask_product(a.x_mask, a.z_mask, x_bc, z_bc)
+        assert (x_left, z_left) == (x_right, z_right) == (ab_c.x_mask, ab_c.z_mask)
+        assert (m1 + m2) % 4 == (n1 + n2) % 4 == (p1 + p2) % 4
 
 
 def test_commutes_agrees_with_multiply():
@@ -72,6 +89,8 @@ def test_commutes_agrees_with_multiply():
         a, b = random_word(rng, n), random_word(rng, n)
         pab, _ = multiply(a, b)
         pba, _ = multiply(b, a)
+        assert pab == mask_product(a.x_mask, a.z_mask, b.x_mask, b.z_mask)[0]
+        assert pba == mask_product(b.x_mask, b.z_mask, a.x_mask, a.z_mask)[0]
         # phases differ by (-1)^(1-commutes): equal iff commuting
         if commutes(a, b):
             assert pab == pba

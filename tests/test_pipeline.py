@@ -710,6 +710,19 @@ def test_cli_bad_input_exits_3_with_one_error_line(case, tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith(("error: ", "input error: "))
 
 
+@pytest.mark.parametrize("nelec,ms2", [(-2, 0), (1, -3), (2, 1), (3, 0)])
+def test_cli_fcidump_without_a_determinant_exits_3_at_parse(nelec, ms2, tmp_path, capsys):
+    # NELEC and MS2 disagree: no count of alpha and beta electrons has both
+    text = Path(LIH).read_text()
+    assert "NELEC=2,MS2=0," in text
+    path = _write(tmp_path / "spin.fcidump",
+                  text.replace("NELEC=2,MS2=0,", f"NELEC={nelec},MS2={ms2},", 1))
+    assert main(["run", "--fcidump", path, "--max-steps", "1"]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: stage 'parse' failed: ")
+
+
 def test_cli_pool_rejects_size_above_limit(monkeypatch, capsys):
     import mivqe.screening
 
@@ -869,6 +882,36 @@ def test_sweep_rejects_workers_below_one(workers, monkeypatch):
         sweep([("lih", lih_config())], workers=workers)
     assert err.value.stage == "sweep"
     assert f"workers must be at least 1, got {workers}" in str(err.value)
+    assert reached == []
+
+
+def test_cli_sweep_rejects_two_fcidumps_with_one_stem(tmp_path, monkeypatch, capsys):
+    # both runs would write to <output>/lih_1.60 under the tag lih_1.60
+    twin = tmp_path / "copy" / Path(LIH).name
+    twin.parent.mkdir()
+    twin.write_text(Path(LIH).read_text())
+    reached = []
+    monkeypatch.setattr(mivqe.pipeline, "load_fcidump",
+                        lambda *a, **kw: reached.append("load_fcidump"))
+    monkeypatch.setattr(mivqe.pipeline, "ProcessPoolExecutor", _refuse_processes)
+    out = tmp_path / "out"
+    assert main(["sweep", "--workers", "2", "--output", str(out), LIH, str(twin)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: stage 'sweep' failed: duplicate tags ['lih_1.60']")
+    assert reached == [] and not out.exists()
+
+
+def test_sweep_rejects_duplicate_tags(monkeypatch):
+    reached = []
+    monkeypatch.setattr(mivqe.pipeline, "load_fcidump",
+                        lambda *a, **kw: reached.append("load_fcidump"))
+    monkeypatch.setattr(mivqe.pipeline, "ProcessPoolExecutor", _refuse_processes)
+    far = lih_config(fcidump=LIH_FAR)
+    with pytest.raises(PipelineError) as err:
+        sweep([("lih", lih_config()), ("far", far), ("lih", far)], workers=2)
+    assert err.value.stage == "sweep"
+    assert "duplicate tags ['lih']" in str(err.value)
     assert reached == []
 
 

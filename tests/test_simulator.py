@@ -336,7 +336,7 @@ def test_stacked_adjoint_sweep_is_the_one_state_loop_bit_for_bit(n):
     for real_valued, odd_y_only in ((True, True), (True, False), (False, False)):
         H = random_sum(rng, n, int(rng.integers(1, min(4**n, 80) + 1)), real_valued)
         words = [] if odd_y_only else [
-            PauliWord(n, 0, int(rng.integers(1, 2**n))),  # diagonal: gather None
+            PauliWord(n, 0, int(rng.integers(1, 2**n))),  # diagonal: identity gather
             PauliWord(n, 2**n - 1, 0),  # X on every qubit: no Y
         ]
         while len(words) < 8:
@@ -367,7 +367,7 @@ def test_folded_tables_are_the_per_word_loop_bit_for_bit_at_special_angles(n):
     for real_valued in (True, False):
         H = random_sum(rng, n, int(rng.integers(1, min(4**n, 40) + 1)), real_valued)
         words = [
-            PauliWord(n, 0, int(rng.integers(0, 2**n))),  # diagonal: gather None
+            PauliWord(n, 0, int(rng.integers(0, 2**n))),  # diagonal: identity gather
             PauliWord(n, 2**n - 1, 0),  # X on every qubit: no Y
         ]
         while len(words) < 6:
