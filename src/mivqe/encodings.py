@@ -13,15 +13,16 @@ come from the Majorana pair
 where both weight sets are read off one GF(2) inverse of A. Phases from
 overlapping X/Z factors are handled by the symplectic word product, so the
 construction is valid for any invertible A.
+
+Operators arrive with their modes already in the run's spin-orbital grouping
+(``mivqe.fermion`` builds them so), so the encoder takes only the mapping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .fermion import FermionOperator, grouping_permutation
+from .fermion import FermionOperator
 from .pauli import COEFF_CUTOFF, PauliSum, PauliWord, mask_product
 
 MAPPINGS = ("jordan_wigner", "parity", "bravyi_kitaev")
@@ -46,17 +47,6 @@ def canonical_mapping(name: str) -> str:
         return _MAPPING_ALIASES[name.strip().lower()]
     except KeyError:
         raise EncodingError(f"unknown mapping {name!r}") from None
-
-
-@dataclass(frozen=True)
-class EncodingSpec:
-    mapping: str = "jordan_wigner"
-    grouping: str = "abab"
-
-    def __post_init__(self):
-        object.__setattr__(self, "mapping", canonical_mapping(self.mapping))
-        if self.grouping not in ("abab", "aabb"):
-            raise EncodingError(f"unknown grouping {self.grouping!r}")
 
 
 def bravyi_kitaev_matrix(n: int) -> np.ndarray:
@@ -127,12 +117,12 @@ def _ladder_factors(mapping: str, n: int) -> dict:
     return factors
 
 
-def encode(op: FermionOperator, spec: EncodingSpec) -> PauliSum:
+def encode(op: FermionOperator, mapping: str) -> PauliSum:
     """Encode a Hermitian FermionOperator as a real-coefficient PauliSum.
 
-    The operator arrives in the alternating spin-orbital convention; the
-    grouping relabels modes first, then each ladder string is multiplied out
-    on (x, z) masks, one two-word ladder factor at a time.
+    The operator's modes are already in the run's spin-orbital order. Each
+    ladder string is multiplied out on (x, z) masks, one two-word ladder
+    factor at a time.
     """
     if not op.is_hermitian():
         raise EncodingError("refusing to encode a non-Hermitian operator")
@@ -141,13 +131,10 @@ def encode(op: FermionOperator, spec: EncodingSpec) -> PauliSum:
         raise EncodingError("operator acts on no modes")
     if n_modes % 2:
         n_modes += 1  # odd top mode: still a 2*n_orbitals register
-    n_orbitals = n_modes // 2
-    perm = grouping_permutation(n_orbitals, spec.grouping)
-    grouped = op.relabeled({i: perm[i] for i in range(n_modes)})
 
-    factors = _ladder_factors(spec.mapping, n_modes)
+    factors = _ladder_factors(mapping, n_modes)
     acc: dict[tuple[int, int], complex] = {}
-    for ladder, coeff in grouped.terms.items():
+    for ladder, coeff in op.terms.items():
         term: dict[tuple[int, int], complex] = {(0, 0): complex(coeff)}
         for mode_op in ladder:
             product: dict[tuple[int, int], complex] = {}
@@ -171,14 +158,14 @@ def encode(op: FermionOperator, spec: EncodingSpec) -> PauliSum:
     return PauliSum(n_modes, terms)
 
 
-def hf_reference(spec: EncodingSpec, occupations) -> list[int]:
+def hf_reference(mapping: str, occupations) -> list[int]:
     """Computational-basis bits of an occupation bit vector under the mapping.
 
-    The occupation vector is given in the grouped order; the result is simply
-    b = A n mod 2 for the mapping's encoding matrix.
+    The occupation vector is given in the run's spin-orbital order; the result
+    is simply b = A n mod 2 for the mapping's encoding matrix.
     """
     occ = np.asarray(list(occupations), dtype=np.uint8)
-    A = encoding_matrix(spec.mapping, len(occ))
+    A = encoding_matrix(mapping, len(occ))
     return [int(b) for b in (A @ occ) % 2]
 
 
@@ -204,7 +191,7 @@ def reduce_stationary_qubits(
         return H, [], {q: q for q in range(n)}
 
     removed = [(q, +1 if bits[q] == 0 else -1) for q in stationary]
-    survivors = [q for q in range(n) if q not in stationary]
+    survivors = [q for q in range(n) if (x_union >> q) & 1]
     index_map = {old: new for new, old in enumerate(survivors)}
     n_new = len(survivors)
     if n_new == 0:

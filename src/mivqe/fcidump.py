@@ -8,15 +8,18 @@ restricted to the active space; no frozen-core arithmetic happens here.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
+from .pauli import MAX_QUBITS
+
 DUPLICATE_TOLERANCE = 1e-10
 # 32 spatial orbitals are 64 spin-orbital qubits, the width of the pool's
 # uint64 masks; the limit is checked before the NORB^4 integral tensors exist
-MAX_ORBITALS = 32
+MAX_ORBITALS = MAX_QUBITS // 2
 
 
 class FcidumpError(ValueError):
@@ -40,6 +43,9 @@ class MolecularIntegrals:
             raise FcidumpError("one_body shape mismatch")
         if self.two_body.shape != (n, n, n, n):
             raise FcidumpError("two_body shape mismatch")
+        for name in ("core_energy", "one_body", "two_body"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise FcidumpError(f"{name} holds a non-finite value")
         nelec, ms2 = self.n_electrons, self.ms2
         if nelec < 0:
             raise FcidumpError(f"NELEC must be non-negative, got {nelec}")
@@ -113,6 +119,8 @@ def parse_fcidump(text: str) -> MolecularIntegrals:
             i, j, k, l = (int(t) for t in tokens[pos + 1 : pos + 5])
         except ValueError:
             raise FcidumpError(f"malformed record {' '.join(tokens[pos : pos + 5])!r}") from None
+        if not math.isfinite(value):
+            raise FcidumpError(f"non-finite value in record {' '.join(tokens[pos : pos + 5])!r}")
         if i == j == k == l == 0:
             if have_core and abs(core - value) > DUPLICATE_TOLERANCE:
                 raise FcidumpError("conflicting core-energy records")

@@ -1,12 +1,17 @@
 """Second-quantized operators over spin-orbitals and their assembly from integrals.
 
-Spin-orbitals are indexed in the alternating convention internally: orbital p
-with alpha spin sits at 2p, beta at 2p+1. Regrouping to the alpha-block/
-beta-block layout is a relabeling applied at encoding time.
+Spin-orbital indices are the run's grouping from the start: abab puts orbital
+p's alpha at 2p and beta at 2p+1, aabb puts them at p and n_orbitals + p.
+``build_hamiltonian`` and ``s_squared_operator`` write each ladder string
+straight into that order through ``grouping_permutation``, so nothing
+downstream knows the grouping.
 
-A FermionOperator is kept in normal-ordered canonical form: creations first
-in increasing mode order, then annihilations in decreasing mode order, with
-anticommutation signs and contractions applied during reordering.
+A FermionOperator holds creation-first ladder strings in normal order:
+creations in increasing mode order, then annihilations in decreasing mode
+order. Its constructor sorts each string by adjacent swaps, one sign flip per
+swap, and drops a string that repeats a mode within either block. A string
+with an annihilation left of a creation would need contractions, which no
+operator here produces, so it is refused.
 """
 
 from __future__ import annotations
@@ -28,16 +33,15 @@ class FermionOperator:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[LadderString, float] | None = None, normalize: bool = True):
-        raw = terms or {}
-        if normalize:
-            merged: dict[LadderString, float] = {}
-            for ladder, coeff in raw.items():
-                for nl, nc in _normal_order_term(ladder, coeff):
-                    merged[nl] = merged.get(nl, 0.0) + nc
-            raw = merged
+    def __init__(self, terms: dict[LadderString, float] | None = None):
+        merged: dict[LadderString, float] = {}
+        for ladder, coeff in (terms or {}).items():
+            ordered = _normal_order(ladder)
+            if ordered is not None:
+                sign, nl = ordered
+                merged[nl] = merged.get(nl, 0.0) + sign * coeff
         self.terms: dict[LadderString, float] = {
-            l: c for l, c in sorted(raw.items()) if abs(c) > TERM_CUTOFF
+            l: c for l, c in sorted(merged.items()) if abs(c) > TERM_CUTOFF
         }
 
     def n_modes(self) -> int:
@@ -49,36 +53,19 @@ class FermionOperator:
         out = dict(self.terms)
         for ladder, coeff in other.terms.items():
             out[ladder] = out.get(ladder, 0.0) + coeff
-        return FermionOperator(out, normalize=False)
+        return FermionOperator(out)
 
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return FermionOperator(
-                {l: c * other for l, c in self.terms.items()}, normalize=False
-            )
-        product: dict[LadderString, float] = {}
-        for la, ca in self.terms.items():
-            for lb, cb in other.terms.items():
-                ladder = la + lb
-                product[ladder] = product.get(ladder, 0.0) + ca * cb
-        return FermionOperator(product, normalize=True)
+    def __mul__(self, scalar: float) -> "FermionOperator":
+        return FermionOperator({l: c * scalar for l, c in self.terms.items()})
 
     __rmul__ = __mul__
 
-    def relabeled(self, index_map: dict[int, int]) -> "FermionOperator":
-        """Apply a mode permutation, re-normal-ordering afterwards."""
-        out: dict[LadderString, float] = {}
-        for ladder, coeff in self.terms.items():
-            new = tuple((index_map[m], c) for m, c in ladder)
-            out[new] = out.get(new, 0.0) + coeff
-        return FermionOperator(out, normalize=True)
-
     def adjoint(self) -> "FermionOperator":
-        out: dict[LadderString, float] = {}
-        for ladder, coeff in self.terms.items():
-            adj = tuple((m, not c) for m, c in reversed(ladder))
-            out[adj] = out.get(adj, 0.0) + coeff
-        return FermionOperator(out, normalize=True)
+        # reversing a normal-ordered string and swapping its factor types
+        # gives a normal-ordered string, so no key collides and no sign flips
+        return FermionOperator(
+            {tuple((m, not c) for m, c in reversed(l)): c for l, c in self.terms.items()}
+        )
 
     def is_hermitian(self) -> bool:
         adj = self.adjoint().terms
@@ -89,58 +76,48 @@ class FermionOperator:
         return f"FermionOperator({len(self.terms)} terms)"
 
 
-def _normal_order_term(ladder: LadderString, coeff: float) -> list[tuple[LadderString, float]]:
-    """Normal-order one ladder string, producing contraction offspring.
+def _normal_order(ladder: LadderString) -> tuple[float, LadderString] | None:
+    """(sign, normal-ordered string) of a creation-first string; None if it vanishes.
 
-    Worklist bubble sort on the anticommutation rules: a_p a+_q = d_pq - a+_q a_p,
-    like-type factors anticommute freely, and a repeated creation (or
-    annihilation) on the same mode kills the term.
+    Bubble sort of each block, flipping the sign on every swap; a mode repeated
+    within a block makes the string zero. FermionError if an annihilation
+    stands left of a creation.
     """
-    results: list[tuple[LadderString, float]] = []
-    stack = [(list(ladder), coeff)]
-    while stack:
-        ops, c = stack.pop()
-        swapped = True
-        dead = False
-        while swapped and not dead:
-            swapped = False
-            for i in range(len(ops) - 1):
-                (m1, c1), (m2, c2) = ops[i], ops[i + 1]
-                if not c1 and c2:
-                    # a_m1 a+_m2 -> d - a+_m2 a_m1
-                    if m1 == m2:
-                        rest = ops[:i] + ops[i + 2:]
-                        stack.append((rest, c))
-                    ops[i], ops[i + 1] = ops[i + 1], ops[i]
-                    c = -c
-                    swapped = True
-                    break
-                if c1 == c2:
-                    if m1 == m2:
-                        dead = True
-                        break
-                    wrong = (m1 > m2) if c1 else (m1 < m2)
-                    if wrong:
-                        ops[i], ops[i + 1] = ops[i + 1], ops[i]
-                        c = -c
-                        swapped = True
-                        break
-        if not dead:
-            results.append((tuple(ops), c))
-    return results
+    ops = list(ladder)
+    sign = 1.0
+    swapped = True
+    while swapped:
+        swapped = dead = False
+        for i in range(len(ops) - 1):
+            (m1, c1), (m2, c2) = ops[i], ops[i + 1]
+            if c1 != c2:
+                if c2:
+                    raise FermionError(
+                        f"ladder string {ladder} has an annihilation left of a creation"
+                    )
+            elif m1 == m2:
+                dead = True
+            elif (m1 > m2) == c1:
+                ops[i], ops[i + 1] = ops[i + 1], ops[i]
+                sign = -sign
+                swapped = True
+        if dead:
+            return None
+    return sign, tuple(ops)
 
 
-def build_hamiltonian(ints: MolecularIntegrals) -> FermionOperator:
-    """Second-quantized molecular Hamiltonian over alternating spin-orbitals.
+def build_hamiltonian(ints: MolecularIntegrals, grouping: str) -> FermionOperator:
+    """Second-quantized molecular Hamiltonian over the grouping's spin-orbitals.
 
     E_core + sum_pq h_pq a+_p a_q + 1/2 sum (pq|rs) a+_{p,s1} a+_{r,s2}
     a_{s,s2} a_{q,s1}; only spin-conserving terms appear by construction.
     """
     n = ints.n_orbitals
+    perm = grouping_permutation(n, grouping)
     terms: dict[LadderString, float] = {(): ints.core_energy}
 
     def so(p: int, spin: int) -> int:
-        return 2 * p + spin
+        return perm[2 * p + spin]
 
     h = ints.one_body
     for p in range(n):
@@ -168,28 +145,35 @@ def build_hamiltonian(ints: MolecularIntegrals) -> FermionOperator:
                                 (so(q, s1), False),
                             )
                             terms[ladder] = terms.get(ladder, 0.0) + 0.5 * v
-    return FermionOperator(terms, normalize=True)
+    return FermionOperator(terms)
 
 
-def s_squared_operator(n_orbitals: int) -> FermionOperator:
-    """Total-spin operator S^2 = S_z^2 + (S+S- + S-S+)/2 over alternating spin-orbitals."""
-    sz = FermionOperator(
-        {
-            ((2 * p + spin, True), (2 * p + spin, False)): (0.5 if spin == 0 else -0.5)
-            for p in range(n_orbitals)
-            for spin in (0, 1)
-        },
-        normalize=False,
-    )
-    s_plus = FermionOperator(
-        {((2 * p, True), (2 * p + 1, False)): 1.0 for p in range(n_orbitals)},
-        normalize=False,
-    )
-    s_minus = FermionOperator(
-        {((2 * p + 1, True), (2 * p, False)): 1.0 for p in range(n_orbitals)},
-        normalize=False,
-    )
-    return sz * sz + 0.5 * (s_plus * s_minus + s_minus * s_plus)
+def s_squared_operator(n_orbitals: int, grouping: str) -> FermionOperator:
+    """Total spin S^2 = S_z^2 + (S+S- + S-S+)/2 over the grouping's spin-orbitals.
+
+    In normal order, with s_i = +-1/2 the spin of spin-orbital i:
+    sum_i 3/4 n_i + sum_{i != j} s_i s_j a+_i a+_j a_j a_i
+    - 1/2 sum_pq (a+_pa a+_qb a_pb a_qa + a+_pb a+_qa a_pa a_qb).
+    Every coefficient is a dyadic sum, so the merge order cannot round.
+    """
+    perm = grouping_permutation(n_orbitals, grouping)
+    terms: dict[LadderString, float] = {}
+
+    def add(modes: tuple[int, ...], coeff: float) -> None:
+        # modes in the alternating order, creations first
+        ladder = tuple((perm[m], 2 * k < len(modes)) for k, m in enumerate(modes))
+        terms[ladder] = terms.get(ladder, 0.0) + coeff
+
+    for i in range(2 * n_orbitals):
+        add((i, i), 0.75)
+        for j in range(2 * n_orbitals):
+            if j != i:
+                add((i, j, j, i), 0.25 * (-1) ** (i + j))
+    for p in range(n_orbitals):
+        for q in range(n_orbitals):
+            add((2 * p, 2 * q + 1, 2 * p + 1, 2 * q), -0.5)
+            add((2 * p + 1, 2 * q, 2 * p, 2 * q + 1), -0.5)
+    return FermionOperator(terms)
 
 
 def grouping_permutation(n_orbitals: int, grouping: str) -> list[int]:

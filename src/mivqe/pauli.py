@@ -9,6 +9,7 @@ which is what keeps 32k-entangler pools cheap to manipulate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -16,6 +17,9 @@ _LETTER_FOR_BITS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _BITS_FOR_LETTER = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 
 COEFF_CUTOFF = 1e-12  # merged terms below this magnitude (hartree) are dropped
+# the width of the pool's uint64 masks; a larger ``qubits:`` header is refused
+# before anything is sized by it
+MAX_QUBITS = 64
 
 
 class PauliError(ValueError):
@@ -217,6 +221,8 @@ def parse_pauli_text(line: str, n_qubits: int) -> tuple[float, PauliWord]:
         coeff = float(parts[0])
     except ValueError:
         raise PauliError(f"invalid coefficient {parts[0]!r}") from None
+    if not math.isfinite(coeff):
+        raise PauliError(f"non-finite coefficient {parts[0]!r}")
     word = parse_pauli_factors(parts[1] if len(parts) > 1 else "", n_qubits)
     return coeff, word
 
@@ -254,6 +260,8 @@ def parse_pauli_sum(text: str) -> PauliSum:
                 n_qubits = int(line.split(":", 1)[1])
             except ValueError:
                 raise PauliError(f"invalid qubits header {line!r}") from None
+            if n_qubits > MAX_QUBITS:
+                raise PauliError(f"qubits: {n_qubits} exceeds the {MAX_QUBITS}-qubit limit")
             continue
         if n_qubits is None:
             raise PauliError("missing 'qubits: <n>' header before first term")

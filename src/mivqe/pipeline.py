@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, mps
 from .adaptive import SCORER_MAX_QUBITS, RunReport, run_adaptive
 from .config import MpsBackend, RunConfig, parse_reference
-from .encodings import EncodingSpec, encode, hf_reference, reduce_stationary_qubits
+from .encodings import encode, hf_reference, reduce_stationary_qubits
 from .fcidump import load_fcidump
 from .fermion import build_hamiltonian, hf_occupations, s_squared_operator
 from .mps import mps_ground_state
@@ -130,15 +130,14 @@ def _load_hamiltonian(cfg: RunConfig):
         with _stage("parse"):
             ints = load_fcidump(cfg.fcidump)
         with _stage("encode"):
-            op = build_hamiltonian(ints)
+            op = build_hamiltonian(ints, cfg.grouping)
             if cfg.spin_penalty is not None:
-                op = op + cfg.spin_penalty * s_squared_operator(ints.n_orbitals)
-            spec = EncodingSpec(cfg.mapping, cfg.grouping)
-            H = encode(op, spec)
+                op = op + cfg.spin_penalty * s_squared_operator(ints.n_orbitals, cfg.grouping)
+            H = encode(op, cfg.mapping)
             occ = hf_occupations(
                 ints.n_orbitals, ints.n_electrons, ints.ms2, cfg.grouping
             )
-            bits = hf_reference(spec, occ)
+            bits = hf_reference(cfg.mapping, occ)
         return H, bits
     with _stage("parse"):
         H = parse_pauli_sum(Path(cfg.pauli_sum).read_text())

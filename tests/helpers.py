@@ -450,9 +450,7 @@ def conjugate_sum(H: PauliSum, P: PauliWord) -> PauliSum:
 
 
 def number_operator(n_modes: int) -> FermionOperator:
-    return FermionOperator(
-        {((m, True), (m, False)): 1.0 for m in range(n_modes)}, normalize=False
-    )
+    return FermionOperator({((m, True), (m, False)): 1.0 for m in range(n_modes)})
 
 
 def pool_index(pool: EntanglerPool, word: PauliWord) -> int:

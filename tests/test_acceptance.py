@@ -13,7 +13,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from mivqe.config import MpsBackend, RunConfig
-from mivqe.encodings import EncodingSpec, encode, hf_reference, reduce_stationary_qubits
+from mivqe.encodings import encode, hf_reference, reduce_stationary_qubits
 from mivqe.fcidump import load_fcidump
 from mivqe.fermion import build_hamiltonian, hf_occupations
 from mivqe.mps import mps_ground_state
@@ -66,10 +66,10 @@ def test_criterion_1_pool_sizes():
 def test_criterion_2_mapping_spectral_equivalence(stem):
     start = time.perf_counter()
     ints = load_fcidump(fixture_path(stem))
-    op = build_hamiltonian(ints)
+    op = build_hamiltonian(ints, "abab")
     spectra = []
     for mapping in ("jordan_wigner", "parity", "bravyi_kitaev"):
-        H = encode(op, EncodingSpec(mapping, "abab"))
+        H = encode(op, mapping)
         spectra.append(np.linalg.eigvalsh(dense_sum(H)))
     for eigs in spectra[1:]:
         assert np.abs(eigs - spectra[0]).max() < 1e-10
@@ -274,11 +274,9 @@ def test_criterion_9_mps_backend():
     for stem, mapping, grouping in [("lih_1.60", "parity", "aabb"),
                                     ("h2_0.75", "parity", "abab")]:
         ints = load_fcidump(fixture_path(stem))
-        op = build_hamiltonian(ints)
-        spec = EncodingSpec(mapping, grouping)
-        H_full = encode(op, spec)
+        H_full = encode(build_hamiltonian(ints, grouping), mapping)
         occ = hf_occupations(ints.n_orbitals, ints.n_electrons, ints.ms2, grouping)
-        bits_full = hf_reference(spec, occ)
+        bits_full = hf_reference(mapping, occ)
         H, removed, index_map = reduce_stationary_qubits(H_full, bits_full)
         survivors = sorted(index_map, key=index_map.get)
         bits = [bits_full[q] for q in survivors]
@@ -319,12 +317,10 @@ def test_criterion_10_stationary_reduction():
     # the H2O-class fixture: parity + aabb removes exactly 2 of 10 qubits
     for d in H2O_GEOMETRIES:
         ints = load_fcidump(fixture_path(f"h2o_{d}"))
-        op = build_hamiltonian(ints)
-        spec = EncodingSpec("parity", "aabb")
-        H = encode(op, spec)
+        H = encode(build_hamiltonian(ints, "aabb"), "parity")
         assert H.n_qubits == 10
         occ = hf_occupations(ints.n_orbitals, ints.n_electrons, ints.ms2, "aabb")
-        bits = hf_reference(spec, occ)
+        bits = hf_reference("parity", occ)
         reduced, removed, _ = reduce_stationary_qubits(H, bits)
         assert len(removed) == 2, f"h2o_{d}: removed {removed}"
         assert reduced.n_qubits == 8
@@ -335,8 +331,7 @@ def test_criterion_10_stationary_reduction():
                  + [f"lih_{d}" for d in LIH_GEOMETRIES]
                  + [f"h2o_{d}" for d in H2O_GEOMETRIES]):
         ints = load_fcidump(fixture_path(stem))
-        op = build_hamiltonian(ints)
-        H = encode(op, EncodingSpec("parity", "aabb"))
+        H = encode(build_hamiltonian(ints, "aabb"), "parity")
         e_full, _ = exact_ground_state(H)
         x_union = 0
         for _, w in H.terms:

@@ -14,7 +14,7 @@ from mivqe.adaptive import (
     run_adaptive,
     select_entangler,
 )
-from mivqe.encodings import EncodingSpec, encode, hf_reference
+from mivqe.encodings import encode, hf_reference
 from mivqe.fermion import build_hamiltonian, hf_occupations
 from mivqe.pauli import PauliSum, PauliWord
 from mivqe.reference import exact_ground_state, mutual_information
@@ -220,11 +220,10 @@ def test_joint_optimize_deterministic():
 
 def _molecule_problem(grouping="abab", mapping="jordan_wigner"):
     ints = hydrogen_like_integrals()
-    op = build_hamiltonian(ints)
-    spec = EncodingSpec(mapping, grouping)
-    H = encode(op, spec)
+    op = build_hamiltonian(ints, grouping)
+    H = encode(op, mapping)
     occ = hf_occupations(ints.n_orbitals, ints.n_electrons, ints.ms2, grouping)
-    bits = hf_reference(spec, occ)
+    bits = hf_reference(mapping, occ)
     e_ref, state = exact_ground_state(H)
     mi = mutual_information(state)
     pool = generate_pool(H.n_qubits)

@@ -10,7 +10,6 @@ import pytest
 
 from mivqe.encodings import (
     EncodingError,
-    EncodingSpec,
     bravyi_kitaev_matrix,
     encode,
     hf_reference,
@@ -37,9 +36,8 @@ def random_hermitian_fermion_op(rng, n_modes, n_terms=6):
     terms = {}
     for _ in range(n_terms):
         k = int(rng.integers(1, 3))
-        ladder = tuple(
-            (int(rng.integers(0, n_modes)), bool(rng.integers(0, 2))) for _ in range(k)
-        )
+        n_create = int(rng.integers(0, k + 1))
+        ladder = tuple((int(rng.integers(0, n_modes)), f < n_create) for f in range(k))
         terms[ladder] = terms.get(ladder, 0.0) + float(rng.normal())
     op = FermionOperator(terms)
     return 0.5 * (op + op.adjoint())
@@ -47,7 +45,7 @@ def random_hermitian_fermion_op(rng, n_modes, n_terms=6):
 
 def test_jw_number_operator_identity():
     op = FermionOperator({((0, True), (0, False)): 1.0})
-    H = encode(op, EncodingSpec("jordan_wigner"))
+    H = encode(op, "jordan_wigner")
     assert H.n_qubits == 2
     assert abs(H.coefficient(PauliWord.identity(2)) - 0.5) < 1e-14
     assert abs(H.coefficient(PauliWord(2, 0, 1)) + 0.5) < 1e-14
@@ -58,7 +56,7 @@ def test_jw_hopping_identity():
     op = FermionOperator(
         {((0, True), (1, False)): 1.0, ((1, True), (0, False)): 1.0}
     )
-    H = encode(op, EncodingSpec("jordan_wigner"))
+    H = encode(op, "jordan_wigner")
     XX = PauliWord.from_label("XX")
     YY = PauliWord.from_label("YY")
     assert abs(H.coefficient(XX) - 0.5) < 1e-14
@@ -74,7 +72,7 @@ def test_encoding_is_spectrally_faithful(mapping):
         op = random_hermitian_fermion_op(rng, 4)
         if not op.terms:
             continue
-        H = encode(op, EncodingSpec(mapping))
+        H = encode(op, mapping)
         qubit_eigs = np.linalg.eigvalsh(dense_sum(H))
         fock_eigs = np.linalg.eigvalsh(fermion_dense(op, 4))
         assert np.allclose(qubit_eigs, fock_eigs, atol=1e-9)
@@ -84,20 +82,19 @@ def test_encoding_is_spectrally_faithful(mapping):
 @pytest.mark.parametrize("grouping", ["abab", "aabb"])
 def test_hf_reference_counts_electrons(mapping, grouping):
     n_orb, n_elec = 3, 4
-    spec = EncodingSpec(mapping, grouping)
     occ = hf_occupations(n_orb, n_elec, 0, grouping)
-    bits = hf_reference(spec, occ)
-    N = encode(number_operator(2 * n_orb), spec)
+    bits = hf_reference(mapping, occ)
+    N = encode(number_operator(2 * n_orb), mapping)
     state = np.zeros(2 ** (2 * n_orb), dtype=complex)
     state[sum(b << q for q, b in enumerate(bits))] = 1.0
     assert abs(expectation(state, N) - n_elec) < 1e-10
 
 
 def test_hf_reference_examples():
-    assert hf_reference(EncodingSpec("jordan_wigner"), [1, 1, 0, 0]) == [1, 1, 0, 0]
-    assert hf_reference(EncodingSpec("parity"), [1, 1, 0, 0]) == [1, 0, 0, 0]
+    assert hf_reference("jordan_wigner", [1, 1, 0, 0]) == [1, 1, 0, 0]
+    assert hf_reference("parity", [1, 1, 0, 0]) == [1, 0, 0, 0]
     for mapping in MAPPINGS:
-        assert hf_reference(EncodingSpec(mapping), [0, 0, 0, 0]) == [0, 0, 0, 0]
+        assert hf_reference(mapping, [0, 0, 0, 0]) == [0, 0, 0, 0]
 
 
 def test_bk_matrix_structure():
@@ -113,14 +110,14 @@ def test_bk_matrix_structure():
 def test_encode_rejects_non_hermitian():
     op = FermionOperator({((0, True), (1, False)): 1.0})
     with pytest.raises(EncodingError):
-        encode(op, EncodingSpec("jordan_wigner"))
+        encode(op, "jordan_wigner")
 
 
 def test_even_y_invariant_random_hermitian_ops():
     rng = np.random.default_rng(32)
     for mapping in MAPPINGS:
         op = random_hermitian_fermion_op(rng, 4, n_terms=8)
-        H = encode(op, EncodingSpec(mapping))
+        H = encode(op, mapping)
         assert all(w.y_count % 2 == 0 for _, w in H.terms)
 
 
@@ -175,11 +172,10 @@ def hydrogen_like_integrals():
 
 def test_mapping_spectral_equivalence_small_molecule():
     ints = hydrogen_like_integrals()
-    op = build_hamiltonian(ints)
     spectra = {}
     for mapping in MAPPINGS:
         for grouping in ("abab", "aabb"):
-            H = encode(op, EncodingSpec(mapping, grouping))
+            H = encode(build_hamiltonian(ints, grouping), mapping)
             spectra[(mapping, grouping)] = np.linalg.eigvalsh(dense_sum(H))
     base = spectra[("jordan_wigner", "abab")]
     for eigs in spectra.values():
@@ -189,8 +185,7 @@ def test_mapping_spectral_equivalence_small_molecule():
 def test_sector_enumeration_preserves_ground_energy():
     """Min over all stationary-sector choices must equal the full ground energy."""
     ints = hydrogen_like_integrals()
-    op = build_hamiltonian(ints)
-    H = encode(op, EncodingSpec("parity", "aabb"))
+    H = encode(build_hamiltonian(ints, "aabb"), "parity")
     full_ground = np.linalg.eigvalsh(dense_sum(H)).min()
 
     # find stationary qubits, then enumerate every +-1 sector
@@ -211,16 +206,16 @@ def test_sector_enumeration_preserves_ground_energy():
 
     # and the HF sector in particular contains the ground state
     occ = hf_occupations(2, 2, 0, "aabb")
-    bits = hf_reference(EncodingSpec("parity", "aabb"), occ)
+    bits = hf_reference("parity", occ)
     reduced, _, _ = reduce_stationary_qubits(H, bits)
     assert abs(np.linalg.eigvalsh(dense_sum(reduced)).min() - full_ground) < 1e-10
 
 
 def test_penalized_hamiltonian_keeps_even_y():
     ints = hydrogen_like_integrals()
-    op = build_hamiltonian(ints) + 0.5 * s_squared_operator(2)
+    op = build_hamiltonian(ints, "aabb") + 0.5 * s_squared_operator(2, "aabb")
     for mapping in MAPPINGS:
-        H = encode(op, EncodingSpec(mapping, "aabb"))
+        H = encode(op, mapping)
         assert all(w.y_count % 2 == 0 for _, w in H.terms)
 
 
@@ -241,10 +236,10 @@ def test_fixture_encodings_match_recorded_digests(stem):
     settings = sorted(tuple(row[1:]) for row in recorded)
     assert settings == sorted(product(MAPPINGS, ("abab", "aabb"), ("none", "0.5")))
     ints = load_fcidump(FIXTURE_DIR / f"{stem}.fcidump")
-    base = build_hamiltonian(ints)
+    base = {grouping: build_hamiltonian(ints, grouping) for grouping in ("abab", "aabb")}
     for digest, mapping, grouping, penalty in recorded:
-        op = base
+        op = base[grouping]
         if penalty != "none":
-            op = base + float(penalty) * s_squared_operator(ints.n_orbitals)
-        text = format_pauli_sum(encode(op, EncodingSpec(mapping, grouping)))
+            op = op + float(penalty) * s_squared_operator(ints.n_orbitals, grouping)
+        text = format_pauli_sum(encode(op, mapping))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (mapping, grouping, penalty)

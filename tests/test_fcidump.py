@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mivqe.fcidump
-from mivqe.fcidump import MAX_ORBITALS, FcidumpError, parse_fcidump
+from mivqe.fcidump import MAX_ORBITALS, FcidumpError, MolecularIntegrals, parse_fcidump
 
 from helpers import format_fcidump
 
@@ -154,3 +154,32 @@ def test_norb_at_limit_parses():
     ints = parse_fcidump(f"&FCI NORB={MAX_ORBITALS},NELEC=2,MS2=0,\n /\n0.1 0 0 0 0\n")
     assert ints.n_orbitals == MAX_ORBITALS
     assert ints.two_body.shape == (MAX_ORBITALS,) * 4
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+@pytest.mark.parametrize("record", ["{} 0 0 0 0", "{} 1 2 0 0", "{} 2 2 2 2"])
+def test_non_finite_value_rejected(record, value):
+    # abs(nan) > cutoff is False: such a record once vanished from H
+    with pytest.raises(FcidumpError, match="non-finite"):
+        parse_fcidump(HEADER + " 0.5 1 1 0 0\n " + record.format(value) + "\n")
+
+
+def test_non_finite_value_not_overwritten_by_a_duplicate():
+    # a NaN record passes the duplicate check, which compares with > tolerance
+    with pytest.raises(FcidumpError, match="non-finite"):
+        parse_fcidump(HEADER + " nan 1 1 0 0\n 0.5 1 1 0 0\n")
+
+
+@pytest.mark.parametrize("field", ["core_energy", "one_body", "two_body"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_integrals_reject_non_finite_values(field, value):
+    kwargs = dict(
+        n_orbitals=2, n_electrons=2, ms2=0, core_energy=0.1,
+        one_body=np.zeros((2, 2)), two_body=np.zeros((2, 2, 2, 2)),
+    )
+    if field == "core_energy":
+        kwargs[field] = value
+    else:
+        kwargs[field][(0,) * kwargs[field].ndim] = value
+    with pytest.raises(FcidumpError, match=f"{field} holds a non-finite value"):
+        MolecularIntegrals(**kwargs)

@@ -1,4 +1,6 @@
-"""Fermion-operator algebra, Hamiltonian assembly, spin operator, groupings."""
+"""Fermion-operator normal ordering, Hamiltonian assembly, spin operator, groupings."""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from mivqe.fcidump import MolecularIntegrals
 from mivqe.fermion import (
     FermionError,
     FermionOperator,
+    _normal_order,
     build_hamiltonian,
     grouping_permutation,
     hf_occupations,
@@ -23,9 +26,11 @@ def det_state(n_modes, occupied):
 
 
 def test_normal_ordering_anticommutation():
-    # a_0 a+_0 = 1 - a+_0 a_0
-    op = FermionOperator({((0, False), (0, True)): 1.0})
-    assert op.terms == {(): 1.0, ((0, True), (0, False)): -1.0}
+    # a_0 a+_0 = 1 - a+_0 a_0 needs a contraction: only creation-first strings are taken
+    with pytest.raises(FermionError):
+        FermionOperator({((0, False), (0, True)): 1.0})
+    with pytest.raises(FermionError):
+        FermionOperator({((0, True), (0, True), (1, False), (2, True)): 1.0})
 
 
 def test_normal_ordering_kills_repeats():
@@ -39,25 +44,20 @@ def test_normal_ordering_sign():
     assert op.terms == {((0, True), (1, True)): -1.0}
 
 
-def test_operator_product_matches_dense():
+def test_normal_ordering_matches_dense_raw_strings():
+    """Creation-first strings, repeated modes included, keep their operator."""
     rng = np.random.default_rng(21)
     n = 3
     for _ in range(30):
-        def rand_op():
-            terms = {}
-            for _ in range(3):
-                k = int(rng.integers(1, 4))
-                ladder = tuple(
-                    (int(rng.integers(0, n)), bool(rng.integers(0, 2)))
-                    for _ in range(k)
-                )
-                terms[ladder] = terms.get(ladder, 0.0) + float(rng.normal())
-            return FermionOperator(terms)
-
-        a, b = rand_op(), rand_op()
-        lhs = fermion_dense(a * b, n)
-        rhs = fermion_dense(a, n) @ fermion_dense(b, n)
-        assert np.allclose(lhs, rhs, atol=1e-10)
+        raw = {}
+        for _ in range(4):
+            k = int(rng.integers(0, 5))
+            n_create = int(rng.integers(0, k + 1))
+            ladder = tuple((int(rng.integers(0, n)), f < n_create) for f in range(k))
+            raw[ladder] = raw.get(ladder, 0.0) + float(rng.normal())
+        lhs = fermion_dense(FermionOperator(raw), n)
+        rhs = fermion_dense(SimpleNamespace(terms=raw), n)
+        assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 def test_single_orbital_hamiltonian():
@@ -65,7 +65,7 @@ def test_single_orbital_hamiltonian():
     ints = MolecularIntegrals(
         1, 2, 0, core, np.array([[eps]]), np.zeros((1, 1, 1, 1))
     )
-    H = build_hamiltonian(ints)
+    H = build_hamiltonian(ints, "abab")
     expected = {
         (): core,
         ((0, True), (0, False)): eps,
@@ -85,7 +85,7 @@ def test_hamiltonian_is_hermitian_and_number_conserving():
     g[0, 0, 1, 1] = g[1, 1, 0, 0] = 0.4
     g[0, 1, 0, 1] = g[1, 0, 0, 1] = g[0, 1, 1, 0] = g[1, 0, 1, 0] = 0.1
     ints = MolecularIntegrals(n, 2, 0, 0.0, h, g)
-    H = build_hamiltonian(ints)
+    H = build_hamiltonian(ints, "abab")
     assert H.is_hermitian()
     Hd = fermion_dense(H, 2 * n)
     Nd = fermion_dense(number_operator(2 * n), 2 * n)
@@ -101,7 +101,7 @@ def test_particle_number_in_hf_determinant():
 
 
 def test_s_squared_singlet_doublet_triplet():
-    S2 = fermion_dense(s_squared_operator(2), 4)
+    S2 = fermion_dense(s_squared_operator(2, "abab"), 4)
     closed_shell = det_state(4, [0, 1])  # alpha and beta of orbital 0
     single = det_state(4, [0])
     triplet = det_state(4, [0, 2])  # two alpha electrons
@@ -132,15 +132,44 @@ def test_hf_occupations_rejects_negative_alpha_count():
         hf_occupations(3, 1, -3, "abab")
 
 
-def test_relabel_round_trip():
+@pytest.mark.parametrize("grouping", ["abab", "aabb"])
+@pytest.mark.parametrize("n_orbitals", [1, 2, 3])
+def test_s_squared_matches_dense_spin_algebra(grouping, n_orbitals):
+    perm = grouping_permutation(n_orbitals, grouping)
+    n = 2 * n_orbitals
+
+    def one_body(pairs):
+        terms = {((perm[i], True), (perm[j], False)): c for i, j, c in pairs}
+        return fermion_dense(FermionOperator(terms), n)
+
+    orbitals = range(n_orbitals)
+    sz = one_body([(2 * p + s, 2 * p + s, 0.5 - s) for p in orbitals for s in (0, 1)])
+    s_plus = one_body([(2 * p, 2 * p + 1, 1.0) for p in orbitals])
+    s_minus = one_body([(2 * p + 1, 2 * p, 1.0) for p in orbitals])
+    expected = sz @ sz + 0.5 * (s_plus @ s_minus + s_minus @ s_plus)
+    S2 = fermion_dense(s_squared_operator(n_orbitals, grouping), n)
+    assert np.allclose(S2, expected, atol=1e-12)
+
+
+def test_groupings_differ_by_exact_signs():
+    """aabb's H and S^2 are abab's term for term, relabeled, each with a
+    common sign: no coefficient moves by a single bit."""
     rng = np.random.default_rng(23)
-    op = FermionOperator(
-        {
-            ((0, True), (2, False)): 0.3,
-            ((1, True), (3, True), (2, False), (0, False)): -0.7,
-        }
-    )
-    perm = grouping_permutation(2, "aabb")
-    fwd = {i: perm[i] for i in range(4)}
-    back = {perm[i]: i for i in range(4)}
-    assert op.relabeled(fwd).relabeled(back).terms == op.terms
+    n = 3
+    h = rng.normal(size=(n, n))
+    h = h + h.T
+    g = rng.normal(size=(n, n, n, n))
+    g = g + g.transpose(1, 0, 2, 3)
+    g = g + g.transpose(0, 1, 3, 2)
+    g = g + g.transpose(2, 3, 0, 1)
+    ints = MolecularIntegrals(n, 2, 0, 0.5, h, g)
+    perm = grouping_permutation(n, "aabb")
+    for abab, aabb in [
+        (build_hamiltonian(ints, "abab"), build_hamiltonian(ints, "aabb")),
+        (s_squared_operator(n, "abab"), s_squared_operator(n, "aabb")),
+    ]:
+        relabeled = {}
+        for ladder, coeff in abab.terms.items():
+            sign, key = _normal_order(tuple((perm[m], c) for m, c in ladder))
+            relabeled[key] = sign * coeff
+        assert aabb.terms == relabeled

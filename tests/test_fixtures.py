@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 
-from mivqe.encodings import EncodingSpec, encode, hf_reference
+from mivqe.encodings import encode, hf_reference
 from mivqe.fcidump import load_fcidump
 from mivqe.fermion import build_hamiltonian, hf_occupations
 from mivqe.reference import exact_ground_state
@@ -27,11 +27,11 @@ def test_h2_fixture_dense_fci_oracle():
     """Ground energy from the occupation-basis ladder construction (no qubit
     encoding involved) must match the encoded Hamiltonian's spectrum."""
     ints = load_fcidump(FIXTURE_DIR / "h2_0.75.fcidump")
-    op = build_hamiltonian(ints)
+    op = build_hamiltonian(ints, "abab")
     fock = fermion_dense(op, 2 * ints.n_orbitals)
     assert np.abs(fock.imag).max() < 1e-12
     e_fock = np.linalg.eigvalsh(fock).min()
-    H = encode(op, EncodingSpec("jordan_wigner", "abab"))
+    H = encode(op, "jordan_wigner")
     e_qubit = np.linalg.eigvalsh(dense_sum(H)).min()
     assert abs(e_fock - e_qubit) < 1e-10
     # 6-31g-type H2 near equilibrium lands close to the known FCI value
@@ -40,11 +40,9 @@ def test_h2_fixture_dense_fci_oracle():
 
 def test_h2_fixture_hf_energy_quadratic_form():
     ints = load_fcidump(FIXTURE_DIR / "h2_0.75.fcidump")
-    op = build_hamiltonian(ints)
-    spec = EncodingSpec("parity", "abab")
-    H = encode(op, spec)
+    H = encode(build_hamiltonian(ints, "abab"), "parity")
     occ = hf_occupations(ints.n_orbitals, ints.n_electrons, ints.ms2, "abab")
-    bits = hf_reference(spec, occ)
+    bits = hf_reference("parity", occ)
     state = basis_state(H.n_qubits, bits)
     via_engine = expectation(state, H)
     via_dense = float(np.real(state.conj() @ dense_sum(H) @ state))
@@ -53,7 +51,7 @@ def test_h2_fixture_hf_energy_quadratic_form():
 
 def test_h2_fixture_lanczos_vs_dense():
     ints = load_fcidump(FIXTURE_DIR / "h2_0.75.fcidump")
-    H = encode(build_hamiltonian(ints), EncodingSpec("bravyi_kitaev", "aabb"))
+    H = encode(build_hamiltonian(ints, "aabb"), "bravyi_kitaev")
     e_lanczos, state = exact_ground_state(H)
     dense_min = np.linalg.eigvalsh(dense_sum(H)).min()
     assert abs(e_lanczos - dense_min) < 1e-9
@@ -66,7 +64,6 @@ def test_h2_achieved_qubit_counts():
     from mivqe.encodings import reduce_stationary_qubits
 
     ints = load_fcidump(FIXTURE_DIR / "h2_0.75.fcidump")
-    op = build_hamiltonian(ints)
     expected = {
         ("jordan_wigner", "abab"): 8,
         ("jordan_wigner", "aabb"): 8,
@@ -76,10 +73,9 @@ def test_h2_achieved_qubit_counts():
         ("bravyi_kitaev", "aabb"): 6,
     }
     for (mapping, grouping), n_expected in expected.items():
-        spec = EncodingSpec(mapping, grouping)
-        H = encode(op, spec)
+        H = encode(build_hamiltonian(ints, grouping), mapping)
         occ = hf_occupations(ints.n_orbitals, ints.n_electrons, ints.ms2, grouping)
-        bits = hf_reference(spec, occ)
+        bits = hf_reference(mapping, occ)
         reduced, _, _ = reduce_stationary_qubits(H, bits)
         assert reduced.n_qubits == n_expected, (mapping, grouping, reduced.n_qubits)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mivqe.pauli import (
+    MAX_QUBITS,
     PauliError,
     PauliSum,
     PauliWord,
@@ -171,7 +172,7 @@ def test_parse_identity_term():
 
 @pytest.mark.parametrize(
     "line",
-    ["0.5 W0", "0.5 X0 X0", "0.5 X9", "abc X0", "0.5 Xq"],
+    ["0.5 W0", "0.5 X0 X0", "0.5 X9", "abc X0", "0.5 Xq", "nan X0 X1", "inf Z0", "-inf"],
 )
 def test_parse_rejects_malformed(line):
     with pytest.raises(PauliError):
@@ -199,6 +200,18 @@ def test_sum_text_round_trip():
 def test_parse_sum_requires_header():
     with pytest.raises(PauliError):
         parse_pauli_sum("0.5 X0\n")
+
+
+@pytest.mark.parametrize("n", [MAX_QUBITS + 1, 8000, 1000000])
+def test_parse_sum_rejects_qubits_header_above_limit(n):
+    # refused at the header, before any term or register is sized by it
+    with pytest.raises(PauliError, match=f"exceeds the {MAX_QUBITS}-qubit limit"):
+        parse_pauli_sum(f"qubits: {n}\n0.5 X0 X1\n")
+
+
+def test_parse_sum_takes_qubits_header_at_limit():
+    H = parse_pauli_sum(f"qubits: {MAX_QUBITS}\n0.5 X0 X{MAX_QUBITS - 1}\n")
+    assert H.n_qubits == MAX_QUBITS
 
 
 def test_dense_sum_is_hermitian():

@@ -433,10 +433,10 @@ def test_encode_round_trip_spectrum():
 
     from mivqe.fcidump import load_fcidump
     from mivqe.fermion import build_hamiltonian
-    from mivqe.encodings import EncodingSpec, encode
+    from mivqe.encodings import encode
 
     ints = load_fcidump(LIH)
-    full = encode(build_hamiltonian(ints), EncodingSpec("parity", "aabb"))
+    full = encode(build_hamiltonian(ints, "aabb"), "parity")
     e_red = np.linalg.eigvalsh(dense_sum(H)).min()
     e_full = np.linalg.eigvalsh(dense_sum(full)).min()
     assert abs(e_red - e_full) < 1e-10
@@ -721,6 +721,35 @@ def test_cli_fcidump_without_a_determinant_exits_3_at_parse(nelec, ms2, tmp_path
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("error: stage 'parse' failed: ")
+
+
+PARSE_REJECTED_INPUTS = {
+    "fcidump_nan_core": ("fcidump", " 7.0556966532546395e-01 0 0 0 0", " nan 0 0 0 0"),
+    "fcidump_nan_two_body": ("fcidump", " 3.8630508755500981e-01 2 2 2 2", " nan 2 2 2 2"),
+    "fcidump_inf_core": ("fcidump", " 7.0556966532546395e-01 0 0 0 0", " inf 0 0 0 0"),
+    "pauli_sum_nan": ("pauli-sum", None, "qubits: 2\nnan X0 X1\n0.5 Z0\n"),
+    "pauli_sum_inf": ("pauli-sum", None, "qubits: 2\ninf X0 X1\n0.5 Z0\n"),
+    "pauli_sum_qubits_above_limit": ("pauli-sum", None, "qubits: 1000000\n0.5 X0 X1\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_REJECTED_INPUTS))
+def test_cli_non_finite_or_oversized_input_exits_3_at_parse(case, tmp_path, capsys):
+    # NaN once vanished from H (abs(nan) > cutoff is False) and the run went
+    # on; an unbounded qubits header once spent minutes before any size check
+    kind, old, new = PARSE_REJECTED_INPUTS[case]
+    if kind == "fcidump":
+        text = (FIXTURE_DIR / "h2_0.75.fcidump").read_text()
+        assert text.count(old + "\n") == 1
+        text = text.replace(old + "\n", new + "\n")
+    else:
+        text = new
+    path = _write(tmp_path / f"bad.{kind}", text)
+    assert main(["run", f"--{kind}", path, "--max-steps", "1"]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: stage 'parse' failed: ")
+    assert "non-finite" in err or "64-qubit limit" in err
 
 
 def test_cli_pool_rejects_size_above_limit(monkeypatch, capsys):

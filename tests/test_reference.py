@@ -5,7 +5,7 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import mivqe.reference
-from mivqe.encodings import EncodingSpec, encode
+from mivqe.encodings import encode
 from mivqe.fcidump import load_fcidump
 from mivqe.fermion import build_hamiltonian
 from mivqe.pauli import PauliSum, PauliWord
@@ -79,11 +79,11 @@ def test_lanczos_nonconvergence_reports_residual(monkeypatch):
 def test_ground_energy_matches_lanczos_on_fixture_registers(stem):
     """The sector check's solver on every encoded register of the fixture
     that has stationary qubits, i.e. every register the check sees."""
-    op = build_hamiltonian(load_fcidump(FIXTURE_DIR / f"{stem}.fcidump"))
+    ints = load_fcidump(FIXTURE_DIR / f"{stem}.fcidump")
     checked = 0
     for mapping in ("jw", "parity", "bk"):
         for grouping in ("abab", "aabb"):
-            H = encode(op, EncodingSpec(mapping, grouping))
+            H = encode(build_hamiltonian(ints, grouping), mapping)
             x_union = 0
             for _, w in H.terms:
                 x_union |= w.x_mask
