@@ -31,6 +31,11 @@ TERM_SUM_CHUNK = 4096
 # DESCENT_FLOOR_WINDOW steps descended less than DESCENT_FLOOR hartree.
 DESCENT_FLOOR = 1e-6
 DESCENT_FLOOR_WINDOW = 3
+# joint_optimize's basin hopping; BFGS_GTOL is its BFGS gradient tolerance
+HOPS = 10
+HOP_TEMPERATURE = 0.5
+HOP_STEP = 1e-6
+BFGS_GTOL = 1e-8
 
 
 class AdaptiveError(RuntimeError):
@@ -95,19 +100,13 @@ class RunReport:
 class AdaptiveConfig:
     """The run settings the adaptive loop reads, named as in RunConfig.
 
-    convergence_tol is in hartree against the reference energy; hops,
-    temperature and step_size drive basin hopping, and local_tol is the
-    BFGS gradient tolerance.
+    convergence_tol is in hartree against the reference energy.
     """
 
     descent_fraction: float = 0.3
     max_steps: int = 30
     convergence_tol: float = 1e-3
     seed: int = 7
-    hops: int = 10
-    temperature: float = 0.5
-    step_size: float = 1e-6
-    local_tol: float = 1e-8
 
     def __post_init__(self):
         # written so that NaN fails every check
@@ -116,10 +115,6 @@ class AdaptiveConfig:
             (self.max_steps >= 0, "max_steps must be non-negative"),
             (self.convergence_tol > 0.0, "convergence_tol must be positive"),
             (self.seed >= 0, "seed must be non-negative"),
-            (self.hops >= 0, "hops must be non-negative"),
-            (self.temperature > 0.0, "temperature must be positive"),
-            (self.step_size > 0.0, "step_size must be positive"),
-            (self.local_tol > 0.0, "local_tol must be positive"),
         ):
             if not ok:
                 raise AdaptiveError(message)
@@ -339,7 +334,7 @@ class PoolScorer:
 def select_entangler(
     descents: np.ndarray,
     strengths: np.ndarray,
-    descent_fraction: float = 0.3,
+    descent_fraction: float,
 ) -> tuple[int, int]:
     """Index of the chosen word and the acceptable-set size.
 
@@ -367,14 +362,13 @@ def select_entangler(
 def joint_optimize(
     ansatz: Ansatz,
     h_action,
-    cfg: AdaptiveConfig,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, float]:
     """Basin-hopping reoptimization of all layer parameters.
 
     A quasi-Newton descent with the analytic adjoint gradient runs from the
-    incoming parameters, then cfg.hops uniform perturbations of magnitude
-    cfg.step_size with Metropolis acceptance at cfg.temperature. The best
+    incoming parameters, then HOPS uniform perturbations of magnitude
+    HOP_STEP with Metropolis acceptance at HOP_TEMPERATURE. The best
     energy found is returned and never exceeds the incoming energy.
     h_action is the compiled H product from compile_sum_action.
     """
@@ -387,13 +381,13 @@ def joint_optimize(
     result = basinhopping(
         objective,
         x0,
-        niter=cfg.hops,
-        T=cfg.temperature,
-        stepsize=cfg.step_size,
+        niter=HOPS,
+        T=HOP_TEMPERATURE,
+        stepsize=HOP_STEP,
         minimizer_kwargs={
             "method": "BFGS",
             "jac": True,
-            "options": {"gtol": cfg.local_tol},
+            "options": {"gtol": BFGS_GTOL},
         },
         rng=rng,
     )
@@ -459,7 +453,7 @@ def run_adaptive(
             word = pool.word(chosen)
             ansatz = ansatz.with_layer(word, float(taus[chosen]))
             rng = np.random.default_rng(np.random.SeedSequence((config.seed, step)))
-            params, e_new = joint_optimize(ansatz, h_action, config, rng=rng)
+            params, e_new = joint_optimize(ansatz, h_action, rng)
             ansatz = ansatz.with_parameters(params)
             descent_achieved = energy - e_new
             steps.append(

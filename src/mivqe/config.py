@@ -53,10 +53,6 @@ class RunConfig:
     convergence_tol: float = AdaptiveConfig.convergence_tol
     baseline: str = _setting("reduced", "pool for percentile denominators: reduced | unreduced")
     seed: int = AdaptiveConfig.seed
-    hops: int = _setting(AdaptiveConfig.hops, "basin-hopping iterations")
-    temperature: float = AdaptiveConfig.temperature
-    step_size: float = AdaptiveConfig.step_size
-    local_tol: float = AdaptiveConfig.local_tol
     output: str | None = _setting(None, "artifact directory")
 
     def __post_init__(self):

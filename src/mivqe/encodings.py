@@ -117,20 +117,18 @@ def _ladder_factors(mapping: str, n: int) -> dict:
     return factors
 
 
-def encode(op: FermionOperator, mapping: str) -> PauliSum:
+def encode(op: FermionOperator, mapping: str, n_modes: int) -> PauliSum:
     """Encode a Hermitian FermionOperator as a real-coefficient PauliSum.
 
-    The operator's modes are already in the run's spin-orbital order. Each
-    ladder string is multiplied out on (x, z) masks, one two-word ladder
-    factor at a time.
+    The register has one qubit per spin-orbital, n_modes in all (twice the
+    FCIDUMP's NORB), whether or not every mode appears in op. The operator's
+    modes are already in the run's spin-orbital order. Each ladder string is
+    multiplied out on (x, z) masks, one two-word ladder factor at a time.
     """
     if not op.is_hermitian():
         raise EncodingError("refusing to encode a non-Hermitian operator")
-    n_modes = op.n_modes()
-    if n_modes == 0:
-        raise EncodingError("operator acts on no modes")
-    if n_modes % 2:
-        n_modes += 1  # odd top mode: still a 2*n_orbitals register
+    if op.n_modes() > n_modes:
+        raise EncodingError(f"mode {op.n_modes() - 1} is beyond the {n_modes}-mode register")
 
     factors = _ladder_factors(mapping, n_modes)
     acc: dict[tuple[int, int], complex] = {}

@@ -16,6 +16,8 @@ operator here produces, so it is refused.
 
 from __future__ import annotations
 
+import math
+
 from .fcidump import MolecularIntegrals
 
 # a ladder factor is (mode, is_creation); a ladder string is a tuple of factors
@@ -29,7 +31,7 @@ class FermionError(ValueError):
 
 
 class FermionOperator:
-    """Linear combination of normal-ordered ladder strings with real coefficients."""
+    """Linear combination of normal-ordered ladder strings with finite real coefficients."""
 
     __slots__ = ("terms",)
 
@@ -40,6 +42,8 @@ class FermionOperator:
             if ordered is not None:
                 sign, nl = ordered
                 merged[nl] = merged.get(nl, 0.0) + sign * coeff
+        if not all(map(math.isfinite, merged.values())):  # else the cutoff drops a NaN
+            raise FermionError("non-finite coefficient after merging terms")
         self.terms: dict[LadderString, float] = {
             l: c for l, c in sorted(merged.items()) if abs(c) > TERM_CUTOFF
         }

@@ -98,12 +98,16 @@ def _direct_sum(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def _compress_tensors(tensors: list[np.ndarray], tol: float) -> list[np.ndarray]:
+# build_mpo truncates singular values at or below this share of a bond's largest
+MPO_COMPRESSION_TOL = 1e-12
+
+
+def _compress_tensors(tensors: list[np.ndarray]) -> list[np.ndarray]:
     """Two-pass SVD compression of an MPO chain.
 
     First a right-to-left orthogonalization, then a left-to-right sweep
-    truncating singular values below tol * s_max (only exact zeros when
-    tol == 0, which keeps the action unchanged up to floating point).
+    keeping the singular values above MPO_COMPRESSION_TOL * s_max, and
+    always the largest, so that no bond closes.
     """
     n = len(tensors)
     ts = [t.copy() for t in tensors]
@@ -112,7 +116,7 @@ def _compress_tensors(tensors: list[np.ndarray], tol: float) -> list[np.ndarray]
         dl, dr = ts[i].shape[0], ts[i].shape[1]
         mat = ts[i].transpose(0, 2, 3, 1).reshape(dl, 4 * dr)
         u, s, vt = np.linalg.svd(mat, full_matrices=False)
-        keep = s > (s[0] * 1e-15 if len(s) and s[0] > 0 else 0.0)
+        keep = s > 1e-15 * s[0]
         u, s, vt = u[:, keep], s[keep], vt[keep]
         ts[i] = vt.reshape(len(s), 2, 2, dr).transpose(0, 3, 1, 2)
         carry = u * s
@@ -122,14 +126,8 @@ def _compress_tensors(tensors: list[np.ndarray], tol: float) -> list[np.ndarray]
         dl, dr = ts[i].shape[0], ts[i].shape[1]
         mat = ts[i].transpose(0, 2, 3, 1).reshape(4 * dl, dr)
         u, s, vt = np.linalg.svd(mat, full_matrices=False)
-        if len(s) and s[0] > 0:
-            cutoff = tol * s[0]
-            keep = s > cutoff if tol > 0 else s > 0
-        else:
-            keep = s > 0
-        if not np.any(keep):
-            keep = np.zeros_like(s, dtype=bool)
-            keep[0] = True
+        keep = s > MPO_COMPRESSION_TOL * s[0]
+        keep[0] = True
         u, s, vt = u[:, keep], s[keep], vt[keep]
         ts[i] = u.reshape(dl, 2, 2, len(s)).transpose(0, 3, 1, 2)
         carry = (s[:, None] * vt)
@@ -141,7 +139,7 @@ def _compress_tensors(tensors: list[np.ndarray], tol: float) -> list[np.ndarray]
 MPO_BATCH = 48
 
 
-def build_mpo(H: PauliSum, compression_tol: float = 1e-12) -> MPO:
+def build_mpo(H: PauliSum) -> MPO:
     """Sum of rank-1 term MPOs, compressed every MPO_BATCH terms."""
     if len(H) == 0:
         raise MpsError("cannot build an MPO from an empty sum")
@@ -155,7 +153,7 @@ def build_mpo(H: PauliSum, compression_tol: float = 1e-12) -> MPO:
             t = _word_mpo_tensors(coeff, word)
             chunk = t if chunk is None else _direct_sum(chunk, t)
         acc = chunk if acc is None else _direct_sum(acc, chunk)
-        acc = _compress_tensors(acc, compression_tol)
+        acc = _compress_tensors(acc)
     return MPO(acc)
 
 

@@ -122,8 +122,9 @@ class PauliSum:
     """Hermitian sum of Pauli words with real coefficients, in canonical form.
 
     Terms are merged, sorted lexicographically on (z_mask, x_mask), and
-    coefficients smaller than COEFF_CUTOFF in magnitude are dropped. Instances
-    are immutable values; all algebra returns new sums.
+    coefficients smaller than COEFF_CUTOFF in magnitude are dropped; a
+    non-finite one raises PauliError. Instances are immutable values; all
+    algebra returns new sums.
     """
 
     __slots__ = ("n_qubits", "_terms")
@@ -137,6 +138,8 @@ class PauliSum:
                 raise PauliError("term qubit count differs from sum qubit count")
             key = (word.z_mask, word.x_mask)
             merged[key] = merged.get(key, 0.0) + float(coeff)
+        if not all(map(math.isfinite, merged.values())):  # else the cutoff drops a NaN
+            raise PauliError("non-finite coefficient after merging terms")
         self.n_qubits = n_qubits
         self._terms: tuple[tuple[float, PauliWord], ...] = tuple(
             (c, PauliWord(n_qubits, key[1], key[0]))

@@ -133,7 +133,7 @@ def _load_hamiltonian(cfg: RunConfig):
             op = build_hamiltonian(ints, cfg.grouping)
             if cfg.spin_penalty is not None:
                 op = op + cfg.spin_penalty * s_squared_operator(ints.n_orbitals, cfg.grouping)
-            H = encode(op, cfg.mapping)
+            H = encode(op, cfg.mapping, 2 * ints.n_orbitals)
             occ = hf_occupations(
                 ints.n_orbitals, ints.n_electrons, ints.ms2, cfg.grouping
             )

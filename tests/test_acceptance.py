@@ -69,7 +69,7 @@ def test_criterion_2_mapping_spectral_equivalence(stem):
     op = build_hamiltonian(ints, "abab")
     spectra = []
     for mapping in ("jordan_wigner", "parity", "bravyi_kitaev"):
-        H = encode(op, mapping)
+        H = encode(op, mapping, 2 * ints.n_orbitals)
         spectra.append(np.linalg.eigvalsh(dense_sum(H)))
     for eigs in spectra[1:]:
         assert np.abs(eigs - spectra[0]).max() < 1e-10
@@ -274,7 +274,7 @@ def test_criterion_9_mps_backend():
     for stem, mapping, grouping in [("lih_1.60", "parity", "aabb"),
                                     ("h2_0.75", "parity", "abab")]:
         ints = load_fcidump(fixture_path(stem))
-        H_full = encode(build_hamiltonian(ints, grouping), mapping)
+        H_full = encode(build_hamiltonian(ints, grouping), mapping, 2 * ints.n_orbitals)
         occ = hf_occupations(ints.n_orbitals, ints.n_electrons, ints.ms2, grouping)
         bits_full = hf_reference(mapping, occ)
         H, removed, index_map = reduce_stationary_qubits(H_full, bits_full)
@@ -317,7 +317,7 @@ def test_criterion_10_stationary_reduction():
     # the H2O-class fixture: parity + aabb removes exactly 2 of 10 qubits
     for d in H2O_GEOMETRIES:
         ints = load_fcidump(fixture_path(f"h2o_{d}"))
-        H = encode(build_hamiltonian(ints, "aabb"), "parity")
+        H = encode(build_hamiltonian(ints, "aabb"), "parity", 2 * ints.n_orbitals)
         assert H.n_qubits == 10
         occ = hf_occupations(ints.n_orbitals, ints.n_electrons, ints.ms2, "aabb")
         bits = hf_reference("parity", occ)
@@ -331,7 +331,7 @@ def test_criterion_10_stationary_reduction():
                  + [f"lih_{d}" for d in LIH_GEOMETRIES]
                  + [f"h2o_{d}" for d in H2O_GEOMETRIES]):
         ints = load_fcidump(fixture_path(stem))
-        H = encode(build_hamiltonian(ints, "aabb"), "parity")
+        H = encode(build_hamiltonian(ints, "aabb"), "parity", 2 * ints.n_orbitals)
         e_full, _ = exact_ground_state(H)
         x_union = 0
         for _, w in H.terms:

@@ -181,13 +181,11 @@ def test_joint_optimize_single_layer_closed_form():
     descents, taus, e0 = scorer.scores(state, np.zeros(len(pool)), 0.3)
     idx = int(np.argmax(descents))
     ansatz = Ansatz(n, [1, 0, 1], [pool.words[idx]], [taus[idx]])
-    params, energy = joint_optimize(
-        ansatz, compile_sum_action(H)[0], AdaptiveConfig(), rng=np.random.default_rng(1)
-    )
+    params, energy = joint_optimize(ansatz, compile_sum_action(H)[0], np.random.default_rng(1))
     assert abs(energy - (e0 - descents[idx])) < 1e-8
 
 
-def test_joint_optimize_zero_hops_plain_descent():
+def test_joint_optimize_multi_layer_never_rises():
     rng = np.random.default_rng(85)
     n = 3
     H = random_even_sum(rng, n, 8)
@@ -198,10 +196,7 @@ def test_joint_optimize_zero_hops_plain_descent():
             w = random_word(rng, n)
         ansatz = ansatz.with_layer(w, float(rng.normal() * 0.1))
     e_start = expectation(ansatz.prepare(), H)
-    cfg = AdaptiveConfig(hops=0)
-    params, energy = joint_optimize(
-        ansatz, compile_sum_action(H)[0], cfg, rng=np.random.default_rng(2)
-    )
+    params, energy = joint_optimize(ansatz, compile_sum_action(H)[0], np.random.default_rng(2))
     assert energy <= e_start + 1e-12
 
 
@@ -212,8 +207,8 @@ def test_joint_optimize_deterministic():
     w = next(w for w in generate_pool(n).words if w.weight > 1)
     ansatz = Ansatz(n, [0, 1, 0], [w], [0.3])
     h_action, _ = compile_sum_action(H)
-    out1 = joint_optimize(ansatz, h_action, AdaptiveConfig(), rng=np.random.default_rng(5))
-    out2 = joint_optimize(ansatz, h_action, AdaptiveConfig(), rng=np.random.default_rng(5))
+    out1 = joint_optimize(ansatz, h_action, np.random.default_rng(5))
+    out2 = joint_optimize(ansatz, h_action, np.random.default_rng(5))
     assert np.array_equal(out1[0], out2[0])
     assert out1[1] == out2[1]
 
@@ -221,7 +216,7 @@ def test_joint_optimize_deterministic():
 def _molecule_problem(grouping="abab", mapping="jordan_wigner"):
     ints = hydrogen_like_integrals()
     op = build_hamiltonian(ints, grouping)
-    H = encode(op, mapping)
+    H = encode(op, mapping, 2 * ints.n_orbitals)
     occ = hf_occupations(ints.n_orbitals, ints.n_electrons, ints.ms2, grouping)
     bits = hf_reference(mapping, occ)
     e_ref, state = exact_ground_state(H)
@@ -272,7 +267,7 @@ def test_run_adaptive_compiles_h_once_and_each_layer_once(monkeypatch):
     n = 4
     H = random_even_sum(np.random.default_rng(91), n, 24)
     pool = generate_pool(n)
-    cfg = AdaptiveConfig(max_steps=4, hops=2)
+    cfg = AdaptiveConfig(max_steps=4)
     report, _ = run_adaptive(
         H, pool, np.zeros(len(pool)), np.ones(1 << n), [1, 0, 1, 0], cfg
     )
@@ -534,7 +529,7 @@ def test_run_adaptive_rejects_mismatched_inputs(monkeypatch):
     H = random_even_sum(np.random.default_rng(94), n, 8)
     pool = generate_pool(n)
     strengths, table = np.zeros(len(pool)), np.ones(1 << n)
-    cfg = AdaptiveConfig(max_steps=1, hops=0)
+    cfg = AdaptiveConfig(max_steps=1)
     with pytest.raises(AdaptiveError, match="strengths must match the pool"):
         run_adaptive(H, pool, strengths[:-1], table, [1, 0, 0], cfg)
     with pytest.raises(AdaptiveError, match="percentile table"):
@@ -554,8 +549,7 @@ def test_run_adaptive_rejects_mismatched_inputs(monkeypatch):
 def test_joint_optimize_rejects_an_empty_ansatz():
     H = PauliSum(2, [(1.0, PauliWord.from_label("ZZ"))])
     with pytest.raises(AdaptiveError, match="at least one layer"):
-        joint_optimize(Ansatz(2, [0, 1]), compile_sum_action(H)[0], AdaptiveConfig(),
-                       np.random.default_rng(0))
+        joint_optimize(Ansatz(2, [0, 1]), compile_sum_action(H)[0], np.random.default_rng(0))
 
 
 def test_joint_optimize_never_returns_a_worse_energy(monkeypatch):
@@ -574,6 +568,6 @@ def test_joint_optimize_never_returns_a_worse_energy(monkeypatch):
         return OptimizeResult(x=x0 + 0.5, fun=objective(x0)[0] + 1.0)
 
     monkeypatch.setattr(mivqe.adaptive, "basinhopping", worse)
-    params, energy = joint_optimize(ansatz, h_action, AdaptiveConfig(), np.random.default_rng(0))
+    params, energy = joint_optimize(ansatz, h_action, np.random.default_rng(0))
     assert params.tolist() == [0.3]
     assert energy == energy_and_gradient(ansatz, h_action, np.array([0.3]))[0]

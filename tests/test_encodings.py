@@ -45,7 +45,7 @@ def random_hermitian_fermion_op(rng, n_modes, n_terms=6):
 
 def test_jw_number_operator_identity():
     op = FermionOperator({((0, True), (0, False)): 1.0})
-    H = encode(op, "jordan_wigner")
+    H = encode(op, "jordan_wigner", 2)
     assert H.n_qubits == 2
     assert abs(H.coefficient(PauliWord.identity(2)) - 0.5) < 1e-14
     assert abs(H.coefficient(PauliWord(2, 0, 1)) + 0.5) < 1e-14
@@ -56,7 +56,7 @@ def test_jw_hopping_identity():
     op = FermionOperator(
         {((0, True), (1, False)): 1.0, ((1, True), (0, False)): 1.0}
     )
-    H = encode(op, "jordan_wigner")
+    H = encode(op, "jordan_wigner", 2)
     XX = PauliWord.from_label("XX")
     YY = PauliWord.from_label("YY")
     assert abs(H.coefficient(XX) - 0.5) < 1e-14
@@ -72,7 +72,7 @@ def test_encoding_is_spectrally_faithful(mapping):
         op = random_hermitian_fermion_op(rng, 4)
         if not op.terms:
             continue
-        H = encode(op, mapping)
+        H = encode(op, mapping, 4)
         qubit_eigs = np.linalg.eigvalsh(dense_sum(H))
         fock_eigs = np.linalg.eigvalsh(fermion_dense(op, 4))
         assert np.allclose(qubit_eigs, fock_eigs, atol=1e-9)
@@ -84,7 +84,7 @@ def test_hf_reference_counts_electrons(mapping, grouping):
     n_orb, n_elec = 3, 4
     occ = hf_occupations(n_orb, n_elec, 0, grouping)
     bits = hf_reference(mapping, occ)
-    N = encode(number_operator(2 * n_orb), mapping)
+    N = encode(number_operator(2 * n_orb), mapping, 2 * n_orb)
     state = np.zeros(2 ** (2 * n_orb), dtype=complex)
     state[sum(b << q for q, b in enumerate(bits))] = 1.0
     assert abs(expectation(state, N) - n_elec) < 1e-10
@@ -110,14 +110,22 @@ def test_bk_matrix_structure():
 def test_encode_rejects_non_hermitian():
     op = FermionOperator({((0, True), (1, False)): 1.0})
     with pytest.raises(EncodingError):
-        encode(op, "jordan_wigner")
+        encode(op, "jordan_wigner", 2)
+
+
+def test_encode_takes_the_register_from_the_caller():
+    op = FermionOperator({((1, True), (1, False)): 1.0})
+    # mode 3 has no term, yet the register has four qubits
+    assert encode(op, "jordan_wigner", 4).n_qubits == 4
+    with pytest.raises(EncodingError, match="beyond the 1-mode register"):
+        encode(op, "jordan_wigner", 1)
 
 
 def test_even_y_invariant_random_hermitian_ops():
     rng = np.random.default_rng(32)
     for mapping in MAPPINGS:
         op = random_hermitian_fermion_op(rng, 4, n_terms=8)
-        H = encode(op, mapping)
+        H = encode(op, mapping, 4)
         assert all(w.y_count % 2 == 0 for _, w in H.terms)
 
 
@@ -175,7 +183,7 @@ def test_mapping_spectral_equivalence_small_molecule():
     spectra = {}
     for mapping in MAPPINGS:
         for grouping in ("abab", "aabb"):
-            H = encode(build_hamiltonian(ints, grouping), mapping)
+            H = encode(build_hamiltonian(ints, grouping), mapping, 2 * ints.n_orbitals)
             spectra[(mapping, grouping)] = np.linalg.eigvalsh(dense_sum(H))
     base = spectra[("jordan_wigner", "abab")]
     for eigs in spectra.values():
@@ -185,7 +193,7 @@ def test_mapping_spectral_equivalence_small_molecule():
 def test_sector_enumeration_preserves_ground_energy():
     """Min over all stationary-sector choices must equal the full ground energy."""
     ints = hydrogen_like_integrals()
-    H = encode(build_hamiltonian(ints, "aabb"), "parity")
+    H = encode(build_hamiltonian(ints, "aabb"), "parity", 2 * ints.n_orbitals)
     full_ground = np.linalg.eigvalsh(dense_sum(H)).min()
 
     # find stationary qubits, then enumerate every +-1 sector
@@ -215,7 +223,7 @@ def test_penalized_hamiltonian_keeps_even_y():
     ints = hydrogen_like_integrals()
     op = build_hamiltonian(ints, "aabb") + 0.5 * s_squared_operator(2, "aabb")
     for mapping in MAPPINGS:
-        H = encode(op, mapping)
+        H = encode(op, mapping, 2 * ints.n_orbitals)
         assert all(w.y_count % 2 == 0 for _, w in H.terms)
 
 
@@ -241,5 +249,5 @@ def test_fixture_encodings_match_recorded_digests(stem):
         op = base[grouping]
         if penalty != "none":
             op = op + float(penalty) * s_squared_operator(ints.n_orbitals, grouping)
-        text = format_pauli_sum(encode(op, mapping))
+        text = format_pauli_sum(encode(op, mapping, 2 * ints.n_orbitals))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (mapping, grouping, penalty)

@@ -38,6 +38,17 @@ def test_normal_ordering_kills_repeats():
     assert op.terms == {}
 
 
+@pytest.mark.parametrize("terms", [
+    {((0, True), (0, False)): float("nan")},
+    {((0, True), (0, False)): float("inf")},
+    # a+_1 a+_0 = -a+_0 a+_1, so the merge adds inf and -inf
+    {((0, True), (1, True)): float("inf"), ((1, True), (0, True)): float("inf")},
+], ids=["nan", "inf", "inf_minus_inf"])
+def test_fermion_operator_rejects_non_finite_coefficients(terms):
+    with pytest.raises(FermionError, match="non-finite"):
+        FermionOperator(terms)
+
+
 def test_normal_ordering_sign():
     # a+_1 a+_0 = -a+_0 a+_1
     op = FermionOperator({((1, True), (0, True)): 1.0})

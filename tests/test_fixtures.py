@@ -31,7 +31,7 @@ def test_h2_fixture_dense_fci_oracle():
     fock = fermion_dense(op, 2 * ints.n_orbitals)
     assert np.abs(fock.imag).max() < 1e-12
     e_fock = np.linalg.eigvalsh(fock).min()
-    H = encode(op, "jordan_wigner")
+    H = encode(op, "jordan_wigner", 2 * ints.n_orbitals)
     e_qubit = np.linalg.eigvalsh(dense_sum(H)).min()
     assert abs(e_fock - e_qubit) < 1e-10
     # 6-31g-type H2 near equilibrium lands close to the known FCI value
@@ -40,7 +40,7 @@ def test_h2_fixture_dense_fci_oracle():
 
 def test_h2_fixture_hf_energy_quadratic_form():
     ints = load_fcidump(FIXTURE_DIR / "h2_0.75.fcidump")
-    H = encode(build_hamiltonian(ints, "abab"), "parity")
+    H = encode(build_hamiltonian(ints, "abab"), "parity", 2 * ints.n_orbitals)
     occ = hf_occupations(ints.n_orbitals, ints.n_electrons, ints.ms2, "abab")
     bits = hf_reference("parity", occ)
     state = basis_state(H.n_qubits, bits)
@@ -51,7 +51,7 @@ def test_h2_fixture_hf_energy_quadratic_form():
 
 def test_h2_fixture_lanczos_vs_dense():
     ints = load_fcidump(FIXTURE_DIR / "h2_0.75.fcidump")
-    H = encode(build_hamiltonian(ints, "aabb"), "bravyi_kitaev")
+    H = encode(build_hamiltonian(ints, "aabb"), "bravyi_kitaev", 2 * ints.n_orbitals)
     e_lanczos, state = exact_ground_state(H)
     dense_min = np.linalg.eigvalsh(dense_sum(H)).min()
     assert abs(e_lanczos - dense_min) < 1e-9
@@ -73,7 +73,7 @@ def test_h2_achieved_qubit_counts():
         ("bravyi_kitaev", "aabb"): 6,
     }
     for (mapping, grouping), n_expected in expected.items():
-        H = encode(build_hamiltonian(ints, grouping), mapping)
+        H = encode(build_hamiltonian(ints, grouping), mapping, 2 * ints.n_orbitals)
         occ = hf_occupations(ints.n_orbitals, ints.n_electrons, ints.ms2, grouping)
         bits = hf_reference(mapping, occ)
         reduced, _, _ = reduce_stationary_qubits(H, bits)

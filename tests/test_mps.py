@@ -64,7 +64,7 @@ def test_mpo_action_matches_pauli_sum():
         H = random_real_sum(rng, n, 12)
         if len(H) == 0:
             continue
-        mpo = build_mpo(H, compression_tol=1e-12)
+        mpo = build_mpo(H)
         M = mpo_to_dense(mpo)
         D = dense_sum(H).real
         for _ in range(3):
@@ -72,11 +72,12 @@ def test_mpo_action_matches_pauli_sum():
             assert np.linalg.norm(M @ v - D @ v) < 1e-8 * max(1, np.linalg.norm(D @ v))
 
 
-def test_mpo_lossless_at_zero_tolerance():
+def test_mpo_compression_keeps_the_sum():
+    # MPO_COMPRESSION_TOL truncates only singular values at rounding level
     rng = np.random.default_rng(72)
     n = 4
     H = random_real_sum(rng, n, 20)
-    mpo = build_mpo(H, compression_tol=0.0)
+    mpo = build_mpo(H)
     assert np.allclose(mpo_to_dense(mpo), dense_sum(H).real, atol=1e-10)
 
 
@@ -86,7 +87,7 @@ def test_mpo_compression_reduces_bond():
     terms = [(1.0, PauliWord(n, 0, 1 << q)) for q in range(n)]
     terms += [(0.5, PauliWord(n, 0, (1 << q) | (1 << (q + 1)))) for q in range(n - 1)]
     H = PauliSum(n, terms)
-    mpo = build_mpo(H, compression_tol=1e-12)
+    mpo = build_mpo(H)
     assert max(mpo.bond_dimensions()) <= 4
     assert np.allclose(mpo_to_dense(mpo), dense_sum(H).real, atol=1e-8)
 

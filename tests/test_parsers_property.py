@@ -102,7 +102,8 @@ reference_text = st.one_of(
 
 config_keys = st.sampled_from([
     "fcidump", "pauli_sum", "mapping", "grouping", "reference", "p_cut", "seed",
-    "hops", "max_steps", "reduce_stationary", "spin_penalty", "temperature", "nope",
+    "descent_fraction", "max_steps", "reduce_stationary", "spin_penalty", "convergence_tol",
+    "nope",
 ])
 config_text = st.one_of(
     st.text(max_size=200),

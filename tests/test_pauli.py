@@ -148,6 +148,16 @@ def test_pauli_sum_merges_and_sorts():
     assert s.terms == ((1.0, w1), (0.25, w2))
 
 
+@pytest.mark.parametrize("coeffs", [(np.nan,), (np.inf,), (np.inf, -np.inf)],
+                         ids=["nan", "inf", "inf_minus_inf"])
+def test_pauli_sum_rejects_non_finite_coefficients(coeffs):
+    # NaN once vanished here (abs(nan) > cutoff is False), and inf - inf
+    # becomes NaN only in the merge
+    XX = PauliWord.from_label("XX")
+    with pytest.raises(PauliError, match="non-finite"):
+        PauliSum(2, [*((c, XX) for c in coeffs), (0.5, PauliWord.from_label("ZI"))])
+
+
 def test_sum_add_and_scale():
     n = 1
     X = PauliWord.from_label("X")

@@ -219,8 +219,7 @@ def test_sector_check_is_skipped_above_exact_limit(tmp_path, monkeypatch):
     path.write_text(_z_tail_chain())
     out = tmp_path / "run"
     code = main([
-        "run", "--pauli-sum", str(path), "--max-steps", "1", "--hops", "0",
-        "--output", str(out),
+        "run", "--pauli-sum", str(path), "--max-steps", "1", "--output", str(out),
     ])
     assert code in (0, 2)
     assert sizes == [10]
@@ -436,7 +435,7 @@ def test_encode_round_trip_spectrum():
     from mivqe.encodings import encode
 
     ints = load_fcidump(LIH)
-    full = encode(build_hamiltonian(ints, "aabb"), "parity")
+    full = encode(build_hamiltonian(ints, "aabb"), "parity", 2 * ints.n_orbitals)
     e_red = np.linalg.eigvalsh(dense_sum(H)).min()
     e_full = np.linalg.eigvalsh(dense_sum(full)).min()
     assert abs(e_red - e_full) < 1e-10
@@ -624,6 +623,61 @@ def test_config_round_trip():
     assert back == cfg
 
 
+RUN_KEYS = [
+    "fcidump", "pauli_sum", "mapping", "grouping", "reduce_stationary", "p_cut",
+    "reference", "descent_fraction", "spin_penalty", "max_steps", "convergence_tol",
+    "baseline", "seed", "output",
+]
+
+
+def test_config_echo_holds_the_run_keys(tmp_path):
+    assert [f.name for f in fields(RunConfig)] == RUN_KEYS
+    out = tmp_path / "run"
+    cfg = lih_config(p_cut=1.0, spin_penalty=0.5, max_steps=1, output=str(out))
+    run_pipeline(cfg)
+    set_keys = [key for key in RUN_KEYS if key != "pauli_sum"]
+    for name in ("report.json", "manifest.json"):
+        echo = json.loads((out / name).read_text())["config"]
+        assert [line.split(" = ")[0] for line in echo] == set_keys, name
+
+
+def _readme_default(cell: str):
+    if cell.startswith("unset"):
+        return None
+    if cell.startswith("`"):
+        text = cell.strip("`")
+        return {"true": True, "false": False}.get(text, text)
+    return float(cell)
+
+
+def test_readme_settings_table_lists_every_run_key():
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| key | type | default | allowed |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        key, _, default = (cell.strip() for cell in line.strip("|").split("|")[:3])
+        rows.append((key.strip("`"), _readme_default(default)))
+    assert rows == [(f.name, f.default) for f in fields(RunConfig)]
+
+
+@pytest.mark.parametrize("grouping", ["abab", "aabb"])
+def test_register_holds_an_orbital_without_integrals(grouping, tmp_path):
+    # orbital 4 has no FCIDUMP record: its two spin-orbitals still get qubits,
+    # which reduction then drops as stationary
+    text = (FIXTURE_DIR / "h2_0.75.fcidump").read_text()
+    assert text.startswith("&FCI NORB=4,")
+    path = _write(tmp_path / "h2_norb5.fcidump", text.replace("NORB=4,", "NORB=5,", 1))
+    out = tmp_path / grouping
+    code = main(["run", "--fcidump", path, "--grouping", grouping, "--max-steps", "1",
+                 "--output", str(out)])
+    assert code in (0, 2)
+    report = json.loads((out / "report.json").read_text())
+    assert report["n_qubits_encoded"] == 10
+    assert report["n_qubits"] == 8
+
+
 def test_cli_run_and_exit_codes(tmp_path, capsys):
     out = tmp_path / "cli_run"
     code = main([
@@ -658,11 +712,7 @@ BAD_SETTINGS = [
     ("--max-steps", "-1"),
     ("--convergence-tol", "-1"),
     ("--seed", "-1"),
-    ("--hops", "-1"),
-    ("--temperature", "0"),
-    ("--step-size", "-1"),
-    ("--local-tol", "-1"),
-    ("--local-tol", "nan"),
+    ("--convergence-tol", "nan"),
     ("--spin-penalty", "nan"),
     ("--reference", "mps:chi=0,sweeps=2"),
 ]
@@ -690,8 +740,14 @@ BAD_INPUTS = {
     "flag_unknown": lambda tmp: ["run", "--fcidump", LIH, "--bogus", "1"],
     "flag_bad_value": lambda tmp: ["sweep", "--workers", "x", LIH],
     "pool_non_integer_qubits": lambda tmp: ["pool", "--n-qubits", "x"],
+    # basin hopping's settings are adaptive-module constants, not run keys
+    "removed_hops_flag": lambda tmp: ["run", "--fcidump", LIH, "--hops", "3"],
+    "removed_temperature_flag": lambda tmp: ["run", "--fcidump", LIH, "--temperature", "1"],
+    "removed_local_tol_key": lambda tmp: [
+        "run", "--config", _write(tmp / "run.cfg", f"fcidump = {LIH}\nlocal_tol = 1e-6\n"),
+    ],
     # run settings out of range, or of the wrong type
-    "hops_non_integer": lambda tmp: ["run", "--fcidump", LIH, "--hops", "x"],
+    "seed_non_integer": lambda tmp: ["run", "--fcidump", LIH, "--seed", "x"],
     **{
         f"{flag[2:]}_{value}": lambda tmp, flag=flag, value=value: [
             "run", "--fcidump", LIH, flag, value,

@@ -83,7 +83,7 @@ def test_ground_energy_matches_lanczos_on_fixture_registers(stem):
     checked = 0
     for mapping in ("jw", "parity", "bk"):
         for grouping in ("abab", "aabb"):
-            H = encode(build_hamiltonian(ints, grouping), mapping)
+            H = encode(build_hamiltonian(ints, grouping), mapping, 2 * ints.n_orbitals)
             x_union = 0
             for _, w in H.terms:
                 x_union |= w.x_mask
