@@ -52,6 +52,11 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # no flag prefixes: an abbreviation would take a key a config file refuses.
+    # add_subparsers makes every verb's parser a _Parser too
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse would print the usage and exit 2, the not-converged code
     def error(self, message):
         raise UsageError(f"{self.prog}: {message}")

@@ -47,12 +47,16 @@ class RunConfig:
     reduce_stationary: bool = _setting(True, "drop Z-only qubits: true | false (default true)")
     p_cut: float | None = _setting(None, "screening cutoff in (0,1]")
     reference: str = _setting("exact", "exact | mps:chi=<n>,sweeps=<n> | mi:<csv path>")
-    descent_fraction: float = AdaptiveConfig.descent_fraction
+    descent_fraction: float = _setting(
+        AdaptiveConfig.descent_fraction, "acceptable descent as a share of the largest, in (0,1]"
+    )
     spin_penalty: float | None = _setting(None, "S^2 penalty weight in hartree")
-    max_steps: int = AdaptiveConfig.max_steps
-    convergence_tol: float = AdaptiveConfig.convergence_tol
+    max_steps: int = _setting(AdaptiveConfig.max_steps, "adaptive step limit, >= 0")
+    convergence_tol: float = _setting(
+        AdaptiveConfig.convergence_tol, "convergence tolerance in hartree, > 0"
+    )
     baseline: str = _setting("reduced", "pool for percentile denominators: reduced | unreduced")
-    seed: int = AdaptiveConfig.seed
+    seed: int = _setting(AdaptiveConfig.seed, "random seed, >= 0")
     output: str | None = _setting(None, "artifact directory")
 
     def __post_init__(self):
@@ -133,7 +137,10 @@ def parse_config(text: str, **overrides) -> RunConfig:
         key, sep, val = line.partition("=")
         if not sep:
             raise ConfigError(f"expected 'key = value', got {line!r}")
-        values[key.strip()] = val.strip()
+        key = key.strip()
+        if key in values:
+            raise ConfigError(f"duplicate config key {key!r}")
+        values[key] = val.strip()
     values.update({k: v for k, v in overrides.items() if v is not None})
 
     typed: dict = {}

@@ -10,13 +10,18 @@ MPS site tensors have shape (left_bond, 2, right_bond); MPO site tensors
 (left_bond, right_bond, 2, 2) with (out, in) physical legs. Environments are
 indexed (bra bond, MPO bond, ket bond).
 
+``build_mpo`` reads each term's site matrices from its (x, z) masks and
+direct-sums every batch of MPO_BATCH terms onto the running MPO in one step,
+one block matrix per site, before each compression. DMRG takes only an MPO:
+``mps_ground_state(build_mpo(H), chi, sweeps, seed, bits)``.
+
 Every network is contracted as a fixed sequence of pairwise ``tensordot``
 steps: one environment step, one effective-Hamiltonian matvec or one
 ``mpo_expectation`` site costs O(chi^3 D + chi^2 D^2) for MPS bond chi and
 MPO bond D, where a single multi-operand ``einsum`` loops over all indices
-at once (O(chi^4 D^2)). ``mps_ground_state`` takes a prebuilt MPO so that
-several DMRG settings on one Hamiltonian share a single ``build_mpo``, and
-``MPSState.local_densities`` canonicalizes once for all RDMs of a state.
+at once (O(chi^4 D^2)). Several DMRG settings on one Hamiltonian share a
+single ``build_mpo``, and ``MPSState.local_densities`` canonicalizes once for
+all RDMs of a state.
 The sweeps stop early once two sweep energies agree to SWEEP_RTOL relative
 to max(1, |E|), so the stop does not depend on the energy's scale.
 """
@@ -28,15 +33,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .pauli import PauliSum, PauliWord
+from .pauli import PauliSum
 
-_SITE_REAL = {
-    "I": np.eye(2),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]]),
-    # X @ Z; the word convention i^y X^x Z^z makes i*Y = -(XZ) bookkeeping exact
-    "Y": np.array([[0.0, -1.0], [1.0, 0.0]]),
-}
+# the real site matrix (out, in) of the factor X^x Z^z, indexed x + 2z: I, X,
+# Z and X @ Z; the word convention i^y X^x Z^z makes i*Y = -(XZ) bookkeeping
+# exact
+_SITE = np.array([
+    [[1.0, 0.0], [0.0, 1.0]],
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[1.0, 0.0], [0.0, -1.0]],
+    [[0.0, -1.0], [1.0, 0.0]],
+])
 
 _DENSE_SOLVE_CUTOFF = 400
 # DMRG stops once two sweep energies differ by less than this fraction of
@@ -60,42 +67,6 @@ class MPO:
     def bond_dimensions(self) -> list[int]:
         return [t.shape[1] for t in self.tensors[:-1]]
 
-
-
-def _word_mpo_tensors(coeff: float, word: PauliWord) -> list[np.ndarray]:
-    y = word.y_count
-    if y % 2:
-        raise MpsError("MPO construction requires even-Y (real) terms")
-    sign = 1.0 if y % 4 == 0 else -1.0  # i^y for even y
-    tensors = []
-    for q in range(word.n_qubits):
-        mat = _SITE_REAL[word.factor(q)]
-        W = np.zeros((1, 1, 2, 2))
-        W[0, 0] = mat
-        tensors.append(W)
-    tensors[0] = tensors[0] * (coeff * sign)
-    return tensors
-
-
-def _direct_sum(a: list[np.ndarray], b: list[np.ndarray]) -> list[np.ndarray]:
-    n = len(a)
-    out = []
-    for i in range(n):
-        Wa, Wb = a[i], b[i]
-        dl = (1 if i == 0 else Wa.shape[0] + Wb.shape[0])
-        dr = (1 if i == n - 1 else Wa.shape[1] + Wb.shape[1])
-        W = np.zeros((dl, dr, 2, 2))
-        if i == 0:
-            W[0, : Wa.shape[1]] = Wa[0]
-            W[0, Wa.shape[1]:] = Wb[0]
-        elif i == n - 1:
-            W[: Wa.shape[0], 0] = Wa[:, 0]
-            W[Wa.shape[0]:, 0] = Wb[:, 0]
-        else:
-            W[: Wa.shape[0], : Wa.shape[1]] = Wa
-            W[Wa.shape[0]:, Wa.shape[1]:] = Wb
-        out.append(W)
-    return out
 
 
 # build_mpo truncates singular values at or below this share of a bond's largest
@@ -140,21 +111,42 @@ MPO_BATCH = 48
 
 
 def build_mpo(H: PauliSum) -> MPO:
-    """Sum of rank-1 term MPOs, compressed every MPO_BATCH terms."""
+    """Sum of rank-1 term MPOs, compressed every MPO_BATCH terms.
+
+    Each batch is direct-summed onto the running MPO in one step: per site,
+    one zero block matrix holding the running MPO's block and then one 1x1
+    block per term, in term order. Site 0 carries each term's coefficient
+    times i^y.
+    """
     if len(H) == 0:
         raise MpsError("cannot build an MPO from an empty sum")
-    if H.n_qubits < 2:
+    n = H.n_qubits
+    if n < 2:
         raise MpsError("MPO backend needs at least 2 sites")
-    acc: list[np.ndarray] | None = None
-    terms = list(H.terms)
-    for start in range(0, len(terms), MPO_BATCH):
-        chunk: list[np.ndarray] | None = None
-        for coeff, word in terms[start : start + MPO_BATCH]:
-            t = _word_mpo_tensors(coeff, word)
-            chunk = t if chunk is None else _direct_sum(chunk, t)
-        acc = chunk if acc is None else _direct_sum(acc, chunk)
-        acc = _compress_tensors(acc)
-    return MPO(acc)
+    coeffs, words = zip(*H.terms)
+    shifts = np.arange(n, dtype=np.uint64)
+    x = (np.array([w.x_mask for w in words], dtype=np.uint64)[:, None] >> shifts) & 1
+    z = (np.array([w.z_mask for w in words], dtype=np.uint64)[:, None] >> shifts) & 1
+    y = (x & z).sum(axis=1)
+    if (y % 2).any():
+        raise MpsError("MPO construction requires even-Y (real) terms")
+    scale = np.array(coeffs) * np.where(y % 4 == 0, 1.0, -1.0)
+    site = (x + 2 * z).astype(np.intp)  # (term, qubit) -> _SITE index
+    # the empty MPO: site 0 has one left bond, site n-1 one right bond
+    tensors = [np.zeros((int(q == 0), int(q == n - 1), 2, 2)) for q in range(n)]
+    for start in range(0, len(H), MPO_BATCH):
+        mats = _SITE[site[start : start + MPO_BATCH]]  # (term, qubit, out, in)
+        mats[:, 0] *= scale[start : start + MPO_BATCH, None, None]
+        m = len(mats)
+        k = np.arange(m)
+        for q, old in enumerate(tensors):
+            dl, dr = old.shape[:2]
+            W = np.zeros((1 if q == 0 else dl + m, 1 if q == n - 1 else dr + m, 2, 2))
+            W[:dl, :dr] = old
+            W[0 if q == 0 else dl + k, 0 if q == n - 1 else dr + k] = mats[:, q]
+            tensors[q] = W
+        tensors = _compress_tensors(tensors)
+    return MPO(tensors)
 
 
 @dataclass
@@ -312,31 +304,21 @@ def _solve_local(h_eff_matvec, dim: int, v0: np.ndarray | None, dense_builder):
 
 
 def mps_ground_state(
-    H: PauliSum,
-    chi: int,
-    n_sweeps: int,
-    seed: int = 7,
-    init_bits=None,
-    mpo: MPO | None = None,
+    mpo: MPO, chi: int, n_sweeps: int, seed: int = 7, init_bits=None
 ) -> tuple[float, MPSState, list[float]]:
-    """Two-site DMRG ground-state search over an MPO form of H.
+    """Two-site DMRG ground-state search over a Hamiltonian's MPO.
 
     Returns the final Rayleigh-quotient energy (variational: never below the
     true ground energy), the state, and the per-sweep energy trace. Fewer
     sweeps or a smaller chi give a controlled de-converged state for MI
     robustness experiments. The sweeps stop early once two sweep energies
-    differ by less than SWEEP_RTOL * max(1, |E|). ``mpo`` is H's MPO when the
-    caller already built it; by default it is built here.
+    differ by less than SWEEP_RTOL * max(1, |E|).
     """
     if chi < 1:
         raise MpsError("chi must be at least 1")
     if n_sweeps < 1:
         raise MpsError("need at least one sweep")
-    n = H.n_qubits
-    if mpo is None:
-        mpo = build_mpo(H)
-    elif mpo.n_sites != n:
-        raise MpsError(f"MPO has {mpo.n_sites} sites, H has {n} qubits")
+    n = mpo.n_sites
     rng = np.random.default_rng(seed)
     # one extra unit of bond freedom during the search helps chi=1 escape
     # the initial product manifold; truncation enforces chi on the result

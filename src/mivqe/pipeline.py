@@ -116,10 +116,10 @@ def _support_tables(mi, n_qubits: int, n_encoded: int, baseline_index_map):
     return table, support_strengths(n_encoded, mi.embedded(baseline_index_map, n_encoded))
 
 
-def _mps_mi(H: PauliSum, backend: MpsBackend, seed: int, bits, mpo=None):
-    """(energy, MI) of H's DMRG ground state at the backend's chi and sweeps."""
+def _mps_mi(mpo: mps.MPO, backend: MpsBackend, seed: int, bits):
+    """(energy, MI) of the MPO's DMRG ground state at the backend's chi and sweeps."""
     e_mps, state, _trace = mps_ground_state(
-        H, chi=backend.chi, n_sweeps=backend.sweeps, seed=seed, init_bits=bits, mpo=mpo
+        mpo, chi=backend.chi, n_sweeps=backend.sweeps, seed=seed, init_bits=bits
     )
     return e_mps, mutual_information(state)
 
@@ -216,7 +216,9 @@ def prepare_problem(cfg: RunConfig) -> Problem:
             warnings.append(f"exact reference unavailable: {exc}")
             exact_state = None
         if isinstance(reference, MpsBackend):
-            e_mps, mi = _mps_mi(H, reference, cfg.seed, bits)
+            # called through the module, as in mi_report, so that a wrapper
+            # installed on mivqe.mps.build_mpo sees every build
+            e_mps, mi = _mps_mi(mps.build_mpo(H), reference, cfg.seed, bits)
             if reference_energy is not None:
                 mps_gap = e_mps - reference_energy
             reference_note = reference.tag()
@@ -506,9 +508,7 @@ def mi_report(cfg: RunConfig, settings: list[MpsBackend]) -> dict:
     # wrapper installed on mivqe.mps.build_mpo sees the call
     mpo = mps.build_mpo(problem.hamiltonian) if settings else None
     for setting in settings:
-        e_mps, mi_chi = _mps_mi(
-            problem.hamiltonian, setting, cfg.seed, problem.reference_bits, mpo
-        )
+        e_mps, mi_chi = _mps_mi(mpo, setting, cfg.seed, problem.reference_bits)
         column, _ = _mi_column(problem, mi_chi, supports, exact_strengths)
         gap = None if problem.reference_energy is None else _fmt(e_mps - problem.reference_energy)
         columns[setting.tag()] = {"energy_gap": gap, **column}

@@ -16,7 +16,7 @@ from mivqe.config import MpsBackend, RunConfig
 from mivqe.encodings import encode, hf_reference, reduce_stationary_qubits
 from mivqe.fcidump import load_fcidump
 from mivqe.fermion import build_hamiltonian, hf_occupations
-from mivqe.mps import mps_ground_state
+from mivqe.mps import build_mpo, mps_ground_state
 from mivqe.pauli import PauliSum, PauliWord
 from mivqe.pipeline import run_pipeline
 from mivqe.reference import exact_ground_state, mutual_information
@@ -283,7 +283,8 @@ def test_criterion_9_mps_backend():
         n = H.n_qubits
         chi = 2 ** (n // 2)
         e_exact, exact_state = exact_ground_state(H)
-        e_mps, mps_state, _ = mps_ground_state(H, chi=chi, n_sweeps=30,
+        mpo = build_mpo(H)
+        e_mps, mps_state, _ = mps_ground_state(mpo, chi=chi, n_sweeps=30,
                                                seed=7, init_bits=bits)
         assert e_mps >= e_exact - 1e-9
         assert abs(e_mps - e_exact) < 1e-8
@@ -291,7 +292,7 @@ def test_criterion_9_mps_backend():
         mi_mps = mutual_information(mps_state)
         assert np.abs(mi_exact.entries - mi_mps.entries).max() < 1e-6
 
-        e_low, low_state, _ = mps_ground_state(H, chi=2, n_sweeps=3,
+        e_low, low_state, _ = mps_ground_state(mpo, chi=2, n_sweeps=3,
                                                seed=7, init_bits=bits)
         gap = e_low - e_exact
         assert gap > 0.0

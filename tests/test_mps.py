@@ -1,5 +1,9 @@
 """MPO construction/compression and two-site DMRG."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -38,6 +42,14 @@ from helpers import (
     random_word,
     single_density_matrix,
 )
+
+MPO_DIGESTS = Path(__file__).with_name("mpo_sha256.txt")
+# the rows checked here: every lih_1.60 row, and the two reduced h2o_1.80
+# Hamiltonians the benchmark workloads run (mi_ladder, h2o10_scoring)
+CHECKED_MPO_ROWS = {
+    ("h2o_1.80", "parity", "aabb", "0.5", "reduced"),
+    ("h2o_1.80", "jordan_wigner", "abab", "none", "reduced"),
+}
 
 
 def random_real_sum(rng, n, n_terms):
@@ -101,7 +113,7 @@ def test_mpo_rejects_odd_y():
 def test_dmrg_z_field_product_state():
     n = 5
     H = PauliSum(n, [(1.0, PauliWord(n, 0, 1 << q)) for q in range(n)])
-    energy, state, trace = mps_ground_state(H, chi=1, n_sweeps=8)
+    energy, state, trace = mps_ground_state(build_mpo(H), chi=1, n_sweeps=8)
     assert abs(energy + n) < 1e-10
     assert max_bond(state) == 1
     dense = mps_to_statevector(state)
@@ -117,7 +129,7 @@ def test_dmrg_matches_exact_at_full_bond():
             continue
         e_exact, _ = exact_ground_state(H)
         chi = 2 ** (n // 2)
-        e_mps, state, _ = mps_ground_state(H, chi=chi, n_sweeps=20)
+        e_mps, state, _ = mps_ground_state(build_mpo(H), chi=chi, n_sweeps=20)
         assert e_mps >= e_exact - 1e-9  # variational
         assert abs(e_mps - e_exact) < 1e-8
         assert abs(state.norm() - 1.0) < 1e-8
@@ -132,7 +144,7 @@ def test_dmrg_truncated_chi_gap_positive():
     terms += [(-0.9, PauliWord(n, 1 << q, 0)) for q in range(n)]
     H = PauliSum(n, terms)
     e_exact, _ = exact_ground_state(H)
-    e_mps, state, _ = mps_ground_state(H, chi=1, n_sweeps=10)
+    e_mps, state, _ = mps_ground_state(build_mpo(H), chi=1, n_sweeps=10)
     assert e_mps > e_exact + 1e-6
     assert max_bond(state) == 1
 
@@ -141,7 +153,7 @@ def test_mps_rdms_match_dense():
     rng = np.random.default_rng(75)
     n = 5
     H = random_real_sum(rng, n, 14)
-    _, state, _ = mps_ground_state(H, chi=2 ** (n // 2), n_sweeps=16)
+    _, state, _ = mps_ground_state(build_mpo(H), chi=2 ** (n // 2), n_sweeps=16)
     dense = mps_to_statevector(state)
     dense = dense / np.linalg.norm(dense)
     for q in range(n):
@@ -160,7 +172,7 @@ def test_mps_mi_matches_dense_mi():
     n = 4
     H = random_real_sum(rng, n, 12)
     e_exact, exact_state = exact_ground_state(H)
-    e_mps, state, _ = mps_ground_state(H, chi=2 ** (n // 2), n_sweeps=20)
+    e_mps, state, _ = mps_ground_state(build_mpo(H), chi=2 ** (n // 2), n_sweeps=20)
     mi_exact = mutual_information(exact_state)
     mi_mps = mutual_information(state)
     assert np.abs(mi_exact.entries - mi_mps.entries).max() < 1e-6
@@ -170,8 +182,8 @@ def test_dmrg_deterministic():
     rng = np.random.default_rng(77)
     n = 4
     H = random_real_sum(rng, n, 10)
-    e1, s1, t1 = mps_ground_state(H, chi=2, n_sweeps=5, seed=3)
-    e2, s2, t2 = mps_ground_state(H, chi=2, n_sweeps=5, seed=3)
+    e1, s1, t1 = mps_ground_state(build_mpo(H), chi=2, n_sweeps=5, seed=3)
+    e2, s2, t2 = mps_ground_state(build_mpo(H), chi=2, n_sweeps=5, seed=3)
     assert e1 == e2
     assert t1 == t2
     for a, b in zip(s1.tensors, s2.tensors):
@@ -249,7 +261,7 @@ def test_mps_mi_one_canonical_form_equals_per_call_path():
     mps, _ = random_chain(rng)
     assert mutual_information(mps).entries.tobytes() == per_call_mutual_information(mps).tobytes()
     H = random_real_sum(rng, 6, 20)
-    _, state, _ = mps_ground_state(H, chi=4, n_sweeps=3)
+    _, state, _ = mps_ground_state(build_mpo(H), chi=4, n_sweeps=3)
     assert mutual_information(state).entries.tobytes() == per_call_mutual_information(state).tobytes()
 
 
@@ -293,7 +305,7 @@ def test_dmrg_iterative_local_solver_matches_exact(monkeypatch):
     n = 9
     H = random_real_sum(rng, n, 30)
     e_exact, _ = exact_ground_state(H)
-    e_mps, state, _ = mps_ground_state(H, chi=16, n_sweeps=10)
+    e_mps, state, _ = mps_ground_state(build_mpo(H), chi=16, n_sweeps=10)
     assert calls and max(calls) > mivqe.mps._DENSE_SOLVE_CUTOFF
     assert abs(e_mps - e_exact) < 1e-8
     assert max_bond(state) <= 16
@@ -312,19 +324,24 @@ def test_dmrg_early_stop_is_relative_to_the_energy():
         RunConfig(fcidump=str(FIXTURE_DIR / "lih_1.60.fcidump"), mapping="parity", grouping="aabb")
     )
     H, bits = problem.hamiltonian, problem.reference_bits
-    _, _, trace = mps_ground_state(H, chi=4, n_sweeps=8, seed=7, init_bits=bits)
-    _, _, scaled = mps_ground_state(H * 1e3, chi=4, n_sweeps=8, seed=7, init_bits=bits)
+    _, _, trace = mps_ground_state(build_mpo(H), 4, 8, seed=7, init_bits=bits)
+    _, _, scaled = mps_ground_state(build_mpo(H * 1e3), 4, 8, seed=7, init_bits=bits)
     assert len(trace) < 8
     assert len(scaled) == len(trace)
 
 
-def test_dmrg_given_mpo_equals_building_its_own():
-    rng = np.random.default_rng(88)
-    H = random_real_sum(rng, 5, 14)
-    e1, s1, t1 = mps_ground_state(H, chi=3, n_sweeps=4, seed=2)
-    e2, s2, t2 = mps_ground_state(H, chi=3, n_sweeps=4, seed=2, mpo=build_mpo(H))
-    assert (e1, t1) == (e2, t2)
-    for a, b in zip(s1.tensors, s2.tensors):
-        assert np.array_equal(a, b)
-    with pytest.raises(MpsError):
-        mps_ground_state(H, chi=3, n_sweeps=1, mpo=build_mpo(random_real_sum(rng, 4, 6)))
+def test_mpo_matches_recorded_digests():
+    """build_mpo keeps every bit of every tensor, its shape and its bytes, on
+    every lih_1.60 row and the benchmark's two h2o_1.80 rows (the script pins
+    BLAS to one thread, so it runs in its own process)."""
+    rows = [line for line in MPO_DIGESTS.read_text().splitlines()
+            if line and not line.startswith("#")]
+    checked = [row for row in rows if row.split()[1] == "lih_1.60"
+               or tuple(row.split()[1:]) in CHECKED_MPO_ROWS]
+    assert len(rows) == 156 and len(checked) == 14
+    script = MPO_DIGESTS.with_name("mpo_digests.py")
+    out = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, check=True,
+        input="".join(row.split(None, 1)[1] + "\n" for row in checked),
+    )
+    assert out.stdout.splitlines() == checked

@@ -561,21 +561,37 @@ def test_mi_report_spearman_ranks_the_whole_pool_under_p_cut():
     assert rho == full["columns"][setting.tag()]["spearman_vs_exact"]
 
 
-def test_mi_report_builds_one_mpo_for_all_settings(monkeypatch):
+def _spy_on_build_mpo(monkeypatch) -> list:
+    """Every MPO built through mivqe.mps.build_mpo from now on, in order."""
     import mivqe.mps
 
     built = []
     build_mpo = mivqe.mps.build_mpo
 
-    def spy(H, *args, **kwargs):
-        built.append(build_mpo(H, *args, **kwargs))
+    def spy(H):
+        built.append(build_mpo(H))
         return built[-1]
 
     monkeypatch.setattr(mivqe.mps, "build_mpo", spy)
+    return built
+
+
+def test_mi_report_builds_one_mpo_for_all_settings(monkeypatch):
+    built = _spy_on_build_mpo(monkeypatch)
     settings = [MpsBackend(chi=2, sweeps=1), MpsBackend(chi=2, sweeps=2), MpsBackend(chi=4, sweeps=1)]
     out = mi_report(lih_config(max_steps=1), settings)
     assert len(built) == 1
     assert set(out["columns"]) == {"exact"} | {s.tag() for s in settings}
+
+
+def test_mps_reference_run_builds_one_mpo(monkeypatch):
+    """The MPS reference builds its MPO through the module attribute, so a
+    wrapper on mivqe.mps.build_mpo (the benchmark tracer's) sees the build."""
+    built = _spy_on_build_mpo(monkeypatch)
+    _, problem = run_pipeline(lih_config(max_steps=1, reference="mps:chi=4,sweeps=3"))
+    assert problem.reference_note == "mps:chi=4,sweeps=3"
+    assert len(built) == 1
+    assert built[0].n_sites == problem.hamiltonian.n_qubits
 
 
 def test_config_file_parsing(tmp_path):
@@ -746,6 +762,9 @@ BAD_INPUTS = {
     "removed_local_tol_key": lambda tmp: [
         "run", "--config", _write(tmp / "run.cfg", f"fcidump = {LIH}\nlocal_tol = 1e-6\n"),
     ],
+    "duplicate_config_key": lambda tmp: [
+        "run", "--config", _write(tmp / "run.cfg", f"fcidump = {LIH}\nseed = 1\nseed = 2\n"),
+    ],
     # run settings out of range, or of the wrong type
     "seed_non_integer": lambda tmp: ["run", "--fcidump", LIH, "--seed", "x"],
     **{
@@ -886,6 +905,26 @@ def test_help_exits_0(capsys):
         main(["run", "--help"])
     assert exit_.value.code == 0
     assert "--descent-fraction" in capsys.readouterr().out
+
+
+def test_every_run_key_has_help_text():
+    assert [f.name for f in fields(RunConfig) if not f.metadata.get("help")] == []
+
+
+@pytest.mark.parametrize("args", [["--max-st", "x"], ["--conv", "-1"]], ids=["max-st", "conv"])
+def test_abbreviated_flag_is_a_usage_error(args, capsys):
+    """A flag prefix is not taken as the full key: the config file refuses
+    `conv = -1` as an unknown key, so the flag must fail as unknown too."""
+    code = main(["run", "--fcidump", LIH, *args])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err == f"error: mivqe: unrecognized arguments: {' '.join(args)}\n"
+
+
+def test_duplicate_config_key_is_refused_and_flags_still_override():
+    with pytest.raises(ConfigError, match="duplicate config key 'seed'"):
+        parse_config(f"fcidump = {LIH}\nseed = 1\nseed = 2\n")
+    assert parse_config(f"fcidump = {LIH}\nseed = 1\n", seed="2").seed == 2
 
 
 SAMPLE_VALUES = ["x", "-1", "0", "0.5", "2", "true", "jw", "mps:chi=2,sweeps=1"]
