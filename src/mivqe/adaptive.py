@@ -22,11 +22,14 @@ from .pauli import PauliSum, PauliWord, format_pauli_factors
 from .screening import EntanglerPool
 from .simulator import Ansatz, compile_sum_action, energy_and_gradient
 
-# Largest register the pool scorer (and so a run) accepts: its 4^n-entry
-# word table and the odd-Y pool of (4^n - 2^n)/2 words must fit in memory.
+# Largest register the pool scorer (and so a run) accepts. A step holds the
+# 2^n x 2^n sign matrix, the word table T and two transform buffers (8 bytes
+# x 4^n each), about a dozen bytes per word of the (4^n - 2^n)/2-word pool
+# and its arrays, and one refine block; the int32 word indices allow n <= 15.
 SCORER_MAX_QUBITS = 10
-# Pool words per block of the scorer's exact term sum.
-TERM_SUM_CHUNK = 4096
+# Entries (terms x pool words) per block of the scorer's exact term sum; a
+# block holds at least two words.
+TERM_SUM_ENTRIES = 1 << 16
 # Without a reference energy a run stops once each of the last
 # DESCENT_FLOOR_WINDOW steps descended less than DESCENT_FLOOR hartree.
 DESCENT_FLOOR = 1e-6
@@ -156,6 +159,26 @@ def _fwht(a: np.ndarray) -> np.ndarray:
     return src
 
 
+def _xor_shifts(v: np.ndarray) -> np.ndarray:
+    """The 2^m x 2^m table out[i, j] = v[i ^ j], with no index table.
+
+    Row 0 is v; rows h..2h-1 are rows 0..h-1 with their column blocks of
+    width h swapped, for h = 1, 2, 4, ..., since v[(i + h) ^ j] =
+    v[i ^ (j ^ h)] for i < h. Every entry is a copy of an entry of v.
+    """
+    d = len(v)
+    out = np.empty((d, d), dtype=v.dtype)
+    out[0] = v
+    h = 1
+    while h < d:
+        shape = (h, d // (2 * h), 2, h)
+        src, dst = out[:h].reshape(shape), out[h : 2 * h].reshape(shape)
+        dst[:, :, 0] = src[:, :, 1]
+        dst[:, :, 1] = src[:, :, 0]
+        h *= 2
+    return out
+
+
 class PoolScorer:
     """Sinusoid fits for every pool word against a frozen real state s.
 
@@ -202,7 +225,7 @@ class PoolScorer:
             raise AdaptiveError("pool scorer requires an even-Y (real) Hamiltonian")
         self.px = pool.x
         self.pz = pool.z
-        self.py = np.bitwise_count(pool.x & pool.z).astype(np.int64)
+        self.py = np.bitwise_count(pool.x & pool.z)
         if np.any(self.py % 2 == 0):
             raise AdaptiveError("pool words must have odd Y count")
         self.slack = 1e-9 * (1.0 + float(np.abs(self.coeffs).sum()))
@@ -212,16 +235,15 @@ class PoolScorer:
         # |word_zx & term_slot_i| is odd
         shift = np.uint64(n)
         self._term_slot = ((self.tx << shift) | self.tz).astype(np.intp)
-        self._word_xz = ((self.px << shift) | self.pz).astype(np.intp)
-        self._word_zx = ((self.pz << shift) | self.px).astype(np.intp)
-        self._c_sign = np.where(self.py % 4 == 1, 1.0, -1.0)
-        dim = 1 << n
-        k = np.arange(dim, dtype=np.uint64)
+        self._word_xz = ((self.px << shift) | self.pz).astype(np.int32)
+        self._word_zx = ((self.pz << shift) | self.px).astype(np.int32)
+        # C_P = -T_sigma[x_P, z_P] unless y_P = 1 mod 4
+        self._c_negate = self.py % 4 != 1
+        k = np.arange(1 << n, dtype=np.uint64)
         # Hadamard sign matrix (-1)^{|k & z|}
         self._signs = 1.0 - 2.0 * (
             np.bitwise_count(k[:, None] & k[None, :]) & np.uint64(1)
         ).astype(np.float64)
-        self._kx = (k[:, None] ^ k[None, :]).astype(np.intp)
 
     @staticmethod
     def _real(state: np.ndarray) -> np.ndarray:
@@ -234,7 +256,9 @@ class PoolScorer:
 
     def _word_table(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """T[x, z] and f_i = c_i <P_i> for the Hamiltonian terms."""
-        T = (s[self._kx] * s[None, :]) @ self._signs
+        sk = _xor_shifts(s)
+        np.multiply(sk, s, out=sk)  # [x, k] = s[x ^ k] s[k]
+        T = sk @ self._signs
         # <P_i> = i^y_i T[x_i, z_i], and i^y_i is +-1 here (even y)
         term_signs = np.where(self.ty % 4 == 0, 1.0, -1.0)
         f = self.coeffs * (term_signs * T[self.tx.astype(np.intp), self.tz.astype(np.intp)])
@@ -246,8 +270,9 @@ class PoolScorer:
         """(descents, taus) of the pool words idx by the exact term sum."""
         b = np.empty(len(idx))
         c = np.empty(len(idx))
-        for start in range(0, len(idx), TERM_SUM_CHUNK):
-            cols = idx[start : start + TERM_SUM_CHUNK]
+        width = max(2, TERM_SUM_ENTRIES // max(len(self.coeffs), 1))
+        for start in range(0, len(idx), width):
+            cols = idx[start : start + width]
             # numpy sums a lone column pairwise but several columns term by
             # term; a duplicate keeps every word on the term-by-term order
             sel = np.resize(cols, max(len(cols), 2))
@@ -297,19 +322,28 @@ class PoolScorer:
         T, f = self._word_table(s)
         e0 = float(f.sum())
         # G = the 4^n transform of f placed at (z_i << n) | x_i: its low
-        # levels (over x) first, then its high levels (over z); G[z, x]
-        F = np.zeros((1 << self.n, 1 << self.n))
-        F.ravel()[self._term_slot] = f
-        G = _fwht(np.ascontiguousarray(_fwht(F).T))
-        b = 0.5 * (e0 - G.ravel()[self._word_xz])
-        del F, G  # the 4^n-entry tables are not kept through the refine
+        # levels (over x) first, then its high levels (over z); G[z, x].
+        # Each statement rebinds G, so at most two 4^n buffers are held.
+        G = np.zeros((1 << self.n, 1 << self.n))
+        G.ravel()[self._term_slot] = f
+        G = _fwht(G)
+        G = np.ascontiguousarray(G.T)
+        G = _fwht(G)
+        b = G.ravel()[self._word_xz]
+        del G  # the 4^n-entry tables are not kept through the refine
+        np.subtract(e0, b, out=b)
+        np.multiply(0.5, b, out=b)
         sigma = self._h_action(s)
         # [k, x] = sigma[k ^ x] s[k], transformed over k: T_sigma[z, x]
-        T_sigma = _fwht(sigma[self._kx] * s[:, None])
-        c = self._c_sign * T_sigma.ravel()[self._word_zx]
+        T_sigma = _xor_shifts(sigma)
+        np.multiply(T_sigma, s[:, None], out=T_sigma)
+        T_sigma = _fwht(T_sigma)
+        c = T_sigma.ravel()[self._word_zx]
         del T_sigma
+        np.negative(c, out=c, where=self._c_negate)
         descents = b + np.hypot(b, c)
         taus = _tau_minimum(b, c)
+        del b, c
 
         band = 2.0 * self.slack
         strengths = np.asarray(strengths, dtype=float)

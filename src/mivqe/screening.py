@@ -25,6 +25,10 @@ import numpy as np
 from .pauli import PauliWord, format_pauli_factors
 
 
+# (z, x) mask pairs per block of generate_pool
+POOL_BLOCK = 1 << 16
+
+
 class ScreeningError(ValueError):
     pass
 
@@ -79,14 +83,28 @@ class EntanglerPool:
 
 
 def generate_pool(n_qubits: int) -> EntanglerPool:
-    """All odd-Y Pauli words on n qubits in canonical order."""
+    """All odd-Y Pauli words on n qubits in canonical order.
+
+    The Y count of (x, z) is |x & z|. Each z > 0 takes half of the 2^n x
+    masks, and z = 0 none, so the pool is 2^n - 1 rows of 2^(n-1) words;
+    the rows are found POOL_BLOCK (z, x) pairs at a time from a 2^n parity
+    table.
+    """
     if n_qubits < 1:
         raise ScreeningError("n_qubits must be positive")
     size = 1 << n_qubits
-    z = np.repeat(np.arange(size, dtype=np.uint64), size)
-    x = np.tile(np.arange(size, dtype=np.uint64), size)
-    odd = (np.bitwise_count(x & z) & np.uint64(1)).astype(bool)
-    return EntanglerPool(n_qubits, x[odd], z[odd], "original")
+    half = size // 2
+    k = np.arange(size, dtype=np.uint64)
+    odd = (np.bitwise_count(k) & np.uint64(1)).astype(bool)
+    z = np.repeat(k[1:], half)
+    x = np.empty_like(z)
+    rows = x.reshape(size - 1, half)
+    step = max(1, POOL_BLOCK // size)
+    for start in range(1, size, step):
+        zs = k[start : start + step]
+        cols = np.nonzero(odd[zs[:, None] & k])[1]
+        rows[start - 1 : start - 1 + len(zs)] = cols.reshape(len(zs), half)
+    return EntanglerPool(n_qubits, x, z, "original")
 
 
 def odd_y_multiplicities(n_qubits: int) -> np.ndarray:

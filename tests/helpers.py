@@ -14,7 +14,9 @@ The rest are reference paths and conveniences the package itself no longer
 calls: the expectation of a PauliSum, a pool scorer with H compiled for it,
 the single-word Pauli action and exponential, the three-evaluation
 sinusoid fit of one entangler, the pool scorer's exact term sum over the
-whole pool, the per-mask and per-word correlation strength and percentile
+whole pool, the pool scorer on a 2^n x 2^n gather index k ^ x and the odd-Y
+pool filtered out of all 4^n mask pairs (the forms the scorer and
+generate_pool had before, which they must match bit for bit), the per-mask and per-word correlation strength and percentile
 count, a word's position in a pool, the pool text parser, the FCIDUMP
 writer, the largest MPS bond, the Pauli commutation test, identity check and
 canonical sort key, P H P, the number operator, the dense MPO and MPS, and
@@ -23,7 +25,7 @@ the RDMs of an MPS one call at a time.
 
 import numpy as np
 
-from mivqe.adaptive import PoolScorer, _tau_minimum
+from mivqe.adaptive import PoolScorer, _fwht, _tau_minimum
 from mivqe.fcidump import MolecularIntegrals
 from mivqe.fermion import FermionOperator
 from mivqe.pauli import (
@@ -374,6 +376,62 @@ def term_sum_scores(scorer: PoolScorer, state: np.ndarray) -> tuple[np.ndarray, 
     """(descents, taus) of the scorer's whole pool by its exact term sum."""
     T, f = scorer._word_table(scorer._real(state))
     return scorer._term_sum(T, f, np.arange(len(scorer.px)))
+
+
+def gather_index_scores(
+    scorer: PoolScorer, state: np.ndarray, strengths: np.ndarray, descent_fraction: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """PoolScorer.scores built on a 2^n x 2^n gather index k ^ x.
+
+    s[k ^ x] and sigma[k ^ x] are read through that index, word indices are
+    intp, C's sign is a +-1.0 factor, and the 4^n transform keeps a third
+    buffer; the refine reuses the scorer's own term sum.
+    """
+    k = np.arange(1 << scorer.n)
+    kx = k[:, None] ^ k[None, :]
+    s = scorer._real(state)
+    T = (s[kx] * s[None, :]) @ scorer._signs
+    term_signs = np.where(scorer.ty % 4 == 0, 1.0, -1.0)
+    f = scorer.coeffs * (term_signs * T[scorer.tx.astype(np.intp), scorer.tz.astype(np.intp)])
+    e0 = float(f.sum())
+    shift = np.uint64(scorer.n)
+    word_xz = ((scorer.px << shift) | scorer.pz).astype(np.intp)
+    word_zx = ((scorer.pz << shift) | scorer.px).astype(np.intp)
+    py = np.bitwise_count(scorer.px & scorer.pz).astype(np.int64)
+    F = np.zeros((len(k), len(k)))
+    F.ravel()[scorer._term_slot] = f
+    G = _fwht(np.ascontiguousarray(_fwht(F).T))
+    b = 0.5 * (e0 - G.ravel()[word_xz])
+    sigma = scorer._h_action(s)
+    T_sigma = _fwht(sigma[kx] * s[:, None])
+    c = np.where(py % 4 == 1, 1.0, -1.0) * T_sigma.ravel()[word_zx]
+    descents = b + np.hypot(b, c)
+    taus = _tau_minimum(b, c)
+
+    band = 2.0 * scorer.slack
+    strengths = np.asarray(strengths, dtype=float)
+
+    def refine(mask):
+        idx = np.flatnonzero(mask)
+        descents[idx], taus[idx] = scorer._term_sum(T, f, idx)
+
+    top = descents.max()
+    refine((descents >= top - band) | (np.abs(descents - descent_fraction * top) <= band))
+    top = descents.max()
+    if top > 0.0:
+        acceptable = descents >= descent_fraction * top
+        group = acceptable & (strengths == strengths[acceptable].max())
+        refine(group & (descents >= descents[group].max() - band))
+    return descents, taus, e0
+
+
+def tiled_pool_masks(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, z) of the odd-Y pool, filtered out of all 4^n (x, z) pairs."""
+    size = 1 << n_qubits
+    z = np.repeat(np.arange(size, dtype=np.uint64), size)
+    x = np.tile(np.arange(size, dtype=np.uint64), size)
+    odd = (np.bitwise_count(x & z) & np.uint64(1)).astype(bool)
+    return x[odd], z[odd]
 
 
 def support_strength(entries: np.ndarray, support: list[int]) -> float:

@@ -9,12 +9,15 @@ from mivqe.adaptive import (
     AdaptiveConfig,
     AdaptiveError,
     NoImprovingEntangler,
+    PoolScorer,
     _fwht,
+    _xor_shifts,
     joint_optimize,
     run_adaptive,
     select_entangler,
 )
 from mivqe.encodings import encode, hf_reference
+from mivqe.fcidump import load_fcidump
 from mivqe.fermion import build_hamiltonian, hf_occupations
 from mivqe.pauli import PauliSum, PauliWord
 from mivqe.reference import exact_ground_state, mutual_information
@@ -34,6 +37,7 @@ from helpers import (
     dense_word,
     expectation,
     fwht_radix2,
+    gather_index_scores,
     pool_index,
     pool_scorer,
     random_state,
@@ -41,6 +45,7 @@ from helpers import (
     score_entangler,
     term_sum_scores,
 )
+from conftest import FIXTURE_DIR
 from test_encodings import hydrogen_like_integrals
 
 
@@ -493,6 +498,97 @@ def test_fwht_is_the_radix2_transform_bit_for_bit(shape):
     want = fwht_radix2(a.T).T.view(np.uint64)
     for given in (a.copy(), np.ascontiguousarray(a.T).T):
         assert np.array_equal(_fwht(given).view(np.uint64), want)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_xor_shifts_equals_the_index_gather_bit_for_bit(n):
+    """The half-swap table is the gather v[k ^ x], also from a strided view
+    such as the real part of a complex state, and C-contiguous."""
+    d = 1 << n
+    rng = np.random.default_rng(95 + n)
+    v = (rng.normal(size=d) + 1j * rng.normal(size=d)).real
+    k = np.arange(d)
+    want = v[k[:, None] ^ k].view(np.uint64)
+    got = _xor_shifts(v)
+    assert got.flags.c_contiguous and got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pool_scorer_equals_the_gather_index_scorer_bit_for_bit(n):
+    """Descents, taus and E0 keep every bit of the scorer built on a k ^ x
+    gather index with a +-1.0 C sign, at a random real state and at a basis
+    state (where exact ties fill the refine bands), with support-table
+    strengths that tie across each support."""
+    rng = np.random.default_rng(96 + n)
+    H = random_even_sum(rng, n, 6 * n)
+    pool = generate_pool(n)
+    scorer = pool_scorer(H, pool)
+    mi = np.triu(rng.uniform(size=(n, n)), 1)
+    strengths = pool_strengths(pool, support_strengths(n, mi + mi.T))
+    basis = np.zeros(2**n, dtype=complex)
+    basis[rng.integers(2**n)] = 1.0
+    for state in (real_random_state(rng, n), basis):
+        descents, taus, e0 = scorer.scores(state, strengths, 0.3)
+        want_d, want_t, want_e0 = gather_index_scores(scorer, state, strengths, 0.3)
+        assert np.array_equal(descents.view(np.uint64), want_d.view(np.uint64))
+        assert np.array_equal(taus.view(np.uint64), want_t.view(np.uint64))
+        assert e0 == want_e0
+
+
+def test_term_sum_bits_do_not_depend_on_the_block_width(monkeypatch):
+    """Blocks of 2, 3 and 7 words give the bits of one block over the whole
+    pool and over an odd-sized subset (whose last block of one word is
+    padded to two): a block of two or more columns sums term by term."""
+    import mivqe.adaptive
+
+    rng = np.random.default_rng(97)
+    n = 5
+    H = random_even_sum(rng, n, 40)
+    pool = generate_pool(n)
+    scorer = pool_scorer(H, pool)
+    T, f = scorer._word_table(scorer._real(real_random_state(rng, n)))
+    subsets = (np.arange(len(pool)), np.sort(rng.choice(len(pool), 11, replace=False)))
+
+    def blocks_of(width):
+        monkeypatch.setattr(mivqe.adaptive, "TERM_SUM_ENTRIES", width * len(H))
+        return [np.concatenate(scorer._term_sum(T, f, idx)).view(np.uint64) for idx in subsets]
+
+    whole = blocks_of(len(pool))
+    for width in (2, 3, 7):
+        for got, want in zip(blocks_of(width), whole):
+            assert np.array_equal(got, want)
+
+
+# Traced bytes that PoolScorer construction plus one scores() may allocate on
+# the 10-qubit water HF state: seven 4^10-entry float64 tables. The sign
+# matrix, T, two transform buffers, the pool-length arrays and one refine
+# block measure ~45.5 MiB; with a 4^n intp gather index, intp word indices,
+# a float64 C sign and a third transform buffer they measured ~82 MiB.
+SCORER_TRACED_CEILING = 7 * 8 * 2**20
+
+
+def test_pool_scorer_memory_on_the_10_qubit_water_hf_state():
+    import tracemalloc
+
+    ints = load_fcidump(FIXTURE_DIR / "h2o_1.80.fcidump")
+    H = encode(build_hamiltonian(ints, "abab"), "jordan_wigner", 2 * ints.n_orbitals)
+    occupations = hf_occupations(ints.n_orbitals, ints.n_electrons, ints.ms2, "abab")
+    state = basis_state(H.n_qubits, hf_reference("jordan_wigner", occupations))
+    pool = generate_pool(H.n_qubits)
+    assert H.n_qubits == 10 and len(pool) == 523_776
+    h_action = compile_sum_action(H)[0]
+    strengths = np.zeros(len(pool))
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        scorer = PoolScorer(H, pool, h_action)
+        scorer.scores(state, strengths, 0.3)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < SCORER_TRACED_CEILING, f"{peak / 2**20:.1f} MiB"
 
 
 def test_pool_scorer_rejects_bad_inputs_with_typed_errors():

@@ -25,6 +25,7 @@ from helpers import (
     per_word_percentiles,
     pool_from_text,
     sort_key,
+    tiled_pool_masks,
 )
 
 
@@ -66,6 +67,16 @@ def test_pool_words_all_odd_y_unique_canonical():
     keys = [sort_key(w) for w in pool]
     assert keys == sorted(keys)
     assert not any(is_identity(w) for w in pool)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_pool_equals_the_filtered_tiled_masks(n):
+    """generate_pool keeps the order and uint64 dtype of the pool filtered
+    out of all 4^n (x, z) pairs, also when its blocks split the z rows."""
+    pool = generate_pool(n)
+    x, z = tiled_pool_masks(n)
+    assert pool.x.dtype == pool.z.dtype == np.uint64
+    assert np.array_equal(pool.x, x) and np.array_equal(pool.z, z)
 
 
 def test_correlation_strength_single_pair():

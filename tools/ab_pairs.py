@@ -25,7 +25,12 @@ change won (ties count for neither) and two verdicts:
   parent; otherwise "none".
 
 Runs always take the run length of the benchmark. The last stdout line is
-one JSON object with every run's values and the verdicts.
+one JSON object with every run's values, the verdicts, the workload, seed
+and pair count, both checkouts' commit ids (``git describe --dirty``: a
+"-dirty" suffix marks tracked files that differ from the commit) and the
+host record ``perfbench/host.py`` made in the change's first run. ``--out
+BENCH_<pr>_<workload>.json`` also writes that object to a file, the form in
+which a performance claim is committed.
 """
 
 from __future__ import annotations
@@ -40,8 +45,8 @@ from pathlib import Path
 MIN_PAIRS = 10  # fewer pairs show no gain
 
 
-def run_once(checkout: Path, workload: str, seed: int) -> dict:
-    """One untraced benchmark run; returns its result line."""
+def run_once(checkout: Path, workload: str, seed: int) -> tuple[dict, dict | None]:
+    """One untraced benchmark run; returns its result line and host record."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
@@ -49,7 +54,17 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"ab_pairs: {' '.join(cmd)} in {checkout} failed "
                          f"(exit {proc.returncode}):\n{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    host = next((json.loads(line[len("host: "):]) for line in lines
+                 if line.startswith("host: ")), None)
+    return json.loads(lines[-1]), host
+
+
+def commit_id(checkout: Path) -> str | None:
+    """The checkout's HEAD, "-dirty" when tracked files differ; None outside git."""
+    proc = subprocess.run(["git", "-C", str(checkout), "describe", "--always", "--dirty",
+                           "--abbrev=40", "--exclude=*"],
+                          capture_output=True, text=True, check=False)
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -94,6 +109,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--out", type=Path, help="also write the final JSON object here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -104,10 +120,13 @@ def main(argv=None) -> int:
     metrics = json.loads((sides["change"] / "BENCHMARK.json").read_text())["end_to_end"]
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    host = None
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run_once(sides[side], args.workload, args.seed)
+            result, run_host = run_once(sides[side], args.workload, args.seed)
+            if side == "change" and host is None:
+                host = run_host
             runs[side].append(result)
             values = ", ".join(f"{m['name']} {result['metrics'][m['name']]['value']:.4g}"
                                for m in metrics)
@@ -130,12 +149,17 @@ def main(argv=None) -> int:
               f"gain {'shown' if v['gain'] else 'not shown'}; "
               f"regression {v['regression']}")
     print(f"runs failing fingerprints: parent {failed['parent']}, change {failed['change']}")
-    print(json.dumps({
+    summary = {
         "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
         "values": {side: [{k: r["metrics"][k]["value"] for k in r["metrics"]} for r in runs[side]]
                    for side in runs},
         "failed_runs": failed, "verdicts": verdicts,
-    }))
+        "commits": {side: commit_id(path) for side, path in sides.items()},
+        "host": host,
+    }
+    if args.out is not None:
+        args.out.write_text(json.dumps(summary, indent=2) + "\n")
+    print(json.dumps(summary))
     return 0
 
 
