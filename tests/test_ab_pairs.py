@@ -1,11 +1,15 @@
-"""The gain and regression verdicts of tools/ab_pairs.py."""
+"""The gain and regression verdicts of tools/ab_pairs.py, its final JSON
+object, and the committed BENCH_<pr>_<workload>.json files it wrote."""
 
 import importlib.util
+import json
+import re
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).parent.parent / "tools" / "ab_pairs.py"
+ROOT = Path(__file__).parent.parent
+_PATH = ROOT / "tools" / "ab_pairs.py"
 _spec = importlib.util.spec_from_file_location("ab_pairs", _PATH)
 ab_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab_pairs)
@@ -75,3 +79,68 @@ def test_wide_spread_resolved_when_every_change_run_is_better():
     change = [0.5, 1.5] * 5
     assert verdict(parent, change, "lower", 0.05)["regression"] == "none"
     assert verdict(change, parent, "higher", 0.05)["regression"] == "none"
+
+
+HOST_KEYS = {"nproc", "cpu_model", "python", "numpy", "scipy", "blas", "threads"}
+END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def test_out_file_is_the_final_json_object(tmp_path, monkeypatch, capsys):
+    sides = {}
+    for side in ("parent", "change"):
+        sides[side] = tmp_path / side
+        (sides[side] / "perfbench").mkdir(parents=True)
+        (sides[side] / "perfbench" / "run.py").write_text("")
+    (sides["change"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    host = {key: None for key in HOST_KEYS}
+    calls = []
+
+    def fake_run(checkout, workload, seed):
+        calls.append(Path(checkout).name)
+        value = 1.0 if Path(checkout).name == "parent" else 0.8
+        metrics = {m["name"]: {"value": value + 0.001 * len(calls), "unit": m["unit"]}
+                   for m in END_TO_END}
+        return {"correct": True, "metrics": metrics}, host
+
+    monkeypatch.setattr(ab_pairs, "run_once", fake_run)
+    monkeypatch.setattr(ab_pairs, "commit_id", lambda checkout: f"{Path(checkout).name}-id")
+    out = tmp_path / "BENCH_0_h2o10_scoring.json"
+    ab_pairs.main(["--parent", str(sides["parent"]), "--change", str(sides["change"]),
+                   "--workload", "h2o10_scoring", "--seed", "5", "--pairs", "10",
+                   "--out", str(out)])
+    assert calls[:4] == ["parent", "change", "change", "parent"]
+    written = json.loads(out.read_text())
+    assert written == json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert written["commits"] == {"parent": "parent-id", "change": "change-id"}
+    assert written["host"] == host
+    assert (written["workload"], written["seed"], written["pairs"]) == ("h2o10_scoring", 5, 10)
+    assert all(v["gain"] for v in written["verdicts"].values())
+
+
+BENCH_FILES = sorted(ROOT.glob("BENCH_*.json"))
+
+
+def test_bench_files_are_committed():
+    assert BENCH_FILES
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda p: p.name)
+def test_bench_file_schema_and_verdicts(path):
+    """A committed claim names its workload in the file name, was measured
+    on two clean commits, and holds the verdicts verdict() gives its runs."""
+    name = re.fullmatch(r"BENCH_(\d+)_(\w+)\.json", path.name)
+    data = json.loads(path.read_text())
+    assert name and data["workload"] == name.group(2)
+    assert isinstance(data["seed"], int) and data["pairs"] >= 1
+    for side in ("parent", "change"):
+        assert re.fullmatch(r"[0-9a-f]{40}", data["commits"][side])
+        assert len(data["values"][side]) == data["pairs"]
+    assert data["commits"]["parent"] != data["commits"]["change"]
+    assert set(data["host"]) == HOST_KEYS
+    failed = (data["failed_runs"]["parent"], data["failed_runs"]["change"])
+    assert set(data["verdicts"]) == {m["name"] for m in END_TO_END}
+    for m in END_TO_END:
+        values = {side: [run[m["name"]] for run in data["values"][side]]
+                  for side in ("parent", "change")}
+        assert data["verdicts"][m["name"]] == verdict(values["parent"], values["change"],
+                                                      m["better"], m["bound"], failed)

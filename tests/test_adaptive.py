@@ -1,5 +1,7 @@
 """Entangler scoring, selection rule, joint optimization, adaptive loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult, minimize_scalar
@@ -569,8 +571,6 @@ SCORER_TRACED_CEILING = 7 * 8 * 2**20
 
 
 def test_pool_scorer_memory_on_the_10_qubit_water_hf_state():
-    import tracemalloc
-
     ints = load_fcidump(FIXTURE_DIR / "h2o_1.80.fcidump")
     H = encode(build_hamiltonian(ints, "abab"), "jordan_wigner", 2 * ints.n_orbitals)
     occupations = hf_occupations(ints.n_orbitals, ints.n_electrons, ints.ms2, "abab")
