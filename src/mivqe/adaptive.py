@@ -23,10 +23,14 @@ from .screening import EntanglerPool
 from .simulator import Ansatz, compile_sum_action, energy_and_gradient
 
 # Largest register the pool scorer (and so a run) accepts. A step holds the
-# 2^n x 2^n sign matrix, the word table T and two transform buffers (8 bytes
-# x 4^n each), about a dozen bytes per word of the (4^n - 2^n)/2-word pool
-# and its arrays, and one refine block; the int32 word indices allow n <= 15.
+# word table T and one transform table (8 bytes x 4^n each; while T is
+# formed, its two factors instead), blocks of FWHT_BLOCK columns, about a
+# dozen bytes per word of the (4^n - 2^n)/2-word pool and its arrays, and
+# one refine block; the int32 word indices allow n <= 15.
 SCORER_MAX_QUBITS = 10
+# Columns per block of the scorer's Walsh-Hadamard transforms; a register of
+# at most this many basis states is transformed as one block.
+FWHT_BLOCK = 64
 # Entries (terms x pool words) per block of the scorer's exact term sum; a
 # block holds at least two words.
 TERM_SUM_ENTRIES = 1 << 16
@@ -123,14 +127,19 @@ class AdaptiveConfig:
                 raise AdaptiveError(message)
 
 
-def _tau_minimum(b, c):
+def _tau_minimum(b, c, out=None):
     """Minimizing angle in (-pi/2, pi/2]: 2 tau = atan2(C, B) + pi.
 
     Written so the degenerate C = 0 case lands on +pi/2, independent of the
-    sign of a floating-point zero.
+    sign of a floating-point zero. out, when given, may be b or c.
     """
-    tau = 0.5 * np.arctan2(c, b) + np.pi / 2
-    return np.where(tau > np.pi / 2, tau - np.pi, tau)[()]
+    if out is None:
+        out = np.empty(np.broadcast(b, c).shape)
+    np.arctan2(c, b, out=out)
+    np.multiply(0.5, out, out=out)
+    np.add(out, np.pi / 2, out=out)
+    np.subtract(out, np.pi, out=out, where=out > np.pi / 2)
+    return out[()]
 
 
 def _fwht(a: np.ndarray) -> np.ndarray:
@@ -159,22 +168,70 @@ def _fwht(a: np.ndarray) -> np.ndarray:
     return src
 
 
+def _fwht_columns(table: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """_fwht(table) for a square table that is zero outside its columns.
+
+    Only those columns are transformed, FWHT_BLOCK at a time, in place; a
+    column of zeros stays +0.0, and the columns of a first-axis transform
+    are independent, so every entry keeps the bits of _fwht over the whole
+    table. A table of at most FWHT_BLOCK rows is transformed whole, which
+    consumes it (see _fwht); use the returned table.
+    """
+    if len(table) <= FWHT_BLOCK:
+        return _fwht(table)
+    for start in range(0, len(columns), FWHT_BLOCK):
+        block = columns[start : start + FWHT_BLOCK]
+        table[:, block] = _fwht(table[:, block])
+    return table
+
+
+def _fwht_rows(table: np.ndarray) -> None:
+    """Replace the square table by _fwht(table.T).T, FWHT_BLOCK rows at a time.
+
+    Each block of rows is copied transposed into a buffer, transformed along
+    its first axis and written back transposed.
+    """
+    width = min(len(table), FWHT_BLOCK)
+    for start in range(0, len(table), width):
+        rows = table[start : start + width]
+        rows[...] = _fwht(np.ascontiguousarray(rows.T)).T
+
+
+def _hadamard_signs(d: int) -> np.ndarray:
+    """The d x d Sylvester sign matrix (-1)^{|k & z|}, d a power of two.
+
+    Built by doubling, S_2h = [[S_h, S_h], [S_h, -S_h]]: every entry is
+    exactly +-1.0.
+    """
+    out = np.empty((d, d))
+    out[0, 0] = 1.0
+    h = 1
+    while h < d:
+        out[:h, h : 2 * h] = out[:h, :h]
+        out[h : 2 * h, :h] = out[:h, :h]
+        np.negative(out[:h, :h], out=out[h : 2 * h, h : 2 * h])
+        h *= 2
+    return out
+
+
 def _xor_shifts(v: np.ndarray) -> np.ndarray:
-    """The 2^m x 2^m table out[i, j] = v[i ^ j], with no index table.
+    """The 2^m x 2^m table out[..., i, j] = v[..., i ^ j], with no index table.
 
     Row 0 is v; rows h..2h-1 are rows 0..h-1 with their column blocks of
     width h swapped, for h = 1, 2, 4, ..., since v[(i + h) ^ j] =
-    v[i ^ (j ^ h)] for i < h. Every entry is a copy of an entry of v.
+    v[i ^ (j ^ h)] for i < h. Every entry is a copy of an entry of v; the
+    leading axes of v, if any, are carried along.
     """
-    d = len(v)
-    out = np.empty((d, d), dtype=v.dtype)
-    out[0] = v
+    *lead, d = v.shape
+    out = np.empty((*lead, d, d), dtype=v.dtype)
+    out[..., 0, :] = v
     h = 1
     while h < d:
-        shape = (h, d // (2 * h), 2, h)
-        src, dst = out[:h].reshape(shape), out[h : 2 * h].reshape(shape)
-        dst[:, :, 0] = src[:, :, 1]
-        dst[:, :, 1] = src[:, :, 0]
+        shape = (*lead, h, d // (2 * h), 2, h)
+        src = out[..., :h, :].reshape(shape)
+        dst = out[..., h : 2 * h, :].reshape(shape)
+        dst[..., 0, :] = src[..., 1, :]
+        dst[..., 1, :] = src[..., 0, :]
         h *= 2
     return out
 
@@ -189,10 +246,11 @@ class PoolScorer:
     where G is one length-4^n Walsh-Hadamard transform of f placed at
     (z_i << n) | x_i and read at (x_P << n) | z_P. C_P = +-T_sigma[x_P, z_P]
     (+ for y_P = 1 mod 4), where T_sigma[x, z] = sum_k (-1)^{|k & z|}
-    sigma[k ^ x] s[k] and sigma = H s. Both transforms run along the first
-    axis of 2^n x 2^n arrays (see _fwht), so T_sigma is held as its
-    transpose. One step costs O(8^n) for the word table T below, which the
-    exact path reads, plus O(4^n n) for the two transforms, plus
+    sigma[k ^ x] s[k] and sigma = H s. Both transforms run in blocks of
+    FWHT_BLOCK columns (see _fwht) into one 2^n x 2^n table, which holds G
+    and then T_sigma as their transposes, so both are read at
+    (z_P << n) | x_P. One step costs O(8^n) for the word table T below,
+    which the exact path reads, plus O(4^n n) for the two transforms, plus
     O(terms x refined words) for the refine.
 
     Term-sum path (exact): B and C summed over the anticommuting terms in
@@ -231,19 +289,14 @@ class PoolScorer:
         self.slack = 1e-9 * (1.0 + float(np.abs(self.coeffs).sum()))
         self._h_action = h_action
         # flat indices into 2^n x 2^n tables: terms at [x, z], pool words
-        # at [x, z] and [z, x]; P anticommutes with P_i when
-        # |word_zx & term_slot_i| is odd
+        # at [z, x]; P anticommutes with P_i when |word_zx & term_slot_i| is
+        # odd. Only the columns z of the terms hold an entry of f.
         shift = np.uint64(n)
         self._term_slot = ((self.tx << shift) | self.tz).astype(np.intp)
-        self._word_xz = ((self.px << shift) | self.pz).astype(np.int32)
+        self._term_columns = np.unique(self.tz).astype(np.intp)
         self._word_zx = ((self.pz << shift) | self.px).astype(np.int32)
         # C_P = -T_sigma[x_P, z_P] unless y_P = 1 mod 4
         self._c_negate = self.py % 4 != 1
-        k = np.arange(1 << n, dtype=np.uint64)
-        # Hadamard sign matrix (-1)^{|k & z|}
-        self._signs = 1.0 - 2.0 * (
-            np.bitwise_count(k[:, None] & k[None, :]) & np.uint64(1)
-        ).astype(np.float64)
 
     @staticmethod
     def _real(state: np.ndarray) -> np.ndarray:
@@ -258,7 +311,8 @@ class PoolScorer:
         """T[x, z] and f_i = c_i <P_i> for the Hamiltonian terms."""
         sk = _xor_shifts(s)
         np.multiply(sk, s, out=sk)  # [x, k] = s[x ^ k] s[k]
-        T = sk @ self._signs
+        T = sk @ _hadamard_signs(len(s))
+        del sk
         # <P_i> = i^y_i T[x_i, z_i], and i^y_i is +-1 here (even y)
         term_signs = np.where(self.ty % 4 == 0, 1.0, -1.0)
         f = self.coeffs * (term_signs * T[self.tx.astype(np.intp), self.tz.astype(np.intp)])
@@ -321,29 +375,38 @@ class PoolScorer:
         s = self._real(state)
         T, f = self._word_table(s)
         e0 = float(f.sum())
-        # G = the 4^n transform of f placed at (z_i << n) | x_i: its low
-        # levels (over x) first, then its high levels (over z); G[z, x].
-        # Each statement rebinds G, so at most two 4^n buffers are held.
-        G = np.zeros((1 << self.n, 1 << self.n))
-        G.ravel()[self._term_slot] = f
-        G = _fwht(G)
-        G = np.ascontiguousarray(G.T)
-        G = _fwht(G)
-        b = G.ravel()[self._word_xz]
-        del G  # the 4^n-entry tables are not kept through the refine
+        d = 1 << self.n
+        # G = the 4^n transform of f placed at [x_i, z_i]: its levels over x
+        # (the first axis, only the columns that hold a term) and then over
+        # z (along each row), which leaves the table as G's transpose
+        table = np.zeros((d, d))
+        table.ravel()[self._term_slot] = f
+        table = _fwht_columns(table, self._term_columns)
+        _fwht_rows(table)
+        b = table.ravel()[self._word_zx]
         np.subtract(e0, b, out=b)
         np.multiply(0.5, b, out=b)
-        sigma = self._h_action(s)
-        # [k, x] = sigma[k ^ x] s[k], transformed over k: T_sigma[z, x]
-        T_sigma = _xor_shifts(sigma)
-        np.multiply(T_sigma, s[:, None], out=T_sigma)
-        T_sigma = _fwht(T_sigma)
-        c = T_sigma.ravel()[self._word_zx]
-        del T_sigma
+        # T_sigma[z, x]: [k, x] = sigma[k ^ x] s[k] transformed over k, one
+        # block of columns x = x0 + t (t < width) at a time, into the same
+        # table. With k = q * width + r, k ^ x = (q ^ q0) * width + (r ^ t),
+        # so the block's rows q * width + r are the rows (q ^ q0, r) of the
+        # XOR table of each width-entry row of sigma.
+        width = min(d, FWHT_BLOCK)
+        shifts = _xor_shifts(self._h_action(s).reshape(d // width, width))
+        q = np.arange(d // width)
+        for start in range(0, d, width):
+            block = shifts[q ^ (start // width)].reshape(d, width)
+            np.multiply(block, s[:, None], out=block)
+            table[:, start : start + width] = _fwht(block)
+        del shifts
+        c = table.ravel()[self._word_zx]
+        del table  # of the 4^n-entry tables only T is kept, for the refine
         np.negative(c, out=c, where=self._c_negate)
-        descents = b + np.hypot(b, c)
-        taus = _tau_minimum(b, c)
-        del b, c
+        # descents = b + hypot(b, c) into b, taus into c
+        h = np.hypot(b, c)
+        descents, taus = b, _tau_minimum(b, c, out=c)
+        np.add(b, h, out=descents)
+        del h
 
         band = 2.0 * self.slack
         strengths = np.asarray(strengths, dtype=float)
@@ -353,10 +416,10 @@ class PoolScorer:
             descents[idx], taus[idx] = self._term_sum(T, f, idx)
 
         top = descents.max()
-        refine(
-            (descents >= top - band)
-            | (np.abs(descents - descent_fraction * top) <= band)
-        )
+        near = np.subtract(descents, descent_fraction * top)
+        np.abs(near, out=near)
+        refine((descents >= top - band) | (near <= band))
+        del near
         top = descents.max()
         if top > 0.0:
             acceptable = descents >= descent_fraction * top

@@ -165,10 +165,15 @@ def _cmd_pool(args) -> int:
         raise ConfigError(
             f"--n-qubits {args.n_qubits} exceeds the {SCORER_MAX_QUBITS}-qubit pool limit"
         )
-    pool = generate_pool(args.n_qubits)
+    # every input is checked before the pool is built
     if args.mi:
-        mi = MIMatrix.from_csv(Path(args.mi).read_text())
-        full_pool, table = pool, support_strengths(args.n_qubits, mi)
+        table = support_strengths(args.n_qubits, MIMatrix.from_csv(Path(args.mi).read_text()))
+    else:
+        for flag, value in (("--p-cut", args.p_cut), ("--report", args.report)):
+            if value is not None:
+                raise ConfigError(f"{flag} requires --mi")
+    full_pool = pool = generate_pool(args.n_qubits)
+    if args.mi:
         if args.p_cut is not None:
             pool = screen_pool(full_pool, table, args.p_cut)
         if args.report:
@@ -176,8 +181,6 @@ def _cmd_pool(args) -> int:
                 Path(args.report), screening_report_csv(full_pool, table, args.p_cut)
             )
             print(f"wrote {args.report}")
-    elif args.p_cut is not None:
-        raise ConfigError("--p-cut requires --mi")
     if args.out:
         write_text_atomic(Path(args.out), pool.to_text())
         print(f"wrote {args.out} ({len(pool)} words)")

@@ -128,12 +128,12 @@ def support_strengths(n_qubits: int, mi) -> np.ndarray:
     A support of L >= 2 qubits averages the MI over its L(L-1)/2 pairs: each
     mask's sum starts at 0.0 and adds its pairs (a < b) in lexicographic
     order, then doubles and divides by L(L-1). Supports of fewer than two
-    qubits have strength 0.
+    qubits have strength 0. mi must be an n x n matrix.
     """
     entries = _mi_entries(mi)
     n = n_qubits
-    if entries.shape[0] < n:
-        raise ScreeningError("MI matrix smaller than pool qubit count")
+    if entries.shape[0] != n:
+        raise ScreeningError(f"MI matrix is for {entries.shape[0]} qubits, the pool needs {n}")
     masks = np.arange(1 << n)
     on = [((masks >> q) & 1).astype(bool) for q in range(n)]
     total = np.zeros(1 << n)

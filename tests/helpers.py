@@ -384,13 +384,18 @@ def gather_index_scores(
     """PoolScorer.scores built on a 2^n x 2^n gather index k ^ x.
 
     s[k ^ x] and sigma[k ^ x] are read through that index, word indices are
-    intp, C's sign is a +-1.0 factor, and the 4^n transform keeps a third
-    buffer; the refine reuses the scorer's own term sum.
+    intp, C's sign is a +-1.0 factor, the sign matrix is built from bit
+    parities, and the 4^n transforms run over whole tables; the refine reuses
+    the scorer's own term sum.
     """
     k = np.arange(1 << scorer.n)
     kx = k[:, None] ^ k[None, :]
+    ku = k.astype(np.uint64)
+    signs = 1.0 - 2.0 * (
+        np.bitwise_count(ku[:, None] & ku[None, :]) & np.uint64(1)
+    ).astype(np.float64)
     s = scorer._real(state)
-    T = (s[kx] * s[None, :]) @ scorer._signs
+    T = (s[kx] * s[None, :]) @ signs
     term_signs = np.where(scorer.ty % 4 == 0, 1.0, -1.0)
     f = scorer.coeffs * (term_signs * T[scorer.tx.astype(np.intp), scorer.tz.astype(np.intp)])
     e0 = float(f.sum())

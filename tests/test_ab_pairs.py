@@ -144,3 +144,56 @@ def test_bench_file_schema_and_verdicts(path):
                   for side in ("parent", "change")}
         assert data["verdicts"][m["name"]] == verdict(values["parent"], values["change"],
                                                       m["better"], m["bound"], failed)
+
+
+_TABLE_PATH = ROOT / "tools" / "bench_table.py"
+_table_spec = importlib.util.spec_from_file_location("bench_table", _TABLE_PATH)
+bench_table = importlib.util.module_from_spec(_table_spec)
+_table_spec.loader.exec_module(bench_table)
+
+
+def _claim(pr: int, workload: str, parent: float, change: float) -> dict:
+    values = {"parent": [{m["name"]: parent for m in END_TO_END}] * 10,
+              "change": [{m["name"]: change for m in END_TO_END}] * 10}
+    return {"workload": workload, "seed": pr, "pairs": 10, "values": values,
+            "verdicts": {m["name"]: verdict([parent] * 10, [change] * 10, m["better"], m["bound"])
+                         for m in END_TO_END}}
+
+
+def test_bench_table_prints_one_row_per_file_in_pr_order(tmp_path, capsys):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    for pr, workload, change in ((20, "mi_ladder", 2.0), (9, "h2o10_scoring", 0.5)):
+        (tmp_path / f"BENCH_{pr}_{workload}.json").write_text(
+            json.dumps(_claim(pr, workload, 1.0, change)))
+    assert bench_table.main([str(tmp_path)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == bench_table.HEADER
+    assert [r.split(" | ")[:4] for r in rows] == [
+        ["9", "h2o10_scoring", "seed 9", "10 pairs"],
+        ["20", "mi_ladder", "seed 20", "10 pairs"],
+    ]
+    cells = rows[0].split(" | ")[4:]
+    assert len(cells) == len(END_TO_END)
+    for cell, m in zip(cells, END_TO_END):
+        assert cell == (f"{m['name']} 1 -> 0.5 {m['unit']}, won 10/10, gain shown, "
+                        f"regression none")
+    assert rows[1].split(" | ")[4].endswith("won 0/10, gain not shown, regression regression")
+
+
+def test_bench_table_refuses_a_misnamed_file(tmp_path):
+    (tmp_path / "BENCH_h2o10_scoring.json").write_text("{}")
+    with pytest.raises(SystemExit, match="BENCH_<pr>_<workload>.json"):
+        bench_table.main([str(tmp_path)])
+
+
+def test_bench_table_rows_match_the_committed_files(capsys):
+    assert bench_table.main([]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == len(BENCH_FILES)
+    for path, text in zip(sorted(BENCH_FILES, key=lambda p: int(p.name.split("_")[1])), rows):
+        data = json.loads(path.read_text())
+        cells = text.split(" | ")
+        assert cells[:2] == [path.name.split("_")[1], data["workload"]]
+        for cell, (name, v) in zip(cells[4:], data["verdicts"].items()):
+            assert cell.startswith(f"{name} {v['parent']['median']:.4g} -> "
+                                   f"{v['change']['median']:.4g}")

@@ -13,6 +13,10 @@ from mivqe.adaptive import (
     NoImprovingEntangler,
     PoolScorer,
     _fwht,
+    _fwht_columns,
+    _fwht_rows,
+    _hadamard_signs,
+    _tau_minimum,
     _xor_shifts,
     joint_optimize,
     run_adaptive,
@@ -516,6 +520,65 @@ def test_xor_shifts_equals_the_index_gather_bit_for_bit(n):
     assert np.array_equal(got.view(np.uint64), want)
 
 
+def test_xor_shifts_carries_leading_axes():
+    """Each row of a 2-D input gets its own XOR table, as T_sigma's blocks
+    read it: out[q, r, t] = v[q, r ^ t]."""
+    rng = np.random.default_rng(94)
+    v = rng.normal(size=(4, 8))
+    r = np.arange(8)
+    want = v[:, r[:, None] ^ r].view(np.uint64)
+    assert np.array_equal(_xor_shifts(v).view(np.uint64), want)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_hadamard_signs_equal_the_parity_signs_bit_for_bit(n):
+    """The doubled Sylvester matrix is 1 - 2 (|k & z| mod 2), entry for entry."""
+    k = np.arange(1 << n, dtype=np.uint64)
+    want = 1.0 - 2.0 * (np.bitwise_count(k[:, None] & k[None, :]) & np.uint64(1)).astype(np.float64)
+    got = _hadamard_signs(1 << n)
+    assert got.flags.c_contiguous and got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n,width", [(1, 64), (3, 64), (6, 64), (7, 64), (10, 64),
+                                     (5, 4), (5, 3), (4, 1)])
+def test_block_transforms_equal_the_whole_table_fwht(n, width, monkeypatch):
+    """The column blocks over the columns that hold an entry, and the row
+    blocks written back transposed, keep the bits of _fwht over the whole
+    table; so do all-zero columns (+0.0) and tables of one block (2^n at
+    most the width)."""
+    import mivqe.adaptive
+
+    monkeypatch.setattr(mivqe.adaptive, "FWHT_BLOCK", width)
+    d = 1 << n
+    rng = np.random.default_rng(98 + n + width)
+    table = rng.normal(size=(d, d))
+    held = np.flatnonzero(rng.uniform(size=d) < 0.3) if d > 2 else np.array([1])
+    table[:, np.setdiff1d(np.arange(d), held)] = 0.0
+    want = _fwht(table.copy()).view(np.uint64)
+    got = _fwht_columns(table.copy(), held)
+    assert got.shape == (d, d) and np.array_equal(got.view(np.uint64), want)
+    rows = table.copy()
+    _fwht_rows(rows)
+    assert np.array_equal(rows.view(np.uint64), _fwht(table.T.copy()).T.view(np.uint64))
+
+
+def test_tau_minimum_in_place_keeps_the_bits():
+    """Written into c, the angles are those of 0.5 atan2(c, b) + pi/2, less
+    pi above pi/2, formed in new arrays; a scalar pair gives a scalar."""
+    rng = np.random.default_rng(99)
+    b = np.concatenate([rng.normal(size=1000), [0.0, -0.0, 0.0, -0.0, 1.0, -1.0]])
+    c = np.concatenate([rng.normal(size=1000), [0.0, 0.0, -0.0, -0.0, -0.0, -0.0]])
+    tau = 0.5 * np.arctan2(c, b) + np.pi / 2
+    want = np.where(tau > np.pi / 2, tau - np.pi, tau).view(np.uint64)
+    assert np.array_equal(_tau_minimum(b, c).view(np.uint64), want)
+    out = c.copy()
+    _tau_minimum(b, out, out=out)
+    assert np.array_equal(out.view(np.uint64), want)
+    scalar = _tau_minimum(1.0, -0.0)
+    assert isinstance(scalar, np.float64) and scalar == np.pi / 2
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_pool_scorer_equals_the_gather_index_scorer_bit_for_bit(n):
     """Descents, taus and E0 keep every bit of the scorer built on a k ^ x
@@ -536,6 +599,27 @@ def test_pool_scorer_equals_the_gather_index_scorer_bit_for_bit(n):
         assert np.array_equal(descents.view(np.uint64), want_d.view(np.uint64))
         assert np.array_equal(taus.view(np.uint64), want_t.view(np.uint64))
         assert e0 == want_e0
+
+
+@pytest.mark.parametrize("width", [1, 2, 8])
+def test_pool_scorer_bits_do_not_depend_on_the_transform_block_width(width, monkeypatch):
+    """Narrow transform blocks, many per table (T_sigma's XOR rows among
+    them), give the gather-index scorer's bits."""
+    import mivqe.adaptive
+
+    monkeypatch.setattr(mivqe.adaptive, "FWHT_BLOCK", width)
+    rng = np.random.default_rng(100 + width)
+    n = 6
+    H = random_even_sum(rng, n, 30)
+    pool = generate_pool(n)
+    scorer = pool_scorer(H, pool)
+    strengths = pool_strengths(pool, support_strengths(n, np.ones((n, n)) - np.eye(n)))
+    state = real_random_state(rng, n)
+    got = scorer.scores(state, strengths, 0.3)
+    want = gather_index_scores(scorer, state, strengths, 0.3)
+    for g, w in zip(got[:2], want[:2]):
+        assert np.array_equal(g.view(np.uint64), w.view(np.uint64))
+    assert got[2] == want[2]
 
 
 def test_term_sum_bits_do_not_depend_on_the_block_width(monkeypatch):
@@ -563,11 +647,13 @@ def test_term_sum_bits_do_not_depend_on_the_block_width(monkeypatch):
 
 
 # Traced bytes that PoolScorer construction plus one scores() may allocate on
-# the 10-qubit water HF state: seven 4^10-entry float64 tables. The sign
-# matrix, T, two transform buffers, the pool-length arrays and one refine
-# block measure ~45.5 MiB; with a 4^n intp gather index, intp word indices,
-# a float64 C sign and a third transform buffer they measured ~82 MiB.
-SCORER_TRACED_CEILING = 7 * 8 * 2**20
+# the 10-qubit water HF state: four 4^10-entry float64 tables. T's product
+# with the sign matrix built for it (three tables), with the int32 word
+# indices, C's sign mask and the Y counts kept from construction, measures
+# ~27.6 MiB; later T, one transform table and the pool-length B and C reach
+# about the same. With a stored sign matrix and two transform buffers the
+# scorer measured ~45.5 MiB, and with a 4^n intp gather index ~82 MiB.
+SCORER_TRACED_CEILING = 4 * 8 * 2**20
 
 
 def test_pool_scorer_memory_on_the_10_qubit_water_hf_state():

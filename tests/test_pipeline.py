@@ -25,6 +25,7 @@ from mivqe.pipeline import (
     sweep,
 )
 from mivqe.pauli import parse_pauli_sum
+from mivqe.reference import MIMatrix
 
 from conftest import FIXTURE_DIR
 
@@ -836,6 +837,45 @@ def test_cli_pool_rejects_size_above_limit(monkeypatch, capsys):
     monkeypatch.setattr(mivqe.screening, "generate_pool", unguarded)
     assert main(["pool", "--n-qubits", "40"]) == 3
     assert "qubit pool limit" in capsys.readouterr().err
+
+
+def _pool_must_not_run(monkeypatch):
+    import mivqe.screening
+
+    def unguarded(n_qubits):
+        raise AssertionError(f"generate_pool({n_qubits}) ran before the input checks")
+
+    monkeypatch.setattr(mivqe.screening, "generate_pool", unguarded)
+
+
+@pytest.mark.parametrize("flag,value", [("--report", "report.csv"), ("--p-cut", "0.5")],
+                         ids=["report", "p_cut"])
+def test_cli_pool_screening_flag_without_mi_exits_3_before_the_pool(
+    flag, value, tmp_path, monkeypatch, capsys
+):
+    _pool_must_not_run(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert main(["pool", "--n-qubits", "3", flag, value]) == 3
+    err = capsys.readouterr().err
+    assert err == f"input error: {flag} requires --mi\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("mi_qubits,n_qubits", [(4, 2), (2, 4)], ids=["mi4_pool2", "mi2_pool4"])
+def test_cli_pool_refuses_an_mi_of_another_register(
+    mi_qubits, n_qubits, tmp_path, monkeypatch, capsys
+):
+    """An MI CSV must be for the pool's register, as run requires of an
+    imported MI; neither its top-left block nor a smaller matrix is used."""
+    _pool_must_not_run(monkeypatch)
+    mi = MIMatrix(np.full((mi_qubits, mi_qubits), 0.1) - 0.1 * np.eye(mi_qubits))
+    path = _write(tmp_path / "mi.csv", mi.to_csv())
+    assert main(["pool", "--n-qubits", str(n_qubits), "--mi", path,
+                 "--report", str(tmp_path / "report.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"input error: MI matrix is for {mi_qubits} qubits, "
+                   f"the pool needs {n_qubits}\n")
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_cli_fcidump_norb_above_limit_exits_3(tmp_path, monkeypatch, capsys):
