@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 from scipy.optimize import basinhopping
 
-from .pauli import PauliSum, PauliWord, format_pauli_factors
+from .pauli import PauliSum, PauliWord
 from .screening import EntanglerPool
 from .simulator import Ansatz, compile_sum_action, energy_and_gradient
 
@@ -62,17 +62,6 @@ class StepRecord:
     descent: float
     percentile: float
     acceptable_count: int
-
-    def as_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "word": format_pauli_factors(self.word),
-            "tau": self.tau,
-            "energy": self.energy,
-            "descent": self.descent,
-            "percentile": self.percentile,
-            "acceptable_count": self.acceptable_count,
-        }
 
 
 @dataclass

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-_LETTER_FOR_BITS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+import numpy as np
+
 _BITS_FOR_LETTER = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 
 COEFF_CUTOFF = 1e-12  # merged terms below this magnitude (hartree) are dropped
@@ -82,12 +83,6 @@ class PauliWord:
     @property
     def y_count(self) -> int:
         return (self.x_mask & self.z_mask).bit_count()
-
-    def factor(self, q: int) -> str:
-        return _LETTER_FOR_BITS[((self.x_mask >> q) & 1, (self.z_mask >> q) & 1)]
-
-    def label(self) -> str:
-        return "".join(self.factor(q) for q in range(self.n_qubits))
 
     def __str__(self) -> str:
         return format_pauli_factors(self)
@@ -182,14 +177,25 @@ class PauliSum:
         return f"PauliSum(n_qubits={self.n_qubits}, terms={len(self._terms)})"
 
 
+def format_factor_lists(n_qubits: int, x, z) -> np.ndarray:
+    """Factor lists like ``"X0 Z2"`` of the words (x[i], z[i]), as a string array.
+
+    Qubit q adds the token its bit pair (x, z) picks from a 4-entry table:
+    nothing for I, else the letter, q and a space; the last space is then
+    stripped, so the identity gives the empty string.
+    """
+    x = np.asarray(x, dtype=np.uint64)
+    z = np.asarray(z, dtype=np.uint64)
+    text = np.zeros(x.shape, dtype=np.str_)
+    for q in range(n_qubits):
+        tokens = np.array(["", f"X{q} ", f"Z{q} ", f"Y{q} "])
+        text = np.strings.add(text, tokens[(x >> q & 1) | (z >> q & 1) << 1])
+    return np.strings.rstrip(text, " ")
+
+
 def format_pauli_factors(word: PauliWord) -> str:
     """Factor list like ``"X0 Z2"``; empty string for the identity."""
-    parts = []
-    for q in range(word.n_qubits):
-        letter = word.factor(q)
-        if letter != "I":
-            parts.append(f"{letter}{q}")
-    return " ".join(parts)
+    return str(format_factor_lists(word.n_qubits, [word.x_mask], [word.z_mask])[0])
 
 
 def parse_pauli_factors(text: str, n_qubits: int) -> PauliWord:
@@ -230,12 +236,6 @@ def parse_pauli_text(line: str, n_qubits: int) -> tuple[float, PauliWord]:
     return coeff, word
 
 
-def format_pauli_text(coeff: float, word: PauliWord) -> str:
-    factors = format_pauli_factors(word)
-    head = f"{coeff:.17g}"
-    return f"{head} {factors}".rstrip()
-
-
 def format_pauli_sum(H: PauliSum, comment: str | None = None) -> str:
     """Canonical text format: optional comments, a qubits header, one term per line."""
     lines = []
@@ -243,8 +243,10 @@ def format_pauli_sum(H: PauliSum, comment: str | None = None) -> str:
         for row in comment.splitlines():
             lines.append(f"# {row}")
     lines.append(f"qubits: {H.n_qubits}")
-    for coeff, word in H.terms:
-        lines.append(format_pauli_text(coeff, word))
+    factors = format_factor_lists(
+        H.n_qubits, [w.x_mask for _, w in H.terms], [w.z_mask for _, w in H.terms]
+    )
+    lines += [f"{c:.17g} {f}".rstrip() for (c, _), f in zip(H.terms, factors.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -16,6 +16,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from .encodings import encode, hf_reference, reduce_stationary_qubits
 from .fcidump import load_fcidump
 from .fermion import build_hamiltonian, hf_occupations, s_squared_operator
 from .mps import mps_ground_state
-from .pauli import PauliSum, format_pauli_sum, parse_pauli_sum
+from .pauli import PauliSum, format_pauli_factors, format_pauli_sum, parse_pauli_sum
 from .reference import (
     EXACT_MAX_QUBITS,
     LanczosConvergenceError,
@@ -276,6 +277,7 @@ def prepare_problem(cfg: RunConfig) -> Problem:
 
 def report_to_dict(problem: Problem, report: RunReport, ansatz: Ansatz) -> dict:
     cfg = problem.config
+    words = [format_pauli_factors(s.word) for s in report.steps]
     return {
         "tool": {"name": "mivqe", "version": __version__},
         "config": cfg.to_text().strip().splitlines(),
@@ -308,30 +310,24 @@ def report_to_dict(problem: Problem, report: RunReport, ansatz: Ansatz) -> dict:
         "steps": [
             {
                 "step": s.step,
-                "word": s.as_dict()["word"],
+                "word": word,
                 "tau": _fmt(s.tau),
                 "energy": _fmt(s.energy),
                 "descent": _fmt(s.descent),
                 "percentile": _fmt(s.percentile),
                 "acceptable_count": s.acceptable_count,
             }
-            for s in report.steps
+            for s, word in zip(report.steps, words)
         ],
-        "ansatz": [
-            {"word": w_dict, "tau": _fmt(t)}
-            for w_dict, t in zip(
-                (s.as_dict()["word"] for s in report.steps), ansatz.parameters
-            )
-        ],
+        "ansatz": [{"word": w, "tau": _fmt(t)} for w, t in zip(words, ansatz.parameters)],
     }
 
 
 def steps_csv(report: RunReport) -> str:
     lines = ["step,word,tau,energy,descent,percentile,acceptable_count"]
     for s in report.steps:
-        d = s.as_dict()
         lines.append(
-            f"{s.step},{d['word']},{s.tau:.12g},{s.energy:.12g},"
+            f"{s.step},{format_pauli_factors(s.word)},{s.tau:.12g},{s.energy:.12g},"
             f"{s.descent:.12g},{s.percentile:.12g},{s.acceptable_count}"
         )
     return "\n".join(lines) + "\n"
@@ -354,15 +350,17 @@ def _manifest(cfg: RunConfig) -> dict:
     }
 
 
-def write_text_atomic(path: Path, text: str) -> None:
+def write_text_atomic(path: Path, text: str | Iterable[str]) -> None:
     """Write text to path through a temporary file in the same directory.
 
-    os.replace then swaps it in, so path holds either its old content or all
-    of text, never a partial write.
+    text is a string or its blocks in order. os.replace then swaps the file
+    in, so path holds either its old content or all of text, never a partial
+    write.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        with tmp.open("w") as f:
+            f.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -516,7 +514,7 @@ def mi_report(cfg: RunConfig, settings: list[MpsBackend]) -> dict:
 
     out = {
         "n_ent": len(supports),
-        "entanglers": [s.as_dict()["word"] for s in report.steps],
+        "entanglers": [format_pauli_factors(s.word) for s in report.steps],
         "columns": columns,
     }
     if cfg.output is not None:

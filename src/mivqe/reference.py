@@ -219,9 +219,9 @@ class MIMatrix:
     def from_csv(cls, text: str) -> "MIMatrix":
         rows = [r.strip() for r in text.strip().splitlines() if r.strip()]
         header = rows[0].split(",") if rows else [""]
-        if header[0] != "qubit":
-            raise ReferenceError("MI CSV must start with a 'qubit' header row")
         n = len(header) - 1
+        if header != ["qubit", *map(str, range(n))]:
+            raise ReferenceError("MI CSV must start with the header row 'qubit,0,1,...'")
         if len(rows) != n + 1:
             raise ReferenceError("MI CSV row count does not match header")
         # one full row per qubit, collected before any n x n allocation

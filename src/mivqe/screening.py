@@ -17,16 +17,18 @@ support mask (pool_strengths gathers them for a whole pool).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .pauli import PauliWord, format_pauli_factors
+from .pauli import PauliWord, format_factor_lists
 
 
 # (z, x) mask pairs per block of generate_pool
 POOL_BLOCK = 1 << 16
+# words per block of pool text: a block's string arrays take a few MB
+TEXT_BLOCK = 1 << 13
 
 
 class ScreeningError(ValueError):
@@ -42,9 +44,8 @@ def pool_size(n_qubits: int) -> int:
 class EntanglerPool:
     """Pool words as parallel uint64 x/z mask arrays, in pool order.
 
-    The arrays are all that scoring, strengths and screening read. ``words``
-    builds PauliWord objects on first use, for pool text and tests; no
-    per-step path touches it.
+    The arrays are all that scoring, strengths, screening and pool text read;
+    word(i) builds one PauliWord.
     """
 
     n_qubits: int
@@ -56,30 +57,24 @@ class EntanglerPool:
         if self.x.ndim != 1 or self.x.shape != self.z.shape:
             raise ScreeningError("pool x and z masks must be 1-D arrays of equal length")
 
-    @classmethod
-    def from_words(cls, n_qubits: int, words, provenance: str = "custom") -> "EntanglerPool":
-        words = list(words)
-        x = np.array([w.x_mask for w in words], dtype=np.uint64)
-        z = np.array([w.z_mask for w in words], dtype=np.uint64)
-        return cls(n_qubits, x, z, provenance)
-
     def __len__(self) -> int:
         return len(self.x)
-
-    def __iter__(self):
-        return iter(self.words)
-
-    @cached_property
-    def words(self) -> tuple[PauliWord, ...]:
-        return tuple(self.word(i) for i in range(len(self)))
 
     def word(self, i: int) -> PauliWord:
         return PauliWord(self.n_qubits, int(self.x[i]), int(self.z[i]))
 
-    def to_text(self) -> str:
-        lines = [f"# pool provenance: {self.provenance}", f"qubits: {self.n_qubits}"]
-        lines += [format_pauli_factors(w) for w in self.words]
-        return "\n".join(lines) + "\n"
+    def blocks(self) -> Iterator["EntanglerPool"]:
+        """The pool as consecutive sub-pools of TEXT_BLOCK words."""
+        for start in range(0, len(self), TEXT_BLOCK):
+            end = start + TEXT_BLOCK
+            yield EntanglerPool(self.n_qubits, self.x[start:end], self.z[start:end])
+
+    def to_text(self) -> Iterator[str]:
+        """The pool file, a block of words at a time: two header lines, then a word a line."""
+        yield f"# pool provenance: {self.provenance}\nqubits: {self.n_qubits}\n"
+        for block in self.blocks():
+            factors = format_factor_lists(block.n_qubits, block.x, block.z)
+            yield "\n".join(factors.tolist()) + "\n"
 
 
 def generate_pool(n_qubits: int) -> EntanglerPool:
@@ -230,12 +225,20 @@ def screen_pool(pool: EntanglerPool, table: np.ndarray, p_cut: float) -> Entangl
 
 def screening_report_csv(
     pool: EntanglerPool, table: np.ndarray, p_cut: float | None = None
-) -> str:
-    """One row per pool word: strength, percentile within the register's pool, kept flag."""
-    strengths = pool_strengths(pool, table)
-    pct = pool_strengths(pool, percentile_of_strengths(table, table))
-    lines = ["word,strength,percentile,kept"]
-    for word, c, p in zip(pool.words, strengths, pct):
-        kept = "" if p_cut is None else str(int(p <= p_cut))
-        lines.append(f"{format_pauli_factors(word)},{c:.12g},{p:.12g},{kept}")
-    return "\n".join(lines) + "\n"
+) -> Iterator[str]:
+    """One row per pool word: strength, percentile within the register's pool, kept flag.
+
+    The three columns depend only on the word's support, so they are
+    formatted once per support mask and gathered by each word's. The text
+    comes a block of words at a time.
+    """
+    pct = percentile_of_strengths(table, table)
+    columns = np.array([
+        f",{c:.12g},{p:.12g},{'' if p_cut is None else int(p <= p_cut)}"
+        for c, p in zip(table, pct)
+    ])
+    yield "word,strength,percentile,kept\n"
+    for block in pool.blocks():
+        factors = format_factor_lists(block.n_qubits, block.x, block.z)
+        rows = np.strings.add(factors, pool_strengths(block, columns))
+        yield "\n".join(rows.tolist()) + "\n"

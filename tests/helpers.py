@@ -21,6 +21,12 @@ count, a word's position in a pool, the pool text parser, the FCIDUMP
 writer, the largest MPS bond, the Pauli commutation test, identity check and
 canonical sort key, P H P, the number operator, the dense MPO and MPS, and
 the RDMs of an MPS one call at a time.
+
+The per-factor Pauli letter rule (factor, word_label and
+per_factor_factor_list) is the oracle for mivqe.pauli.format_factor_lists,
+which formats whole mask arrays; pool_words builds the PauliWord objects of
+a pool, which the package never does, and pool_from_words packs words back
+into mask arrays.
 """
 
 import numpy as np
@@ -45,6 +51,47 @@ from mivqe.simulator import (
     energy_and_gradient,
 )
 
+_LETTER_FOR_BITS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+
+
+def factor(word: PauliWord, q: int) -> str:
+    """The letter I, X, Z or Y of word on qubit q."""
+    return _LETTER_FOR_BITS[((word.x_mask >> q) & 1, (word.z_mask >> q) & 1)]
+
+
+def word_label(word: PauliWord) -> str:
+    """Dense letter string, qubit 0 first: the inverse of PauliWord.from_label."""
+    return "".join(factor(word, q) for q in range(word.n_qubits))
+
+
+def per_factor_factor_list(word: PauliWord) -> str:
+    """Factor list like ``"X0 Z2"``, one factor at a time; empty for the identity."""
+    parts = []
+    for q in range(word.n_qubits):
+        letter = factor(word, q)
+        if letter != "I":
+            parts.append(f"{letter}{q}")
+    return " ".join(parts)
+
+
+def format_pauli_text(coeff: float, word: PauliWord) -> str:
+    """One term line ``<coefficient> [<letter><index> ...]``, as format_pauli_sum writes it."""
+    return f"{coeff:.17g} {format_pauli_factors(word)}".rstrip()
+
+
+def pool_words(pool: EntanglerPool) -> tuple[PauliWord, ...]:
+    """The pool's words as PauliWord objects, in pool order."""
+    return tuple(pool.word(i) for i in range(len(pool)))
+
+
+def pool_from_words(n_qubits: int, words, provenance: str = "custom") -> EntanglerPool:
+    """A pool holding the given PauliWord objects, in the given order."""
+    words = list(words)
+    x = np.array([w.x_mask for w in words], dtype=np.uint64)
+    z = np.array([w.z_mask for w in words], dtype=np.uint64)
+    return EntanglerPool(n_qubits, x, z, provenance)
+
+
 _SINGLE = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -61,7 +108,7 @@ def dense_word(word: PauliWord) -> np.ndarray:
     """
     out = np.array([[1.0 + 0j]])
     for q in range(word.n_qubits):
-        out = np.kron(_SINGLE[word.factor(q)], out)
+        out = np.kron(_SINGLE[factor(word, q)], out)
     return out
 
 
@@ -550,7 +597,7 @@ def pool_from_text(text: str, provenance: str = "imported") -> EntanglerPool:
         raise ScreeningError("missing 'qubits: <n>' header")
     if len(set(words)) != len(words):
         raise ScreeningError("pool contains duplicate words")
-    return EntanglerPool.from_words(n_qubits, words, provenance)
+    return pool_from_words(n_qubits, words, provenance)
 
 
 def format_fcidump(ints: MolecularIntegrals, threshold: float = 0.0) -> str:

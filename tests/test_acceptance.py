@@ -122,8 +122,8 @@ def test_criterion_4_screening_equivalence(adaptive_runs):
             seed=cfg.seed, max_steps=cfg.max_steps, p_cut=report.p_max + 1e-9,
         )
         rerun, _ = run_pipeline(rerun_cfg)
-        words_full = [s.as_dict()["word"] for s in report.steps]
-        words_scr = [s.as_dict()["word"] for s in rerun.steps]
+        words_full = [str(s.word) for s in report.steps]
+        words_scr = [str(s.word) for s in rerun.steps]
         assert words_full == words_scr, f"{key}: entangler sequence changed"
         for a, b in zip(report.steps, rerun.steps):
             assert abs(a.energy - b.energy) < 1e-8

@@ -28,7 +28,6 @@ from mivqe.fermion import build_hamiltonian, hf_occupations
 from mivqe.pauli import PauliSum, PauliWord
 from mivqe.reference import exact_ground_state, mutual_information
 from mivqe.screening import (
-    EntanglerPool,
     generate_pool,
     percentile_of_strengths,
     pool_strengths,
@@ -44,8 +43,10 @@ from helpers import (
     expectation,
     fwht_radix2,
     gather_index_scores,
+    pool_from_words,
     pool_index,
     pool_scorer,
+    pool_words,
     random_state,
     random_word,
     score_entangler,
@@ -129,7 +130,7 @@ def test_pool_scorer_matches_score_entangler():
         descents, taus, e0 = scorer.scores(state, np.zeros(len(pool)), 0.3)
         assert abs(e0 - expectation(state, H)) < 1e-10
         for idx in rng.choice(len(pool), size=25, replace=False):
-            d_ref, t_ref = score_entangler(state, H, pool.words[idx])
+            d_ref, t_ref = score_entangler(state, H, pool.word(idx))
             assert abs(descents[idx] - d_ref) < 1e-9
             assert abs(taus[idx] - t_ref) < 1e-9
 
@@ -191,7 +192,7 @@ def test_joint_optimize_single_layer_closed_form():
     scorer = pool_scorer(H, pool)
     descents, taus, e0 = scorer.scores(state, np.zeros(len(pool)), 0.3)
     idx = int(np.argmax(descents))
-    ansatz = Ansatz(n, [1, 0, 1], [pool.words[idx]], [taus[idx]])
+    ansatz = Ansatz(n, [1, 0, 1], [pool.word(idx)], [taus[idx]])
     params, energy = joint_optimize(ansatz, compile_sum_action(H)[0], np.random.default_rng(1))
     assert abs(energy - (e0 - descents[idx])) < 1e-8
 
@@ -215,7 +216,7 @@ def test_joint_optimize_deterministic():
     rng = np.random.default_rng(86)
     n = 3
     H = random_even_sum(rng, n, 8)
-    w = next(w for w in generate_pool(n).words if w.weight > 1)
+    w = next(w for w in pool_words(generate_pool(n)) if w.weight > 1)
     ansatz = Ansatz(n, [0, 1, 0], [w], [0.3])
     h_action, _ = compile_sum_action(H)
     out1 = joint_optimize(ansatz, h_action, np.random.default_rng(5))
@@ -308,7 +309,7 @@ def test_run_adaptive_no_improving_entangler():
     # reference sits far from the ground energy
     n = 2
     H = PauliSum(n, [(1.0, PauliWord(n, 0, 0b01))])  # Z0
-    pool = EntanglerPool.from_words(n, [PauliWord.from_label("IY")], "custom")
+    pool = pool_from_words(n, [PauliWord.from_label("IY")], "custom")
     report, _ = run_adaptive(
         H,
         pool,
@@ -327,7 +328,7 @@ def test_run_adaptive_deterministic():
     kwargs = dict(reference_energy=e_ref)
     r1, a1 = run_adaptive(H, pool, strengths, pct, bits, AdaptiveConfig(seed=4), **kwargs)
     r2, a2 = run_adaptive(H, pool, strengths, pct, bits, AdaptiveConfig(seed=4), **kwargs)
-    assert [s.as_dict() for s in r1.steps] == [s.as_dict() for s in r2.steps]
+    assert r1.steps == r2.steps
     assert a1.parameters == a2.parameters
 
 
@@ -357,8 +358,8 @@ def test_screening_equivalence_small_molecule():
     scr_report, _ = run_adaptive(
         H, screened, pool_strengths(screened, table), pct, bits, cfg, reference_energy=e_ref
     )
-    assert [s.as_dict()["word"] for s in full_report.steps] == [
-        s.as_dict()["word"] for s in scr_report.steps
+    assert [str(s.word) for s in full_report.steps] == [
+        str(s.word) for s in scr_report.steps
     ]
     for a, b in zip(full_report.steps, scr_report.steps):
         assert abs(a.energy - b.energy) < 1e-8
@@ -470,7 +471,7 @@ def test_pool_scorer_recomputes_the_whole_pool_at_an_eigenstate():
     state[int(np.argmin(np.diag(dense_sum(H)).real))] = 1.0
     pool = generate_pool(n)
     scorer = pool_scorer(H, pool)
-    inert = np.array([all(commutes(w, t) for _, t in H.terms) for w in pool.words])
+    inert = np.array([all(commutes(w, t) for _, t in H.terms) for w in pool_words(pool)])
     assert inert.any() and not inert.all()
 
     exact_d, exact_t = term_sum_scores(scorer, state)
@@ -488,7 +489,7 @@ def test_pool_scorer_recomputes_the_whole_pool_at_an_eigenstate():
                      for c, w in random_even_sum(rng, 3, 12).terms])
     state = real_random_state(rng, n)
     scorer = pool_scorer(H, pool)
-    inert = np.array([all(commutes(w, t) for _, t in H.terms) for w in pool.words])
+    inert = np.array([all(commutes(w, t) for _, t in H.terms) for w in pool_words(pool)])
     assert inert.any()
     _assert_selection_is_term_sum(scorer, state, np.zeros(len(pool)))
 
@@ -684,11 +685,11 @@ def test_pool_scorer_rejects_bad_inputs_with_typed_errors():
     # an empty pool, so nothing of the 11-qubit scorer's size is built
     H11 = PauliSum(11, [(1.0, PauliWord(11, 0, 1))])
     with pytest.raises(AdaptiveError, match=f"limited to {SCORER_MAX_QUBITS} qubits"):
-        pool_scorer(H11, EntanglerPool.from_words(11, []))
+        pool_scorer(H11, pool_from_words(11, []))
     odd_y = PauliSum(2, [(1.0, PauliWord.from_label("XY"))])
     with pytest.raises(AdaptiveError, match="even-Y"):
         pool_scorer(odd_y, generate_pool(2))
-    even_y_pool = EntanglerPool.from_words(2, [PauliWord.from_label("XY"),
+    even_y_pool = pool_from_words(2, [PauliWord.from_label("XY"),
                                                PauliWord.from_label("XX")])
     with pytest.raises(AdaptiveError, match="odd Y count"):
         pool_scorer(PauliSum(2, [(1.0, PauliWord.from_label("ZZ"))]), even_y_pool)
@@ -742,7 +743,7 @@ def test_joint_optimize_never_returns_a_worse_energy(monkeypatch):
     rng = np.random.default_rng(95)
     n = 3
     H = random_even_sum(rng, n, 8)
-    w = next(w for w in generate_pool(n).words if w.weight > 1)
+    w = next(w for w in pool_words(generate_pool(n)) if w.weight > 1)
     ansatz = Ansatz(n, [0, 1, 0], [w], [0.3])
     h_action, _ = compile_sum_action(H)
 

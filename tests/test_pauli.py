@@ -8,15 +8,26 @@ from mivqe.pauli import (
     PauliError,
     PauliSum,
     PauliWord,
+    format_factor_lists,
+    format_pauli_factors,
     format_pauli_sum,
-    format_pauli_text,
     mask_product,
     multiply,
     parse_pauli_sum,
     parse_pauli_text,
 )
 
-from helpers import commutes, conjugate_sum, dense_word, dense_sum, is_identity, random_word
+from helpers import (
+    commutes,
+    conjugate_sum,
+    dense_sum,
+    dense_word,
+    format_pauli_text,
+    is_identity,
+    per_factor_factor_list,
+    random_word,
+    word_label,
+)
 
 
 def test_single_qubit_products():
@@ -136,7 +147,7 @@ def test_word_properties():
     assert w.support == 0b1101
     assert w.weight == 3
     assert w.y_count == 1
-    assert w.label() == "XIZY"
+    assert word_label(w) == "XIZY"
 
 
 def test_pauli_sum_merges_and_sorts():
@@ -197,6 +208,22 @@ def test_text_round_trip_random_words():
         word = random_word(rng, n)
         c2, w2 = parse_pauli_text(format_pauli_text(coeff, word), n)
         assert c2 == coeff and w2 == word
+
+
+@pytest.mark.parametrize("n", [*range(1, 17), MAX_QUBITS])
+def test_factor_lists_equal_the_per_factor_rule(n):
+    """Formatting whole mask arrays gives each word's factor list, as the
+    rule one factor at a time does; the identity is the empty string."""
+    rng = np.random.default_rng(n)
+    x = rng.integers(0, 1 << n, size=300, dtype=np.uint64, endpoint=False)
+    z = rng.integers(0, 1 << n, size=300, dtype=np.uint64, endpoint=False)
+    full = (1 << n) - 1
+    x[:3], z[:3] = [0, full, full], [0, 0, full]  # I...I, X...X, Y...Y
+    words = [PauliWord(n, int(a), int(b)) for a, b in zip(x, z)]
+    expected = [per_factor_factor_list(w) for w in words]
+    assert expected[0] == ""
+    assert format_factor_lists(n, x, z).tolist() == expected
+    assert [format_pauli_factors(w) for w in words] == expected
 
 
 def test_sum_text_round_trip():

@@ -1,6 +1,7 @@
 """Pipeline orchestration, artifacts, sweeps, MI reports, CLI surface."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -28,9 +29,12 @@ from mivqe.pauli import parse_pauli_sum
 from mivqe.reference import MIMatrix
 
 from conftest import FIXTURE_DIR
+from helpers import pool_words
 
 LIH = str(FIXTURE_DIR / "lih_1.60.fcidump")
 LIH_FAR = str(FIXTURE_DIR / "lih_2.40.fcidump")
+POOL_DIGESTS = Path(__file__).with_name("pool_sha256.txt")
+H2O10_MI = Path(__file__).with_name("h2o_1.80_jw_abab_mi.csv")
 
 
 def lih_config(**kw):
@@ -73,16 +77,33 @@ def test_run_pipeline_deterministic_bytes(tmp_path):
 
 
 def fail_writes_midway(monkeypatch, name):
-    """Make Path.write_text write half of any file whose name holds name, then fail."""
-    write_text = Path.write_text
+    """Make any file whose name holds name, opened for writing through Path.open,
+    take half of its first write, then fail."""
+    path_open = Path.open
 
-    def half_then_fail(self, text, *args, **kwargs):
-        if name in self.name:
-            write_text(self, text[: len(text) // 2], *args, **kwargs)
+    class HalfThenFail:
+        def __init__(self, file):
+            self.file = file
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.file.close()
+
+        def write(self, text):
+            self.file.write(text[: len(text) // 2])
             raise OSError("no space left on device")
-        return write_text(self, text, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "write_text", half_then_fail)
+        def writelines(self, blocks):
+            for text in blocks:
+                self.write(text)
+
+    def open_half_then_fail(self, mode="r", *args, **kwargs):
+        file = path_open(self, mode, *args, **kwargs)
+        return HalfThenFail(file) if name in self.name and "w" in mode else file
+
+    monkeypatch.setattr(Path, "open", open_half_then_fail)
 
 
 def test_interrupted_artifact_write_leaves_no_partial_file(tmp_path, monkeypatch):
@@ -119,8 +140,8 @@ def test_run_pipeline_screened_rerun_matches(tmp_path):
     full, _ = run_pipeline(lih_config())
     assert full.converged
     screened, problem = run_pipeline(lih_config(p_cut=full.p_max + 1e-9))
-    assert [s.as_dict()["word"] for s in full.steps] == [
-        s.as_dict()["word"] for s in screened.steps
+    assert [str(s.word) for s in full.steps] == [
+        str(s.word) for s in screened.steps
     ]
     assert problem.pool.provenance.startswith("screened")
 
@@ -135,8 +156,8 @@ def test_unreduced_baseline_percentiles():
     reduced, _ = run_pipeline(lih_config(baseline="reduced"))
     unreduced, problem = run_pipeline(lih_config(baseline="unreduced"))
     # same entangler sequence, but percentiles against the 6-qubit pool (2016)
-    assert [s.as_dict()["word"] for s in reduced.steps] == [
-        s.as_dict()["word"] for s in unreduced.steps
+    assert [str(s.word) for s in reduced.steps] == [
+        str(s.word) for s in unreduced.steps
     ]
     assert problem.baseline_pool_size == 2016
     assert unreduced.p_max != reduced.p_max
@@ -322,8 +343,8 @@ def test_screening_equivalence_boundary_case():
     assert full.converged
     p_cut = full.p_max + 1e-9
     screened_report, _ = run_pipeline(RunConfig(**base, p_cut=p_cut))
-    words_full = [s.as_dict()["word"] for s in full.steps]
-    words_scr = [s.as_dict()["word"] for s in screened_report.steps]
+    words_full = [str(s.word) for s in full.steps]
+    words_scr = [str(s.word) for s in screened_report.steps]
     assert words_full != words_scr  # the documented boundary
     assert screened_report.converged  # the screened run still reaches accuracy
 
@@ -339,7 +360,7 @@ def test_screening_equivalence_boundary_case():
         partial.percentile_table, partial.reference_bits,
         cfg_partial.adaptive_config(), reference_energy=partial.reference_energy,
     )
-    assert [s.as_dict()["word"] for s in rep.steps] == words_full[:diverge]
+    assert [str(s.word) for s in rep.steps] == words_full[:diverge]
     scorer = pool_scorer(partial.hamiltonian, partial.pool)
     descents, _, _ = scorer.scores(
         ansatz.prepare(), partial.strengths, cfg_partial.descent_fraction
@@ -351,7 +372,7 @@ def test_screening_equivalence_boundary_case():
     pct = pool_strengths(partial.pool, percentile_of_strengths(table, table))
     scr_idx = np.flatnonzero(pct <= p_cut)
     screened = screen_pool(partial.pool, table, p_cut)
-    assert screened.words == tuple(partial.pool.word(i) for i in scr_idx)
+    assert pool_words(screened) == tuple(partial.pool.word(i) for i in scr_idx)
     assert descents[scr_idx].max() < descents.max()
 
 
@@ -372,11 +393,11 @@ def test_mps_reference_drives_screened_run(tmp_path):
     # chosen entanglers' strengths step by step instead of their identities
     _, exact_problem = run_pipeline(lih_config())
     exact_strength = {
-        str(w): s for w, s in zip(exact_problem.pool.words, exact_problem.strengths)
+        str(w): s for w, s in zip(pool_words(exact_problem.pool), exact_problem.strengths)
     }
     for a, b in zip(report.steps, exact_report.steps):
-        sa = exact_strength[a.as_dict()["word"]]
-        sb = exact_strength[b.as_dict()["word"]]
+        sa = exact_strength[str(a.word)]
+        sb = exact_strength[str(b.word)]
         assert abs(sa - sb) < 1e-9
     data = json.loads((tmp_path / "mps_run" / "report.json").read_text())
     assert data["reference"]["note"] == "mps:chi=4,sweeps=16"
@@ -391,8 +412,8 @@ def test_mi_import_drives_screening(tmp_path):
     mi_path = tmp_path / "exact" / "mi.csv"
     import_cfg = lih_config(reference=f"mi:{mi_path}")
     import_report, import_problem = run_pipeline(import_cfg)
-    assert [s.as_dict()["word"] for s in exact_report.steps] == [
-        s.as_dict()["word"] for s in import_report.steps
+    assert [str(s.word) for s in exact_report.steps] == [
+        str(s.word) for s in import_report.steps
     ]
     # the exact backend still supplies the convergence reference
     assert import_problem.reference_energy == pytest.approx(
@@ -518,8 +539,8 @@ def test_mi_report_exact_vs_backends(tmp_path):
     # percentiles may hop across near-tied strengths; bound each shift by the
     # number of pool words whose strengths sit within the MI perturbation
     strengths = problem.strengths
-    chosen = [s.as_dict()["word"] for s in report.steps]
-    words = [str(w) for w in problem.pool.words]
+    chosen = [str(s.word) for s in report.steps]
+    words = [str(w) for w in pool_words(problem.pool)]
     for i, word in enumerate(chosen):
         c = strengths[words.index(word)]
         slack = np.sum(np.abs(strengths - c) <= 1e-5) / len(strengths)
@@ -878,6 +899,27 @@ def test_cli_pool_refuses_an_mi_of_another_register(
     assert not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize("verb", ["pool", "run"])
+@pytest.mark.parametrize("header", ["qubit,x,y", "qubit,1,0", "qubit,0,2", "qubit, 0, 1"])
+def test_cli_mi_csv_refuses_columns_not_labelled_by_qubit(header, verb, tmp_path, capsys):
+    """An MI CSV's columns are read in file order, so its header must label
+    them 0, 1, ..., n-1 as MIMatrix.to_csv writes it: for pool --mi and for
+    run --reference mi: alike."""
+    mi = _write(tmp_path / "mi.csv", f"{header}\n0,0,0.5\n1,0.5,0\n")
+    out = tmp_path / "out"
+    argv = {
+        "pool": ["pool", "--n-qubits", "2", "--mi", mi, "--report", str(out)],
+        "run": ["run", "--pauli-sum",
+                _write(tmp_path / "h.pauli", "qubits: 2\n0.5 Z0\n0.3 X0 X1\n-0.2 Z1\n"),
+                "--reference", f"mi:{mi}", "--max-steps", "1", "--output", str(out)],
+    }[verb]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "MI CSV must start with the header row 'qubit,0,1,...'" in err
+    assert not out.exists()
+
+
 def test_cli_fcidump_norb_above_limit_exits_3(tmp_path, monkeypatch, capsys):
     from types import SimpleNamespace
 
@@ -1158,6 +1200,34 @@ def test_cli_encode_and_pool(tmp_path, capsys):
 
     pool = pool_from_text(pool_file.read_text())
     assert len(pool) == 120
+
+
+def test_pool_text_matches_recorded_digests(tmp_path):
+    """pool --report, pool --out and a screened run's pool_screened.txt keep
+    every byte recorded in pool_sha256.txt."""
+    recorded = {}
+    for line in POOL_DIGESTS.read_text().splitlines():
+        if line and not line.startswith("#"):
+            digest, name = line.split()
+            recorded[name] = digest
+    assert main(["pool", "--n-qubits", "10", "--mi", str(H2O10_MI), "--p-cut", "0.05",
+                 "--report", str(tmp_path / "report.csv"),
+                 "--out", str(tmp_path / "screened.txt")]) == 0
+    assert main(["pool", "--n-qubits", "8", "--out", str(tmp_path / "pool8.txt")]) == 0
+    assert main(["run", "--fcidump", LIH_FAR,
+                 "--mapping", "parity", "--grouping", "aabb", "--p-cut", "0.3",
+                 "--max-steps", "1", "--output", str(tmp_path / "lih")]) in (0, 2)
+    files = {
+        "pool_report_h2o10": "report.csv",
+        "pool_out_h2o10": "screened.txt",
+        "pool_out_8": "pool8.txt",
+        "run_pool_screened_lih_2.40": "lih/pool_screened.txt",
+    }
+    digests = {
+        name: hashlib.sha256((tmp_path / path).read_bytes()).hexdigest()
+        for name, path in files.items()
+    }
+    assert digests == recorded
 
 
 def test_cli_sweep(tmp_path):

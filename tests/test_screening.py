@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+import mivqe.screening
 from mivqe.pauli import PauliError, PauliWord, parse_pauli_sum
 from mivqe.reference import MIMatrix
 from mivqe.screening import (
+    TEXT_BLOCK,
     ScreeningError,
     generate_pool,
     odd_y_multiplicities,
@@ -21,9 +23,11 @@ from mivqe.screening import (
 from helpers import (
     correlation_strength,
     is_identity,
+    per_factor_factor_list,
     per_mask_support_strengths,
     per_word_percentiles,
     pool_from_text,
+    pool_words,
     sort_key,
     tiled_pool_masks,
 )
@@ -49,7 +53,7 @@ def test_pool_size_closed_form():
 def test_pool_n1_is_just_y():
     pool = generate_pool(1)
     assert len(pool) == 1
-    assert pool.words[0] == PauliWord.from_label("Y")
+    assert pool.word(0) == PauliWord.from_label("Y")
 
 
 def test_paper_pool_sizes():
@@ -62,11 +66,11 @@ def test_paper_pool_sizes():
 
 def test_pool_words_all_odd_y_unique_canonical():
     pool = generate_pool(3)
-    assert all(w.y_count % 2 == 1 for w in pool)
-    assert len(set(pool.words)) == len(pool)
-    keys = [sort_key(w) for w in pool]
+    assert all(w.y_count % 2 == 1 for w in pool_words(pool))
+    assert len(set(pool_words(pool))) == len(pool)
+    keys = [sort_key(w) for w in pool_words(pool)]
     assert keys == sorted(keys)
-    assert not any(is_identity(w) for w in pool)
+    assert not any(is_identity(w) for w in pool_words(pool))
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -106,7 +110,7 @@ def test_pool_strengths_match_scalar_path():
     mi = random_mi(rng, n)
     pool = generate_pool(n)
     fast = pool_strengths(pool, support_strengths(n, mi))
-    slow = np.array([correlation_strength(w, mi) for w in pool])
+    slow = np.array([correlation_strength(w, mi) for w in pool_words(pool)])
     assert np.array_equal(fast, slow)
 
 
@@ -186,13 +190,13 @@ def test_screen_pool_noop_and_top_word():
     table = support_strengths(n, mi)
 
     strengths = pool_strengths(pool, table)
-    assert screen_pool(pool, table, 1.0).words == pool.words
+    assert pool_words(screen_pool(pool, table, 1.0)) == pool_words(pool)
 
     top = strengths.max()
     n_top = int((strengths == top).sum())
     screened = screen_pool(pool, table, n_top / len(pool))
     assert all(
-        correlation_strength(w, mi) == top for w in screened.words
+        correlation_strength(w, mi) == top for w in pool_words(screened)
     )
     assert len(screened) == n_top
 
@@ -202,15 +206,15 @@ def test_screen_pool_brute_force_set():
     n = 4
     mi = random_mi(rng, n, high=0.9)
     pool = generate_pool(n)
-    slow = [correlation_strength(w, mi) for w in pool]
+    slow = [correlation_strength(w, mi) for w in pool_words(pool)]
     # percentile by direct count: share of the pool at least as strong
-    pct = {w: sum(s >= c for s in slow) / len(pool) for w, c in zip(pool, slow)}
+    pct = {w: sum(s >= c for s in slow) / len(pool) for w, c in zip(pool_words(pool), slow)}
     for p_cut in (0.05, 0.2, 0.5, 0.9):
         screened = screen_pool(pool, support_strengths(n, mi), p_cut)
-        kept = [i for i, w in enumerate(pool) if pct[w] <= p_cut]
-        assert screened.words == tuple(pool.words[i] for i in kept)
+        kept = [i for i, w in enumerate(pool_words(pool)) if pct[w] <= p_cut]
+        assert pool_words(screened) == tuple(pool.word(i) for i in kept)
         # canonical order preserved
-        keys = [sort_key(w) for w in screened.words]
+        keys = [sort_key(w) for w in pool_words(screened)]
         assert keys == sorted(keys)
 
 
@@ -222,7 +226,7 @@ def test_screening_monotonicity():
     p_min = percentile_of_strengths(pool_strengths(pool, table), table).min()
     previous: set = set()
     for p_cut in (p_min, 0.3, 0.6, 1.0):
-        kept = set(screen_pool(pool, table, p_cut).words)
+        kept = set(pool_words(screen_pool(pool, table, p_cut)))
         assert previous <= kept
         previous = kept
 
@@ -260,14 +264,15 @@ def test_table_percentiles_equal_per_word_count(seed):
     pool = generate_pool(n)
     table = support_strengths(n, mi)
     strengths = pool_strengths(pool, table)
-    word_strengths = np.array([correlation_strength(w, mi) for w in pool])
+    word_strengths = np.array([correlation_strength(w, mi) for w in pool_words(pool)])
     assert np.array_equal(strengths, word_strengths)
 
     pct = percentile_of_strengths(strengths, table)
     assert np.array_equal(pct, per_word_percentiles(word_strengths, word_strengths))
 
     lifted = mi.embedded(index_map, n_encoded)
-    encoded_words = [correlation_strength(w, lifted) for w in generate_pool(n_encoded)]
+    encoded_pool = pool_words(generate_pool(n_encoded))
+    encoded_words = [correlation_strength(w, lifted) for w in encoded_pool]
     pct_unreduced = percentile_of_strengths(strengths, support_strengths(n_encoded, lifted))
     assert np.array_equal(pct_unreduced, per_word_percentiles(word_strengths, encoded_words))
 
@@ -279,7 +284,7 @@ def test_table_percentiles_equal_per_word_count(seed):
                 screen_pool(pool, table, p_cut)
             continue
         screened = screen_pool(pool, table, p_cut)
-        assert screened.words == tuple(pool.word(i) for i in expected)
+        assert pool_words(screened) == tuple(pool.word(i) for i in expected)
 
 
 def test_pool_spearman_equals_spearmanr_over_the_repeated_pool():
@@ -321,8 +326,8 @@ def test_screen_pool_empty_raises():
 
 def test_pool_text_round_trip():
     pool = generate_pool(3)
-    back = pool_from_text(pool.to_text())
-    assert back.words == pool.words
+    back = pool_from_text("".join(pool.to_text()))
+    assert pool_words(back) == pool_words(pool)
     assert back.n_qubits == 3
 
 
@@ -347,7 +352,43 @@ def test_screening_report_csv():
     n = 2
     entries = np.array([[0.0, 0.4], [0.4, 0.0]])
     pool = generate_pool(n)
-    csv = screening_report_csv(pool, support_strengths(n, mi_from_entries(entries)), p_cut=0.5)
+    csv = "".join(
+        screening_report_csv(pool, support_strengths(n, mi_from_entries(entries)), p_cut=0.5)
+    )
     lines = csv.strip().splitlines()
     assert lines[0] == "word,strength,percentile,kept"
     assert len(lines) == len(pool) + 1
+
+
+@pytest.mark.parametrize("block", [TEXT_BLOCK, 7])
+@pytest.mark.parametrize("p_cut", [None, 0.3])
+def test_pool_text_from_masks_builds_no_pauliword(block, p_cut, monkeypatch):
+    """Pool text and the report come from the mask arrays a block at a time,
+    with no PauliWord built; each line is the per-word text of one word."""
+    rng = np.random.default_rng(69)
+    n = 5
+    pool = generate_pool(n)
+    table = support_strengths(n, random_mi(rng, n, high=0.9))
+    monkeypatch.setattr(mivqe.screening, "TEXT_BLOCK", block)
+    built = []
+    post_init = PauliWord.__post_init__
+    monkeypatch.setattr(PauliWord, "__post_init__", lambda w: built.append(w) or post_init(w))
+    text = list(pool.to_text())
+    report = list(screening_report_csv(pool, table, p_cut))
+    assert built == []
+    pool.word(0)
+    assert len(built) == 1  # the counter sees a PauliWord
+
+    assert len(text) == len(report) == 1 + -(-len(pool) // block)
+    words = pool_words(pool)
+    factors = [per_factor_factor_list(w) for w in words]
+    assert "".join(text) == "\n".join(
+        [f"# pool provenance: {pool.provenance}", f"qubits: {n}", *factors]
+    ) + "\n"
+    strengths = pool_strengths(pool, table)
+    pct = pool_strengths(pool, percentile_of_strengths(table, table))
+    rows = [
+        f"{f},{c:.12g},{p:.12g},{'' if p_cut is None else str(int(p <= p_cut))}"
+        for f, c, p in zip(factors, strengths, pct)
+    ]
+    assert "".join(report) == "\n".join(["word,strength,percentile,kept", *rows]) + "\n"
