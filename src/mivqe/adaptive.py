@@ -24,9 +24,10 @@ from .simulator import Ansatz, compile_sum_action, energy_and_gradient
 
 # Largest register the pool scorer (and so a run) accepts. A step holds the
 # word table T and one transform table (8 bytes x 4^n each; while T is
-# formed, its two factors instead), blocks of FWHT_BLOCK columns, about a
-# dozen bytes per word of the (4^n - 2^n)/2-word pool and its arrays, and
-# one refine block; the int32 word indices allow n <= 15.
+# formed, its two factors instead), blocks of FWHT_BLOCK columns, the
+# float64 B and C and about a dozen bytes more per word of the
+# (4^n - 2^n)/2-word pool, and one refine block; the int32 word indices
+# allow n <= 15.
 SCORER_MAX_QUBITS = 10
 # Columns per block of the scorer's Walsh-Hadamard transforms; a register of
 # at most this many basis states is transformed as one block.
@@ -225,6 +226,11 @@ def _xor_shifts(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gather(table, x: np.ndarray, z: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The 2^n support table's entries of the words idx, read at x | z."""
+    return np.asarray(table, dtype=float)[x[idx] | z[idx]]
+
+
 class PoolScorer:
     """Sinusoid fits for every pool word against a frozen real state s.
 
@@ -244,7 +250,7 @@ class PoolScorer:
 
     Term-sum path (exact): B and C summed over the anticommuting terms in
     H.terms order, reading T[x, z] = sum_k (-1)^{|k & z|} s[k ^ x] s[k].
-    Given the strengths, scores() recomputes by this path every word whose
+    Given the strength table, scores() recomputes by this path every word whose
     transform descent lies within 2 * slack of a selection boundary, so
     select_entangler's choice, acceptable count and the chosen tau are the
     term-sum ones bit for bit; float noise at 1e-14 would otherwise reorder
@@ -255,7 +261,8 @@ class PoolScorer:
     path: one that commutes with every term of H (exact descent 0) keeps a
     transform descent within slack of 0, is never acceptable and never wins.
     h_action is H's compiled product from compile_sum_action, which gives
-    sigma.
+    sigma. Per pool word the scorer keeps the pool's uint16 masks, an int32
+    word index, a uint8 Y count and a bool C sign.
     """
 
     def __init__(self, H: PauliSum, pool: EntanglerPool, h_action):
@@ -279,11 +286,14 @@ class PoolScorer:
         self._h_action = h_action
         # flat indices into 2^n x 2^n tables: terms at [x, z], pool words
         # at [z, x]; P anticommutes with P_i when |word_zx & term_slot_i| is
-        # odd. Only the columns z of the terms hold an entry of f.
+        # odd. Only the columns z of the terms hold an entry of f. The uint16
+        # z is widened before its shift, which would overflow 16 bits.
         shift = np.uint64(n)
         self._term_slot = ((self.tx << shift) | self.tz).astype(np.intp)
         self._term_columns = np.unique(self.tz).astype(np.intp)
-        self._word_zx = ((self.pz << shift) | self.px).astype(np.int32)
+        self._word_zx = self.pz.astype(np.int32)
+        self._word_zx <<= n
+        self._word_zx |= self.px
         # C_P = -T_sigma[x_P, z_P] unless y_P = 1 mod 4
         self._c_negate = self.py % 4 != 1
 
@@ -344,14 +354,14 @@ class PoolScorer:
     def scores(
         self,
         state: np.ndarray,
-        strengths: np.ndarray,
+        strength_table: np.ndarray,
         descent_fraction: float,
     ) -> tuple[np.ndarray, np.ndarray, float]:
         """(descents, tau_stars, e0) for every pool word.
 
         Transform values, except that the words which can change
-        select_entangler(descents, strengths, descent_fraction) are
-        recomputed by the term sum, in two stages:
+        select_entangler(descents, pool, strength_table, descent_fraction)
+        are recomputed by the term sum, in two stages:
         1. words within 2 slack of the max descent or of the acceptance
            threshold, which makes the max and the acceptable set exact;
         2. the acceptable words of the top strength within 2 slack of that
@@ -398,35 +408,37 @@ class PoolScorer:
         del h
 
         band = 2.0 * self.slack
-        strengths = np.asarray(strengths, dtype=float)
 
-        def refine(mask):
-            idx = np.flatnonzero(mask)
+        def refine(idx):
             descents[idx], taus[idx] = self._term_sum(T, f, idx)
 
         top = descents.max()
         near = np.subtract(descents, descent_fraction * top)
         np.abs(near, out=near)
-        refine((descents >= top - band) | (near <= band))
+        refine(np.flatnonzero((descents >= top - band) | (near <= band)))
         del near
         top = descents.max()
         if top > 0.0:
-            acceptable = descents >= descent_fraction * top
-            group = acceptable & (strengths == strengths[acceptable].max())
-            refine(group & (descents >= descents[group].max() - band))
+            acceptable = np.flatnonzero(descents >= descent_fraction * top)
+            strengths = _gather(strength_table, self.px, self.pz, acceptable)
+            group = acceptable[strengths == strengths.max()]
+            refine(group[descents[group] >= descents[group].max() - band])
         return descents, taus, e0
 
 
 def select_entangler(
     descents: np.ndarray,
-    strengths: np.ndarray,
+    pool: EntanglerPool,
+    strength_table: np.ndarray,
     descent_fraction: float,
 ) -> tuple[int, int]:
     """Index of the chosen word and the acceptable-set size.
 
     Acceptable words reach the descent fraction of the best descent; among
     them the largest correlation strength wins, ties broken by larger
-    descent, then by canonical (pool) order.
+    descent, then by canonical (pool) order. descents run parallel to the
+    pool; strength_table is the 2^n support table of strengths, read only
+    for the acceptable words.
 
     PoolScorer.scores makes exact the words near this rule's boundaries (the
     max, the >= threshold, the top-strength group and its descent tie-break);
@@ -434,14 +446,12 @@ def select_entangler(
     stop being the term-sum one.
     """
     descents = np.asarray(descents, dtype=float)
-    strengths = np.asarray(strengths, dtype=float)
     max_descent = descents.max()
     if max_descent <= 0.0:
         raise NoImprovingEntangler("all descents are non-positive")
     acceptable = np.flatnonzero(descents >= descent_fraction * max_descent)
-    order = np.lexsort(
-        (acceptable, -descents[acceptable], -strengths[acceptable])
-    )
+    strengths = _gather(strength_table, pool.x, pool.z, acceptable)
+    order = np.lexsort((acceptable, -descents[acceptable], -strengths))
     return int(acceptable[order[0]]), int(len(acceptable))
 
 
@@ -485,7 +495,7 @@ def joint_optimize(
 def run_adaptive(
     H: PauliSum,
     pool: EntanglerPool,
-    strengths: np.ndarray,
+    strength_table: np.ndarray,
     percentile_table: np.ndarray,
     reference_bits,
     config: AdaptiveConfig,
@@ -493,18 +503,19 @@ def run_adaptive(
 ) -> tuple[RunReport, Ansatz]:
     """Adaptive construction loop: score, select, append, jointly reoptimize.
 
-    strengths holds one entry per pool word. percentile_table is the 2^n
-    support table of percentiles the caller counted against the declared
-    baseline pool; each adopted word reads its entry by its support mask,
+    Both tables are 2^n support tables, read by a word's support mask
+    x | z, so the run holds no float per pool word outside a scoring step.
+    strength_table holds the strengths that rank the acceptable words of
+    each step. percentile_table holds the percentiles the caller counted
+    against the declared baseline pool; each adopted word reads its entry,
     and these feed the p_max / p_avg screening rates. H is compiled once,
     here, for the HF energy, the scorer and every reoptimization.
     """
-    if len(strengths) != len(pool):
-        raise AdaptiveError("strengths must match the pool")
-    if len(percentile_table) != 1 << pool.n_qubits:
-        raise AdaptiveError(
-            f"a {pool.n_qubits}-qubit pool needs a 2^{pool.n_qubits}-entry percentile table"
-        )
+    for name, table in (("strength", strength_table), ("percentile", percentile_table)):
+        if len(table) != 1 << pool.n_qubits:
+            raise AdaptiveError(
+                f"a {pool.n_qubits}-qubit pool needs a 2^{pool.n_qubits}-entry {name} table"
+            )
     h_action, _ = compile_sum_action(H)
     scorer = PoolScorer(H, pool, h_action)
     ansatz = Ansatz(H.n_qubits, list(reference_bits))
@@ -523,14 +534,14 @@ def run_adaptive(
     else:
         recent_descents: list[float] = []
         for step in range(1, config.max_steps + 1):
-            descents, taus, e0 = scorer.scores(state, strengths, config.descent_fraction)
+            descents, taus, e0 = scorer.scores(state, strength_table, config.descent_fraction)
             if abs(e0 - energy) > 1e-8:
                 raise AdaptiveError(
                     f"scorer energy {e0} disagrees with tracked energy {energy}"
                 )
             try:
                 chosen, acceptable_count = select_entangler(
-                    descents, strengths, config.descent_fraction
+                    descents, pool, strength_table, config.descent_fraction
                 )
             except NoImprovingEntangler:
                 stop_reason = "no improving entangler"

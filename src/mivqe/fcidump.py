@@ -17,8 +17,8 @@ import numpy as np
 from .pauli import MAX_QUBITS
 
 DUPLICATE_TOLERANCE = 1e-10
-# 32 spatial orbitals are 64 spin-orbital qubits, the width of the pool's
-# uint64 masks; the limit is checked before the NORB^4 integral tensors exist
+# 32 spatial orbitals are 64 spin-orbital qubits, the width of the uint64
+# term masks; the limit is checked before the NORB^4 integral tensors exist
 MAX_ORBITALS = MAX_QUBITS // 2
 
 

@@ -18,8 +18,9 @@ import numpy as np
 _BITS_FOR_LETTER = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 
 COEFF_CUTOFF = 1e-12  # merged terms below this magnitude (hartree) are dropped
-# the width of the pool's uint64 masks; a larger ``qubits:`` header is refused
-# before anything is sized by it
+# the width of the uint64 term masks (the pool scorer's and the MPO
+# builder's); a larger ``qubits:`` header is refused before anything is sized
+# by it
 MAX_QUBITS = 64
 
 

@@ -44,7 +44,7 @@ from .screening import (
     percentile_of_strengths,
     pool_size,
     pool_spearman,
-    pool_strengths,
+    pool_strengths,  # noqa: F401  off the run path; perfbench/tracer.py times it here
     screen_pool,
     support_strengths,
 )
@@ -89,9 +89,9 @@ class Problem:
     reference_bits: list[int]
     pool: EntanglerPool
     mi: MIMatrix
-    strengths: np.ndarray
-    # the 2^n support table of percentiles against the baseline pool; a word
-    # reads its percentile by its support mask
+    # 2^n support tables, read by a word's support mask x | z: the run
+    # register's strengths, and the percentiles against the baseline pool
+    strength_table: np.ndarray
     percentile_table: np.ndarray
     reference_energy: float | None
     removed_qubits: list[tuple[int, int]]
@@ -255,7 +255,6 @@ def prepare_problem(cfg: RunConfig) -> Problem:
         percentile_table = percentile_of_strengths(table, baseline)
         if cfg.p_cut is not None:
             pool = screen_pool(pool, table, cfg.p_cut)
-        strengths = pool_strengths(pool, table)
 
     return Problem(
         config=cfg,
@@ -263,7 +262,7 @@ def prepare_problem(cfg: RunConfig) -> Problem:
         reference_bits=bits,
         pool=pool,
         mi=mi,
-        strengths=strengths,
+        strength_table=table,
         percentile_table=percentile_table,
         reference_energy=reference_energy,
         removed_qubits=removed,
@@ -376,7 +375,7 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunReport, Problem]:
         report, ansatz = run_adaptive(
             problem.hamiltonian,
             problem.pool,
-            problem.strengths,
+            problem.strength_table,
             problem.percentile_table,
             problem.reference_bits,
             cfg.adaptive_config(),

@@ -12,7 +12,8 @@ is the whole odd-Y pool of an m-qubit register, with (3^L - 1)/2 words on
 each support of L qubits. percentile_of_strengths maps a support table of
 strengths to a support table of percentiles, and that table is the only
 form a percentile takes outside this module: a word reads its entry by its
-support mask (pool_strengths gathers them for a whole pool).
+support mask x | z. A run gathers a table only for the words it needs (the
+acceptable ones of a step), so it holds no float per pool word.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from .pauli import PauliWord, format_factor_lists
 POOL_BLOCK = 1 << 16
 # words per block of pool text: a block's string arrays take a few MB
 TEXT_BLOCK = 1 << 13
+# pool masks are uint16: one bit per qubit
+POOL_MASK_DTYPE = np.uint16
+POOL_MAX_QUBITS = 16
 
 
 class ScreeningError(ValueError):
@@ -40,12 +44,21 @@ def pool_size(n_qubits: int) -> int:
     return (4**n_qubits - 2**n_qubits) // 2
 
 
+def _check_pool_register(n_qubits: int) -> None:
+    if not 1 <= n_qubits <= POOL_MAX_QUBITS:
+        raise ScreeningError(
+            f"pool masks hold 1 to {POOL_MAX_QUBITS} qubits, got {n_qubits}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class EntanglerPool:
-    """Pool words as parallel uint64 x/z mask arrays, in pool order.
+    """Pool words as parallel uint16 x/z mask arrays, in pool order (n <= 16).
 
-    The arrays are all that scoring, strengths, screening and pool text read;
-    word(i) builds one PauliWord.
+    The arrays are all that scoring, selection, screening and pool text
+    read; a word's strength and percentile are read from 2^n support tables
+    at x | z, so the pool holds 4 bytes per word. word(i) builds one
+    PauliWord.
     """
 
     n_qubits: int
@@ -54,6 +67,11 @@ class EntanglerPool:
     provenance: str = "original"
 
     def __post_init__(self):
+        _check_pool_register(self.n_qubits)
+        if self.x.dtype != POOL_MASK_DTYPE or self.z.dtype != POOL_MASK_DTYPE:
+            raise ScreeningError(
+                f"pool masks must be uint16, got {self.x.dtype} and {self.z.dtype}"
+            )
         if self.x.ndim != 1 or self.x.shape != self.z.shape:
             raise ScreeningError("pool x and z masks must be 1-D arrays of equal length")
 
@@ -78,19 +96,18 @@ class EntanglerPool:
 
 
 def generate_pool(n_qubits: int) -> EntanglerPool:
-    """All odd-Y Pauli words on n qubits in canonical order.
+    """All odd-Y Pauli words on n qubits in canonical order, as uint16 masks.
 
     The Y count of (x, z) is |x & z|. Each z > 0 takes half of the 2^n x
     masks, and z = 0 none, so the pool is 2^n - 1 rows of 2^(n-1) words;
     the rows are found POOL_BLOCK (z, x) pairs at a time from a 2^n parity
     table.
     """
-    if n_qubits < 1:
-        raise ScreeningError("n_qubits must be positive")
+    _check_pool_register(n_qubits)
     size = 1 << n_qubits
     half = size // 2
-    k = np.arange(size, dtype=np.uint64)
-    odd = (np.bitwise_count(k) & np.uint64(1)).astype(bool)
+    k = np.arange(size, dtype=POOL_MASK_DTYPE)
+    odd = (np.bitwise_count(k) & 1).astype(bool)
     z = np.repeat(k[1:], half)
     x = np.empty_like(z)
     rows = x.reshape(size - 1, half)
@@ -139,15 +156,21 @@ def support_strengths(n_qubits: int, mi) -> np.ndarray:
     return 2.0 * total / np.maximum(weights * (weights - 1), 1)
 
 
+def _check_table(pool: EntanglerPool, table: np.ndarray) -> None:
+    if len(table) != 1 << pool.n_qubits:
+        raise ScreeningError(f"a {pool.n_qubits}-qubit pool needs a 2^{pool.n_qubits}-entry table")
+
+
 def pool_strengths(pool: EntanglerPool, table: np.ndarray) -> np.ndarray:
     """Each word's entry in a 2^n support table, read by its support mask.
 
     With table = support_strengths(pool.n_qubits, mi) these are the words'
-    strengths; with a percentile table, their percentiles.
+    strengths; with a percentile table, their percentiles. The result has
+    one entry per pool word, so a run never calls this: it gathers a table
+    for the words it needs (see adaptive.select_entangler).
     """
-    if len(table) != 1 << pool.n_qubits:
-        raise ScreeningError(f"a {pool.n_qubits}-qubit pool needs a 2^{pool.n_qubits}-entry table")
-    return table[(pool.x | pool.z).astype(np.intp)]
+    _check_table(pool, table)
+    return table[pool.x | pool.z]
 
 
 def percentile_of_strengths(table: np.ndarray, baseline_table: np.ndarray) -> np.ndarray:
@@ -211,9 +234,12 @@ def screen_pool(pool: EntanglerPool, table: np.ndarray, p_cut: float) -> Entangl
     """
     if not (0.0 < p_cut <= 1.0):
         raise ScreeningError("p_cut must lie in (0, 1]")
-    pct = pool_strengths(pool, percentile_of_strengths(table, table))
-    kept = np.flatnonzero(pct <= p_cut)
-    if not len(kept):
+    _check_table(pool, table)
+    pct = percentile_of_strengths(table, table)
+    # one boolean per support, then one per word
+    kept = (pct <= p_cut)[pool.x | pool.z]
+    if not kept.any():
+        # the only support without a word, 0, has percentile 1
         raise ScreeningError(
             f"screening at p_cut={p_cut} leaves an empty pool "
             f"(minimum achievable percentile is {pct.min():.3g})"

@@ -43,7 +43,7 @@ from mivqe.pauli import (
     parse_pauli_factors,
 )
 from mivqe.reference import entropy
-from mivqe.screening import EntanglerPool, ScreeningError, _mi_entries
+from mivqe.screening import POOL_MAX_QUBITS, EntanglerPool, ScreeningError, _mi_entries
 from mivqe.simulator import (
     Ansatz,
     SimulatorError,
@@ -87,8 +87,8 @@ def pool_words(pool: EntanglerPool) -> tuple[PauliWord, ...]:
 def pool_from_words(n_qubits: int, words, provenance: str = "custom") -> EntanglerPool:
     """A pool holding the given PauliWord objects, in the given order."""
     words = list(words)
-    x = np.array([w.x_mask for w in words], dtype=np.uint64)
-    z = np.array([w.z_mask for w in words], dtype=np.uint64)
+    x = np.array([w.x_mask for w in words], dtype=np.uint16)
+    z = np.array([w.z_mask for w in words], dtype=np.uint16)
     return EntanglerPool(n_qubits, x, z, provenance)
 
 
@@ -426,14 +426,15 @@ def term_sum_scores(scorer: PoolScorer, state: np.ndarray) -> tuple[np.ndarray, 
 
 
 def gather_index_scores(
-    scorer: PoolScorer, state: np.ndarray, strengths: np.ndarray, descent_fraction: float
+    scorer: PoolScorer, state: np.ndarray, strength_table: np.ndarray, descent_fraction: float
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """PoolScorer.scores built on a 2^n x 2^n gather index k ^ x.
 
     s[k ^ x] and sigma[k ^ x] are read through that index, word indices are
     intp, C's sign is a +-1.0 factor, the sign matrix is built from bit
-    parities, and the 4^n transforms run over whole tables; the refine reuses
-    the scorer's own term sum.
+    parities, the 4^n transforms run over whole tables, and every word's
+    strength is gathered from the table up front; the refine reuses the
+    scorer's own term sum.
     """
     k = np.arange(1 << scorer.n)
     kx = k[:, None] ^ k[None, :]
@@ -461,7 +462,7 @@ def gather_index_scores(
     taus = _tau_minimum(b, c)
 
     band = 2.0 * scorer.slack
-    strengths = np.asarray(strengths, dtype=float)
+    strengths = np.asarray(strength_table, dtype=float)[scorer.px | scorer.pz]
 
     def refine(mask):
         idx = np.flatnonzero(mask)
@@ -584,8 +585,10 @@ def pool_from_text(text: str, provenance: str = "imported") -> EntanglerPool:
                 n_qubits = int(line.split(":", 1)[1])
             except ValueError:
                 raise ScreeningError(f"invalid qubits header {line!r}") from None
-            if not 1 <= n_qubits <= 64:
-                raise ScreeningError(f"pool masks hold 1 to 64 qubits, got {n_qubits}")
+            if not 1 <= n_qubits <= POOL_MAX_QUBITS:
+                raise ScreeningError(
+                    f"pool masks hold 1 to {POOL_MAX_QUBITS} qubits, got {n_qubits}"
+                )
             continue
         if n_qubits is None:
             raise ScreeningError("missing 'qubits: <n>' header")

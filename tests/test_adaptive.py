@@ -28,9 +28,9 @@ from mivqe.fermion import build_hamiltonian, hf_occupations
 from mivqe.pauli import PauliSum, PauliWord
 from mivqe.reference import exact_ground_state, mutual_information
 from mivqe.screening import (
+    EntanglerPool,
     generate_pool,
     percentile_of_strengths,
-    pool_strengths,
     support_strengths,
 )
 from mivqe.simulator import Ansatz, basis_state, compile_sum_action, energy_and_gradient
@@ -127,7 +127,7 @@ def test_pool_scorer_matches_score_entangler():
         pool = generate_pool(n)
         scorer = pool_scorer(H, pool)
         state = real_random_state(rng, n)
-        descents, taus, e0 = scorer.scores(state, np.zeros(len(pool)), 0.3)
+        descents, taus, e0 = scorer.scores(state, np.zeros(1 << n), 0.3)
         assert abs(e0 - expectation(state, H)) < 1e-10
         for idx in rng.choice(len(pool), size=25, replace=False):
             d_ref, t_ref = score_entangler(state, H, pool.word(idx))
@@ -135,27 +135,40 @@ def test_pool_scorer_matches_score_entangler():
             assert abs(taus[idx] - t_ref) < 1e-9
 
 
+def select_by_word_strengths(descents, strengths, descent_fraction):
+    """select_entangler on a pool whose word i alone has support i + 1, so
+    that the strength table gives word i strengths[i]."""
+    m = len(strengths)
+    n = m.bit_length()
+    pool = EntanglerPool(
+        n, np.arange(1, m + 1, dtype=np.uint16), np.zeros(m, dtype=np.uint16)
+    )
+    table = np.zeros(1 << n)
+    table[1 : m + 1] = strengths
+    return select_entangler(descents, pool, table, descent_fraction)
+
+
 def test_select_entangler_rule():
     descents = np.array([1.0, 0.4, 0.2])
     strengths = np.array([0.1, 0.9, 0.99])
-    chosen, count = select_entangler(descents, strengths, 0.3)
+    chosen, count = select_by_word_strengths(descents, strengths, 0.3)
     assert chosen == 1  # 0.2 < 0.3 excludes the strongest word
     assert count == 2
 
 
 def test_select_single_acceptable():
-    chosen, count = select_entangler(np.array([1.0, 0.1]), np.array([0.2, 0.9]), 0.3)
+    chosen, count = select_by_word_strengths(np.array([1.0, 0.1]), np.array([0.2, 0.9]), 0.3)
     assert chosen == 0 and count == 1
 
 
 def test_select_tie_breaking():
     # equal strengths: larger descent wins
-    chosen, _ = select_entangler(
+    chosen, _ = select_by_word_strengths(
         np.array([0.5, 0.8, 0.8]), np.array([0.7, 0.7, 0.5]), 0.3
     )
     assert chosen == 1
     # full tie on strength and descent: canonical (lowest index) order
-    chosen, _ = select_entangler(
+    chosen, _ = select_by_word_strengths(
         np.array([0.8, 0.8]), np.array([0.7, 0.7]), 0.3
     )
     assert chosen == 0
@@ -169,9 +182,9 @@ def test_select_brute_force_oracle():
         strengths = rng.uniform(0, 1, size=m)
         if descents.max() <= 0:
             with pytest.raises(NoImprovingEntangler):
-                select_entangler(descents, strengths, 0.3)
+                select_by_word_strengths(descents, strengths, 0.3)
             continue
-        chosen, count = select_entangler(descents, strengths, 0.3)
+        chosen, count = select_by_word_strengths(descents, strengths, 0.3)
         acceptable = [i for i in range(m) if descents[i] >= 0.3 * descents.max()]
         assert count == len(acceptable)
         best = max(acceptable, key=lambda i: (strengths[i], descents[i], -i))
@@ -180,7 +193,7 @@ def test_select_brute_force_oracle():
 
 def test_select_raises_without_positive_descent():
     with pytest.raises(NoImprovingEntangler):
-        select_entangler(np.array([0.0, -0.5]), np.array([0.3, 0.4]), 0.3)
+        select_by_word_strengths(np.array([0.0, -0.5]), np.array([0.3, 0.4]), 0.3)
 
 
 def test_joint_optimize_single_layer_closed_form():
@@ -190,7 +203,7 @@ def test_joint_optimize_single_layer_closed_form():
     state = basis_state(n, [1, 0, 1])
     pool = generate_pool(n)
     scorer = pool_scorer(H, pool)
-    descents, taus, e0 = scorer.scores(state, np.zeros(len(pool)), 0.3)
+    descents, taus, e0 = scorer.scores(state, np.zeros(1 << n), 0.3)
     idx = int(np.argmax(descents))
     ansatz = Ansatz(n, [1, 0, 1], [pool.word(idx)], [taus[idx]])
     params, energy = joint_optimize(ansatz, compile_sum_action(H)[0], np.random.default_rng(1))
@@ -235,15 +248,14 @@ def _molecule_problem(grouping="abab", mapping="jordan_wigner"):
     mi = mutual_information(state)
     pool = generate_pool(H.n_qubits)
     table = support_strengths(H.n_qubits, mi)
-    strengths = pool_strengths(pool, table)
     pct = percentile_of_strengths(table, table)
-    return H, pool, strengths, pct, bits, e_ref, mi
+    return H, pool, table, pct, bits, e_ref, mi
 
 
 def test_run_adaptive_converges_and_monotone():
-    H, pool, strengths, pct, bits, e_ref, _ = _molecule_problem()
+    H, pool, table, pct, bits, e_ref, _ = _molecule_problem()
     report, ansatz = run_adaptive(
-        H, pool, strengths, pct, bits, AdaptiveConfig(seed=11), reference_energy=e_ref
+        H, pool, table, pct, bits, AdaptiveConfig(seed=11), reference_energy=e_ref
     )
     assert report.converged
     assert abs(report.final_energy - e_ref) <= 1e-3
@@ -281,7 +293,7 @@ def test_run_adaptive_compiles_h_once_and_each_layer_once(monkeypatch):
     pool = generate_pool(n)
     cfg = AdaptiveConfig(max_steps=4)
     report, _ = run_adaptive(
-        H, pool, np.zeros(len(pool)), np.ones(1 << n), [1, 0, 1, 0], cfg
+        H, pool, np.zeros(1 << n), np.ones(1 << n), [1, 0, 1, 0], cfg
     )
     assert report.n_ent == 4
     assert calls == {"compile_sum_action": 1, "_word_tables": report.n_ent}
@@ -292,7 +304,7 @@ def test_run_adaptive_zero_steps_when_reference_is_ground():
     n = 3
     H = PauliSum(n, [(1.0, PauliWord(n, 0, 1 << q)) for q in range(n)])
     pool = generate_pool(n)
-    strengths = np.zeros(len(pool))
+    strengths = np.zeros(1 << n)
     pct = np.ones(1 << n)
     e_ref, _ = exact_ground_state(H)
     report, ansatz = run_adaptive(
@@ -313,7 +325,7 @@ def test_run_adaptive_no_improving_entangler():
     report, _ = run_adaptive(
         H,
         pool,
-        np.zeros(len(pool)),
+        np.zeros(1 << n),
         np.ones(1 << n),
         [0, 0],
         AdaptiveConfig(),
@@ -324,18 +336,18 @@ def test_run_adaptive_no_improving_entangler():
 
 
 def test_run_adaptive_deterministic():
-    H, pool, strengths, pct, bits, e_ref, _ = _molecule_problem("aabb", "parity")
+    H, pool, table, pct, bits, e_ref, _ = _molecule_problem("aabb", "parity")
     kwargs = dict(reference_energy=e_ref)
-    r1, a1 = run_adaptive(H, pool, strengths, pct, bits, AdaptiveConfig(seed=4), **kwargs)
-    r2, a2 = run_adaptive(H, pool, strengths, pct, bits, AdaptiveConfig(seed=4), **kwargs)
+    r1, a1 = run_adaptive(H, pool, table, pct, bits, AdaptiveConfig(seed=4), **kwargs)
+    r2, a2 = run_adaptive(H, pool, table, pct, bits, AdaptiveConfig(seed=4), **kwargs)
     assert r1.steps == r2.steps
     assert a1.parameters == a2.parameters
 
 
 def test_run_adaptive_descent_stall_without_reference():
-    H, pool, strengths, pct, bits, e_ref, _ = _molecule_problem()
+    H, pool, table, pct, bits, e_ref, _ = _molecule_problem()
     cfg = AdaptiveConfig(seed=11, max_steps=30)
-    report, _ = run_adaptive(H, pool, strengths, pct, bits, cfg, reference_energy=None)
+    report, _ = run_adaptive(H, pool, table, pct, bits, cfg, reference_energy=None)
     assert report.converged
     assert report.stop_reason in ("descent stalled", "no improving entangler")
     # it should have reached (essentially) the ground state anyway
@@ -346,17 +358,16 @@ def test_screening_equivalence_small_molecule():
     """Rerun with the screened pool at p_cut = p_max: identical step sequence."""
     from mivqe.screening import screen_pool
 
-    H, pool, strengths, pct, bits, e_ref, mi = _molecule_problem()
+    H, pool, table, pct, bits, e_ref, mi = _molecule_problem()
     cfg = AdaptiveConfig(seed=9)
     full_report, _ = run_adaptive(
-        H, pool, strengths, pct, bits, cfg, reference_energy=e_ref
+        H, pool, table, pct, bits, cfg, reference_energy=e_ref
     )
     assert full_report.converged
     p_cut = full_report.p_max + 1e-9
-    table = support_strengths(H.n_qubits, mi)
     screened = screen_pool(pool, table, p_cut)
     scr_report, _ = run_adaptive(
-        H, screened, pool_strengths(screened, table), pct, bits, cfg, reference_energy=e_ref
+        H, screened, table, pct, bits, cfg, reference_energy=e_ref
     )
     assert [str(s.word) for s in full_report.steps] == [
         str(s.word) for s in scr_report.steps
@@ -376,7 +387,7 @@ def _swap01(word):
 
 
 def _mirrored_problem(rng, n, basis):
-    """Even-Y H, real state and strengths all symmetric under swapping qubits
+    """Even-Y H, real state and strength table all symmetric under swapping qubits
     0 and 1, so every word and its mirror image tie exactly in descent and
     strength; only float noise could order them."""
     half = random_even_sum(rng, n, 3 * n)
@@ -395,11 +406,10 @@ def _mirrored_problem(rng, n, basis):
     entries = entries + entries.T
     p = [1, 0, *range(2, n)]
     entries = entries + entries[p][:, p]
-    pool = generate_pool(n)
-    return H, pool, state, pool_strengths(pool, support_strengths(n, entries))
+    return H, generate_pool(n), state, support_strengths(n, entries)
 
 
-def _scores_and_refined(scorer, state, strengths, fraction=0.3):
+def _scores_and_refined(scorer, state, table, fraction=0.3):
     """scorer.scores plus the pool indices it recomputed by the term sum."""
     calls = []
     term_sum = scorer._term_sum
@@ -410,18 +420,18 @@ def _scores_and_refined(scorer, state, strengths, fraction=0.3):
 
     scorer._term_sum = spy
     try:
-        descents, taus, _ = scorer.scores(state, strengths, fraction)
+        descents, taus, _ = scorer.scores(state, table, fraction)
     finally:
         del scorer._term_sum
     refined = np.concatenate([np.empty(0, dtype=np.intp), *calls])
     return descents, taus, np.unique(refined)
 
 
-def _assert_selection_is_term_sum(scorer, state, strengths, fraction=0.3):
+def _assert_selection_is_term_sum(scorer, pool, state, table, fraction=0.3):
     exact_d, exact_t = term_sum_scores(scorer, state)
-    descents, taus, refined = _scores_and_refined(scorer, state, strengths, fraction)
-    chosen, count = select_entangler(descents, strengths, fraction)
-    assert (chosen, count) == select_entangler(exact_d, strengths, fraction)
+    descents, taus, refined = _scores_and_refined(scorer, state, table, fraction)
+    chosen, count = select_entangler(descents, pool, table, fraction)
+    assert (chosen, count) == select_entangler(exact_d, pool, table, fraction)
     assert taus[chosen] == exact_t[chosen]
     assert descents[chosen] == exact_d[chosen]
     assert np.array_equal(descents[refined], exact_d[refined])
@@ -436,9 +446,9 @@ def test_pool_scorer_selection_equals_term_sum_on_mirror_ties(basis):
     twins = 0
     for n in (3, 4, 5, 6):
         for _ in range(4):
-            H, pool, state, strengths = _mirrored_problem(rng, n, basis)
+            H, pool, state, table = _mirrored_problem(rng, n, basis)
             scorer = pool_scorer(H, pool)
-            chosen, _ = _assert_selection_is_term_sum(scorer, state, strengths)
+            chosen, _ = _assert_selection_is_term_sum(scorer, pool, state, table)
             twins += pool_index(pool, _swap01(pool.word(chosen))) != chosen
     assert twins  # some winners do have a tied mirror image
 
@@ -452,7 +462,7 @@ def test_pool_scorer_single_refined_word_keeps_term_order():
     pool = generate_pool(n)
     scorer = pool_scorer(H, pool)
     state = real_random_state(rng, n)
-    _, refined = _assert_selection_is_term_sum(scorer, state, np.zeros(len(pool)))
+    _, refined = _assert_selection_is_term_sum(scorer, pool, state, np.zeros(1 << n))
     assert len(refined) == 1
 
 
@@ -475,12 +485,12 @@ def test_pool_scorer_recomputes_the_whole_pool_at_an_eigenstate():
     assert inert.any() and not inert.all()
 
     exact_d, exact_t = term_sum_scores(scorer, state)
-    descents, taus, refined = _scores_and_refined(scorer, state, np.zeros(len(pool)))
+    descents, taus, refined = _scores_and_refined(scorer, state, np.zeros(1 << n))
     assert np.array_equal(refined, np.arange(len(pool)))
     assert np.array_equal(descents, exact_d) and np.array_equal(taus, exact_t)
     assert not descents.any()
     with pytest.raises(NoImprovingEntangler):
-        select_entangler(descents, np.zeros(len(pool)), 0.3)
+        select_entangler(descents, pool, np.zeros(1 << n), 0.3)
 
     # at a random state the transforms leave ~1e-16 on such a word (here
     # Y3, with H on qubits 0-2); the refine alone keeps the selection exact
@@ -491,7 +501,7 @@ def test_pool_scorer_recomputes_the_whole_pool_at_an_eigenstate():
     scorer = pool_scorer(H, pool)
     inert = np.array([all(commutes(w, t) for _, t in H.terms) for w in pool_words(pool)])
     assert inert.any()
-    _assert_selection_is_term_sum(scorer, state, np.zeros(len(pool)))
+    _assert_selection_is_term_sum(scorer, pool, state, np.zeros(1 << n))
 
 
 @pytest.mark.parametrize("shape", [(1,), (2,), (2**7,), (2**8,), (2**11,), (2, 5),
@@ -591,7 +601,7 @@ def test_pool_scorer_equals_the_gather_index_scorer_bit_for_bit(n):
     pool = generate_pool(n)
     scorer = pool_scorer(H, pool)
     mi = np.triu(rng.uniform(size=(n, n)), 1)
-    strengths = pool_strengths(pool, support_strengths(n, mi + mi.T))
+    strengths = support_strengths(n, mi + mi.T)
     basis = np.zeros(2**n, dtype=complex)
     basis[rng.integers(2**n)] = 1.0
     for state in (real_random_state(rng, n), basis):
@@ -614,7 +624,7 @@ def test_pool_scorer_bits_do_not_depend_on_the_transform_block_width(width, monk
     H = random_even_sum(rng, n, 30)
     pool = generate_pool(n)
     scorer = pool_scorer(H, pool)
-    strengths = pool_strengths(pool, support_strengths(n, np.ones((n, n)) - np.eye(n)))
+    strengths = support_strengths(n, np.ones((n, n)) - np.eye(n))
     state = real_random_state(rng, n)
     got = scorer.scores(state, strengths, 0.3)
     want = gather_index_scores(scorer, state, strengths, 0.3)
@@ -647,6 +657,20 @@ def test_term_sum_bits_do_not_depend_on_the_block_width(monkeypatch):
             assert np.array_equal(got, want)
 
 
+def test_pool_scorer_word_index_at_10_qubits_equals_python_int_arithmetic():
+    """The packed index (z << n) | x of each word of the 10-qubit pool, as
+    Python ints. With uint16 masks and a Python-int shift NEP 50 keeps the
+    shift in uint16, which would drop z's top bits; the scorer widens z to
+    int32 first."""
+    n = 10
+    pool = generate_pool(n)
+    scorer = pool_scorer(PauliSum(n, [(1.0, PauliWord(n, 0, 1))]), pool)
+    want = [(z << n) | x for x, z in zip(pool.x.tolist(), pool.z.tolist())]
+    assert scorer._word_zx.dtype == np.int32
+    assert scorer._word_zx.tolist() == want
+    assert max(want) > np.iinfo(np.uint16).max
+
+
 # Traced bytes that PoolScorer construction plus one scores() may allocate on
 # the 10-qubit water HF state: four 4^10-entry float64 tables. T's product
 # with the sign matrix built for it (three tables), with the int32 word
@@ -665,7 +689,7 @@ def test_pool_scorer_memory_on_the_10_qubit_water_hf_state():
     pool = generate_pool(H.n_qubits)
     assert H.n_qubits == 10 and len(pool) == 523_776
     h_action = compile_sum_action(H)[0]
-    strengths = np.zeros(len(pool))
+    strengths = np.zeros(1 << H.n_qubits)
 
     tracemalloc.start()
     try:
@@ -702,7 +726,7 @@ def test_pool_scorer_rejects_a_non_real_state():
     scorer = pool_scorer(random_even_sum(rng, n, 6), pool)
     state = real_random_state(rng, n) * np.exp(0.3j)
     with pytest.raises(AdaptiveError, match="imaginary amplitudes"):
-        scorer.scores(state, np.zeros(len(pool)), 0.3)
+        scorer.scores(state, np.zeros(1 << n), 0.3)
 
 
 def test_run_adaptive_rejects_mismatched_inputs(monkeypatch):
@@ -711,9 +735,9 @@ def test_run_adaptive_rejects_mismatched_inputs(monkeypatch):
     n = 3
     H = random_even_sum(np.random.default_rng(94), n, 8)
     pool = generate_pool(n)
-    strengths, table = np.zeros(len(pool)), np.ones(1 << n)
+    strengths, table = np.zeros(1 << n), np.ones(1 << n)
     cfg = AdaptiveConfig(max_steps=1)
-    with pytest.raises(AdaptiveError, match="strengths must match the pool"):
+    with pytest.raises(AdaptiveError, match="strength table"):
         run_adaptive(H, pool, strengths[:-1], table, [1, 0, 0], cfg)
     with pytest.raises(AdaptiveError, match="percentile table"):
         run_adaptive(H, pool, strengths, table[:-1], [1, 0, 0], cfg)

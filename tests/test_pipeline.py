@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from mivqe.pipeline import (
 )
 from mivqe.pauli import parse_pauli_sum
 from mivqe.reference import MIMatrix
+from mivqe.screening import pool_strengths
 
 from conftest import FIXTURE_DIR
 from helpers import pool_words
@@ -166,7 +168,7 @@ def test_unreduced_baseline_percentiles():
 def test_unreduced_baseline_equals_brute_force_pool():
     """Support-table percentiles equal a count over the full 6-qubit pool."""
     from mivqe.pipeline import prepare_problem
-    from mivqe.screening import generate_pool, pool_strengths, support_strengths
+    from mivqe.screening import generate_pool, support_strengths
 
     problem = prepare_problem(lih_config(baseline="unreduced"))
     n = problem.n_qubits_encoded
@@ -175,8 +177,55 @@ def test_unreduced_baseline_equals_brute_force_pool():
     table = support_strengths(n, problem.mi.embedded(index_map, n))
     baseline = pool_strengths(generate_pool(n), table)
     assert len(baseline) == problem.baseline_pool_size == 2016
-    expected = np.array([np.count_nonzero(baseline >= c) for c in problem.strengths]) / 2016
+    strengths = pool_strengths(problem.pool, problem.strength_table)
+    expected = np.array([np.count_nonzero(baseline >= c) for c in strengths]) / 2016
     assert np.array_equal(pool_strengths(problem.pool, problem.percentile_table), expected)
+
+
+# Traced bytes of prepare_problem on 10-qubit water (perfbench's h2o10_scoring
+# call): the peak, set by the Lanczos reference solve while the two uint16
+# pool masks (1 MiB each) are held, measures ~8.8 MiB, and what the Problem
+# keeps ~2.4 MiB. With uint64 masks and a float64 strength per word they
+# measured ~16.4 and ~12.4 MiB.
+PREPARE_TRACED_PEAK = 12 * 2**20
+PREPARE_TRACED_KEPT = 3 * 2**20
+
+
+def test_prepare_problem_memory_on_10_qubit_water():
+    """No array of pool length wider than 2 bytes: the pool is two uint16
+    masks, and strengths and percentiles are 2^n support tables."""
+    from mivqe.pipeline import prepare_problem
+
+    cfg = RunConfig(fcidump=str(FIXTURE_DIR / "h2o_1.80.fcidump"),
+                    mapping="jordan_wigner", grouping="abab")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        problem = prepare_problem(cfg)
+        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    n = problem.hamiltonian.n_qubits
+    assert n == 10 and len(problem.pool) == 523_776
+    arrays = [v for obj in (problem, problem.pool) for v in vars(obj).values()
+              if isinstance(v, np.ndarray)]
+    assert {a.dtype for a in arrays if len(a) == len(problem.pool)} == {np.dtype(np.uint16)}
+    assert len(problem.strength_table) == len(problem.percentile_table) == 1 << n
+    assert peak < PREPARE_TRACED_PEAK, f"peak {peak / 2**20:.1f} MiB"
+    assert kept < PREPARE_TRACED_KEPT, f"kept {kept / 2**20:.1f} MiB"
+
+
+def test_run_path_never_gathers_a_strength_per_pool_word(tmp_path, monkeypatch):
+    """A screened run with its artifacts reads the support tables only for
+    the words it needs; pool_strengths, one entry per word, is not called."""
+    import mivqe.screening
+
+    for module in (mivqe.screening, mivqe.pipeline):
+        monkeypatch.setattr(module, "pool_strengths", _raise_value_error)
+    out = tmp_path / "run"
+    report, problem = run_pipeline(lih_config(p_cut=0.5, max_steps=2, output=str(out)))
+    assert report.n_ent == 2 and len(problem.pool) < 120
+    assert (out / "pool_screened.txt").is_file() and (out / "manifest.json").is_file()
 
 
 def test_unreduced_baseline_builds_no_encoded_register_pool(monkeypatch):
@@ -330,7 +379,6 @@ def test_screening_equivalence_boundary_case():
     from mivqe.pipeline import prepare_problem
     from mivqe.screening import (
         percentile_of_strengths,
-        pool_strengths,
         screen_pool,
         support_strengths,
     )
@@ -356,14 +404,14 @@ def test_screening_equivalence_boundary_case():
     cfg_partial = RunConfig(**base, max_steps=diverge)
     partial = prepare_problem(cfg_partial)
     rep, ansatz = run_adaptive(
-        partial.hamiltonian, partial.pool, partial.strengths,
+        partial.hamiltonian, partial.pool, partial.strength_table,
         partial.percentile_table, partial.reference_bits,
         cfg_partial.adaptive_config(), reference_energy=partial.reference_energy,
     )
     assert [str(s.word) for s in rep.steps] == words_full[:diverge]
     scorer = pool_scorer(partial.hamiltonian, partial.pool)
     descents, _, _ = scorer.scores(
-        ansatz.prepare(), partial.strengths, cfg_partial.descent_fraction
+        ansatz.prepare(), partial.strength_table, cfg_partial.descent_fraction
     )
     best = int(np.argmax(descents))
     assert partial.percentile_table[partial.pool.word(best).support] > p_cut
@@ -393,7 +441,7 @@ def test_mps_reference_drives_screened_run(tmp_path):
     # chosen entanglers' strengths step by step instead of their identities
     _, exact_problem = run_pipeline(lih_config())
     exact_strength = {
-        str(w): s for w, s in zip(pool_words(exact_problem.pool), exact_problem.strengths)
+        str(w): exact_problem.strength_table[w.support] for w in pool_words(exact_problem.pool)
     }
     for a, b in zip(report.steps, exact_report.steps):
         sa = exact_strength[str(a.word)]
@@ -538,7 +586,7 @@ def test_mi_report_exact_vs_backends(tmp_path):
 
     # percentiles may hop across near-tied strengths; bound each shift by the
     # number of pool words whose strengths sit within the MI perturbation
-    strengths = problem.strengths
+    strengths = pool_strengths(problem.pool, problem.strength_table)
     chosen = [str(s.word) for s in report.steps]
     words = [str(w) for w in pool_words(problem.pool)]
     for i, word in enumerate(chosen):
@@ -1132,7 +1180,7 @@ STAGE_CALLEES = [
     ("pool", "generate_pool"),
     ("reference", "exact_ground_state"),
     ("reference", "ground_energy"),
-    ("screen", "pool_strengths"),
+    ("screen", "percentile_of_strengths"),
     ("adapt", "run_adaptive"),
     ("artifacts", "write_text_atomic"),
 ]

@@ -1,5 +1,7 @@
 """Entangler pool generation, correlation strengths, percentiles, screening."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,9 @@ import mivqe.screening
 from mivqe.pauli import PauliError, PauliWord, parse_pauli_sum
 from mivqe.reference import MIMatrix
 from mivqe.screening import (
+    POOL_MAX_QUBITS,
     TEXT_BLOCK,
+    EntanglerPool,
     ScreeningError,
     generate_pool,
     odd_y_multiplicities,
@@ -75,12 +79,59 @@ def test_pool_words_all_odd_y_unique_canonical():
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_pool_equals_the_filtered_tiled_masks(n):
-    """generate_pool keeps the order and uint64 dtype of the pool filtered
-    out of all 4^n (x, z) pairs, also when its blocks split the z rows."""
+    """generate_pool keeps the order of the pool filtered out of all 4^n
+    (x, z) pairs, as uint16 masks, also when its blocks split the z rows."""
     pool = generate_pool(n)
     x, z = tiled_pool_masks(n)
-    assert pool.x.dtype == pool.z.dtype == np.uint64
+    assert pool.x.dtype == pool.z.dtype == np.uint16
     assert np.array_equal(pool.x, x) and np.array_equal(pool.z, z)
+
+
+def test_pool_registers_beyond_the_uint16_masks_are_refused_before_allocation(monkeypatch):
+    """n > 16 (or n < 1) is refused before generate_pool sizes anything by
+    n; a 17-qubit pool would hold 2^33 words."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate_pool allocated before its register check")
+
+    monkeypatch.setattr(np, "arange", refuse)
+    for n in (0, POOL_MAX_QUBITS + 1):
+        with pytest.raises(ScreeningError, match="pool masks hold 1 to 16 qubits"):
+            generate_pool(n)
+    empty = np.zeros(0, dtype=np.uint16)
+    with pytest.raises(ScreeningError, match="pool masks hold 1 to 16 qubits"):
+        EntanglerPool(POOL_MAX_QUBITS + 1, empty, empty)
+
+
+@pytest.mark.parametrize("dtype", [np.uint64, np.int64, np.uint32, np.int16, np.uint8])
+def test_pool_masks_must_be_uint16(dtype):
+    masks = np.array([1, 3], dtype=np.uint16)
+    with pytest.raises(ScreeningError, match="pool masks must be uint16"):
+        EntanglerPool(2, masks.astype(dtype), masks)
+    with pytest.raises(ScreeningError, match="pool masks must be uint16"):
+        EntanglerPool(2, masks, masks.astype(dtype))
+
+
+def test_screen_pool_memory_at_10_qubits():
+    """screen_pool gathers one boolean per word from the 2^n percentile
+    table: it holds one uint16 support and one bool per word besides the
+    kept words' masks (the per-word intp supports and float percentiles it
+    gathered before took 8 MiB at p_cut = 0.05)."""
+    n = 10
+    rng = np.random.default_rng(74)
+    entries = np.triu(rng.random((n, n)), 1)
+    table = support_strengths(n, entries + entries.T)
+    pool = generate_pool(n)
+    for p_cut in (0.05, 1.0):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            screened = screen_pool(pool, table, p_cut)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        ceiling = 3 * len(pool) + 4 * len(screened) + 2**18
+        assert peak < ceiling, f"{peak / 2**20:.2f} MiB at p_cut={p_cut}"
 
 
 def test_correlation_strength_single_pair():
@@ -320,7 +371,7 @@ def test_screen_pool_empty_raises():
     mi = mi_from_entries(np.zeros((2, 2)))
     pool = generate_pool(2)
     # all strengths tie at 0, so every percentile is 1.0
-    with pytest.raises(ScreeningError):
+    with pytest.raises(ScreeningError, match="minimum achievable percentile is 1"):
         screen_pool(pool, support_strengths(2, mi), 0.5)
 
 
