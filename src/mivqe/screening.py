@@ -32,7 +32,7 @@ POOL_BLOCK = 1 << 16
 TEXT_BLOCK = 1 << 13
 # pool masks are uint16: one bit per qubit
 POOL_MASK_DTYPE = np.uint16
-POOL_MAX_QUBITS = 16
+POOL_MAX_QUBITS = np.iinfo(POOL_MASK_DTYPE).bits
 
 
 class ScreeningError(ValueError):
