@@ -249,7 +249,7 @@ class PoolScorer:
     O(terms x refined words) for the refine.
 
     Term-sum path (exact): B and C summed over the anticommuting terms in
-    H.terms order, reading T[x, z] = sum_k (-1)^{|k & z|} s[k ^ x] s[k].
+    H's term order, reading T[x, z] = sum_k (-1)^{|k & z|} s[k ^ x] s[k].
     Given the strength table, scores() recomputes by this path every word whose
     transform descent lies within 2 * slack of a selection boundary, so
     select_entangler's choice, acceptable count and the chosen tau are the
@@ -271,10 +271,7 @@ class PoolScorer:
         if H.n_qubits > SCORER_MAX_QUBITS:
             raise AdaptiveError(f"pool scorer limited to {SCORER_MAX_QUBITS} qubits")
         n = self.n = H.n_qubits
-        self.coeffs = np.array([c for c, _ in H.terms])
-        self.tx = np.array([w.x_mask for _, w in H.terms], dtype=np.uint64)
-        self.tz = np.array([w.z_mask for _, w in H.terms], dtype=np.uint64)
-        self.ty = np.array([w.y_count for _, w in H.terms])
+        self.coeffs, self.tx, self.tz, self.ty = H.coeffs, H.x, H.z, H.y
         if np.any(self.ty % 2):
             raise AdaptiveError("pool scorer requires an even-Y (real) Hamiltonian")
         self.px = pool.x

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fermion import FermionOperator
-from .pauli import COEFF_CUTOFF, PauliSum, PauliWord, mask_product
+from .pauli import PauliSum, mask_product
 
 MAPPINGS = ("jordan_wigner", "parity", "bravyi_kitaev")
 
@@ -144,16 +144,15 @@ def encode(op: FermionOperator, mapping: str, n_modes: int) -> PauliSum:
         for key, c in term.items():
             acc[key] = acc.get(key, 0.0) + c
 
-    terms = []
-    for (x, z), c in acc.items():
-        if abs(c) <= COEFF_CUTOFF:
-            continue
-        if abs(c.imag) > 1e-9:
-            raise EncodingError(
-                f"non-real coefficient {c} survived encoding a Hermitian operator"
-            )
-        terms.append((c.real, PauliWord(n_modes, x, z)))
-    return PauliSum(n_modes, terms)
+    masks = np.array(list(acc), dtype=np.uint64).reshape(-1, 2)
+    coeffs = np.array(list(acc.values()), dtype=complex)
+    # |imag| > 1e-9 implies |c| > COEFF_CUTOFF: such a term is never dropped
+    bad = np.flatnonzero(np.abs(coeffs.imag) > 1e-9)
+    if len(bad):
+        raise EncodingError(
+            f"non-real coefficient {coeffs[bad[0]]} survived encoding a Hermitian operator"
+        )
+    return PauliSum(n_modes, coeffs.real, masks[:, 0], masks[:, 1])
 
 
 def hf_reference(mapping: str, occupations) -> list[int]:
@@ -173,17 +172,16 @@ def reduce_stationary_qubits(
     """Delete qubits every term touches only with I or Z.
 
     Each stationary qubit's Z is replaced by its eigenvalue (-1)^bit in the
-    supplied reference state. Returns the reduced sum, the removed qubits
-    with their eigenvalues, and the old->new index map for survivors.
-    Zero stationary qubits is a valid no-op.
+    supplied reference state; terms that then coincide are merged, in H's
+    order. Returns the reduced sum, the removed qubits with their
+    eigenvalues, and the old->new index map for survivors. Zero stationary
+    qubits is a valid no-op.
     """
     n = H.n_qubits
     bits = list(reference_bits)
     if len(bits) != n:
         raise EncodingError("reference bit count differs from qubit count")
-    x_union = 0
-    for _, word in H.terms:
-        x_union |= word.x_mask
+    x_union = int(np.bitwise_or.reduce(H.x, initial=np.uint64(0)))
     stationary = [q for q in range(n) if not (x_union >> q) & 1]
     if not stationary:
         return H, [], {q: q for q in range(n)}
@@ -195,15 +193,12 @@ def reduce_stationary_qubits(
     if n_new == 0:
         raise EncodingError("reduction would remove every qubit")
 
-    terms = []
-    for coeff, word in H.terms:
-        sign = 1
-        for q, eig in removed:
-            if (word.z_mask >> q) & 1:
-                sign *= eig
-        x = z = 0
-        for old, new in index_map.items():
-            x |= ((word.x_mask >> old) & 1) << new
-            z |= ((word.z_mask >> old) & 1) << new
-        terms.append((sign * coeff, PauliWord(n_new, x, z)))
-    return PauliSum(n_new, terms), removed, index_map
+    # a term's Z on a stationary qubit in state 1 is its eigenvalue -1
+    flipped = np.uint64(sum(1 << q for q, eig in removed if eig < 0))
+    coeffs = np.where(np.bitwise_count(H.z & flipped) & 1, -H.coeffs, H.coeffs)
+    x = np.zeros(len(H), dtype=np.uint64)
+    z = np.zeros(len(H), dtype=np.uint64)
+    for old, new in index_map.items():
+        x |= (H.x >> old & 1) << new
+        z |= (H.z >> old & 1) << new
+    return PauliSum(n_new, coeffs, x, z), removed, index_map

@@ -123,14 +123,12 @@ def build_mpo(H: PauliSum) -> MPO:
     n = H.n_qubits
     if n < 2:
         raise MpsError("MPO backend needs at least 2 sites")
-    coeffs, words = zip(*H.terms)
-    shifts = np.arange(n, dtype=np.uint64)
-    x = (np.array([w.x_mask for w in words], dtype=np.uint64)[:, None] >> shifts) & 1
-    z = (np.array([w.z_mask for w in words], dtype=np.uint64)[:, None] >> shifts) & 1
-    y = (x & z).sum(axis=1)
-    if (y % 2).any():
+    if (H.y % 2).any():
         raise MpsError("MPO construction requires even-Y (real) terms")
-    scale = np.array(coeffs) * np.where(y % 4 == 0, 1.0, -1.0)
+    scale = H.coeffs * np.where(H.y % 4 == 0, 1.0, -1.0)
+    shifts = np.arange(n, dtype=np.uint64)
+    x = (H.x[:, None] >> shifts) & 1
+    z = (H.z[:, None] >> shifts) & 1
     site = (x + 2 * z).astype(np.intp)  # (term, qubit) -> _SITE index
     # the empty MPO: site 0 has one left bond, site n-1 one right bond
     tensors = [np.zeros((int(q == 0), int(q == n - 1), 2, 2)) for q in range(n)]

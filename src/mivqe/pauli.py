@@ -3,15 +3,14 @@
 An n-qubit Pauli word is stored as two integer bitmasks (x_mask, z_mask):
 qubit q carries I/X/Z/Y according to the bit pair (x, z) = (0,0)/(1,0)/(0,1)/(1,1).
 As an operator, a word is i^y_count * (X-part) * (Z-part), which makes every
-word Hermitian. Products and commutation checks are O(1) integer arithmetic,
-which is what keeps 32k-entangler pools cheap to manipulate.
+word Hermitian. A PauliSum holds no words: its terms are a coefficient array
+and two uint64 mask arrays, which every consumer reads directly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -26,13 +25,6 @@ MAX_QUBITS = 64
 
 class PauliError(ValueError):
     """Malformed Pauli data: bad masks, mismatched sizes, or unparsable text."""
-
-
-def _check_same_size(a: "PauliWord", b: "PauliWord") -> None:
-    if a.n_qubits != b.n_qubits:
-        raise PauliError(
-            f"qubit-count mismatch: {a.n_qubits} vs {b.n_qubits}"
-        )
 
 
 @dataclass(frozen=True)
@@ -53,10 +45,6 @@ class PauliWord:
             raise PauliError("masks must be non-negative")
 
     @classmethod
-    def identity(cls, n_qubits: int) -> "PauliWord":
-        return cls(n_qubits, 0, 0)
-
-    @classmethod
     def from_label(cls, label: str, n_qubits: int | None = None) -> "PauliWord":
         """Build from a dense letter string, e.g. ``"XIZY"`` (qubit 0 first)."""
         if n_qubits is None:
@@ -75,11 +63,6 @@ class PauliWord:
     def support(self) -> int:
         """Bitmask of qubits carrying a non-identity factor."""
         return self.x_mask | self.z_mask
-
-    @property
-    def weight(self) -> int:
-        """Number of non-identity factors, L(word)."""
-        return (self.x_mask | self.z_mask).bit_count()
 
     @property
     def y_count(self) -> int:
@@ -107,75 +90,66 @@ def mask_product(xa: int, za: int, xb: int, zb: int) -> tuple[int, int, int]:
     return phase, x, z
 
 
-def multiply(a: PauliWord, b: PauliWord) -> tuple[int, PauliWord]:
-    """Operator product a*b as (phase_exponent, word): a*b = i^phase * word."""
-    _check_same_size(a, b)
-    phase, x, z = mask_product(a.x_mask, a.z_mask, b.x_mask, b.z_mask)
-    return phase, PauliWord(a.n_qubits, x, z)
-
-
 class PauliSum:
     """Hermitian sum of Pauli words with real coefficients, in canonical form.
 
-    Terms are merged, sorted lexicographically on (z_mask, x_mask), and
-    coefficients smaller than COEFF_CUTOFF in magnitude are dropped; a
-    non-finite one raises PauliError. Instances are immutable values; all
-    algebra returns new sums.
+    Three parallel arrays hold the terms, sorted lexicographically on (z, x):
+    coeffs (float64) and the x and z masks (uint64); y is each term's Y
+    count. The constructor takes the same three arrays in any order, with
+    repeats: equal masks are merged by np.add.at, which adds each group's
+    coefficients from 0.0 in input order; then a non-finite coefficient
+    raises PauliError and those smaller than COEFF_CUTOFF in magnitude are
+    dropped. Instances are immutable values.
     """
 
-    __slots__ = ("n_qubits", "_terms")
+    __slots__ = ("n_qubits", "coeffs", "x", "z")
 
-    def __init__(self, n_qubits: int, terms: Iterable[tuple[float, PauliWord]]):
+    def __init__(self, n_qubits: int, coeffs, x, z):
         if n_qubits < 1:
             raise PauliError("n_qubits must be positive")
-        merged: dict[tuple[int, int], float] = {}
-        for coeff, word in terms:
-            if word.n_qubits != n_qubits:
-                raise PauliError("term qubit count differs from sum qubit count")
-            key = (word.z_mask, word.x_mask)
-            merged[key] = merged.get(key, 0.0) + float(coeff)
-        if not all(map(math.isfinite, merged.values())):  # else the cutoff drops a NaN
+        coeffs = np.asarray(coeffs, dtype=np.float64)
+        x, z = np.asarray(x), np.asarray(z)
+        if coeffs.ndim != 1 or x.shape != coeffs.shape or z.shape != coeffs.shape:
+            raise PauliError("coeffs, x and z must be 1-d arrays of one length")
+        for masks in (x, z):
+            if masks.size and (
+                masks.dtype.kind not in "iu" or masks.min() < 0 or int(masks.max()) >> n_qubits
+            ):
+                raise PauliError("mask bits outside qubit range")
+        x, z = x.astype(np.uint64), z.astype(np.uint64)
+        order = np.lexsort((x, z))  # stable: each group keeps its input order
+        x, z = x[order], z[order]
+        first = np.ones(len(order), dtype=bool)
+        first[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
+        merged = np.zeros(np.count_nonzero(first))
+        with np.errstate(invalid="ignore"):  # inf - inf is refused just below
+            np.add.at(merged, np.cumsum(first) - 1, coeffs[order])
+        if not np.isfinite(merged).all():  # else the cutoff drops a NaN
             raise PauliError("non-finite coefficient after merging terms")
+        keep = np.abs(merged) > COEFF_CUTOFF
         self.n_qubits = n_qubits
-        self._terms: tuple[tuple[float, PauliWord], ...] = tuple(
-            (c, PauliWord(n_qubits, key[1], key[0]))
-            for key, c in sorted(merged.items())
-            if abs(c) > COEFF_CUTOFF
-        )
+        self.coeffs, self.x, self.z = merged[keep], x[first][keep], z[first][keep]
+        for array in (self.coeffs, self.x, self.z):
+            array.flags.writeable = False
 
     @property
-    def terms(self) -> tuple[tuple[float, PauliWord], ...]:
-        return self._terms
+    def y(self) -> np.ndarray:
+        """Each term's Y count."""
+        return np.bitwise_count(self.x & self.z)
 
     def __len__(self) -> int:
-        return len(self._terms)
-
-    def __iter__(self) -> Iterator[tuple[float, PauliWord]]:
-        return iter(self._terms)
+        return len(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliSum):
             return NotImplemented
-        return self.n_qubits == other.n_qubits and self._terms == other._terms
-
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        if self.n_qubits != other.n_qubits:
-            raise PauliError("cannot add sums on different qubit counts")
-        return PauliSum(self.n_qubits, list(self._terms) + list(other._terms))
-
-    def __mul__(self, scalar: float) -> "PauliSum":
-        return PauliSum(self.n_qubits, [(c * scalar, w) for c, w in self._terms])
-
-    __rmul__ = __mul__
-
-    def coefficient(self, word: PauliWord) -> float:
-        for c, w in self._terms:
-            if w == word:
-                return c
-        return 0.0
+        return self.n_qubits == other.n_qubits and all(
+            np.array_equal(a, b)
+            for a, b in ((self.coeffs, other.coeffs), (self.x, other.x), (self.z, other.z))
+        )
 
     def __repr__(self) -> str:
-        return f"PauliSum(n_qubits={self.n_qubits}, terms={len(self._terms)})"
+        return f"PauliSum(n_qubits={self.n_qubits}, terms={len(self)})"
 
 
 def format_factor_lists(n_qubits: int, x, z) -> np.ndarray:
@@ -199,8 +173,8 @@ def format_pauli_factors(word: PauliWord) -> str:
     return str(format_factor_lists(word.n_qubits, [word.x_mask], [word.z_mask])[0])
 
 
-def parse_pauli_factors(text: str, n_qubits: int) -> PauliWord:
-    """Inverse of format_pauli_factors for a given qubit count."""
+def parse_pauli_factors(text: str, n_qubits: int) -> tuple[int, int]:
+    """The (x, z) masks of a factor list: the inverse of format_pauli_factors."""
     x = z = 0
     seen: set[int] = set()
     for token in text.split():
@@ -219,11 +193,11 @@ def parse_pauli_factors(text: str, n_qubits: int) -> PauliWord:
         xb, zb = _BITS_FOR_LETTER[letter]
         x |= xb << q
         z |= zb << q
-    return PauliWord(n_qubits, x, z)
+    return x, z
 
 
-def parse_pauli_text(line: str, n_qubits: int) -> tuple[float, PauliWord]:
-    """Parse one term line ``<coefficient> [<letter><index> ...]``."""
+def parse_pauli_text(line: str, n_qubits: int) -> tuple[float, int, int]:
+    """Parse one term line ``<coefficient> [<letter><index> ...]`` as (coeff, x, z)."""
     parts = line.split(None, 1)
     if not parts:
         raise PauliError("empty term line")
@@ -233,8 +207,7 @@ def parse_pauli_text(line: str, n_qubits: int) -> tuple[float, PauliWord]:
         raise PauliError(f"invalid coefficient {parts[0]!r}") from None
     if not math.isfinite(coeff):
         raise PauliError(f"non-finite coefficient {parts[0]!r}")
-    word = parse_pauli_factors(parts[1] if len(parts) > 1 else "", n_qubits)
-    return coeff, word
+    return coeff, *parse_pauli_factors(parts[1] if len(parts) > 1 else "", n_qubits)
 
 
 def format_pauli_sum(H: PauliSum, comment: str | None = None) -> str:
@@ -244,17 +217,17 @@ def format_pauli_sum(H: PauliSum, comment: str | None = None) -> str:
         for row in comment.splitlines():
             lines.append(f"# {row}")
     lines.append(f"qubits: {H.n_qubits}")
-    factors = format_factor_lists(
-        H.n_qubits, [w.x_mask for _, w in H.terms], [w.z_mask for _, w in H.terms]
+    # "<coefficient> <factors>"; the identity's line drops the trailing space
+    terms = np.strings.add(
+        np.strings.mod("%.17g ", H.coeffs), format_factor_lists(H.n_qubits, H.x, H.z)
     )
-    lines += [f"{c:.17g} {f}".rstrip() for (c, _), f in zip(H.terms, factors.tolist())]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + np.strings.rstrip(terms).tolist()) + "\n"
 
 
 def parse_pauli_sum(text: str) -> PauliSum:
     """Parse the canonical Pauli-sum text format produced by format_pauli_sum."""
     n_qubits = None
-    terms: list[tuple[float, PauliWord]] = []
+    terms: list[tuple[float, int, int]] = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -274,4 +247,5 @@ def parse_pauli_sum(text: str) -> PauliSum:
         terms.append(parse_pauli_text(line, n_qubits))
     if n_qubits is None:
         raise PauliError("missing 'qubits: <n>' header")
-    return PauliSum(n_qubits, terms)
+    coeffs, x, z = zip(*terms) if terms else ((), (), ())
+    return PauliSum(n_qubits, coeffs, x, z)

@@ -29,7 +29,7 @@ from .encodings import encode, hf_reference, reduce_stationary_qubits
 from .fcidump import load_fcidump
 from .fermion import build_hamiltonian, hf_occupations, s_squared_operator
 from .mps import mps_ground_state
-from .pauli import PauliSum, format_pauli_factors, format_pauli_sum, parse_pauli_sum
+from .pauli import COEFF_CUTOFF, PauliSum, format_pauli_factors, format_pauli_sum, parse_pauli_sum
 from .reference import (
     EXACT_MAX_QUBITS,
     LanczosConvergenceError,
@@ -159,13 +159,17 @@ def prepare_problem(cfg: RunConfig) -> Problem:
         H, removed, index_map = H_full, [], {q: q for q in range(n_encoded)}
         bits = list(bits_full)
 
+    if len(H) == 0:
+        raise PipelineError(
+            "pool", f"the Hamiltonian has no term above the {COEFF_CUTOFF:g} coefficient cutoff"
+        )
     if H.n_qubits > SCORER_MAX_QUBITS:
         raise PipelineError(
             "pool",
             f"{H.n_qubits} qubits after reduction exceed the "
             f"{SCORER_MAX_QUBITS}-qubit limit of the pool scorer",
         )
-    if any(word.y_count % 2 for _, word in H.terms):
+    if (H.y % 2).any():
         raise PipelineError("pool", "pool scorer requires an even-Y (real) Hamiltonian")
     if action_entries(H) > MAX_ACTION_ENTRIES:
         raise PipelineError(
@@ -495,7 +499,12 @@ def mi_report(cfg: RunConfig, settings: list[MpsBackend]) -> dict:
     trace, p_max lift, and the Spearman rank correlation of pool strengths.
     Every column counts percentiles as the run does, against the run's
     baseline, and ranks the whole pool, also when the run screened it.
+    A setting given twice (by its tag) is refused before the run.
     """
+    tags = [setting.tag() for setting in settings]
+    repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
+    if repeated:
+        raise PipelineError("mi-report", f"MPS settings {repeated} given more than once")
     report, problem = run_pipeline(cfg)
     supports = [s.word.support for s in report.steps]
     exact_column, exact_strengths = _mi_column(problem, problem.mi, supports)
@@ -521,14 +530,15 @@ def mi_report(cfg: RunConfig, settings: list[MpsBackend]) -> dict:
         out_dir.mkdir(parents=True, exist_ok=True)
         # mi_report.json, written last, marks a complete set (as manifest.json)
         (out_dir / "mi_report.json").unlink(missing_ok=True)
-        header = ["index", "word"] + list(columns)
-        lines = [",".join(header)]
+        # column names such as mps:chi=2,sweeps=2 hold commas, so csv quotes them
+        table = io.StringIO()
+        writer = csv.writer(table, lineterminator="\n")
+        writer.writerow(["index", "word", *columns])
         for i, word in enumerate(out["entanglers"]):
-            row = [str(i + 1), word]
-            for col in columns.values():
-                row.append(f"{col['percentiles'][i]:.12g}")
-            lines.append(",".join(row))
-        write_text_atomic(out_dir / "mi_compare.csv", "\n".join(lines) + "\n")
+            writer.writerow(
+                [i + 1, word, *(f"{col['percentiles'][i]:.12g}" for col in columns.values())]
+            )
+        write_text_atomic(out_dir / "mi_compare.csv", table.getvalue())
         for tag, text in mi_csvs.items():
             safe = tag.replace(":", "_").replace(",", "_").replace("=", "")
             write_text_atomic(out_dir / f"mi_{safe}.csv", text)

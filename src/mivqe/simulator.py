@@ -78,7 +78,7 @@ def compile_sum_action(H: PauliSum):
 
     This is the one place a PauliSum acts on a state: Lanczos, the HF energy,
     the pool scorer's sigma = H s and the adjoint gradient all use it. With
-    term t = c_t P_t, row k stores len(H) entries in H.terms order: entry t
+    term t = c_t P_t, row k stores len(H) entries in H's term order: entry t
     has column k ^ x_t and value c_t i^{y_t} (-1)^{|(k ^ x_t) & z_t|}.
     Entries that share a column are not merged and the row is not sorted,
     so scipy's CSR product starts each row at 0.0 and adds one rounded
@@ -101,12 +101,13 @@ def compile_sum_action(H: PauliSum):
             f"{MAX_ACTION_ENTRIES}-entry limit"
         )
     dim = 2**H.n_qubits
-    real_valued = all(w.y_count % 2 == 0 for _, w in H.terms)
-    phase = np.array([(1j**w.y_count) * c for c, w in H.terms], dtype=complex)
+    y = H.y
+    real_valued = not (y % 2).any()
+    phase = _I_POW[y % 4] * H.coeffs
     if real_valued:
         phase = phase.real
-    x = np.array([w.x_mask for _, w in H.terms], dtype=np.int32)
-    z = np.array([w.z_mask for _, w in H.terms], dtype=np.int32)
+    x = H.x.astype(np.int32)
+    z = H.z.astype(np.int32)
     # (dim, terms) in row-major order: row k's entries in term order
     columns = np.arange(dim, dtype=np.int32)[:, None] ^ x
     # a select, not phase * (1 - 2 parity): no float temporaries of the

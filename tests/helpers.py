@@ -27,7 +27,16 @@ per_factor_factor_list) is the oracle for mivqe.pauli.format_factor_lists,
 which formats whole mask arrays; pool_words builds the PauliWord objects of
 a pool, which the package never does, and pool_from_words packs words back
 into mask arrays.
+
+PauliSum holds its terms as coefficient and mask arrays. pauli_sum builds
+one from (coefficient, PauliWord) pairs and sum_terms gives them back;
+dict_merged_terms is the Python dict merge the array constructor replaced,
+its oracle, and per_term_reduced_terms the per-term stationary-qubit
+reduction the array one replaced. The word and sum algebra only the tests use lives here too:
+multiply, identity, weight, add_sums, scale_sum and coefficient.
 """
+
+import math
 
 import numpy as np
 
@@ -35,11 +44,12 @@ from mivqe.adaptive import PoolScorer, _fwht, _tau_minimum
 from mivqe.fcidump import MolecularIntegrals
 from mivqe.fermion import FermionOperator
 from mivqe.pauli import (
+    COEFF_CUTOFF,
     PauliError,
     PauliSum,
     PauliWord,
-    _check_same_size,
     format_pauli_factors,
+    mask_product,
     parse_pauli_factors,
 )
 from mivqe.reference import entropy
@@ -92,6 +102,106 @@ def pool_from_words(n_qubits: int, words, provenance: str = "custom") -> Entangl
     return EntanglerPool(n_qubits, x, z, provenance)
 
 
+def pauli_sum(n_qubits: int, terms) -> PauliSum:
+    """A PauliSum of (coefficient, PauliWord) terms, in the given order."""
+    terms = list(terms)
+    if any(word.n_qubits != n_qubits for _, word in terms):
+        raise PauliError("term qubit count differs from sum qubit count")
+    return PauliSum(
+        n_qubits,
+        [c for c, _ in terms],
+        np.array([w.x_mask for _, w in terms], dtype=np.uint64),
+        np.array([w.z_mask for _, w in terms], dtype=np.uint64),
+    )
+
+
+def sum_terms(H: PauliSum) -> tuple[tuple[float, PauliWord], ...]:
+    """H's terms as (coefficient, PauliWord) pairs, in canonical order."""
+    return tuple(
+        (c, PauliWord(H.n_qubits, x, z))
+        for c, x, z in zip(H.coeffs.tolist(), H.x.tolist(), H.z.tolist())
+    )
+
+
+def dict_merged_terms(n_qubits: int, terms) -> tuple[tuple[float, PauliWord], ...]:
+    """The canonical terms of a (coefficient, PauliWord) list by a Python dict
+    merge: each mask pair's coefficients are added from 0.0 in input order,
+    sorted on (z, x), and those at most COEFF_CUTOFF in magnitude dropped;
+    the order of additions the array constructor must keep bit for bit."""
+    merged: dict[tuple[int, int], float] = {}
+    for coeff, word in terms:
+        if word.n_qubits != n_qubits:
+            raise PauliError("term qubit count differs from sum qubit count")
+        key = (word.z_mask, word.x_mask)
+        merged[key] = merged.get(key, 0.0) + float(coeff)
+    if not all(map(math.isfinite, merged.values())):
+        raise PauliError("non-finite coefficient after merging terms")
+    return tuple(
+        (c, PauliWord(n_qubits, key[1], key[0]))
+        for key, c in sorted(merged.items())
+        if abs(c) > COEFF_CUTOFF
+    )
+
+
+def per_term_reduced_terms(H: PauliSum, reference_bits) -> tuple[tuple[float, PauliWord], ...]:
+    """reduce_stationary_qubits's terms, one term and one qubit at a time and
+    merged by dict_merged_terms: the loop the array reduction replaced.
+    Each Z on a stationary qubit in state 1 flips the sign, and the
+    surviving qubits' bits are packed in order."""
+    x_union = 0
+    for _, word in sum_terms(H):
+        x_union |= word.x_mask
+    survivors = [q for q in range(H.n_qubits) if (x_union >> q) & 1]
+    terms = []
+    for coeff, word in sum_terms(H):
+        sign = 1
+        for q in range(H.n_qubits):
+            if q not in survivors and (word.z_mask >> q) & 1 and reference_bits[q]:
+                sign = -sign
+        x = z = 0
+        for new, old in enumerate(survivors):
+            x |= ((word.x_mask >> old) & 1) << new
+            z |= ((word.z_mask >> old) & 1) << new
+        terms.append((sign * coeff, PauliWord(len(survivors), x, z)))
+    return dict_merged_terms(len(survivors), terms)
+
+
+def add_sums(a: PauliSum, b: PauliSum) -> PauliSum:
+    if a.n_qubits != b.n_qubits:
+        raise PauliError("cannot add sums on different qubit counts")
+    return pauli_sum(a.n_qubits, sum_terms(a) + sum_terms(b))
+
+
+def scale_sum(H: PauliSum, scalar: float) -> PauliSum:
+    return pauli_sum(H.n_qubits, [(c * scalar, w) for c, w in sum_terms(H)])
+
+
+def coefficient(H: PauliSum, word: PauliWord) -> float:
+    """H's coefficient of word; 0.0 if H has no such term."""
+    return next((c for c, w in sum_terms(H) if w == word), 0.0)
+
+
+def identity(n_qubits: int) -> PauliWord:
+    return PauliWord(n_qubits, 0, 0)
+
+
+def weight(word: PauliWord) -> int:
+    """Number of non-identity factors, L(word)."""
+    return word.support.bit_count()
+
+
+def check_same_size(a: PauliWord, b: PauliWord) -> None:
+    if a.n_qubits != b.n_qubits:
+        raise PauliError(f"qubit-count mismatch: {a.n_qubits} vs {b.n_qubits}")
+
+
+def multiply(a: PauliWord, b: PauliWord) -> tuple[int, PauliWord]:
+    """Operator product a*b as (phase_exponent, word): a*b = i^phase * word."""
+    check_same_size(a, b)
+    phase, x, z = mask_product(a.x_mask, a.z_mask, b.x_mask, b.z_mask)
+    return phase, PauliWord(a.n_qubits, x, z)
+
+
 _SINGLE = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -115,7 +225,7 @@ def dense_word(word: PauliWord) -> np.ndarray:
 def dense_sum(H: PauliSum) -> np.ndarray:
     dim = 2**H.n_qubits
     out = np.zeros((dim, dim), dtype=complex)
-    for coeff, word in H.terms:
+    for coeff, word in sum_terms(H):
         out += coeff * dense_word(word)
     return out
 
@@ -171,11 +281,11 @@ def _signs_and_gather(word: PauliWord, k: np.ndarray):
 
 
 def term_by_term_action(H: PauliSum):
-    """H*v as a loop over H.terms, accumulated in order from zero."""
-    real_valued = all(w.y_count % 2 == 0 for _, w in H.terms)
+    """H*v as a loop over H's terms, accumulated in order from zero."""
+    real_valued = all(w.y_count % 2 == 0 for _, w in sum_terms(H))
     k = np.arange(2**H.n_qubits, dtype=np.uint64)
     compiled = []
-    for coeff, word in H.terms:
+    for coeff, word in sum_terms(H):
         phase = (1j**word.y_count) * coeff
         if real_valued:
             phase = phase.real
@@ -202,14 +312,14 @@ def merged_csr_action(H: PauliSum):
     dim = 2**H.n_qubits
     k = np.arange(dim, dtype=np.uint64)
     rows, cols, values = [], [], []
-    for coeff, word in H.terms:
+    for coeff, word in sum_terms(H):
         signs, gather = _signs_and_gather(word, k)
         col = k.astype(np.intp) if gather is None else gather
         rows.append(k.astype(np.intp))
         cols.append(col)
         values.append((1j**word.y_count) * coeff * signs[col])
     values = np.concatenate(values)
-    if all(w.y_count % 2 == 0 for _, w in H.terms):
+    if all(w.y_count % 2 == 0 for _, w in sum_terms(H)):
         values = values.real
     matrix = coo_array(
         (values, (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
@@ -525,7 +635,7 @@ def correlation_strength(word: PauliWord, mi) -> float:
 
 def commutes(a: PauliWord, b: PauliWord) -> bool:
     """True iff a*b = b*a (symplectic product has even parity)."""
-    _check_same_size(a, b)
+    check_same_size(a, b)
     anti = (a.x_mask & b.z_mask).bit_count() + (a.z_mask & b.x_mask).bit_count()
     return anti % 2 == 0
 
@@ -554,10 +664,7 @@ def conjugate_sum(H: PauliSum, P: PauliWord) -> PauliSum:
     """P H P for a Pauli word P: flips the sign of terms anticommuting with P."""
     if H.n_qubits != P.n_qubits:
         raise PauliError("qubit-count mismatch between sum and word")
-    return PauliSum(
-        H.n_qubits,
-        [(c if commutes(w, P) else -c, w) for c, w in H.terms],
-    )
+    return pauli_sum(H.n_qubits, [(c if commutes(w, P) else -c, w) for c, w in sum_terms(H)])
 
 
 def number_operator(n_modes: int) -> FermionOperator:
@@ -592,7 +699,7 @@ def pool_from_text(text: str, provenance: str = "imported") -> EntanglerPool:
             continue
         if n_qubits is None:
             raise ScreeningError("missing 'qubits: <n>' header")
-        word = parse_pauli_factors(line, n_qubits)
+        word = PauliWord(n_qubits, *parse_pauli_factors(line, n_qubits))
         if word.y_count % 2 == 0:
             raise ScreeningError(f"pool word {line!r} has an even Y count")
         words.append(word)

@@ -17,7 +17,7 @@ from mivqe.encodings import encode, hf_reference, reduce_stationary_qubits
 from mivqe.fcidump import load_fcidump
 from mivqe.fermion import build_hamiltonian, hf_occupations
 from mivqe.mps import build_mpo, mps_ground_state
-from mivqe.pauli import PauliSum, PauliWord
+from mivqe.pauli import PauliWord
 from mivqe.pipeline import run_pipeline
 from mivqe.reference import exact_ground_state, mutual_information
 from mivqe.screening import generate_pool, pool_strengths, support_strengths
@@ -29,9 +29,11 @@ from helpers import (
     dense_sum,
     evaluate_ansatz,
     gradient,
+    pauli_sum,
     random_state,
     random_word,
     score_entangler,
+    sum_terms,
 )
 
 H2_GEOMETRIES = ["0.60", "0.75", "0.90", "1.10", "1.30", "1.50", "1.80"]
@@ -198,7 +200,7 @@ def test_criterion_7_gradient_vs_finite_differences():
     cases.append((8, 20))
     worst = 0.0
     for n, layers in cases:
-        H = PauliSum(n, [(rng.normal(), random_word(rng, n)) for _ in range(12)])
+        H = pauli_sum(n, [(rng.normal(), random_word(rng, n)) for _ in range(12)])
         if len(H) == 0:
             continue
         ref = [int(b) for b in rng.integers(0, 2, size=n)]
@@ -231,7 +233,7 @@ def test_criterion_8_sinusoid_fit_vs_grid_scan():
     worst = 0.0
     for _ in range(1000):
         n = int(rng.integers(1, 6))
-        H = PauliSum(n, [(rng.normal(), random_word(rng, n)) for _ in range(8)])
+        H = pauli_sum(n, [(rng.normal(), random_word(rng, n)) for _ in range(8)])
         if len(H) == 0:
             continue
         state = random_state(rng, n)
@@ -335,7 +337,7 @@ def test_criterion_10_stationary_reduction():
         H = encode(build_hamiltonian(ints, "aabb"), "parity", 2 * ints.n_orbitals)
         e_full, _ = exact_ground_state(H)
         x_union = 0
-        for _, w in H.terms:
+        for _, w in sum_terms(H):
             x_union |= w.x_mask
         stationary = [q for q in range(H.n_qubits) if not (x_union >> q) & 1]
         assert stationary, f"{stem}: expected stationary qubits under parity/aabb"

@@ -25,7 +25,7 @@ from mivqe.adaptive import (
 from mivqe.encodings import encode, hf_reference
 from mivqe.fcidump import load_fcidump
 from mivqe.fermion import build_hamiltonian, hf_occupations
-from mivqe.pauli import PauliSum, PauliWord
+from mivqe.pauli import PauliWord
 from mivqe.reference import exact_ground_state, mutual_information
 from mivqe.screening import (
     EntanglerPool,
@@ -43,6 +43,7 @@ from helpers import (
     expectation,
     fwht_radix2,
     gather_index_scores,
+    pauli_sum,
     pool_from_words,
     pool_index,
     pool_scorer,
@@ -50,7 +51,9 @@ from helpers import (
     random_state,
     random_word,
     score_entangler,
+    sum_terms,
     term_sum_scores,
+    weight,
 )
 from conftest import FIXTURE_DIR
 from test_encodings import hydrogen_like_integrals
@@ -62,7 +65,7 @@ def random_even_sum(rng, n, n_terms):
         w = random_word(rng, n)
         if w.y_count % 2 == 0:
             terms.append((float(rng.normal()), w))
-    return PauliSum(n, terms)
+    return pauli_sum(n, terms)
 
 
 def real_random_state(rng, n):
@@ -71,7 +74,7 @@ def real_random_state(rng, n):
 
 
 def test_score_commuting_word_zero_descent():
-    H = PauliSum(2, [(0.7, PauliWord.from_label("ZZ"))])
+    H = pauli_sum(2, [(0.7, PauliWord.from_label("ZZ"))])
     state = basis_state(2, [0, 0])
     word = PauliWord.from_label("YX")  # commutes with ZZ
     descent, _ = score_entangler(state, H, word)
@@ -79,7 +82,7 @@ def test_score_commuting_word_zero_descent():
 
 
 def test_score_z_hamiltonian_y_word():
-    H = PauliSum(1, [(1.0, PauliWord.from_label("Z"))])
+    H = pauli_sum(1, [(1.0, PauliWord.from_label("Z"))])
     descent, tau = score_entangler(basis_state(1, [0]), H, PauliWord.from_label("Y"))
     assert abs(descent - 2.0) < 1e-12
     assert abs(tau - np.pi / 2) < 1e-12
@@ -96,7 +99,7 @@ def test_score_matches_grid_scan_oracle():
     grid = np.linspace(-np.pi / 2, np.pi / 2, 10_001)
     for _ in range(60):
         n = int(rng.integers(1, 5))
-        H = PauliSum(n, [(rng.normal(), random_word(rng, n)) for _ in range(6)])
+        H = pauli_sum(n, [(rng.normal(), random_word(rng, n)) for _ in range(6)])
         if len(H) == 0:
             continue
         state = random_state(rng, n)
@@ -229,7 +232,7 @@ def test_joint_optimize_deterministic():
     rng = np.random.default_rng(86)
     n = 3
     H = random_even_sum(rng, n, 8)
-    w = next(w for w in pool_words(generate_pool(n)) if w.weight > 1)
+    w = next(w for w in pool_words(generate_pool(n)) if weight(w) > 1)
     ansatz = Ansatz(n, [0, 1, 0], [w], [0.3])
     h_action, _ = compile_sum_action(H)
     out1 = joint_optimize(ansatz, h_action, np.random.default_rng(5))
@@ -302,7 +305,7 @@ def test_run_adaptive_compiles_h_once_and_each_layer_once(monkeypatch):
 def test_run_adaptive_zero_steps_when_reference_is_ground():
     # diagonal H: the basis reference already is the ground state
     n = 3
-    H = PauliSum(n, [(1.0, PauliWord(n, 0, 1 << q)) for q in range(n)])
+    H = pauli_sum(n, [(1.0, PauliWord(n, 0, 1 << q)) for q in range(n)])
     pool = generate_pool(n)
     strengths = np.zeros(1 << n)
     pct = np.ones(1 << n)
@@ -320,7 +323,7 @@ def test_run_adaptive_no_improving_entangler():
     # the only pool word commutes with H: zero descent everywhere, and the
     # reference sits far from the ground energy
     n = 2
-    H = PauliSum(n, [(1.0, PauliWord(n, 0, 0b01))])  # Z0
+    H = pauli_sum(n, [(1.0, PauliWord(n, 0, 0b01))])  # Z0
     pool = pool_from_words(n, [PauliWord.from_label("IY")], "custom")
     report, _ = run_adaptive(
         H,
@@ -391,7 +394,7 @@ def _mirrored_problem(rng, n, basis):
     0 and 1, so every word and its mirror image tie exactly in descent and
     strength; only float noise could order them."""
     half = random_even_sum(rng, n, 3 * n)
-    H = PauliSum(n, list(half.terms) + [(c, _swap01(w)) for c, w in half.terms])
+    H = pauli_sum(n, list(sum_terms(half)) + [(c, _swap01(w)) for c, w in sum_terms(half)])
     k = np.arange(2**n)
     mirror = k ^ (((k ^ (k >> 1)) & 1) * 0b11)
     if basis:
@@ -472,7 +475,7 @@ def test_pool_scorer_recomputes_the_whole_pool_at_an_eigenstate():
     words that commute with every term of H, and every value equals the
     term sum bit for bit."""
     n = 4
-    H = PauliSum(n, [
+    H = pauli_sum(n, [
         (0.7, PauliWord.from_label("ZIII")),
         (-0.4, PauliWord.from_label("IZZI")),
         (0.2, PauliWord.from_label("ZIIZ")),
@@ -481,7 +484,7 @@ def test_pool_scorer_recomputes_the_whole_pool_at_an_eigenstate():
     state[int(np.argmin(np.diag(dense_sum(H)).real))] = 1.0
     pool = generate_pool(n)
     scorer = pool_scorer(H, pool)
-    inert = np.array([all(commutes(w, t) for _, t in H.terms) for w in pool_words(pool)])
+    inert = np.array([all(commutes(w, t) for _, t in sum_terms(H)) for w in pool_words(pool)])
     assert inert.any() and not inert.all()
 
     exact_d, exact_t = term_sum_scores(scorer, state)
@@ -495,11 +498,11 @@ def test_pool_scorer_recomputes_the_whole_pool_at_an_eigenstate():
     # at a random state the transforms leave ~1e-16 on such a word (here
     # Y3, with H on qubits 0-2); the refine alone keeps the selection exact
     rng = np.random.default_rng(90)
-    H = PauliSum(n, [(c, PauliWord(n, w.x_mask, w.z_mask))
-                     for c, w in random_even_sum(rng, 3, 12).terms])
+    H = pauli_sum(n, [(c, PauliWord(n, w.x_mask, w.z_mask))
+                     for c, w in sum_terms(random_even_sum(rng, 3, 12))])
     state = real_random_state(rng, n)
     scorer = pool_scorer(H, pool)
-    inert = np.array([all(commutes(w, t) for _, t in H.terms) for w in pool_words(pool)])
+    inert = np.array([all(commutes(w, t) for _, t in sum_terms(H)) for w in pool_words(pool)])
     assert inert.any()
     _assert_selection_is_term_sum(scorer, pool, state, np.zeros(1 << n))
 
@@ -664,7 +667,7 @@ def test_pool_scorer_word_index_at_10_qubits_equals_python_int_arithmetic():
     int32 first."""
     n = 10
     pool = generate_pool(n)
-    scorer = pool_scorer(PauliSum(n, [(1.0, PauliWord(n, 0, 1))]), pool)
+    scorer = pool_scorer(pauli_sum(n, [(1.0, PauliWord(n, 0, 1))]), pool)
     want = [(z << n) | x for x, z in zip(pool.x.tolist(), pool.z.tolist())]
     assert scorer._word_zx.dtype == np.int32
     assert scorer._word_zx.tolist() == want
@@ -703,20 +706,20 @@ def test_pool_scorer_memory_on_the_10_qubit_water_hf_state():
 
 
 def test_pool_scorer_rejects_bad_inputs_with_typed_errors():
-    H3 = PauliSum(3, [(1.0, PauliWord.from_label("ZZI"))])
+    H3 = pauli_sum(3, [(1.0, PauliWord.from_label("ZZI"))])
     with pytest.raises(AdaptiveError, match="qubit counts differ"):
         pool_scorer(H3, generate_pool(2))
     # an empty pool, so nothing of the 11-qubit scorer's size is built
-    H11 = PauliSum(11, [(1.0, PauliWord(11, 0, 1))])
+    H11 = pauli_sum(11, [(1.0, PauliWord(11, 0, 1))])
     with pytest.raises(AdaptiveError, match=f"limited to {SCORER_MAX_QUBITS} qubits"):
         pool_scorer(H11, pool_from_words(11, []))
-    odd_y = PauliSum(2, [(1.0, PauliWord.from_label("XY"))])
+    odd_y = pauli_sum(2, [(1.0, PauliWord.from_label("XY"))])
     with pytest.raises(AdaptiveError, match="even-Y"):
         pool_scorer(odd_y, generate_pool(2))
     even_y_pool = pool_from_words(2, [PauliWord.from_label("XY"),
                                                PauliWord.from_label("XX")])
     with pytest.raises(AdaptiveError, match="odd Y count"):
-        pool_scorer(PauliSum(2, [(1.0, PauliWord.from_label("ZZ"))]), even_y_pool)
+        pool_scorer(pauli_sum(2, [(1.0, PauliWord.from_label("ZZ"))]), even_y_pool)
 
 
 def test_pool_scorer_rejects_a_non_real_state():
@@ -754,7 +757,7 @@ def test_run_adaptive_rejects_mismatched_inputs(monkeypatch):
 
 
 def test_joint_optimize_rejects_an_empty_ansatz():
-    H = PauliSum(2, [(1.0, PauliWord.from_label("ZZ"))])
+    H = pauli_sum(2, [(1.0, PauliWord.from_label("ZZ"))])
     with pytest.raises(AdaptiveError, match="at least one layer"):
         joint_optimize(Ansatz(2, [0, 1]), compile_sum_action(H)[0], np.random.default_rng(0))
 
@@ -767,7 +770,7 @@ def test_joint_optimize_never_returns_a_worse_energy(monkeypatch):
     rng = np.random.default_rng(95)
     n = 3
     H = random_even_sum(rng, n, 8)
-    w = next(w for w in pool_words(generate_pool(n)) if w.weight > 1)
+    w = next(w for w in pool_words(generate_pool(n)) if weight(w) > 1)
     ansatz = Ansatz(n, [0, 1, 0], [w], [0.3])
     h_action, _ = compile_sum_action(H)
 

@@ -22,12 +22,23 @@ from mivqe.fermion import (
     s_squared_operator,
 )
 from mivqe.fcidump import MolecularIntegrals, load_fcidump
-from mivqe.pauli import PauliSum, PauliWord, format_pauli_sum
+from mivqe.pauli import PauliWord, format_pauli_sum
 
 from conftest import FIXTURE_DIR
-from helpers import dense_sum, expectation, fermion_dense, number_operator
+from helpers import (
+    coefficient,
+    dense_sum,
+    expectation,
+    fermion_dense,
+    identity,
+    number_operator,
+    pauli_sum,
+    per_term_reduced_terms,
+    sum_terms,
+)
 
 ENCODE_DIGESTS = Path(__file__).with_name("encode_sha256.txt")
+REDUCED_DIGESTS = Path(__file__).with_name("encode_reduced_sha256.txt")
 
 MAPPINGS = ["jordan_wigner", "parity", "bravyi_kitaev"]
 
@@ -47,8 +58,8 @@ def test_jw_number_operator_identity():
     op = FermionOperator({((0, True), (0, False)): 1.0})
     H = encode(op, "jordan_wigner", 2)
     assert H.n_qubits == 2
-    assert abs(H.coefficient(PauliWord.identity(2)) - 0.5) < 1e-14
-    assert abs(H.coefficient(PauliWord(2, 0, 1)) + 0.5) < 1e-14
+    assert abs(coefficient(H, identity(2)) - 0.5) < 1e-14
+    assert abs(coefficient(H, PauliWord(2, 0, 1)) + 0.5) < 1e-14
     assert len(H) == 2
 
 
@@ -59,8 +70,8 @@ def test_jw_hopping_identity():
     H = encode(op, "jordan_wigner", 2)
     XX = PauliWord.from_label("XX")
     YY = PauliWord.from_label("YY")
-    assert abs(H.coefficient(XX) - 0.5) < 1e-14
-    assert abs(H.coefficient(YY) - 0.5) < 1e-14
+    assert abs(coefficient(H, XX) - 0.5) < 1e-14
+    assert abs(coefficient(H, YY) - 0.5) < 1e-14
     assert len(H) == 2
 
 
@@ -126,12 +137,12 @@ def test_even_y_invariant_random_hermitian_ops():
     for mapping in MAPPINGS:
         op = random_hermitian_fermion_op(rng, 4, n_terms=8)
         H = encode(op, mapping, 4)
-        assert all(w.y_count % 2 == 0 for _, w in H.terms)
+        assert all(w.y_count % 2 == 0 for _, w in sum_terms(H))
 
 
 def test_reduce_stationary_substitution_example():
     # H = 0.5 Z0 + 0.3 Z0Z1 + 0.2 X1 with reference bit q0 = 0
-    H = PauliSum(
+    H = pauli_sum(
         2,
         [
             (0.5, PauliWord(2, 0, 0b01)),
@@ -143,20 +154,20 @@ def test_reduce_stationary_substitution_example():
     assert removed == [(0, 1)]
     assert index_map == {1: 0}
     assert reduced.n_qubits == 1
-    assert abs(reduced.coefficient(PauliWord.identity(1)) - 0.5) < 1e-14
-    assert abs(reduced.coefficient(PauliWord(1, 0, 1)) - 0.3) < 1e-14
-    assert abs(reduced.coefficient(PauliWord(1, 1, 0)) - 0.2) < 1e-14
+    assert abs(coefficient(reduced, identity(1)) - 0.5) < 1e-14
+    assert abs(coefficient(reduced, PauliWord(1, 0, 1)) - 0.3) < 1e-14
+    assert abs(coefficient(reduced, PauliWord(1, 1, 0)) - 0.2) < 1e-14
 
 
 def test_reduce_stationary_negative_sector():
-    H = PauliSum(2, [(0.5, PauliWord(2, 0, 0b01)), (0.2, PauliWord(2, 0b10, 0))])
+    H = pauli_sum(2, [(0.5, PauliWord(2, 0, 0b01)), (0.2, PauliWord(2, 0b10, 0))])
     reduced, removed, _ = reduce_stationary_qubits(H, [1, 0])
     assert removed == [(0, -1)]
-    assert abs(reduced.coefficient(PauliWord.identity(1)) + 0.5) < 1e-14
+    assert abs(coefficient(reduced, identity(1)) + 0.5) < 1e-14
 
 
 def test_reduce_stationary_noop():
-    H = PauliSum(2, [(0.4, PauliWord.from_label("XZ")), (0.1, PauliWord.from_label("ZX"))])
+    H = pauli_sum(2, [(0.4, PauliWord.from_label("XZ")), (0.1, PauliWord.from_label("ZX"))])
     reduced, removed, index_map = reduce_stationary_qubits(H, [0, 0])
     assert reduced == H
     assert removed == []
@@ -198,7 +209,7 @@ def test_sector_enumeration_preserves_ground_energy():
 
     # find stationary qubits, then enumerate every +-1 sector
     x_union = 0
-    for _, w in H.terms:
+    for _, w in sum_terms(H):
         x_union |= w.x_mask
     stationary = [q for q in range(H.n_qubits) if not (x_union >> q) & 1]
     assert len(stationary) == 2  # parity + aabb removes two qubits here
@@ -224,23 +235,26 @@ def test_penalized_hamiltonian_keeps_even_y():
     op = build_hamiltonian(ints, "aabb") + 0.5 * s_squared_operator(2, "aabb")
     for mapping in MAPPINGS:
         H = encode(op, mapping, 2 * ints.n_orbitals)
-        assert all(w.y_count % 2 == 0 for _, w in H.terms)
+        assert all(w.y_count % 2 == 0 for _, w in sum_terms(H))
 
 
-def _recorded_digests() -> dict[str, list[tuple[str, ...]]]:
+def _recorded_digests(path: Path) -> dict[str, list[tuple[str, ...]]]:
     out: dict[str, list[tuple[str, ...]]] = {}
-    for line in ENCODE_DIGESTS.read_text().splitlines():
+    for line in path.read_text().splitlines():
         if line and not line.startswith("#"):
             digest, stem, *setting = line.split()
             out.setdefault(stem, []).append((digest, *setting))
     return out
 
 
-@pytest.mark.parametrize("stem", sorted(p.stem for p in FIXTURE_DIR.glob("*.fcidump")))
-def test_fixture_encodings_match_recorded_digests(stem):
-    """Each fixture's 12 qubit Hamiltonians keep every printed bit: the
-    encoder is scalar arithmetic on masks, so numpy and BLAS cannot move it."""
-    recorded = _recorded_digests()[stem]
+def _digest(H) -> str:
+    return hashlib.sha256(format_pauli_sum(H).encode()).hexdigest()
+
+
+def _fixture_encodings(stem: str, path: Path):
+    """(recorded digest, setting, encoded H, HF bits) for each of the stem's
+    12 settings in the digest file at path, after checking it has all 12."""
+    recorded = _recorded_digests(path)[stem]
     settings = sorted(tuple(row[1:]) for row in recorded)
     assert settings == sorted(product(MAPPINGS, ("abab", "aabb"), ("none", "0.5")))
     ints = load_fcidump(FIXTURE_DIR / f"{stem}.fcidump")
@@ -249,5 +263,62 @@ def test_fixture_encodings_match_recorded_digests(stem):
         op = base[grouping]
         if penalty != "none":
             op = op + float(penalty) * s_squared_operator(ints.n_orbitals, grouping)
-        text = format_pauli_sum(encode(op, mapping, 2 * ints.n_orbitals))
-        assert hashlib.sha256(text.encode()).hexdigest() == digest, (mapping, grouping, penalty)
+        occ = hf_occupations(ints.n_orbitals, ints.n_electrons, ints.ms2, grouping)
+        H = encode(op, mapping, 2 * ints.n_orbitals)
+        yield digest, (mapping, grouping, penalty), H, hf_reference(mapping, occ)
+
+
+FIXTURE_STEMS = sorted(p.stem for p in FIXTURE_DIR.glob("*.fcidump"))
+
+
+@pytest.mark.parametrize("stem", FIXTURE_STEMS)
+def test_fixture_encodings_match_recorded_digests(stem):
+    """Each fixture's 12 qubit Hamiltonians keep every printed bit: the
+    encoder is scalar arithmetic on masks, so numpy and BLAS cannot move it."""
+    for digest, setting, H, _ in _fixture_encodings(stem, ENCODE_DIGESTS):
+        assert _digest(H) == digest, setting
+
+
+@pytest.mark.parametrize("stem", FIXTURE_STEMS)
+def test_fixture_reductions_match_recorded_digests(stem):
+    """The same 12 Hamiltonians with their stationary qubits reduced out at
+    the HF bits, as `mivqe encode` prints them by default, keep every bit:
+    the merge of terms that collide after the reduction adds in the
+    recorded order."""
+    for digest, setting, H, bits in _fixture_encodings(stem, REDUCED_DIGESTS):
+        assert _digest(reduce_stationary_qubits(H, bits)[0]) == digest, setting
+
+
+def test_reduced_digests_include_colliding_reductions():
+    """Some recorded reductions merge terms: the reduced sum has fewer terms
+    than the encoded one (LiH 2.40 parity/aabb: 118 to 100)."""
+    _, _, H, bits = next(
+        row for row in _fixture_encodings("lih_2.40", REDUCED_DIGESTS)
+        if row[1] == ("parity", "aabb", "none")
+    )
+    assert (len(H), len(reduce_stationary_qubits(H, bits)[0])) == (118, 100)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_reduction_equals_the_per_term_loop_bit_for_bit(seed):
+    """The array reduction (one sign select, one bit compaction per qubit and
+    the constructor's merge) gives the per-term, per-qubit loop's terms with
+    every coefficient bit. Each reduced word gathers many terms that differ
+    only in Z on stationary qubits, so its sum's order shows."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    full = (1 << n) - 1
+    moving = int(rng.integers(1, full))  # the qubits that may carry X or Y
+    base = [(moving, int(rng.integers(0, full + 1)) & moving)]
+    base += [(int(a) & moving, int(b) & moving) for a, b in rng.integers(0, full + 1, (3, 2))]
+    terms = []
+    for _ in range(60):
+        x, z = base[rng.integers(len(base))]
+        z |= int(rng.integers(0, full + 1)) & ~moving & full
+        terms.append((float(rng.normal() * 10.0 ** rng.integers(-13, 2)), PauliWord(n, x, z)))
+    H = pauli_sum(n, terms)
+    bits = [int(b) for b in rng.integers(0, 2, n)]
+    got = sum_terms(reduce_stationary_qubits(H, bits)[0])
+    want = per_term_reduced_terms(H, bits)
+    assert [w for _, w in got] == [w for _, w in want]
+    assert np.array([c for c, _ in got]).tobytes() == np.array([c for c, _ in want]).tobytes()

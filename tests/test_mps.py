@@ -20,7 +20,7 @@ from mivqe.mps import (
     mpo_expectation,
     mps_ground_state,
 )
-from mivqe.pauli import PauliSum, PauliWord
+from mivqe.pauli import PauliWord
 from mivqe.reference import exact_ground_state, mutual_information
 from mivqe.simulator import rdm
 
@@ -38,9 +38,12 @@ from helpers import (
     mpo_to_dense,
     mps_to_statevector,
     pair_density_matrix,
+    pauli_sum,
     per_call_mutual_information,
     random_word,
+    scale_sum,
     single_density_matrix,
+    sum_terms,
 )
 
 MPO_DIGESTS = Path(__file__).with_name("mpo_sha256.txt")
@@ -59,11 +62,11 @@ def random_real_sum(rng, n, n_terms):
         w = random_word(rng, n)
         if w.y_count % 2 == 0:
             terms.append((float(rng.normal()), w))
-    return PauliSum(n, terms)
+    return pauli_sum(n, terms)
 
 
 def test_single_term_mpo_bond_dimension_one():
-    H = PauliSum(2, [(0.8, PauliWord.from_label("ZZ"))])
+    H = pauli_sum(2, [(0.8, PauliWord.from_label("ZZ"))])
     mpo = build_mpo(H)
     assert mpo.bond_dimensions() == [1]
     assert np.allclose(mpo_to_dense(mpo), dense_sum(H).real, atol=1e-12)
@@ -98,21 +101,21 @@ def test_mpo_compression_reduces_bond():
     n = 6
     terms = [(1.0, PauliWord(n, 0, 1 << q)) for q in range(n)]
     terms += [(0.5, PauliWord(n, 0, (1 << q) | (1 << (q + 1)))) for q in range(n - 1)]
-    H = PauliSum(n, terms)
+    H = pauli_sum(n, terms)
     mpo = build_mpo(H)
     assert max(mpo.bond_dimensions()) <= 4
     assert np.allclose(mpo_to_dense(mpo), dense_sum(H).real, atol=1e-8)
 
 
 def test_mpo_rejects_odd_y():
-    H = PauliSum(2, [(1.0, PauliWord.from_label("YI"))])
+    H = pauli_sum(2, [(1.0, PauliWord.from_label("YI"))])
     with pytest.raises(MpsError):
         build_mpo(H)
 
 
 def test_dmrg_z_field_product_state():
     n = 5
-    H = PauliSum(n, [(1.0, PauliWord(n, 0, 1 << q)) for q in range(n)])
+    H = pauli_sum(n, [(1.0, PauliWord(n, 0, 1 << q)) for q in range(n)])
     energy, state, trace = mps_ground_state(build_mpo(H), chi=1, n_sweeps=8)
     assert abs(energy + n) < 1e-10
     assert max_bond(state) == 1
@@ -142,7 +145,7 @@ def test_dmrg_truncated_chi_gap_positive():
     # entangled ground state: transverse-field mix
     terms = [(-1.0, PauliWord(n, 0, (1 << q) | (1 << (q + 1)))) for q in range(n - 1)]
     terms += [(-0.9, PauliWord(n, 1 << q, 0)) for q in range(n)]
-    H = PauliSum(n, terms)
+    H = pauli_sum(n, terms)
     e_exact, _ = exact_ground_state(H)
     e_mps, state, _ = mps_ground_state(build_mpo(H), chi=1, n_sweeps=10)
     assert e_mps > e_exact + 1e-6
@@ -271,7 +274,7 @@ def test_local_matvec_equals_dense_beyond_dense_cutoff():
     rng = np.random.default_rng(86)
     n, bonds = 6, [1, 2, 12, 7, 12, 2, 1]
     H = random_real_sum(rng, n, 24)
-    assert any(w.y_count for _, w in H.terms)
+    assert any(w.y_count for _, w in sum_terms(H))
     mpo = build_mpo(H)
     A = [rng.normal(size=(bonds[k], 2, bonds[k + 1])) for k in range(n)]
     L = np.ones((1, 1, 1))
@@ -325,7 +328,7 @@ def test_dmrg_early_stop_is_relative_to_the_energy():
     )
     H, bits = problem.hamiltonian, problem.reference_bits
     _, _, trace = mps_ground_state(build_mpo(H), 4, 8, seed=7, init_bits=bits)
-    _, _, scaled = mps_ground_state(build_mpo(H * 1e3), 4, 8, seed=7, init_bits=bits)
+    _, _, scaled = mps_ground_state(build_mpo(scale_sum(H, 1e3)), 4, 8, seed=7, init_bits=bits)
     assert len(trace) < 8
     assert len(scaled) == len(trace)
 

@@ -1300,3 +1300,80 @@ def test_cli_mi_report(tmp_path, capsys):
     assert (out / "mi_report.json").exists()
     captured = capsys.readouterr()
     assert "mps:chi=2,sweeps=3" in captured.out
+
+
+def test_mi_compare_csv_reads_back_with_its_column_names(tmp_path):
+    """Column names such as mps:chi=2,sweeps=2 hold commas: the header is
+    quoted, so it reads back as one name per column and every row has as
+    many fields (written unquoted, it split into 5 names over 4 fields)."""
+    settings = [MpsBackend(chi=2, sweeps=2), MpsBackend(chi=4, sweeps=1)]
+    out = mi_report(lih_config(max_steps=2, output=str(tmp_path / "mi")), settings)
+    with open(tmp_path / "mi" / "mi_compare.csv", newline="") as f:
+        reader = csv.DictReader(f)
+        rows = list(reader)
+    names = ["index", "word", "exact", "mps:chi=2,sweeps=2", "mps:chi=4,sweeps=1"]
+    assert reader.fieldnames == names
+    assert rows and [r["word"] for r in rows] == out["entanglers"]
+    assert all(None not in r and len(r) == len(names) for r in rows)
+    assert [float(r["mps:chi=4,sweeps=1"]) for r in rows] == (
+        out["columns"]["mps:chi=4,sweeps=1"]["percentiles"]
+    )
+
+
+def test_mi_report_refuses_a_repeated_setting_before_the_run(monkeypatch):
+    """chi=02 is chi=2: one column would silently keep one of two DMRG runs."""
+    monkeypatch.setattr(mivqe.pipeline, "run_pipeline",
+                        lambda cfg: pytest.fail("the run started"))
+    settings = [MpsBackend(2, 2), MpsBackend(4, 1), MpsBackend(2, 2)]
+    with pytest.raises(PipelineError, match=r"settings \['mps:chi=2,sweeps=2'\] given more"):
+        mi_report(lih_config(), settings)
+
+
+def test_cli_mi_report_repeated_mps_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(mivqe.pipeline, "run_pipeline",
+                        lambda cfg: pytest.fail("the run started"))
+    out = tmp_path / "mi"
+    assert main(["mi-report", "--fcidump", LIH, "--mps", "chi=2,sweeps=2",
+                 "--mps", "chi=02,sweeps=2", "--output", str(out)]) == 3
+    assert "given more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("terms", ["", "1e-13 Z0\n-1e-13 X0 X1\n"], ids=["no_terms", "below_cutoff"])
+def test_cli_empty_hamiltonian_exits_3_before_the_pool(terms, tmp_path, monkeypatch, capsys):
+    """With no term left there is nothing to act with; the compiled action
+    used to fail on a zero CSR row step (stage 'reference': division by zero)."""
+    monkeypatch.setattr(mivqe.pipeline, "generate_pool",
+                        lambda n: pytest.fail("the pool was built"))
+    path = _write(tmp_path / "empty.pauli", f"qubits: 2\n{terms}")
+    assert main(["run", "--pauli-sum", path, "--reduce-stationary", "false",
+                 "--output", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        "error: stage 'pool' failed: the Hamiltonian has no term above the 1e-12 "
+        "coefficient cutoff\n"
+    )
+
+
+def test_mps_artifacts_do_not_depend_on_an_unset_thread_count(tmp_path):
+    """mi-report at chi=8 (a 256-wide dense DMRG solve, whose eigh moves
+    with the BLAS thread count) writes the same bytes with the thread
+    variables removed as with them set to 1, since the package sets 1 when
+    they are unset. On a one-core machine this test cannot fail."""
+    src = str(Path(mivqe.cli.__file__).resolve().parents[1])
+    fcidump = str(FIXTURE_DIR / "h2o_1.80.fcidump")
+    code = "import sys; from mivqe.cli import main; sys.exit(main(sys.argv[1:]))"
+    argv = ["mi-report", "--fcidump", fcidump, "--mapping", "parity", "--grouping", "aabb",
+            "--spin-penalty", "0.5", "--max-steps", "2", "--mps", "chi=8,sweeps=8",
+            "--seed", "7", "--output", "out"]
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    unset = {k: v for k, v in os.environ.items() if k not in threads}
+    outputs = []
+    for name, env in (("unset", unset), ("one", {**unset, **dict.fromkeys(threads, "1")})):
+        (tmp_path / name).mkdir()
+        subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path / name, check=True,
+                       capture_output=True, env={**env, "PYTHONPATH": src})
+        out = tmp_path / name / "out"
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert "mi_mps_chi8_sweeps8.csv" in outputs[0]
+    assert outputs[0] == outputs[1]
