@@ -99,7 +99,7 @@ class PauliSum:
     repeats: equal masks are merged by np.add.at, which adds each group's
     coefficients from 0.0 in input order; then a non-finite coefficient
     raises PauliError and those smaller than COEFF_CUTOFF in magnitude are
-    dropped. Instances are immutable values.
+    dropped. Instances are immutable.
     """
 
     __slots__ = ("n_qubits", "coeffs", "x", "z")
@@ -139,14 +139,6 @@ class PauliSum:
 
     def __len__(self) -> int:
         return len(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PauliSum):
-            return NotImplemented
-        return self.n_qubits == other.n_qubits and all(
-            np.array_equal(a, b)
-            for a, b in ((self.coeffs, other.coeffs), (self.x, other.x), (self.z, other.z))
-        )
 
     def __repr__(self) -> str:
         return f"PauliSum(n_qubits={self.n_qubits}, terms={len(self)})"
@@ -248,4 +240,6 @@ def parse_pauli_sum(text: str) -> PauliSum:
     if n_qubits is None:
         raise PauliError("missing 'qubits: <n>' header")
     coeffs, x, z = zip(*terms) if terms else ((), (), ())
-    return PauliSum(n_qubits, coeffs, x, z)
+    # uint64 from the start: a list mixing masks at and below 2^63 would
+    # otherwise become float64
+    return PauliSum(n_qubits, coeffs, np.array(x, np.uint64), np.array(z, np.uint64))

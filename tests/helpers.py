@@ -29,8 +29,8 @@ a pool, which the package never does, and pool_from_words packs words back
 into mask arrays.
 
 PauliSum holds its terms as coefficient and mask arrays. pauli_sum builds
-one from (coefficient, PauliWord) pairs and sum_terms gives them back;
-dict_merged_terms is the Python dict merge the array constructor replaced,
+one from (coefficient, PauliWord) pairs, sum_terms gives them back and
+sums_equal compares two sums bit for bit; dict_merged_terms is the Python dict merge the array constructor replaced,
 its oracle, and per_term_reduced_terms the per-term stationary-qubit
 reduction the array one replaced. The word and sum algebra only the tests use lives here too:
 multiply, identity, weight, add_sums, scale_sum and coefficient.
@@ -120,6 +120,13 @@ def sum_terms(H: PauliSum) -> tuple[tuple[float, PauliWord], ...]:
     return tuple(
         (c, PauliWord(H.n_qubits, x, z))
         for c, x, z in zip(H.coeffs.tolist(), H.x.tolist(), H.z.tolist())
+    )
+
+
+def sums_equal(a: PauliSum, b: PauliSum) -> bool:
+    """Whether two sums have the same register and the same terms, bit for bit."""
+    return a.n_qubits == b.n_qubits and all(
+        np.array_equal(u, v) for u, v in ((a.coeffs, b.coeffs), (a.x, b.x), (a.z, b.z))
     )
 
 

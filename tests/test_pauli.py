@@ -32,6 +32,7 @@ from helpers import (
     random_word,
     scale_sum,
     sum_terms,
+    sums_equal,
     weight,
     word_label,
 )
@@ -133,9 +134,9 @@ def test_conjugate_by_identity_and_involution():
     rng = np.random.default_rng(14)
     n = 4
     H = pauli_sum(n, [(rng.normal(), random_word(rng, n)) for _ in range(20)])
-    assert conjugate_sum(H, identity(n)) == H
+    assert sums_equal(conjugate_sum(H, identity(n)), H)
     P = random_word(rng, n)
-    assert conjugate_sum(conjugate_sum(H, P), P) == H
+    assert sums_equal(conjugate_sum(conjugate_sum(H, P), P), H)
 
 
 def test_conjugation_preserves_masks_and_term_count():
@@ -233,7 +234,26 @@ def test_sum_text_round_trip():
     n = 5
     H = pauli_sum(n, [(rng.normal(), random_word(rng, n)) for _ in range(40)])
     text = format_pauli_sum(H, comment="fixture\nsecond line")
-    assert parse_pauli_sum(text) == H
+    assert sums_equal(parse_pauli_sum(text), H)
+
+
+def test_sum_text_round_trip_at_the_qubit_limit():
+    rng = np.random.default_rng(17)
+    n = MAX_QUBITS
+    masks = rng.integers(0, 1 << n, size=(40, 2), dtype=np.uint64)
+    H = pauli_sum(n, [(rng.normal(), PauliWord(n, int(x), int(z))) for x, z in masks])
+    text = format_pauli_sum(H, comment="fixture\nsecond line")
+    assert sums_equal(parse_pauli_sum(text), H)
+
+
+def test_parse_sum_reads_masks_on_both_sides_of_bit_63():
+    """A term on qubit 63 next to one without it: the masks stay integers
+    (Python ints at and below 2^63 together would make a float64 array)."""
+    H = parse_pauli_sum(f"qubits: {MAX_QUBITS}\n0.5 X63\n0.25 Z0\n")
+    assert sum_terms(H) == (
+        (0.5, PauliWord(MAX_QUBITS, 1 << 63, 0)),
+        (0.25, PauliWord(MAX_QUBITS, 0, 1)),
+    )
 
 
 def test_parse_sum_requires_header():
