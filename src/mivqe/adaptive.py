@@ -110,7 +110,7 @@ class AdaptiveConfig:
         for ok, message in (
             (0.0 < self.descent_fraction <= 1.0, "descent_fraction must lie in (0, 1]"),
             (self.max_steps >= 0, "max_steps must be non-negative"),
-            (self.convergence_tol > 0.0, "convergence_tol must be positive"),
+            (0.0 < self.convergence_tol < np.inf, "convergence_tol must be positive and finite"),
             (self.seed >= 0, "seed must be non-negative"),
         ):
             if not ok:

@@ -53,7 +53,7 @@ class RunConfig:
     spin_penalty: float | None = _setting(None, "S^2 penalty weight in hartree")
     max_steps: int = _setting(AdaptiveConfig.max_steps, "adaptive step limit, >= 0")
     convergence_tol: float = _setting(
-        AdaptiveConfig.convergence_tol, "convergence tolerance in hartree, > 0"
+        AdaptiveConfig.convergence_tol, "convergence tolerance in hartree, finite and > 0"
     )
     baseline: str = _setting("reduced", "pool for percentile denominators: reduced | unreduced")
     seed: int = _setting(AdaptiveConfig.seed, "random seed, >= 0")
@@ -92,7 +92,10 @@ class RunConfig:
             if isinstance(value, bool):
                 value = "true" if value else "false"
             elif isinstance(value, float):
-                value = f"{value:.12g}"
+                # 12 digits where they read back as the same float, so
+                # existing manifests keep their bytes; repr otherwise
+                text = f"{value:.12g}"
+                value = text if float(text) == value else repr(value)
             lines.append(f"{f.name} = {value}")
         return "\n".join(lines) + "\n"
 

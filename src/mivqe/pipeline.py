@@ -245,7 +245,8 @@ def prepare_problem(cfg: RunConfig) -> Problem:
         if check_sector and reference_energy is not None:
             # HF-sector sanity: the reduced ground energy must match the
             # full-register one, otherwise the ground state lives in another
-            # stationary sector; only the energy is needed, so ARPACK gives it
+            # stationary sector; only the energy is needed, so ARPACK gives
+            # it on the merged H matrix
             e_full = ground_energy(H_full, seed=cfg.seed)
             if reference_energy - e_full > 1e-9:
                 warnings.append(

@@ -1,10 +1,11 @@
 """Classically approximated ground states and qubit-pair mutual information.
 
 The exact backend is a Lanczos eigensolver with full reorthogonalization whose
-matrix-vector product is the PauliSum action (no dense matrix). Its state
-fixes the MI, so its float operations stay fixed. A check that needs only an
-energy uses ARPACK's Lanczos on the same action instead, which is faster but
-whose bits may vary with the scipy build. Mutual information is
+matrix-vector product is the compiled PauliSum action (no dense matrix). Its
+state fixes the MI, so its float operations stay fixed. A check that needs
+only an energy uses ARPACK's Lanczos on the merged H matrix instead (one
+entry per row and distinct X mask), which is faster but whose bits differ by
+a few ulp and may vary with the scipy build. Mutual information is
 I_ij = (S_i + S_j - S_ij) / 2 in bits, so a maximally entangled pair scores
 exactly 1.
 """
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .pauli import PauliSum
-from .simulator import compile_sum_action, rdm
+from .simulator import compile_sum_action, merged_sum_matrix, rdm
 
 ENTROPY_EIGENVALUE_FLOOR = 1e-12
 
@@ -45,19 +46,21 @@ class LanczosConvergenceError(ReferenceError):
         self.iterations = iterations
 
 
-def _seeded_start(H: PauliSum, seed: int):
-    """(action, dtype, v): H's compiled action, the dtype it acts in and a
-    random start vector drawn from seed; raises above EXACT_MAX_QUBITS."""
-    if H.n_qubits > EXACT_MAX_QUBITS:
-        raise ReferenceError(f"exact backend limited to {EXACT_MAX_QUBITS} qubits")
+def _seeded_start(H: PauliSum, real_valued: bool, seed: int) -> np.ndarray:
+    """A random start vector for H drawn from seed: float64 for a real H,
+    complex128 otherwise."""
     dim = 2**H.n_qubits
-    action, real_valued = compile_sum_action(H)
     dtype = np.float64 if real_valued else np.complex128
     rng = np.random.default_rng(seed)
     v = rng.normal(size=dim).astype(dtype)
     if not real_valued:
         v = v + 1j * rng.normal(size=dim)
-    return action, dtype, v
+    return v
+
+
+def _check_exact_size(H: PauliSum) -> None:
+    if H.n_qubits > EXACT_MAX_QUBITS:
+        raise ReferenceError(f"exact backend limited to {EXACT_MAX_QUBITS} qubits")
 
 
 def exact_ground_state(H: PauliSum, seed: int = 7) -> tuple[float, np.ndarray]:
@@ -67,8 +70,10 @@ def exact_ground_state(H: PauliSum, seed: int = 7) -> tuple[float, np.ndarray]:
     ||H v - E v|| < RESIDUAL_TOL within LANCZOS_MAX_ITERATIONS iterations.
     Raises LanczosConvergenceError otherwise.
     """
-    action, dtype, v = _seeded_start(H, seed)
-    dim = len(v)
+    _check_exact_size(H)
+    action, real_valued = compile_sum_action(H)
+    v = _seeded_start(H, real_valued, seed)
+    dim, dtype = len(v), v.dtype
     v /= np.linalg.norm(v)
 
     max_krylov = min(dim, 120)
@@ -127,29 +132,34 @@ def exact_ground_state(H: PauliSum, seed: int = 7) -> tuple[float, np.ndarray]:
 
 
 def ground_energy(H: PauliSum, seed: int = 7) -> float:
-    """Lowest eigenvalue of H by ARPACK's Lanczos (scipy eigsh) on the
-    compiled action, started from a seeded random vector.
+    """Lowest eigenvalue of H by ARPACK's Lanczos (scipy eigsh) on
+    merged_sum_matrix(H), started from exact_ground_state's seeded vector.
 
     exact_ground_state's contract without its state: the eigenvector x
     satisfies ||H x - E x|| < RESIDUAL_TOL, and a residual above it or an ARPACK run
     that does not converge raises LanczosConvergenceError, whose iteration
-    count is the number of H products.
+    count is the number of H products. The merged matrix rounds H x
+    differently from the compiled action, so the energy may differ from
+    exact_ground_state's by a few ulp: fine for the sector check's 1e-9
+    margin, not for anything whose bits are recorded.
     """
-    action, dtype, v0 = _seeded_start(H, seed)
+    _check_exact_size(H)
+    matrix = merged_sum_matrix(H)
+    v0 = _seeded_start(H, matrix.dtype == np.float64, seed)
     products = 0
 
     def matvec(v):
         nonlocal products
         products += 1
-        return action(v)
+        return matrix @ v
 
-    operator = LinearOperator((len(v0), len(v0)), matvec=matvec, dtype=dtype)
+    operator = LinearOperator(matrix.shape, matvec=matvec, dtype=matrix.dtype)
     try:
         evals, evecs = eigsh(operator, k=1, which="SA", v0=v0)
     except ArpackNoConvergence:
         raise LanczosConvergenceError(np.inf, products) from None
     energy, x = float(evals[0]), evecs[:, 0]
-    residual = float(np.linalg.norm(action(x) - energy * x))
+    residual = float(np.linalg.norm(matrix @ x - energy * x))
     if not residual < RESIDUAL_TOL:
         raise LanczosConvergenceError(residual, products)
     return energy

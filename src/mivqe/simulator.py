@@ -12,6 +12,12 @@ terms as a term-by-term loop does; an Ansatz folds each layer's i^y factor
 and signs into two complex tables on the gathered index when the layer is
 added, and keeps them for every later state preparation and
 energy-and-gradient evaluation.
+
+merged_sum_matrix builds the same H from the same entry rule with the
+entries that share a column added first: one entry per row and distinct X
+mask, so a product costs several times less, with other roundings. Only
+the stationary-sector check's ground energy uses it: its 1e-9 comparison
+needs no fixed bits.
 """
 
 from __future__ import annotations
@@ -62,9 +68,10 @@ def _word_tables(word: PauliWord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return gather, factor * signs, (1j * factor) * signs
 
 
-# Largest len(H) * 2^n a compiled H action may store: 2^27 entries, 1.5 GiB
-# for a real H at 12 B per entry (int32 column, float64 value). The bound
-# also keeps every CSR index within int32.
+# Largest len(H) * 2^n a compiled H action may store, and the merged matrix
+# may build before it merges: 2^27 entries, 1.5 GiB for a real H at 12 B per
+# entry (int32 column, float64 value). The bound also keeps every CSR index
+# within int32.
 MAX_ACTION_ENTRIES = 1 << 27
 
 
@@ -73,18 +80,54 @@ def action_entries(H: PauliSum) -> int:
     return len(H) * 2**H.n_qubits
 
 
+def _check_entries(H: PauliSum) -> None:
+    entries = action_entries(H)
+    if entries > MAX_ACTION_ENTRIES:
+        raise SimulatorError(
+            f"compiled H action needs {entries} entries, above the "
+            f"{MAX_ACTION_ENTRIES}-entry limit"
+        )
+
+
+def _term_entries(H: PauliSum, order=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """(columns, values) of H's entries, each of shape (2^n, terms), with the
+    terms in the given order (H's term order by default).
+
+    Term t = c_t P_t has entry (k, t) at column k ^ x_t with value
+    c_t i^{y_t} (-1)^{|(k ^ x_t) & z_t|}. The values are float64 when every
+    term has an even Y count, i.e. H is real in the computational basis, and
+    complex128 otherwise.
+    """
+    y = H.y[order]
+    phase = _I_POW[y % 4] * H.coeffs[order]
+    if not (y % 2).any():
+        phase = phase.real
+    # (dim, terms) in row-major order: row k's entries in the terms' order
+    columns = np.arange(2**H.n_qubits, dtype=np.int32)[:, None] ^ H.x[order].astype(np.int32)
+    # a select, not phase * (1 - 2 parity): no float temporaries of the
+    # matrix's size, which would set the peak memory of small runs
+    values = np.where(np.bitwise_count(columns & H.z[order].astype(np.int32)) & 1, -phase, phase)
+    return columns, values
+
+
+def _csr(columns: np.ndarray, values: np.ndarray) -> csr_array:
+    """The square CSR matrix whose row k holds row k of columns and values."""
+    dim, per_row = columns.shape
+    indptr = np.arange(0, dim * per_row + 1, per_row, dtype=np.int32)
+    return csr_array((values.ravel(), columns.ravel(), indptr), shape=(dim, dim))
+
+
 def compile_sum_action(H: PauliSum):
     """Compile H into one unmerged CSR matrix for repeated H*v products.
 
-    This is the one place a PauliSum acts on a state: Lanczos, the HF energy,
-    the pool scorer's sigma = H s and the adjoint gradient all use it. With
-    term t = c_t P_t, row k stores len(H) entries in H's term order: entry t
-    has column k ^ x_t and value c_t i^{y_t} (-1)^{|(k ^ x_t) & z_t|}.
-    Entries that share a column are not merged and the row is not sorted,
-    so scipy's CSR product starts each row at 0.0 and adds one rounded
-    product per term, in term order, exactly as a term-by-term loop does.
-    That order is part of the run's float behaviour and stays fixed: a
-    merged CSR matrix would move H v by a few ulp.
+    This is the one place a PauliSum acts on a state in an adaptive run:
+    Lanczos, the HF energy, the pool scorer's sigma = H s and the adjoint
+    gradient all use it. Row k stores len(H) entries in H's term order, by
+    _term_entries' rule. Entries that share a column are not merged and the
+    row is not sorted, so scipy's CSR product starts each row at 0.0 and adds
+    one rounded product per term, in term order, exactly as a term-by-term
+    loop does. That order is part of the run's float behaviour and stays
+    fixed: merged_sum_matrix would move H v by a few ulp.
 
     Returns (action, real_valued): action works on real or complex vectors;
     real_valued reports whether every term has an even Y count, i.e. the
@@ -94,27 +137,10 @@ def compile_sum_action(H: PauliSum):
     all-zero imaginary part gives +0.0 without a product).
     Raises SimulatorError above MAX_ACTION_ENTRIES, before any allocation.
     """
-    entries = action_entries(H)
-    if entries > MAX_ACTION_ENTRIES:
-        raise SimulatorError(
-            f"compiled H action needs {entries} entries, above the "
-            f"{MAX_ACTION_ENTRIES}-entry limit"
-        )
+    _check_entries(H)
     dim = 2**H.n_qubits
-    y = H.y
-    real_valued = not (y % 2).any()
-    phase = _I_POW[y % 4] * H.coeffs
-    if real_valued:
-        phase = phase.real
-    x = H.x.astype(np.int32)
-    z = H.z.astype(np.int32)
-    # (dim, terms) in row-major order: row k's entries in term order
-    columns = np.arange(dim, dtype=np.int32)[:, None] ^ x
-    # a select, not phase * (1 - 2 parity): no float temporaries of the
-    # matrix's size, which would set the peak memory of small runs
-    values = np.where(np.bitwise_count(columns & z) & 1, -phase, phase)
-    indptr = np.arange(0, entries + 1, len(H), dtype=np.int32)
-    matrix = csr_array((values.ravel(), columns.ravel(), indptr), shape=(dim, dim))
+    matrix = _csr(*_term_entries(H))
+    real_valued = matrix.dtype == np.float64
 
     def action(v: np.ndarray) -> np.ndarray:
         if real_valued and np.iscomplexobj(v):
@@ -130,6 +156,28 @@ def compile_sum_action(H: PauliSum):
         return matrix @ v
 
     return action, real_valued
+
+
+def merged_sum_matrix(H: PauliSum) -> csr_array:
+    """H as a CSR matrix with one entry per row and distinct X mask.
+
+    Row k holds, for each distinct x_g among H's terms, one entry at column
+    k ^ x_g with value sum_{t: x_t = x_g} c_t i^{y_t} (-1)^{|(k ^ x_g) & z_t|}
+    (entries whose terms cancel stay stored as zeros). The values are float64
+    for an even-Y H and complex128 otherwise. The terms are sorted stably by
+    x and each group's entries are added by np.add.reduceat, so a product
+    costs one entry per distinct x instead of one per term, but rounds
+    differently from compile_sum_action's term-order sums; only a caller
+    whose result reaches no recorded bit uses it.
+    Raises SimulatorError above MAX_ACTION_ENTRIES, before any allocation:
+    the unmerged entries are built first.
+    """
+    _check_entries(H)
+    order = np.argsort(H.x, kind="stable")
+    x = H.x[order]
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    columns, values = _term_entries(H, order)
+    return _csr(columns[:, starts], np.add.reduceat(values, starts, axis=1))
 
 
 @dataclass

@@ -310,31 +310,6 @@ def term_by_term_action(H: PauliSum):
     return action
 
 
-def merged_csr_action(H: PauliSum):
-    """H*v through the CSR matrix of H with the entries that share a column
-    summed, as scipy's canonical form keeps it: the same matrix as the term
-    loop's, with other float additions."""
-    from scipy.sparse import coo_array
-
-    dim = 2**H.n_qubits
-    k = np.arange(dim, dtype=np.uint64)
-    rows, cols, values = [], [], []
-    for coeff, word in sum_terms(H):
-        signs, gather = _signs_and_gather(word, k)
-        col = k.astype(np.intp) if gather is None else gather
-        rows.append(k.astype(np.intp))
-        cols.append(col)
-        values.append((1j**word.y_count) * coeff * signs[col])
-    values = np.concatenate(values)
-    if all(w.y_count % 2 == 0 for _, w in sum_terms(H)):
-        values = values.real
-    matrix = coo_array(
-        (values, (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
-    ).tocsr()
-    matrix.sum_duplicates()
-    return lambda v: matrix @ v
-
-
 def apply_pauli_word(state: np.ndarray, word: PauliWord) -> np.ndarray:
     """P |state> via index XOR and phase lookup; no matrix materialized."""
     signs, gather = _signs_and_gather(word, np.arange(len(state), dtype=np.uint64))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from mivqe.config import ConfigError, parse_config, parse_reference
+from mivqe.config import ConfigError, RunConfig, parse_config, parse_reference
 from mivqe.fcidump import MAX_ORBITALS, FcidumpError, parse_fcidump
 from mivqe.pauli import PauliError, parse_pauli_sum
 from mivqe.reference import MIMatrix, ReferenceError
@@ -110,6 +110,28 @@ config_text = st.one_of(
     lines_of(st.builds(lambda k, v: f"{k} = {v}", config_keys,
                        st.one_of(number, small_int, junk, reference_text))),
 )
+
+
+unit_interval = st.floats(0.0, 1.0, exclude_min=True)
+
+
+@PROPERTY
+@given(
+    p_cut=st.one_of(st.none(), unit_interval),
+    descent_fraction=unit_interval,
+    spin_penalty=st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)),
+    convergence_tol=st.floats(0.0, exclude_min=True, allow_infinity=False),
+)
+def test_config_text_round_trips_every_float(**floats):
+    # sweep rebuilds each run's config from this text, so it must give back
+    # the very same floats; a float that 12 digits hold keeps the 12-digit
+    # text that earlier manifests echo
+    cfg = RunConfig(fcidump="x.fcidump", **floats)
+    text = cfg.to_text()
+    assert parse_config(text) == cfg
+    for key, value in floats.items():
+        if value is not None and float(f"{value:.12g}") == value:
+            assert f"\n{key} = {value:.12g}\n" in text
 
 
 @PROPERTY

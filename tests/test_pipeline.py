@@ -16,7 +16,7 @@ import pytest
 
 import mivqe.cli
 import mivqe.pipeline
-from mivqe.adaptive import AdaptiveConfig
+from mivqe.adaptive import AdaptiveConfig, AdaptiveError
 from mivqe.cli import main
 from mivqe.config import ConfigError, MpsBackend, RunConfig, parse_config
 from mivqe.pipeline import (
@@ -709,6 +709,39 @@ def test_config_round_trip():
     assert back == cfg
 
 
+def test_config_refuses_an_infinite_convergence_tol():
+    # a tolerance no energy can miss would stop a run before its first step
+    # and report it converged
+    with pytest.raises(AdaptiveError, match="positive and finite"):
+        AdaptiveConfig(convergence_tol=float("inf"))
+    with pytest.raises(ConfigError, match="positive and finite"):
+        lih_config(convergence_tol=float("inf"))
+    with pytest.raises(ConfigError, match="positive and finite"):
+        parse_config(f"fcidump = {LIH}\nconvergence_tol = inf\n")
+
+
+def test_cli_sweep_runs_float_settings_as_run_does(tmp_path):
+    """sweep rebuilds each problem's config from the echoed text, so a float
+    setting with more than 12 significant digits must survive the echo: the
+    sweep's run and a plain run agree byte for byte apart from the echoed
+    output path."""
+    settings = ["--mapping", "parity", "--grouping", "aabb", "--max-steps", "2",
+                "--spin-penalty", "0.1234567890123456"]
+    sweep_out, run_out = tmp_path / "sweep", tmp_path / "run"
+    # two steps do not converge: both exit 2
+    assert main(["sweep", *settings, "--output", str(sweep_out), LIH]) == 2
+    assert main(["run", "--fcidump", LIH, *settings, "--output", str(run_out)]) == 2
+    swept = sweep_out / Path(LIH).stem
+    for name in ("steps.csv", "mi.csv"):
+        assert (swept / name).read_bytes() == (run_out / name).read_bytes(), name
+    for name in ("report.json", "manifest.json"):
+        a, b = (json.loads((d / name).read_text()) for d in (swept, run_out))
+        assert "spin_penalty = 0.1234567890123456" in b["config"]
+        a["config"].remove(f"output = {swept}")
+        b["config"].remove(f"output = {run_out}")
+        assert a == b, name
+
+
 RUN_KEYS = [
     "fcidump", "pauli_sum", "mapping", "grouping", "reduce_stationary", "p_cut",
     "reference", "descent_fraction", "spin_penalty", "max_steps", "convergence_tol",
@@ -799,6 +832,7 @@ BAD_SETTINGS = [
     ("--convergence-tol", "-1"),
     ("--seed", "-1"),
     ("--convergence-tol", "nan"),
+    ("--convergence-tol", "inf"),
     ("--spin-penalty", "nan"),
     ("--reference", "mps:chi=0,sweeps=2"),
 ]

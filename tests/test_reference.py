@@ -102,26 +102,32 @@ def test_ground_energy_matches_lanczos_on_fixture_registers(stem):
     assert checked
 
 
-def test_ground_energy_two_qubits_through_the_compiled_action(monkeypatch):
-    products = []
-    compile_sum_action = mivqe.reference.compile_sum_action
+def test_ground_energy_two_qubits_through_the_merged_matrix(monkeypatch):
+    calls = {"compile_sum_action": 0, "merged_sum_matrix": 0}
 
-    def counted(H):
-        action, real_valued = compile_sum_action(H)
-        return (lambda v: products.append(1) or action(v)), real_valued
+    def count(name):
+        original = getattr(mivqe.reference, name)
 
-    # the solver takes its H product from the module's own import, where a
-    # wrapper like this one sees every call
-    monkeypatch.setattr(mivqe.reference, "compile_sum_action", counted)
+        def counted(H):
+            calls[name] += 1
+            return original(H)
+
+        monkeypatch.setattr(mivqe.reference, name, counted)
+
+    # the solver takes its operator from the module's own imports, where a
+    # wrapper like these sees every call: the merged matrix, never the
+    # compiled action
+    count("compile_sum_action")
+    count("merged_sum_matrix")
     real = pauli_sum(2, [(1.0, PauliWord.from_label("ZI")), (0.5, PauliWord.from_label("IX"))])
     complex_ = pauli_sum(2, [(0.7, PauliWord.from_label("YZ")), (-0.3, PauliWord.from_label("XX")),
                             (0.2, PauliWord.from_label("ZI"))])
     for H in (real, complex_):
-        products.clear()
         energy = ground_energy(H, seed=3)
-        assert products
+        assert calls == {"compile_sum_action": 0, "merged_sum_matrix": 1}
         assert abs(energy - exact_ground_state(H, seed=3)[0]) < 1e-10
         assert abs(energy - np.linalg.eigvalsh(dense_sum(H)).min()) < 1e-10
+        calls.update(compile_sum_action=0, merged_sum_matrix=0)
 
 
 def test_ground_energy_nonconvergence_is_the_typed_error(monkeypatch):

@@ -10,6 +10,7 @@ from mivqe.simulator import (
     basis_state,
     compile_sum_action,
     energy_and_gradient,
+    merged_sum_matrix,
     rdm,
 )
 
@@ -22,7 +23,6 @@ from helpers import (
     expectation,
     gradient,
     identity,
-    merged_csr_action,
     pauli_sum,
     per_word_energy_and_gradient,
     random_state,
@@ -264,16 +264,66 @@ def test_compiled_action_keeps_term_order_without_a_lone_column():
 
 def test_compiled_action_is_not_the_merged_matrix():
     # summing the entries that share a column first gives the same matrix
-    # with other roundings: on this pinned case the merged CSR's bytes differ
-    # from the term loop's, while the compiled action's equal them
+    # with other roundings: on this pinned case the merged matrix's bytes
+    # differ from the term loop's, while the compiled action's equal them
     rng = np.random.default_rng(54)
     H = random_sum(rng, 6, 200, real_valued=True)
     for v in (rng.normal(size=64), random_state(rng, 6)):
         want = term_by_term_action(H)(v)
-        merged = merged_csr_action(H)(v)
+        merged = merged_sum_matrix(H) @ v
         assert np.allclose(merged, want, rtol=0, atol=1e-12)
         assert merged.tobytes() != want.tobytes()
         assert compile_sum_action(H)[0](v).tobytes() == want.tobytes()
+
+
+def grouped_sum(rng, n, real_valued):
+    """A random sum with repeated X masks, plus a pair of words that share an
+    X mask and a Y count but differ in one Z bit off that mask, with one
+    coefficient: their entries cancel in every row whose column has that bit.
+    Unless real_valued, a Y0 term makes the sum odd-Y."""
+    H = random_sum(rng, n, int(rng.integers(1, min(4**n, 40) + 1)), real_valued)
+    x = int(rng.integers(0, 2**n - 1))  # never every qubit: one bit stays free
+    q = int(rng.choice([b for b in range(n) if not x >> b & 1]))
+    z = int(rng.integers(0, 2**n))
+    if real_valued:
+        z &= ~x  # no Y: an even Y count
+    coeff = float(rng.normal())
+    odd_y = [] if real_valued else [(float(rng.normal()), PauliWord(n, 1, 1))]
+    return pauli_sum(n, [*sum_terms(H), (coeff, PauliWord(n, x, z)),
+                         (coeff, PauliWord(n, x, z ^ (1 << q))), *odd_y])
+
+
+@pytest.mark.parametrize("real_valued", [True, False])
+def test_merged_matrix_products_match_the_compiled_action(real_valued):
+    rng = np.random.default_rng(55 + real_valued)
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        H = grouped_sum(rng, n, real_valued)
+        matrix = merged_sum_matrix(H)
+        compiled, real = compile_sum_action(H)
+        assert real == real_valued
+        assert matrix.dtype == (np.float64 if real_valued else np.complex128)
+        # one entry per row and distinct X mask, at column k ^ x
+        x = np.unique(H.x).astype(np.int64)
+        assert (np.diff(matrix.indptr) == len(x)).all()
+        rows = np.repeat(np.arange(2**n), len(x))
+        assert (np.sort(matrix.indices.reshape(-1, len(x)), axis=1)
+                == np.sort((rows ^ np.tile(x, 2**n)).reshape(-1, len(x)), axis=1)).all()
+        tol = 1e-12 * (1 + np.abs(H.coeffs).sum())
+        for v in sample_vectors(rng, n, real_valued):
+            assert np.abs(matrix @ v - compiled(v)).max() <= tol
+        if n <= 4:
+            assert np.abs(matrix.toarray() - dense_sum(H)).max() <= tol
+
+
+def test_merged_matrix_keeps_cancelled_entries_as_zeros():
+    # 0.5 XX + 0.5 YY: rows 0 and 3 cancel, rows 1 and 2 add to 1
+    H = pauli_sum(2, [(0.5, PauliWord.from_label("XX")), (0.5, PauliWord.from_label("YY"))])
+    matrix = merged_sum_matrix(H)
+    assert matrix.dtype == np.float64
+    assert matrix.indptr.tolist() == [0, 1, 2, 3, 4]
+    assert matrix.indices.tolist() == [3, 2, 1, 0]
+    assert matrix.data.tolist() == [0.0, 1.0, 1.0, 0.0]
 
 
 class _SizedSum:
@@ -294,20 +344,22 @@ def test_compile_rejects_sums_above_the_entry_limit(monkeypatch):
 
     # the bound keeps every CSR index within int32
     assert simulator.MAX_ACTION_ENTRIES < 2**31
-    # the smallest 10-qubit sum above the limit is rejected before its terms
-    # are read or any table allocated
-    monkeypatch.setattr(simulator, "np", None)
     n_terms = simulator.MAX_ACTION_ENTRIES // 2**10 + 1
-    with pytest.raises(SimulatorError, match="entry limit"):
-        compile_sum_action(_SizedSum(10, n_terms))
-    monkeypatch.undo()
-    # at the limit a sum compiles: a small limit keeps it small
     H = pauli_sum(2, [(1.0, PauliWord.from_label("XZ")), (0.5, PauliWord.from_label("ZI"))])
-    monkeypatch.setattr(simulator, "MAX_ACTION_ENTRIES", 8)
-    compile_sum_action(H)
-    monkeypatch.setattr(simulator, "MAX_ACTION_ENTRIES", 7)
-    with pytest.raises(SimulatorError, match="8 entries, above the 7-entry limit"):
-        compile_sum_action(H)
+    for build in (compile_sum_action, merged_sum_matrix):
+        # the smallest 10-qubit sum above the limit is rejected before its
+        # terms are read or any table allocated
+        monkeypatch.setattr(simulator, "np", None)
+        with pytest.raises(SimulatorError, match="entry limit"):
+            build(_SizedSum(10, n_terms))
+        monkeypatch.undo()
+        # at the limit a sum compiles: a small limit keeps it small
+        monkeypatch.setattr(simulator, "MAX_ACTION_ENTRIES", 8)
+        build(H)
+        monkeypatch.setattr(simulator, "MAX_ACTION_ENTRIES", 7)
+        with pytest.raises(SimulatorError, match="8 entries, above the 7-entry limit"):
+            build(H)
+        monkeypatch.undo()
 
 
 def test_compiled_ansatz_energy_and_gradient_bit_for_bit():
