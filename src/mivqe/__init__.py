@@ -11,6 +11,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 __version__ = "0.1.0"
 
-from .pauli import PauliSum, PauliWord  # noqa: E402
+from .pauli import PauliSum  # noqa: E402
 
-__all__ = ["PauliSum", "PauliWord", "__version__"]
+__all__ = ["PauliSum", "__version__"]

@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 from scipy.optimize import basinhopping
 
-from .pauli import PauliSum, PauliWord
+from .pauli import PauliSum, format_factor_lists
 from .screening import EntanglerPool
 from .simulator import Ansatz, compile_sum_action, energy_and_gradient
 
@@ -56,8 +56,11 @@ class NoImprovingEntangler(AdaptiveError):
 
 @dataclass
 class StepRecord:
+    """One adopted word, as its (x, z) masks, and what its step achieved."""
+
     step: int
-    word: PauliWord
+    x: int
+    z: int
     tau: float
     energy: float
     descent: float
@@ -67,6 +70,9 @@ class StepRecord:
 
 @dataclass
 class RunReport:
+    """A run's steps and outcome; words formats every step's word at once."""
+
+    n_qubits: int
     steps: list[StepRecord]
     converged: bool
     stop_reason: str
@@ -91,6 +97,12 @@ class RunReport:
     @property
     def energies(self) -> list[float]:
         return [s.energy for s in self.steps]
+
+    @property
+    def words(self) -> list[str]:
+        """Each step's word as a factor list like ``"X0 Z2"``, in step order."""
+        x, z = [s.x for s in self.steps], [s.z for s in self.steps]
+        return format_factor_lists(self.n_qubits, x, z).tolist()
 
 
 @dataclass(frozen=True)
@@ -544,8 +556,8 @@ def run_adaptive(
                 stop_reason = "no improving entangler"
                 converged = is_converged(energy) if reference_energy is not None else True
                 break
-            word = pool.word(chosen)
-            ansatz = ansatz.with_layer(word, float(taus[chosen]))
+            x, z = int(pool.x[chosen]), int(pool.z[chosen])
+            ansatz = ansatz.with_layer(x, z, float(taus[chosen]))
             rng = np.random.default_rng(np.random.SeedSequence((config.seed, step)))
             params, e_new = joint_optimize(ansatz, h_action, rng)
             ansatz = ansatz.with_parameters(params)
@@ -553,11 +565,12 @@ def run_adaptive(
             steps.append(
                 StepRecord(
                     step=step,
-                    word=word,
+                    x=x,
+                    z=z,
                     tau=float(params[-1]),
                     energy=e_new,
                     descent=descent_achieved,
-                    percentile=float(percentile_table[word.support]),
+                    percentile=float(percentile_table[x | z]),
                     acceptable_count=acceptable_count,
                 )
             )
@@ -574,6 +587,7 @@ def run_adaptive(
                     break
 
     report = RunReport(
+        n_qubits=H.n_qubits,
         steps=steps,
         converged=converged,
         stop_reason=stop_reason,

@@ -13,7 +13,7 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .adaptive import SCORER_MAX_QUBITS, AdaptiveError
@@ -120,7 +120,7 @@ def _cmd_sweep(args) -> int:
         if base.output:
             out = str(Path(base.output) / Path(path).stem)
         tag = Path(path).stem
-        cfg = parse_config(base.to_text(), fcidump=path, output=out)
+        cfg = replace(base, fcidump=path, output=out)
         tagged.append((tag, cfg))
     table = sweep(tagged, workers=args.workers)
     if base.output:

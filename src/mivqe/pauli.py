@@ -1,16 +1,17 @@
 """Symplectic-bitmask Pauli words and real-coefficient Hermitian Pauli sums.
 
-An n-qubit Pauli word is stored as two integer bitmasks (x_mask, z_mask):
-qubit q carries I/X/Z/Y according to the bit pair (x, z) = (0,0)/(1,0)/(0,1)/(1,1).
-As an operator, a word is i^y_count * (X-part) * (Z-part), which makes every
-word Hermitian. A PauliSum holds no words: its terms are a coefficient array
-and two uint64 mask arrays, which every consumer reads directly.
+An n-qubit Pauli word is two integer bitmasks (x, z): qubit q carries
+I/X/Z/Y according to the bit pair (x, z) = (0,0)/(1,0)/(0,1)/(1,1). As an
+operator, a word is i^y * (X-part) * (Z-part), with y = |x & z| its Y count,
+which makes every word Hermitian. No word becomes an object: a PauliSum's
+terms are a coefficient array and two uint64 mask arrays, a pool's words two
+uint16 mask arrays, and format_factor_lists writes the factor lists of any
+number of words from their masks in one call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,51 +26,6 @@ MAX_QUBITS = 64
 
 class PauliError(ValueError):
     """Malformed Pauli data: bad masks, mismatched sizes, or unparsable text."""
-
-
-@dataclass(frozen=True)
-class PauliWord:
-    """Tensor product of single-qubit Paulis in symplectic (x, z) encoding."""
-
-    n_qubits: int
-    x_mask: int
-    z_mask: int
-
-    def __post_init__(self):
-        if self.n_qubits < 1:
-            raise PauliError("n_qubits must be positive")
-        full = (1 << self.n_qubits) - 1
-        if self.x_mask & ~full or self.z_mask & ~full:
-            raise PauliError("mask bits outside qubit range")
-        if self.x_mask < 0 or self.z_mask < 0:
-            raise PauliError("masks must be non-negative")
-
-    @classmethod
-    def from_label(cls, label: str, n_qubits: int | None = None) -> "PauliWord":
-        """Build from a dense letter string, e.g. ``"XIZY"`` (qubit 0 first)."""
-        if n_qubits is None:
-            n_qubits = len(label)
-        x = z = 0
-        for q, letter in enumerate(label):
-            try:
-                xb, zb = _BITS_FOR_LETTER[letter]
-            except KeyError:
-                raise PauliError(f"invalid Pauli letter {letter!r}") from None
-            x |= xb << q
-            z |= zb << q
-        return cls(n_qubits, x, z)
-
-    @property
-    def support(self) -> int:
-        """Bitmask of qubits carrying a non-identity factor."""
-        return self.x_mask | self.z_mask
-
-    @property
-    def y_count(self) -> int:
-        return (self.x_mask & self.z_mask).bit_count()
-
-    def __str__(self) -> str:
-        return format_pauli_factors(self)
 
 
 def mask_product(xa: int, za: int, xb: int, zb: int) -> tuple[int, int, int]:
@@ -160,13 +116,8 @@ def format_factor_lists(n_qubits: int, x, z) -> np.ndarray:
     return np.strings.rstrip(text, " ")
 
 
-def format_pauli_factors(word: PauliWord) -> str:
-    """Factor list like ``"X0 Z2"``; empty string for the identity."""
-    return str(format_factor_lists(word.n_qubits, [word.x_mask], [word.z_mask])[0])
-
-
 def parse_pauli_factors(text: str, n_qubits: int) -> tuple[int, int]:
-    """The (x, z) masks of a factor list: the inverse of format_pauli_factors."""
+    """The (x, z) masks of a factor list: the inverse of format_factor_lists."""
     x = z = 0
     seen: set[int] = set()
     for token in text.split():

@@ -29,7 +29,7 @@ from .encodings import encode, hf_reference, reduce_stationary_qubits
 from .fcidump import load_fcidump
 from .fermion import build_hamiltonian, hf_occupations, s_squared_operator
 from .mps import mps_ground_state
-from .pauli import COEFF_CUTOFF, PauliSum, format_pauli_factors, format_pauli_sum, parse_pauli_sum
+from .pauli import COEFF_CUTOFF, PauliSum, format_pauli_sum, parse_pauli_sum
 from .reference import (
     EXACT_MAX_QUBITS,
     LanczosConvergenceError,
@@ -281,7 +281,7 @@ def prepare_problem(cfg: RunConfig) -> Problem:
 
 def report_to_dict(problem: Problem, report: RunReport, ansatz: Ansatz) -> dict:
     cfg = problem.config
-    words = [format_pauli_factors(s.word) for s in report.steps]
+    words = report.words
     return {
         "tool": {"name": "mivqe", "version": __version__},
         "config": cfg.to_text().strip().splitlines(),
@@ -329,9 +329,9 @@ def report_to_dict(problem: Problem, report: RunReport, ansatz: Ansatz) -> dict:
 
 def steps_csv(report: RunReport) -> str:
     lines = ["step,word,tau,energy,descent,percentile,acceptable_count"]
-    for s in report.steps:
+    for s, word in zip(report.steps, report.words):
         lines.append(
-            f"{s.step},{format_pauli_factors(s.word)},{s.tau:.12g},{s.energy:.12g},"
+            f"{s.step},{word},{s.tau:.12g},{s.energy:.12g},"
             f"{s.descent:.12g},{s.percentile:.12g},{s.acceptable_count}"
         )
     return "\n".join(lines) + "\n"
@@ -500,14 +500,20 @@ def mi_report(cfg: RunConfig, settings: list[MpsBackend]) -> dict:
     trace, p_max lift, and the Spearman rank correlation of pool strengths.
     Every column counts percentiles as the run does, against the run's
     baseline, and ranks the whole pool, also when the run screened it.
-    A setting given twice (by its tag) is refused before the run.
+    A setting given twice (by its tag), or a reference other than exact,
+    is refused before the run: the first column is the exact MI, and the
+    energy gaps and Spearman ranks are measured against it.
     """
+    if cfg.reference != "exact":
+        raise PipelineError(
+            "mi-report", f"the reference must be exact, got {cfg.reference!r}"
+        )
     tags = [setting.tag() for setting in settings]
     repeated = sorted({tag for tag in tags if tags.count(tag) > 1})
     if repeated:
         raise PipelineError("mi-report", f"MPS settings {repeated} given more than once")
     report, problem = run_pipeline(cfg)
-    supports = [s.word.support for s in report.steps]
+    supports = [s.x | s.z for s in report.steps]
     exact_column, exact_strengths = _mi_column(problem, problem.mi, supports)
     columns = {"exact": {"energy_gap": 0.0, **exact_column}}
     mi_csvs = {}
@@ -523,7 +529,7 @@ def mi_report(cfg: RunConfig, settings: list[MpsBackend]) -> dict:
 
     out = {
         "n_ent": len(supports),
-        "entanglers": [format_pauli_factors(s.word) for s in report.steps],
+        "entanglers": report.words,
         "columns": columns,
     }
     if cfg.output is not None:
@@ -548,13 +554,15 @@ def mi_report(cfg: RunConfig, settings: list[MpsBackend]) -> dict:
 
 
 def encode_fcidump_to_text(cfg: RunConfig) -> str:
-    """The 'encode' verb: FCIDUMP -> canonical Pauli-sum text (post-reduction)."""
+    """The 'encode' verb: FCIDUMP or Pauli sum -> canonical Pauli-sum text
+    (post-reduction). The header names the input; mapping and grouping
+    shape only an FCIDUMP's encoding, so only its header gives them."""
     H, bits = _load_hamiltonian(cfg)
     removed = []
     if cfg.reduce_stationary:
         H, removed, _ = reduce_stationary_qubits(H, bits)
-    comment = (
-        f"encoded from {cfg.fcidump} mapping={cfg.mapping} grouping={cfg.grouping} "
-        f"reduced={[q for q, _ in removed]}"
-    )
-    return format_pauli_sum(H, comment=comment)
+    if cfg.fcidump is not None:
+        source = f"encoded from {cfg.fcidump} mapping={cfg.mapping} grouping={cfg.grouping}"
+    else:
+        source = f"read from {cfg.pauli_sum}"
+    return format_pauli_sum(H, comment=f"{source} reduced={[q for q, _ in removed]}")

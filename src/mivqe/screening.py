@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliWord, format_factor_lists
+from .pauli import format_factor_lists
 
 
 # (z, x) mask pairs per block of generate_pool
@@ -57,8 +57,8 @@ class EntanglerPool:
 
     The arrays are all that scoring, selection, screening and pool text
     read; a word's strength and percentile are read from 2^n support tables
-    at x | z, so the pool holds 4 bytes per word. word(i) builds one
-    PauliWord.
+    at x | z, so the pool holds 4 bytes per word. Word i is the mask pair
+    (x[i], z[i]); no word becomes an object.
     """
 
     n_qubits: int
@@ -77,9 +77,6 @@ class EntanglerPool:
 
     def __len__(self) -> int:
         return len(self.x)
-
-    def word(self, i: int) -> PauliWord:
-        return PauliWord(self.n_qubits, int(self.x[i]), int(self.z[i]))
 
     def blocks(self) -> Iterator["EntanglerPool"]:
         """The pool as consecutive sub-pools of TEXT_BLOCK words."""

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.sparse import csr_array
 
-from .pauli import PauliSum, PauliWord
+from .pauli import PauliSum
 
 _I_POW = np.array([1, 1j, -1, -1j])
 
@@ -47,9 +47,9 @@ def basis_state(n_qubits: int, bits) -> np.ndarray:
     return state
 
 
-def _word_tables(word: PauliWord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(gather, w, r) of a Pauli word, folded: P v = w * v[gather] and
-    -i P v = r * v[gather].
+def _word_tables(n_qubits: int, x: int, z: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gather, w, r) of the Pauli word (x, z), folded: P v = w * v[gather]
+    and -i P v = r * v[gather].
 
     With signs[k] = (-1)^{|k & z|}, w = i^y signs[gather] and
     r = (1j i^y) signs[gather]; the gather is k -> k ^ x, the identity for
@@ -61,10 +61,10 @@ def _word_tables(word: PauliWord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     times complex array product runs a mixed-type loop that costs more than
     the complex one.
     """
-    gather = np.arange(2**word.n_qubits, dtype=np.intp) ^ word.x_mask
-    parity = np.bitwise_count(gather.astype(np.uint64) & np.uint64(word.z_mask)) & np.uint64(1)
+    gather = np.arange(2**n_qubits, dtype=np.intp) ^ x
+    parity = np.bitwise_count(gather.astype(np.uint64) & np.uint64(z)) & np.uint64(1)
     signs = 1.0 - 2.0 * parity.astype(np.float64)
-    factor = _I_POW[word.y_count % 4]
+    factor = _I_POW[(x & z).bit_count() % 4]
     return gather, factor * signs, (1j * factor) * signs
 
 
@@ -180,38 +180,37 @@ def merged_sum_matrix(H: PauliSum) -> csr_array:
     return _csr(columns[:, starts], np.add.reduceat(values, starts, axis=1))
 
 
-@dataclass
+@dataclass(eq=False)
 class Ansatz:
     """Ordered product of Pauli-word exponentials applied to a basis reference.
 
     Layer i is applied first; parameters are the rotation angles tau. layers
-    holds each word's folded (gather, w, r) tables, built once when the word
-    joins: with_layer builds only the new word's tables and with_parameters
-    builds none, so an adaptive run builds one table set per adopted word.
+    holds each word's folded (gather, w, r) tables, built once from the
+    word's (x, z) masks when it joins: with_layer builds only the new
+    word's tables and with_parameters builds none, so an adaptive run
+    builds one table set per adopted word. The tables are all the ansatz
+    keeps of its words.
     """
 
     n_qubits: int
     reference_bits: list[int]
-    words: list[PauliWord] = field(default_factory=list)
     parameters: list[float] = field(default_factory=list)
-    layers: tuple = field(default=None, repr=False, compare=False)
+    layers: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
-        if len(self.words) != len(self.parameters):
-            raise SimulatorError("words and parameters length mismatch")
-        if self.layers is None:
-            self.layers = tuple(_word_tables(w) for w in self.words)
+        if len(self.layers) != len(self.parameters):
+            raise SimulatorError("layers and parameters length mismatch")
         self._reference = self.reference_state()
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.layers)
 
-    def with_layer(self, word: PauliWord, tau: float) -> "Ansatz":
+    def with_layer(self, x: int, z: int, tau: float) -> "Ansatz":
+        """This ansatz with the word (x, z) appended as its last layer, at angle tau."""
         return replace(
             self,
-            words=self.words + [word],
             parameters=self.parameters + [tau],
-            layers=self.layers + (_word_tables(word),),
+            layers=self.layers + (_word_tables(self.n_qubits, x, z),),
         )
 
     def with_parameters(self, parameters) -> "Ansatz":

@@ -22,11 +22,16 @@ writer, the largest MPS bond, the Pauli commutation test, identity check and
 canonical sort key, P H P, the number operator, the dense MPO and MPS, and
 the RDMs of an MPS one call at a time.
 
-The per-factor Pauli letter rule (factor, word_label and
-per_factor_factor_list) is the oracle for mivqe.pauli.format_factor_lists,
-which formats whole mask arrays; pool_words builds the PauliWord objects of
-a pool, which the package never does, and pool_from_words packs words back
-into mask arrays.
+The package holds every Pauli word as its (x, z) masks. PauliWord, the
+one-word object the tests build sums, pools and ansatz layers from, lives
+here, with format_pauli_factors, its factor list. The per-factor Pauli
+letter rule (factor, word_label and per_factor_factor_list) is the oracle
+for mivqe.pauli.format_factor_lists, which formats whole mask arrays;
+pool_word and pool_words build the PauliWord objects of a pool and
+pool_from_words packs words back into mask arrays; add_layer and
+word_ansatz append PauliWord layers to an Ansatz by their masks, and
+per_word_tables builds a layer's tables from a PauliWord as the simulator
+once did.
 
 PauliSum holds its terms as coefficient and mask arrays. pauli_sum builds
 one from (coefficient, PauliWord) pairs, sum_terms gives them back and
@@ -37,6 +42,7 @@ multiply, identity, weight, add_sums, scale_sum and coefficient.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +53,7 @@ from mivqe.pauli import (
     COEFF_CUTOFF,
     PauliError,
     PauliSum,
-    PauliWord,
-    format_pauli_factors,
+    format_factor_lists,
     mask_product,
     parse_pauli_factors,
 )
@@ -62,6 +67,57 @@ from mivqe.simulator import (
 )
 
 _LETTER_FOR_BITS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
+_BITS_FOR_LETTER = {letter: bits for bits, letter in _LETTER_FOR_BITS.items()}
+
+
+@dataclass(frozen=True)
+class PauliWord:
+    """Tensor product of single-qubit Paulis in symplectic (x, z) encoding."""
+
+    n_qubits: int
+    x_mask: int
+    z_mask: int
+
+    def __post_init__(self):
+        if self.n_qubits < 1:
+            raise PauliError("n_qubits must be positive")
+        full = (1 << self.n_qubits) - 1
+        if self.x_mask & ~full or self.z_mask & ~full:
+            raise PauliError("mask bits outside qubit range")
+        if self.x_mask < 0 or self.z_mask < 0:
+            raise PauliError("masks must be non-negative")
+
+    @classmethod
+    def from_label(cls, label: str, n_qubits: int | None = None) -> "PauliWord":
+        """Build from a dense letter string, e.g. ``"XIZY"`` (qubit 0 first)."""
+        if n_qubits is None:
+            n_qubits = len(label)
+        x = z = 0
+        for q, letter in enumerate(label):
+            try:
+                xb, zb = _BITS_FOR_LETTER[letter]
+            except KeyError:
+                raise PauliError(f"invalid Pauli letter {letter!r}") from None
+            x |= xb << q
+            z |= zb << q
+        return cls(n_qubits, x, z)
+
+    @property
+    def support(self) -> int:
+        """Bitmask of qubits carrying a non-identity factor."""
+        return self.x_mask | self.z_mask
+
+    @property
+    def y_count(self) -> int:
+        return (self.x_mask & self.z_mask).bit_count()
+
+    def __str__(self) -> str:
+        return format_pauli_factors(self)
+
+
+def format_pauli_factors(word: PauliWord) -> str:
+    """Factor list like ``"X0 Z2"``; empty string for the identity."""
+    return str(format_factor_lists(word.n_qubits, [word.x_mask], [word.z_mask])[0])
 
 
 def factor(word: PauliWord, q: int) -> str:
@@ -89,9 +145,14 @@ def format_pauli_text(coeff: float, word: PauliWord) -> str:
     return f"{coeff:.17g} {format_pauli_factors(word)}".rstrip()
 
 
+def pool_word(pool: EntanglerPool, i: int) -> PauliWord:
+    """Word i of the pool as a PauliWord."""
+    return PauliWord(pool.n_qubits, int(pool.x[i]), int(pool.z[i]))
+
+
 def pool_words(pool: EntanglerPool) -> tuple[PauliWord, ...]:
     """The pool's words as PauliWord objects, in pool order."""
-    return tuple(pool.word(i) for i in range(len(pool)))
+    return tuple(pool_word(pool, i) for i in range(len(pool)))
 
 
 def pool_from_words(n_qubits: int, words, provenance: str = "custom") -> EntanglerPool:
@@ -322,22 +383,49 @@ def apply_pauli_exponential(state: np.ndarray, word: PauliWord, tau) -> np.ndarr
     return np.cos(tau) * state - 1j * np.sin(tau) * apply_pauli_word(state, word)
 
 
-def per_word_energy_and_gradient(ansatz: Ansatz, h_action, parameters):
-    """The adjoint energy and gradient, every layer rebuilt from its word.
+def per_word_tables(word: PauliWord) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A layer's folded (gather, w, r) tables, read from a PauliWord's
+    attributes: the path simulator._word_tables took before it read masks."""
+    gather = np.arange(2**word.n_qubits, dtype=np.intp) ^ word.x_mask
+    parity = np.bitwise_count(gather.astype(np.uint64) & np.uint64(word.z_mask)) & np.uint64(1)
+    signs = 1.0 - 2.0 * parity.astype(np.float64)
+    factor = np.array([1, 1j, -1, -1j])[word.y_count % 4]
+    return gather, factor * signs, (1j * factor) * signs
+
+
+def add_layer(ansatz: Ansatz, word: PauliWord, tau: float) -> Ansatz:
+    """ansatz.with_layer of a PauliWord's masks."""
+    return ansatz.with_layer(word.x_mask, word.z_mask, tau)
+
+
+def word_ansatz(n_qubits: int, reference_bits, words, parameters) -> Ansatz:
+    """An Ansatz on reference_bits with the given PauliWord layers and angles, in order."""
+    ansatz = Ansatz(n_qubits, list(reference_bits))
+    for word, tau in zip(words, parameters, strict=True):
+        ansatz = add_layer(ansatz, word, tau)
+    return ansatz
+
+
+def per_word_energy_and_gradient(ansatz: Ansatz, words, h_action, parameters):
+    """The adjoint energy and gradient from the ansatz's reference state,
+    every layer rebuilt from its PauliWord in words (the words the ansatz
+    was built from, in order; the ansatz keeps only their tables).
 
     psi and lam are un-rotated one at a time, with one cos and one sin call
     per layer: the arithmetic that simulator.energy_and_gradient, which
     un-rotates both as one stacked array, must reproduce bit for bit.
     """
     params = list(parameters)
+    if len(words) != len(params):
+        raise SimulatorError("words and parameters length mismatch")
     psi = ansatz.reference_state()
-    for word, tau in zip(ansatz.words, params):
+    for word, tau in zip(words, params):
         psi = apply_pauli_exponential(psi, word, tau)
     lam = h_action(psi)
     energy = float(np.real(np.vdot(psi, lam)))
     grads = np.zeros(len(params))
     for k in range(len(params) - 1, -1, -1):
-        word, tau = ansatz.words[k], params[k]
+        word, tau = words[k], params[k]
         grads[k] = 2.0 * np.imag(np.vdot(lam, apply_pauli_word(psi, word)))
         psi = apply_pauli_exponential(psi, word, -tau)
         lam = apply_pauli_exponential(lam, word, -tau)

@@ -17,7 +17,6 @@ from mivqe.encodings import encode, hf_reference, reduce_stationary_qubits
 from mivqe.fcidump import load_fcidump
 from mivqe.fermion import build_hamiltonian, hf_occupations
 from mivqe.mps import build_mpo, mps_ground_state
-from mivqe.pauli import PauliWord
 from mivqe.pipeline import run_pipeline
 from mivqe.reference import exact_ground_state, mutual_information
 from mivqe.screening import generate_pool, pool_strengths, support_strengths
@@ -25,6 +24,7 @@ from mivqe.simulator import Ansatz, basis_state, compile_sum_action
 
 from conftest import FIXTURE_DIR
 from helpers import (
+    add_layer,
     apply_pauli_word,
     dense_sum,
     evaluate_ansatz,
@@ -124,8 +124,8 @@ def test_criterion_4_screening_equivalence(adaptive_runs):
             seed=cfg.seed, max_steps=cfg.max_steps, p_cut=report.p_max + 1e-9,
         )
         rerun, _ = run_pipeline(rerun_cfg)
-        words_full = [str(s.word) for s in report.steps]
-        words_scr = [str(s.word) for s in rerun.steps]
+        words_full = report.words
+        words_scr = rerun.words
         assert words_full == words_scr, f"{key}: entangler sequence changed"
         for a, b in zip(report.steps, rerun.steps):
             assert abs(a.energy - b.energy) < 1e-8
@@ -206,7 +206,7 @@ def test_criterion_7_gradient_vs_finite_differences():
         ref = [int(b) for b in rng.integers(0, 2, size=n)]
         ansatz = Ansatz(n, ref)
         for _ in range(layers):
-            ansatz = ansatz.with_layer(random_word(rng, n), float(rng.normal()))
+            ansatz = add_layer(ansatz, random_word(rng, n), float(rng.normal()))
         g_adj = gradient(ansatz, H)
         h = 1e-5
         g_fd = np.zeros(layers)

@@ -25,7 +25,6 @@ from mivqe.adaptive import (
 from mivqe.encodings import encode, hf_reference
 from mivqe.fcidump import load_fcidump
 from mivqe.fermion import build_hamiltonian, hf_occupations
-from mivqe.pauli import PauliWord
 from mivqe.reference import exact_ground_state, mutual_information
 from mivqe.screening import (
     EntanglerPool,
@@ -36,6 +35,8 @@ from mivqe.screening import (
 from mivqe.simulator import Ansatz, basis_state, compile_sum_action, energy_and_gradient
 
 from helpers import (
+    PauliWord,
+    add_layer,
     apply_pauli_exponential,
     commutes,
     dense_sum,
@@ -47,6 +48,7 @@ from helpers import (
     pool_from_words,
     pool_index,
     pool_scorer,
+    pool_word,
     pool_words,
     random_state,
     random_word,
@@ -54,6 +56,7 @@ from helpers import (
     sum_terms,
     term_sum_scores,
     weight,
+    word_ansatz,
 )
 from conftest import FIXTURE_DIR
 from test_encodings import hydrogen_like_integrals
@@ -133,7 +136,7 @@ def test_pool_scorer_matches_score_entangler():
         descents, taus, e0 = scorer.scores(state, np.zeros(1 << n), 0.3)
         assert abs(e0 - expectation(state, H)) < 1e-10
         for idx in rng.choice(len(pool), size=25, replace=False):
-            d_ref, t_ref = score_entangler(state, H, pool.word(idx))
+            d_ref, t_ref = score_entangler(state, H, pool_word(pool, idx))
             assert abs(descents[idx] - d_ref) < 1e-9
             assert abs(taus[idx] - t_ref) < 1e-9
 
@@ -208,7 +211,7 @@ def test_joint_optimize_single_layer_closed_form():
     scorer = pool_scorer(H, pool)
     descents, taus, e0 = scorer.scores(state, np.zeros(1 << n), 0.3)
     idx = int(np.argmax(descents))
-    ansatz = Ansatz(n, [1, 0, 1], [pool.word(idx)], [taus[idx]])
+    ansatz = word_ansatz(n, [1, 0, 1], [pool_word(pool, idx)], [taus[idx]])
     params, energy = joint_optimize(ansatz, compile_sum_action(H)[0], np.random.default_rng(1))
     assert abs(energy - (e0 - descents[idx])) < 1e-8
 
@@ -222,7 +225,7 @@ def test_joint_optimize_multi_layer_never_rises():
         w = random_word(rng, n)
         while w.y_count % 2 == 0:
             w = random_word(rng, n)
-        ansatz = ansatz.with_layer(w, float(rng.normal() * 0.1))
+        ansatz = add_layer(ansatz, w, float(rng.normal() * 0.1))
     e_start = expectation(ansatz.prepare(), H)
     params, energy = joint_optimize(ansatz, compile_sum_action(H)[0], np.random.default_rng(2))
     assert energy <= e_start + 1e-12
@@ -233,7 +236,7 @@ def test_joint_optimize_deterministic():
     n = 3
     H = random_even_sum(rng, n, 8)
     w = next(w for w in pool_words(generate_pool(n)) if weight(w) > 1)
-    ansatz = Ansatz(n, [0, 1, 0], [w], [0.3])
+    ansatz = word_ansatz(n, [0, 1, 0], [w], [0.3])
     h_action, _ = compile_sum_action(H)
     out1 = joint_optimize(ansatz, h_action, np.random.default_rng(5))
     out2 = joint_optimize(ansatz, h_action, np.random.default_rng(5))
@@ -372,9 +375,7 @@ def test_screening_equivalence_small_molecule():
     scr_report, _ = run_adaptive(
         H, screened, table, pct, bits, cfg, reference_energy=e_ref
     )
-    assert [str(s.word) for s in full_report.steps] == [
-        str(s.word) for s in scr_report.steps
-    ]
+    assert full_report.words == scr_report.words
     for a, b in zip(full_report.steps, scr_report.steps):
         assert abs(a.energy - b.energy) < 1e-8
         assert abs(a.tau - b.tau) < 1e-6
@@ -452,7 +453,7 @@ def test_pool_scorer_selection_equals_term_sum_on_mirror_ties(basis):
             H, pool, state, table = _mirrored_problem(rng, n, basis)
             scorer = pool_scorer(H, pool)
             chosen, _ = _assert_selection_is_term_sum(scorer, pool, state, table)
-            twins += pool_index(pool, _swap01(pool.word(chosen))) != chosen
+            twins += pool_index(pool, _swap01(pool_word(pool, chosen))) != chosen
     assert twins  # some winners do have a tied mirror image
 
 
@@ -771,7 +772,7 @@ def test_joint_optimize_never_returns_a_worse_energy(monkeypatch):
     n = 3
     H = random_even_sum(rng, n, 8)
     w = next(w for w in pool_words(generate_pool(n)) if weight(w) > 1)
-    ansatz = Ansatz(n, [0, 1, 0], [w], [0.3])
+    ansatz = word_ansatz(n, [0, 1, 0], [w], [0.3])
     h_action, _ = compile_sum_action(H)
 
     def worse(objective, x0, **kwargs):

@@ -22,10 +22,11 @@ from mivqe.fermion import (
     s_squared_operator,
 )
 from mivqe.fcidump import MolecularIntegrals, load_fcidump
-from mivqe.pauli import PauliWord, format_pauli_sum
+from mivqe.pauli import format_pauli_sum
 
 from conftest import FIXTURE_DIR
 from helpers import (
+    PauliWord,
     coefficient,
     dense_sum,
     expectation,

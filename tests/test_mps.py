@@ -20,11 +20,11 @@ from mivqe.mps import (
     mpo_expectation,
     mps_ground_state,
 )
-from mivqe.pauli import PauliWord
 from mivqe.reference import exact_ground_state, mutual_information
 from mivqe.simulator import rdm
 
 from helpers import (
+    PauliWord,
     dense_sum,
     einsum_heff_dense,
     einsum_heff_matvec,

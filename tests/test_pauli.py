@@ -7,9 +7,7 @@ from mivqe.pauli import (
     MAX_QUBITS,
     PauliError,
     PauliSum,
-    PauliWord,
     format_factor_lists,
-    format_pauli_factors,
     format_pauli_sum,
     mask_product,
     parse_pauli_sum,
@@ -17,6 +15,7 @@ from mivqe.pauli import (
 )
 
 from helpers import (
+    PauliWord,
     add_sums,
     coefficient,
     commutes,
@@ -24,6 +23,7 @@ from helpers import (
     dense_sum,
     dense_word,
     dict_merged_terms,
+    format_pauli_factors,
     format_pauli_text,
     identity,
     multiply,

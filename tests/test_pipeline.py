@@ -26,12 +26,12 @@ from mivqe.pipeline import (
     run_pipeline,
     sweep,
 )
-from mivqe.pauli import parse_pauli_sum
+from mivqe.pauli import parse_pauli_factors, parse_pauli_sum
 from mivqe.reference import MIMatrix
 from mivqe.screening import pool_strengths
 
 from conftest import FIXTURE_DIR
-from helpers import pool_words
+from helpers import pool_word, pool_words
 
 LIH = str(FIXTURE_DIR / "lih_1.60.fcidump")
 LIH_FAR = str(FIXTURE_DIR / "lih_2.40.fcidump")
@@ -142,9 +142,7 @@ def test_run_pipeline_screened_rerun_matches(tmp_path):
     full, _ = run_pipeline(lih_config())
     assert full.converged
     screened, problem = run_pipeline(lih_config(p_cut=full.p_max + 1e-9))
-    assert [str(s.word) for s in full.steps] == [
-        str(s.word) for s in screened.steps
-    ]
+    assert full.words == screened.words
     assert problem.pool.provenance.startswith("screened")
 
 
@@ -158,9 +156,7 @@ def test_unreduced_baseline_percentiles():
     reduced, _ = run_pipeline(lih_config(baseline="reduced"))
     unreduced, problem = run_pipeline(lih_config(baseline="unreduced"))
     # same entangler sequence, but percentiles against the 6-qubit pool (2016)
-    assert [str(s.word) for s in reduced.steps] == [
-        str(s.word) for s in unreduced.steps
-    ]
+    assert reduced.words == unreduced.words
     assert problem.baseline_pool_size == 2016
     assert unreduced.p_max != reduced.p_max
 
@@ -391,8 +387,8 @@ def test_screening_equivalence_boundary_case():
     assert full.converged
     p_cut = full.p_max + 1e-9
     screened_report, _ = run_pipeline(RunConfig(**base, p_cut=p_cut))
-    words_full = [str(s.word) for s in full.steps]
-    words_scr = [str(s.word) for s in screened_report.steps]
+    words_full = full.words
+    words_scr = screened_report.words
     assert words_full != words_scr  # the documented boundary
     assert screened_report.converged  # the screened run still reaches accuracy
 
@@ -408,19 +404,19 @@ def test_screening_equivalence_boundary_case():
         partial.percentile_table, partial.reference_bits,
         cfg_partial.adaptive_config(), reference_energy=partial.reference_energy,
     )
-    assert [str(s.word) for s in rep.steps] == words_full[:diverge]
+    assert rep.words == words_full[:diverge]
     scorer = pool_scorer(partial.hamiltonian, partial.pool)
     descents, _, _ = scorer.scores(
         ansatz.prepare(), partial.strength_table, cfg_partial.descent_fraction
     )
     best = int(np.argmax(descents))
-    assert partial.percentile_table[partial.pool.word(best).support] > p_cut
+    assert partial.percentile_table[pool_word(partial.pool, best).support] > p_cut
     table = support_strengths(partial.hamiltonian.n_qubits, partial.mi)
     # the words screen_pool keeps: percentile within the register's pool <= p_cut
     pct = pool_strengths(partial.pool, percentile_of_strengths(table, table))
     scr_idx = np.flatnonzero(pct <= p_cut)
     screened = screen_pool(partial.pool, table, p_cut)
-    assert pool_words(screened) == tuple(partial.pool.word(i) for i in scr_idx)
+    assert pool_words(screened) == tuple(pool_word(partial.pool, i) for i in scr_idx)
     assert descents[scr_idx].max() < descents.max()
 
 
@@ -440,12 +436,10 @@ def test_mps_reference_drives_screened_run(tmp_path):
     # 1e-14 MI noise may swap exactly-degenerate words, so compare the
     # chosen entanglers' strengths step by step instead of their identities
     _, exact_problem = run_pipeline(lih_config())
-    exact_strength = {
-        str(w): exact_problem.strength_table[w.support] for w in pool_words(exact_problem.pool)
-    }
+    exact_strength = exact_problem.strength_table
     for a, b in zip(report.steps, exact_report.steps):
-        sa = exact_strength[str(a.word)]
-        sb = exact_strength[str(b.word)]
+        sa = exact_strength[a.x | a.z]
+        sb = exact_strength[b.x | b.z]
         assert abs(sa - sb) < 1e-9
     data = json.loads((tmp_path / "mps_run" / "report.json").read_text())
     assert data["reference"]["note"] == "mps:chi=4,sweeps=16"
@@ -460,9 +454,7 @@ def test_mi_import_drives_screening(tmp_path):
     mi_path = tmp_path / "exact" / "mi.csv"
     import_cfg = lih_config(reference=f"mi:{mi_path}")
     import_report, import_problem = run_pipeline(import_cfg)
-    assert [str(s.word) for s in exact_report.steps] == [
-        str(s.word) for s in import_report.steps
-    ]
+    assert exact_report.words == import_report.words
     # the exact backend still supplies the convergence reference
     assert import_problem.reference_energy == pytest.approx(
         problem.reference_energy, abs=1e-12
@@ -570,6 +562,29 @@ def test_sweep_quotes_an_error_that_holds_a_comma(tmp_path):
     assert code == 2
 
 
+def test_cli_sweep_keeps_a_hash_in_a_path(tmp_path):
+    """sweep replaces the FCIDUMP and output of the flags' config and reads
+    every other value as run does: a '#' in the MI path stays (a text round
+    trip through parse_config cut the path there, and the row failed with
+    "No such file or directory")."""
+    h2 = str(FIXTURE_DIR / "h2_0.75.fcidump")
+    report, _ = run_pipeline(lih_config(fcidump=h2, output=str(tmp_path / "a#b")))
+    mi_path = tmp_path / "a#b" / "mi.csv"
+    out = tmp_path / "sw"
+    code = main([
+        "sweep", "--reference", f"mi:{mi_path}", "--mapping", "parity", "--grouping", "aabb",
+        "--seed", "7", "--output", str(out), h2,
+    ])
+    (row,) = csv.DictReader(io.StringIO((out / "sweep.csv").read_text()))
+    assert row["error"] == ""
+    assert row["p_max"] == f"{report.p_max:.12g}"
+    assert row["n_ent"] == str(report.n_ent)
+    assert code == 0
+    manifest = json.loads((out / "h2_0.75" / "manifest.json").read_text())
+    assert f"reference = mi:{mi_path}" in manifest["config"]
+    assert manifest["input_checksums"]["mi"] == hashlib.sha256(mi_path.read_bytes()).hexdigest()
+
+
 def test_mi_report_exact_vs_backends(tmp_path):
     cfg = lih_config(output=str(tmp_path / "mi"))
     out = mi_report(cfg, [MpsBackend(chi=4, sweeps=16), MpsBackend(chi=1, sweeps=2)])
@@ -587,7 +602,7 @@ def test_mi_report_exact_vs_backends(tmp_path):
     # percentiles may hop across near-tied strengths; bound each shift by the
     # number of pool words whose strengths sit within the MI perturbation
     strengths = pool_strengths(problem.pool, problem.strength_table)
-    chosen = [str(s.word) for s in report.steps]
+    chosen = report.words
     words = [str(w) for w in pool_words(problem.pool)]
     for i, word in enumerate(chosen):
         c = strengths[words.index(word)]
@@ -1284,6 +1299,23 @@ def test_cli_encode_and_pool(tmp_path, capsys):
     assert len(pool) == 120
 
 
+def test_cli_encode_header_names_its_input(tmp_path, capsys):
+    """A Pauli sum's header names its path and no mapping or grouping, which
+    only shape an FCIDUMP's encoding (it read "encoded from None
+    mapping=jordan_wigner grouping=abab"); the FCIDUMP header keeps its text."""
+    path = _write(tmp_path / "h.pauli", "qubits: 3\n0.5 Z0\n0.3 X0 X1\n-0.2 Z2\n")
+    assert main(["encode", "--pauli-sum", path]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        f"# read from {path} reduced=[2]", "qubits: 2"
+    ]
+    assert main(["encode", "--pauli-sum", path, "--reduce-stationary", "false"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"# read from {path} reduced=[]"
+    assert main(["encode", "--fcidump", LIH, "--mapping", "jw"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"# encoded from {LIH} mapping=jordan_wigner grouping=abab reduced=[]"
+    )
+
+
 def test_pool_text_matches_recorded_digests(tmp_path):
     """pool --report, pool --out and a screened run's pool_screened.txt keep
     every byte recorded in pool_sha256.txt."""
@@ -1354,6 +1386,38 @@ def test_mi_compare_csv_reads_back_with_its_column_names(tmp_path):
     )
 
 
+def test_step_words_reach_every_artifact_from_their_masks(tmp_path, monkeypatch):
+    """A step holds its word as (x, z): steps.csv, report.json and
+    mi_compare.csv each write the factor list that parses back to those
+    masks, and the step's percentile is the percentile table at x | z."""
+    runs = []
+    run_pipeline = mivqe.pipeline.run_pipeline
+
+    def spy(cfg):
+        runs.append(run_pipeline(cfg))
+        return runs[-1]
+
+    monkeypatch.setattr(mivqe.pipeline, "run_pipeline", spy)
+    out = tmp_path / "lih"
+    mi_report(lih_config(fcidump=LIH_FAR, output=str(out)), [])
+    ((report, problem),) = runs
+    n = problem.hamiltonian.n_qubits
+    data = json.loads((out / "report.json").read_text())
+    with open(out / "steps.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    with open(out / "mi_compare.csv", newline="") as f:
+        compare = list(csv.DictReader(f))
+    assert report.n_ent > 1
+    assert len(rows) == len(data["steps"]) == len(compare) == report.n_ent
+    for s, row, step, entry in zip(report.steps, rows, data["steps"], compare):
+        assert (s.x & s.z).bit_count() % 2 == 1  # an odd-Y pool word
+        assert parse_pauli_factors(row["word"], n) == (s.x, s.z)
+        assert parse_pauli_factors(step["word"], n) == (s.x, s.z)
+        assert s.percentile == problem.percentile_table[s.x | s.z]
+        assert entry["word"] == step["word"]
+    assert [a["word"] for a in data["ansatz"]] == [step["word"] for step in data["steps"]]
+
+
 def test_mi_report_refuses_a_repeated_setting_before_the_run(monkeypatch):
     """chi=02 is chi=2: one column would silently keep one of two DMRG runs."""
     monkeypatch.setattr(mivqe.pipeline, "run_pipeline",
@@ -1370,6 +1434,24 @@ def test_cli_mi_report_repeated_mps_exits_3(tmp_path, monkeypatch, capsys):
     assert main(["mi-report", "--fcidump", LIH, "--mps", "chi=2,sweeps=2",
                  "--mps", "chi=02,sweeps=2", "--output", str(out)]) == 3
     assert "given more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("reference", ["mps:chi=1,sweeps=1", "mi:{tmp}/mi.csv"],
+                         ids=["mps", "mi"])
+def test_cli_mi_report_refuses_a_non_exact_reference(reference, tmp_path, monkeypatch, capsys):
+    """Every column is measured against the exact MI of the first column; a
+    run on another reference wrote its own MI under the key exact, with
+    energy_gap 0.0 and spearman_vs_exact 1.0."""
+    monkeypatch.setattr(mivqe.pipeline, "run_pipeline",
+                        lambda cfg: pytest.fail("the run started"))
+    reference = reference.format(tmp=tmp_path)
+    out = tmp_path / "mi"
+    assert main(["mi-report", "--fcidump", LIH, "--reference", reference,
+                 "--mps", "chi=1,sweeps=1", "--output", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: stage 'mi-report' failed: the reference must be exact, got {reference!r}\n"
+    )
     assert not out.exists()
 
 

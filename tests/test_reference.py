@@ -8,7 +8,6 @@ import mivqe.reference
 from mivqe.encodings import encode
 from mivqe.fcidump import load_fcidump
 from mivqe.fermion import build_hamiltonian
-from mivqe.pauli import PauliWord
 from mivqe.reference import (
     LanczosConvergenceError,
     MIMatrix,
@@ -23,6 +22,7 @@ from mivqe.simulator import basis_state
 
 from conftest import FIXTURE_DIR
 from helpers import (
+    PauliWord,
     dense_sum,
     pauli_sum,
     random_state,

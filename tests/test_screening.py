@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mivqe.screening
-from mivqe.pauli import PauliError, PauliWord, parse_pauli_sum
+from mivqe.pauli import PauliError, parse_pauli_sum
 from mivqe.reference import MIMatrix
 from mivqe.screening import (
     POOL_MAX_QUBITS,
@@ -25,12 +25,14 @@ from mivqe.screening import (
 )
 
 from helpers import (
+    PauliWord,
     correlation_strength,
     is_identity,
     per_factor_factor_list,
     per_mask_support_strengths,
     per_word_percentiles,
     pool_from_text,
+    pool_word,
     pool_words,
     sort_key,
     tiled_pool_masks,
@@ -57,7 +59,7 @@ def test_pool_size_closed_form():
 def test_pool_n1_is_just_y():
     pool = generate_pool(1)
     assert len(pool) == 1
-    assert pool.word(0) == PauliWord.from_label("Y")
+    assert pool_word(pool, 0) == PauliWord.from_label("Y")
 
 
 def test_paper_pool_sizes():
@@ -263,7 +265,7 @@ def test_screen_pool_brute_force_set():
     for p_cut in (0.05, 0.2, 0.5, 0.9):
         screened = screen_pool(pool, support_strengths(n, mi), p_cut)
         kept = [i for i, w in enumerate(pool_words(pool)) if pct[w] <= p_cut]
-        assert pool_words(screened) == tuple(pool.word(i) for i in kept)
+        assert pool_words(screened) == tuple(pool_word(pool, i) for i in kept)
         # canonical order preserved
         keys = [sort_key(w) for w in pool_words(screened)]
         assert keys == sorted(keys)
@@ -335,7 +337,7 @@ def test_table_percentiles_equal_per_word_count(seed):
                 screen_pool(pool, table, p_cut)
             continue
         screened = screen_pool(pool, table, p_cut)
-        assert pool_words(screened) == tuple(pool.word(i) for i in expected)
+        assert pool_words(screened) == tuple(pool_word(pool, i) for i in expected)
 
 
 def test_pool_spearman_equals_spearmanr_over_the_repeated_pool():
@@ -427,7 +429,7 @@ def test_pool_text_from_masks_builds_no_pauliword(block, p_cut, monkeypatch):
     text = list(pool.to_text())
     report = list(screening_report_csv(pool, table, p_cut))
     assert built == []
-    pool.word(0)
+    pool_word(pool, 0)
     assert len(built) == 1  # the counter sees a PauliWord
 
     assert len(text) == len(report) == 1 + -(-len(pool) // block)

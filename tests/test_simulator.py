@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from mivqe.pauli import PauliWord
 from mivqe.simulator import (
     Ansatz,
     SimulatorError,
@@ -15,6 +14,8 @@ from mivqe.simulator import (
 )
 
 from helpers import (
+    PauliWord,
+    add_layer,
     apply_pauli_exponential,
     apply_pauli_word,
     dense_sum,
@@ -25,10 +26,12 @@ from helpers import (
     identity,
     pauli_sum,
     per_word_energy_and_gradient,
+    per_word_tables,
     random_state,
     random_word,
     sum_terms,
     term_by_term_action,
+    word_ansatz,
 )
 
 
@@ -121,7 +124,7 @@ def test_evaluate_ansatz_identity_cases():
     e0, _ = evaluate_ansatz(empty, H)
     assert abs(e0 - e_ref) < 1e-14
 
-    zero_angle = empty.with_layer(random_word(rng, n), 0.0)
+    zero_angle = add_layer(empty, random_word(rng, n), 0.0)
     e1, _ = evaluate_ansatz(zero_angle, H)
     assert abs(e1 - e_ref) < 1e-14
 
@@ -132,7 +135,7 @@ def test_evaluate_ansatz_decomposition():
     H = pauli_sum(n, [(rng.normal(), random_word(rng, n)) for _ in range(10)])
     ansatz = Ansatz(n, [0, 1, 0])
     for _ in range(4):
-        ansatz = ansatz.with_layer(random_word(rng, n), float(rng.normal()))
+        ansatz = add_layer(ansatz, random_word(rng, n), float(rng.normal()))
     energy, state = evaluate_ansatz(ansatz, H)
     manual = sum(
         c * np.real(np.vdot(state, apply_pauli_word(state, w))) for c, w in sum_terms(H)
@@ -153,11 +156,33 @@ def finite_difference_gradient(ansatz, H, h=1e-5):
     return out
 
 
+def test_layer_tables_from_masks_are_the_word_path_bit_for_bit():
+    """with_layer(x, z, tau) builds each layer's tables from the masks alone;
+    they are the tables the PauliWord path built, dtype and bits."""
+    rng = np.random.default_rng(48)
+    for n in range(1, 9):
+        words = [PauliWord(n, 0, 0), PauliWord(n, 2**n - 1, 2**n - 1)]
+        words += [random_word(rng, n) for _ in range(6)]
+        ansatz = Ansatz(n, [int(b) for b in rng.integers(0, 2, size=n)])
+        for word in words:
+            ansatz = ansatz.with_layer(word.x_mask, word.z_mask, float(rng.normal()))
+        assert len(ansatz) == len(ansatz.parameters) == len(words)
+        for tables, word in zip(ansatz.layers, words):
+            for got, want in zip(tables, per_word_tables(word), strict=True):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+
+def test_ansatz_refuses_parameters_without_layers():
+    with pytest.raises(SimulatorError, match="layers and parameters length mismatch"):
+        Ansatz(2, [0, 1], [0.3])
+
+
 def test_gradient_single_layer_closed_form():
     # H = Z, reference |0>, layer Y: E(tau) = cos 2tau, dE/dtau = -2 sin 2tau
     H = pauli_sum(1, [(1.0, PauliWord.from_label("Z"))])
     for tau in [0.0, 0.3, -1.1, 2.0]:
-        ansatz = Ansatz(1, [0], [PauliWord.from_label("Y")], [tau])
+        ansatz = word_ansatz(1, [0], [PauliWord.from_label("Y")], [tau])
         g = gradient(ansatz, H)
         assert abs(g[0] - (-2.0 * np.sin(2 * tau))) < 1e-12
 
@@ -171,7 +196,7 @@ def test_gradient_matches_finite_differences():
         ref = [int(b) for b in rng.integers(0, 2, size=n)]
         ansatz = Ansatz(n, ref)
         for _ in range(layers):
-            ansatz = ansatz.with_layer(random_word(rng, n), float(rng.normal()))
+            ansatz = add_layer(ansatz, random_word(rng, n), float(rng.normal()))
         g_adj = gradient(ansatz, H)
         g_fd = finite_difference_gradient(ansatz, H)
         denom = max(1.0, float(np.linalg.norm(g_fd)))
@@ -181,7 +206,7 @@ def test_gradient_matches_finite_differences():
 def test_gradient_zero_at_stationary_point():
     # optimum of E(tau) = cos 2tau is tau = pi/2
     H = pauli_sum(1, [(1.0, PauliWord.from_label("Z"))])
-    ansatz = Ansatz(1, [0], [PauliWord.from_label("Y")], [np.pi / 2])
+    ansatz = word_ansatz(1, [0], [PauliWord.from_label("Y")], [np.pi / 2])
     assert abs(gradient(ansatz, H)[0]) < 1e-12
 
 
@@ -204,7 +229,7 @@ def ansatz_states(rng, n, layers=3):
     while len(ansatz) < layers:
         word = random_word(rng, n)
         if word.y_count % 2:
-            ansatz = ansatz.with_layer(word, float(rng.normal()))
+            ansatz = add_layer(ansatz, word, float(rng.normal()))
     psi = ansatz.prepare()
     return [psi, -psi]
 
@@ -368,12 +393,16 @@ def test_compiled_ansatz_energy_and_gradient_bit_for_bit():
         n = int(rng.integers(1, 8))
         H = random_sum(rng, n, int(rng.integers(1, min(4**n, 60) + 1)), trial % 2 == 0)
         ansatz = Ansatz(n, [int(b) for b in rng.integers(0, 2, size=n)])
+        words = []
         for _ in range(int(rng.integers(1, 12))):
-            ansatz = ansatz.with_layer(random_word(rng, n), float(rng.normal()))
+            words.append(random_word(rng, n))
+            ansatz = add_layer(ansatz, words[-1], float(rng.normal()))
         params = rng.normal(size=len(ansatz))
         action, _ = compile_sum_action(H)
         energy, grads = energy_and_gradient(ansatz, action, params)
-        want_e, want_g = per_word_energy_and_gradient(ansatz, term_by_term_action(H), params)
+        want_e, want_g = per_word_energy_and_gradient(
+            ansatz, words, term_by_term_action(H), params
+        )
         assert np.float64(energy).tobytes() == np.float64(want_e).tobytes()
         assert grads.tobytes() == want_g.tobytes()
 
@@ -398,12 +427,13 @@ def test_stacked_adjoint_sweep_is_the_one_state_loop_bit_for_bit(n):
             if word.y_count % 2 or not odd_y_only:
                 words.append(word)
         ansatz = Ansatz(n, [int(b) for b in rng.integers(0, 2, size=n)])
-        for i in rng.permutation(len(words)):
-            ansatz = ansatz.with_layer(words[i], 0.0)
+        layer_words = [words[i] for i in rng.permutation(len(words))]
+        for word in layer_words:
+            ansatz = add_layer(ansatz, word, 0.0)
         params = rng.normal(size=len(ansatz))
         action, _ = compile_sum_action(H)
         energy, grads = energy_and_gradient(ansatz, action, params)
-        want_e, want_g = per_word_energy_and_gradient(ansatz, action, params)
+        want_e, want_g = per_word_energy_and_gradient(ansatz, layer_words, action, params)
         assert _bits(energy) == _bits(want_e)
         assert np.array_equal(_bits(grads), _bits(want_g))
 
@@ -427,14 +457,15 @@ def test_folded_tables_are_the_per_word_loop_bit_for_bit_at_special_angles(n):
         while len(words) < 6:
             words.append(random_word(rng, n, nontrivial=True))
         ansatz = Ansatz(n, [int(b) for b in rng.integers(0, 2, size=n)])
-        for i in rng.permutation(len(words)):
-            ansatz = ansatz.with_layer(words[i], 0.0)
+        layer_words = [words[i] for i in rng.permutation(len(words))]
+        for word in layer_words:
+            ansatz = add_layer(ansatz, word, 0.0)
         action, _ = compile_sum_action(H)
         params = [np.full(len(ansatz), angle) for angle in SPECIAL_ANGLES]
         params += [rng.choice(SPECIAL_ANGLES, size=len(ansatz)) for _ in range(4)]
         for p in params:
             energy, grads = energy_and_gradient(ansatz, action, p)
-            want_e, want_g = per_word_energy_and_gradient(ansatz, action, p)
+            want_e, want_g = per_word_energy_and_gradient(ansatz, layer_words, action, p)
             assert _bits(energy) == _bits(want_e), (real_valued, p)
             assert np.array_equal(_bits(grads), _bits(want_g)), (real_valued, p)
 
