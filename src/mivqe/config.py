@@ -8,12 +8,16 @@ Every key reaches RunConfig through parse_config, whether it came from a
 config file or a flag, and the range checks run as the RunConfig is built.
 Unset keys take the defaults; exactly one Hamiltonian source (fcidump or
 pauli_sum) must be set. The same text format is echoed into the run manifest
-so a run can be reproduced from its artifacts alone.
+so a run can be reproduced from its artifacts alone: a comment starts at a
+'#' that begins a line or follows whitespace, so a '#' inside a path stays,
+and a value that would not read back unchanged (a '#' after whitespace, a
+line break, or space at either end) is refused as the RunConfig is built.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields
 
 from .adaptive import AdaptiveConfig, AdaptiveError
@@ -74,6 +78,13 @@ class RunConfig:
             raise ConfigError("spin_penalty must be finite")
         if self.baseline not in ("reduced", "unreduced"):
             raise ConfigError(f"unknown baseline {self.baseline!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, str) and not _reads_back(f.name, value):
+                raise ConfigError(
+                    f"{f.name} {value!r} does not read back from config text "
+                    "(a '#' after whitespace, a line break, or space at either end)"
+                )
         parse_reference(self.reference)
         try:
             self.adaptive_config()
@@ -131,19 +142,36 @@ def parse_reference(text: str):
 _BOOL = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
 
 
-def parse_config(text: str, **overrides) -> RunConfig:
-    values: dict = {}
+# a comment runs from a '#' that begins the line or follows whitespace
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
+def _settings(text: str):
+    """(key, value) of each 'key = value' line of config text, in order."""
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
         key, sep, val = line.partition("=")
         if not sep:
             raise ConfigError(f"expected 'key = value', got {line!r}")
-        key = key.strip()
+        yield key.strip(), val.strip()
+
+
+def _reads_back(key: str, value: str) -> bool:
+    """Whether the line to_text writes for key parses back to value."""
+    try:
+        return list(_settings(f"{key} = {value}")) == [(key, value)]
+    except ConfigError:
+        return False
+
+
+def parse_config(text: str, **overrides) -> RunConfig:
+    values: dict = {}
+    for key, val in _settings(text):
         if key in values:
             raise ConfigError(f"duplicate config key {key!r}")
-        values[key] = val.strip()
+        values[key] = val
     values.update({k: v for k, v in overrides.items() if v is not None})
 
     typed: dict = {}

@@ -10,9 +10,9 @@ MPS site tensors have shape (left_bond, 2, right_bond); MPO site tensors
 (left_bond, right_bond, 2, 2) with (out, in) physical legs. Environments are
 indexed (bra bond, MPO bond, ket bond).
 
-``build_mpo`` reads each term's site matrices from its (x, z) masks and
-direct-sums every batch of MPO_BATCH terms onto the running MPO in one step,
-one block matrix per site, before each compression. DMRG takes only an MPO:
+``build_mpo`` reads H's Pauli coefficients as a sparse tensor over the
+sites and factors it in one left-to-right sweep of truncated SVDs, one per
+bond (tensor-train SVD). DMRG takes only an MPO:
 ``mps_ground_state(build_mpo(H), chi, sweeps, seed, bits)``.
 
 Every network is contracted as a fixed sequence of pairwise ``tensordot``
@@ -73,50 +73,17 @@ class MPO:
 MPO_COMPRESSION_TOL = 1e-12
 
 
-def _compress_tensors(tensors: list[np.ndarray]) -> list[np.ndarray]:
-    """Two-pass SVD compression of an MPO chain.
-
-    First a right-to-left orthogonalization, then a left-to-right sweep
-    keeping the singular values above MPO_COMPRESSION_TOL * s_max, and
-    always the largest, so that no bond closes.
-    """
-    n = len(tensors)
-    ts = [t.copy() for t in tensors]
-    # right-to-left: LQ-like orthogonalization via SVD without truncation
-    for i in range(n - 1, 0, -1):
-        dl, dr = ts[i].shape[0], ts[i].shape[1]
-        mat = ts[i].transpose(0, 2, 3, 1).reshape(dl, 4 * dr)
-        u, s, vt = np.linalg.svd(mat, full_matrices=False)
-        keep = s > 1e-15 * s[0]
-        u, s, vt = u[:, keep], s[keep], vt[keep]
-        ts[i] = vt.reshape(len(s), 2, 2, dr).transpose(0, 3, 1, 2)
-        carry = u * s
-        ts[i - 1] = np.einsum("abij,bc->acij", ts[i - 1], carry)
-    # left-to-right: truncating sweep
-    for i in range(n - 1):
-        dl, dr = ts[i].shape[0], ts[i].shape[1]
-        mat = ts[i].transpose(0, 2, 3, 1).reshape(4 * dl, dr)
-        u, s, vt = np.linalg.svd(mat, full_matrices=False)
-        keep = s > MPO_COMPRESSION_TOL * s[0]
-        keep[0] = True
-        u, s, vt = u[:, keep], s[keep], vt[keep]
-        ts[i] = u.reshape(dl, 2, 2, len(s)).transpose(0, 3, 1, 2)
-        carry = (s[:, None] * vt)
-        ts[i + 1] = np.einsum("ab,bcij->acij", carry, ts[i + 1])
-    return ts
-
-
-# terms summed into one MPO between compressions
-MPO_BATCH = 48
-
-
 def build_mpo(H: PauliSum) -> MPO:
-    """Sum of rank-1 term MPOs, compressed every MPO_BATCH terms.
+    """H's MPO by one left-to-right SVD sweep over its Pauli coefficients.
 
-    Each batch is direct-summed onto the running MPO in one step: per site,
-    one zero block matrix holding the running MPO's block and then one 1x1
-    block per term, in term order. Site 0 carries each term's coefficient
-    times i^y.
+    H is the tensor C[p_0, ..., p_{n-1}], p = x + 2z indexing _SITE, whose
+    entries are the coefficients times i^y. At site q the carried factor has
+    one column per distinct suffix of the terms (sites q..n-1); each suffix
+    is placed at row (left bond, its letter p) and the column of its tail
+    (sites q+1..n-1), so no entry is a sum. One SVD per bond keeps the
+    singular values above MPO_COMPRESSION_TOL * s_max, and always the
+    largest, so that no bond closes; site q's tensor is U contracted with
+    _SITE over p.
     """
     if len(H) == 0:
         raise MpsError("cannot build an MPO from an empty sum")
@@ -125,25 +92,33 @@ def build_mpo(H: PauliSum) -> MPO:
         raise MpsError("MPO backend needs at least 2 sites")
     if (H.y % 2).any():
         raise MpsError("MPO construction requires even-Y (real) terms")
-    scale = H.coeffs * np.where(H.y % 4 == 0, 1.0, -1.0)
-    shifts = np.arange(n, dtype=np.uint64)
-    x = (H.x[:, None] >> shifts) & 1
-    z = (H.z[:, None] >> shifts) & 1
-    site = (x + 2 * z).astype(np.intp)  # (term, qubit) -> _SITE index
-    # the empty MPO: site 0 has one left bond, site n-1 one right bond
-    tensors = [np.zeros((int(q == 0), int(q == n - 1), 2, 2)) for q in range(n)]
-    for start in range(0, len(H), MPO_BATCH):
-        mats = _SITE[site[start : start + MPO_BATCH]]  # (term, qubit, out, in)
-        mats[:, 0] *= scale[start : start + MPO_BATCH, None, None]
-        m = len(mats)
-        k = np.arange(m)
-        for q, old in enumerate(tensors):
-            dl, dr = old.shape[:2]
-            W = np.zeros((1 if q == 0 else dl + m, 1 if q == n - 1 else dr + m, 2, 2))
-            W[:dl, :dr] = old
-            W[0 if q == 0 else dl + k, 0 if q == n - 1 else dr + k] = mats[:, q]
-            tensors[q] = W
-        tensors = _compress_tensors(tensors)
+    # numpy shifts a uint64 by 64 to 0, so the tail past site n-1 is empty
+    shifts = np.arange(n + 1, dtype=np.uint64)
+    # (term, site) -> _SITE index
+    letter = (((H.x[:, None] >> shifts[:n]) & 1) + 2 * ((H.z[:, None] >> shifts[:n]) & 1))
+    letter = letter.astype(np.intp)
+    # a term of each distinct suffix: at site 0 every term, as the masks are
+    # distinct
+    first = np.arange(len(H))
+    carry = (H.coeffs * np.where(H.y % 4 == 0, 1.0, -1.0))[None, :]
+    tensors = []
+    for q in range(n):
+        tails = np.stack([H.x >> shifts[q + 1], H.z >> shifts[q + 1]], axis=1)
+        # the tails are site q+1's suffixes; some numpy 2.0 releases shape
+        # the inverse (terms, 1), so it is ravelled
+        _, next_first, tail = np.unique(tails, axis=0, return_index=True, return_inverse=True)
+        tail = tail.ravel()
+        dl = len(carry)
+        U = np.zeros((dl, 4, tail.max() + 1))
+        U[:, letter[first, q], tail[first]] = carry
+        if q < n - 1:
+            u, s, vt = np.linalg.svd(U.reshape(4 * dl, -1), full_matrices=False)
+            keep = s > MPO_COMPRESSION_TOL * s[0]
+            keep[0] = True
+            U = u[:, keep].reshape(dl, 4, -1)
+            carry = s[keep, None] * vt[keep]
+        tensors.append(np.einsum("apb,pij->abij", U, _SITE))
+        first = next_first
     return MPO(tensors)
 
 

@@ -517,39 +517,42 @@ def mi_report(cfg: RunConfig, settings: list[MpsBackend]) -> dict:
     exact_column, exact_strengths = _mi_column(problem, problem.mi, supports)
     columns = {"exact": {"energy_gap": 0.0, **exact_column}}
     mi_csvs = {}
-    # one MPO serves every setting; called through the module so that a
-    # wrapper installed on mivqe.mps.build_mpo sees the call
-    mpo = mps.build_mpo(problem.hamiltonian) if settings else None
-    for setting in settings:
-        e_mps, mi_chi = _mps_mi(mpo, setting, cfg.seed, problem.reference_bits)
-        column, _ = _mi_column(problem, mi_chi, supports, exact_strengths)
-        gap = None if problem.reference_energy is None else _fmt(e_mps - problem.reference_energy)
-        columns[setting.tag()] = {"energy_gap": gap, **column}
-        mi_csvs[setting.tag()] = mi_chi.to_csv()
+    # a LAPACK or write error ends the verb as a stage error, not a traceback
+    with _stage("mi-report"):
+        if cfg.output is not None:
+            # mi_report.json, written last, marks a complete set (as manifest.json)
+            (Path(cfg.output) / "mi_report.json").unlink(missing_ok=True)
+        # one MPO serves every setting; called through the module so that a
+        # wrapper installed on mivqe.mps.build_mpo sees the call
+        mpo = mps.build_mpo(problem.hamiltonian) if settings else None
+        for setting in settings:
+            e_mps, mi_chi = _mps_mi(mpo, setting, cfg.seed, problem.reference_bits)
+            column, _ = _mi_column(problem, mi_chi, supports, exact_strengths)
+            gap = None if problem.reference_energy is None else _fmt(e_mps - problem.reference_energy)
+            columns[setting.tag()] = {"energy_gap": gap, **column}
+            mi_csvs[setting.tag()] = mi_chi.to_csv()
 
-    out = {
-        "n_ent": len(supports),
-        "entanglers": report.words,
-        "columns": columns,
-    }
-    if cfg.output is not None:
-        out_dir = Path(cfg.output)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        # mi_report.json, written last, marks a complete set (as manifest.json)
-        (out_dir / "mi_report.json").unlink(missing_ok=True)
-        # column names such as mps:chi=2,sweeps=2 hold commas, so csv quotes them
-        table = io.StringIO()
-        writer = csv.writer(table, lineterminator="\n")
-        writer.writerow(["index", "word", *columns])
-        for i, word in enumerate(out["entanglers"]):
-            writer.writerow(
-                [i + 1, word, *(f"{col['percentiles'][i]:.12g}" for col in columns.values())]
-            )
-        write_text_atomic(out_dir / "mi_compare.csv", table.getvalue())
-        for tag, text in mi_csvs.items():
-            safe = tag.replace(":", "_").replace(",", "_").replace("=", "")
-            write_text_atomic(out_dir / f"mi_{safe}.csv", text)
-        _write_json(out_dir / "mi_report.json", out)
+        out = {
+            "n_ent": len(supports),
+            "entanglers": report.words,
+            "columns": columns,
+        }
+        if cfg.output is not None:
+            out_dir = Path(cfg.output)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            # column names such as mps:chi=2,sweeps=2 hold commas, so csv quotes them
+            table = io.StringIO()
+            writer = csv.writer(table, lineterminator="\n")
+            writer.writerow(["index", "word", *columns])
+            for i, word in enumerate(out["entanglers"]):
+                writer.writerow(
+                    [i + 1, word, *(f"{col['percentiles'][i]:.12g}" for col in columns.values())]
+                )
+            write_text_atomic(out_dir / "mi_compare.csv", table.getvalue())
+            for tag, text in mi_csvs.items():
+                safe = tag.replace(":", "_").replace(",", "_").replace("=", "")
+                write_text_atomic(out_dir / f"mi_{safe}.csv", text)
+            _write_json(out_dir / "mi_report.json", out)
     return out
 
 

@@ -11,15 +11,18 @@ or reduced against the HF reference, as `run` reduces it by default. Every
 site tensor in order feeds the hash repr(shape), then its float64 bytes in C
 order.
 
-The compression's SVDs run in LAPACK, whose BLAS calls give other bits on
-another thread count, so BLAS is pinned to one thread here, as in the
-benchmark harness, before numpy loads.
+build_mpo factors H's Pauli coefficients in one sweep of SVDs, one per bond.
+They run in LAPACK, whose BLAS calls give other bits on another thread
+count, so as a script this pins BLAS to one thread, as the benchmark harness
+does, before numpy loads. Imported, it leaves the thread count alone and
+lends fixture_hamiltonian to the tests.
 """
 
 import os
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+if __name__ == "__main__":
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 import hashlib  # noqa: E402
 import sys  # noqa: E402
@@ -34,7 +37,8 @@ from mivqe.fermion import build_hamiltonian, hf_occupations, s_squared_operator 
 from mivqe.mps import build_mpo  # noqa: E402
 
 
-def fixture_mpo_digest(stem, mapping, grouping, penalty, register) -> str:
+def fixture_hamiltonian(stem, mapping, grouping, penalty, register):
+    """The H of one settings row."""
     ints = load_fcidump(ROOT / "fixtures" / f"{stem}.fcidump")
     op = build_hamiltonian(ints, grouping)
     if penalty != "none":
@@ -43,8 +47,12 @@ def fixture_mpo_digest(stem, mapping, grouping, penalty, register) -> str:
     if register == "reduced":
         occ = hf_occupations(ints.n_orbitals, ints.n_electrons, ints.ms2, grouping)
         H, _, _ = reduce_stationary_qubits(H, hf_reference(mapping, occ))
+    return H
+
+
+def fixture_mpo_digest(*setting) -> str:
     sha = hashlib.sha256()
-    for t in build_mpo(H).tensors:
+    for t in build_mpo(fixture_hamiltonian(*setting)).tensors:
         sha.update(repr(t.shape).encode())
         sha.update(t.tobytes())
     return sha.hexdigest()

@@ -1,4 +1,4 @@
-"""MPO construction/compression and two-site DMRG."""
+"""MPO construction and two-site DMRG."""
 
 import subprocess
 import sys
@@ -20,9 +20,11 @@ from mivqe.mps import (
     mpo_expectation,
     mps_ground_state,
 )
+from mivqe.pauli import PauliSum
 from mivqe.reference import exact_ground_state, mutual_information
 from mivqe.simulator import rdm
 
+from mpo_digests import fixture_hamiltonian
 from helpers import (
     PauliWord,
     dense_sum,
@@ -105,6 +107,59 @@ def test_mpo_compression_reduces_bond():
     mpo = build_mpo(H)
     assert max(mpo.bond_dimensions()) <= 4
     assert np.allclose(mpo_to_dense(mpo), dense_sum(H).real, atol=1e-8)
+
+
+def shared_affix_sum(rng, n):
+    """Random even-Y sum whose words mostly join one of a few prefixes (the
+    low sites) to one of a few suffixes, as a molecule's terms do."""
+    cut = int(rng.integers(1, n))
+    low, high = (1 << cut) - 1, ((1 << n) - 1) ^ ((1 << cut) - 1)
+    heads = rng.integers(0, 1 << n, size=(3, 2)) & low
+    tails = rng.integers(0, 1 << n, size=(3, 2)) & high
+    x, z = [], []
+    for _ in range(int(rng.integers(1, 40))):
+        if rng.random() < 0.8:
+            (hx, hz), (tx, tz) = heads[rng.integers(3)], tails[rng.integers(3)]
+            wx, wz = int(hx | tx), int(hz | tz)
+        else:
+            wx, wz = (int(m) for m in rng.integers(0, 1 << n, size=2))
+        if (wx & wz).bit_count() % 2 == 0:
+            x.append(wx)
+            z.append(wz)
+    return PauliSum(n, rng.normal(size=len(x)), np.array(x, np.uint64), np.array(z, np.uint64))
+
+
+def test_mpo_sweep_is_the_sum_with_bonds_bounded_by_its_affixes():
+    """On random even-Y sums with shared prefixes and suffixes, the MPO is H
+    to rounding, and each bond is at most the number of distinct prefixes and
+    of distinct suffixes of the terms at that cut (the rank bound of the
+    coefficient matrix the sweep factors there)."""
+    rng = np.random.default_rng(2026)
+    checked = 0
+    for _ in range(60):
+        n = int(rng.integers(2, 9))
+        H = shared_affix_sum(rng, n)
+        if len(H) == 0:
+            continue
+        checked += 1
+        mpo = build_mpo(H)
+        scale = 1 + np.abs(H.coeffs).sum()
+        assert np.abs(mpo_to_dense(mpo) - dense_sum(H).real).max() <= 1e-12 * scale
+        for q, bond in enumerate(mpo.bond_dimensions()):
+            low = np.uint64((1 << (q + 1)) - 1)
+            prefixes = {(int(a), int(b)) for a, b in zip(H.x & low, H.z & low)}
+            suffixes = {(int(a) >> (q + 1), int(b) >> (q + 1)) for a, b in zip(H.x, H.z)}
+            assert bond <= min(len(prefixes), len(suffixes))
+    assert checked > 50
+
+
+@pytest.mark.parametrize("setting, bonds", [
+    (("h2o_1.80", "parity", "aabb", "0.5", "reduced"), [4, 16, 27, 27, 27, 16, 4]),
+    (("h2o_1.80", "jordan_wigner", "abab", "none", "reduced"), [4, 16, 33, 50, 61, 50, 35, 16, 4]),
+], ids=["mi_ladder", "h2o10_scoring"])
+def test_benchmark_h2o_mpo_bonds(setting, bonds):
+    """The MPO bonds of the two h2o Hamiltonians the benchmark workloads run."""
+    assert build_mpo(fixture_hamiltonian(*setting)).bond_dimensions() == bonds
 
 
 def test_mpo_rejects_odd_y():
@@ -334,9 +389,10 @@ def test_dmrg_early_stop_is_relative_to_the_energy():
 
 
 def test_mpo_matches_recorded_digests():
-    """build_mpo keeps every bit of every tensor, its shape and its bytes, on
-    every lih_1.60 row and the benchmark's two h2o_1.80 rows (the script pins
-    BLAS to one thread, so it runs in its own process)."""
+    """The recorded digests pin build_mpo's construction: every bit of every
+    tensor, its shape and its bytes, on every lih_1.60 row and the
+    benchmark's two h2o_1.80 rows (the script pins BLAS to one thread, so it
+    runs in its own process). A change to the construction re-records them."""
     rows = [line for line in MPO_DIGESTS.read_text().splitlines()
             if line and not line.startswith("#")]
     checked = [row for row in rows if row.split()[1] == "lih_1.60"

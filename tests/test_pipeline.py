@@ -669,6 +669,26 @@ def test_mi_report_builds_one_mpo_for_all_settings(monkeypatch):
     assert set(out["columns"]) == {"exact"} | {s.tag() for s in settings}
 
 
+def test_cli_mi_report_mps_failure_is_a_stage_error(tmp_path, monkeypatch, capsys):
+    """A LAPACK error in the MPS ladder (the old MPO build's SVD raised one at
+    14 qubits) exits 3 as the mi-report stage, not as a traceback, and
+    leaves no mi_report.json, not even a stale one."""
+    import mivqe.mps
+
+    def fail(H):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(mivqe.mps, "build_mpo", fail)
+    out = tmp_path / "mi"
+    out.mkdir()
+    (out / "mi_report.json").write_text("{}")
+    code = main(["mi-report", "--fcidump", LIH, "--max-steps", "1", "--mps", "chi=2,sweeps=1",
+                 "--output", str(out)])
+    assert code == 3
+    assert "stage 'mi-report' failed: SVD did not converge" in capsys.readouterr().err
+    assert not (out / "mi_report.json").exists()
+
+
 def test_mps_reference_run_builds_one_mpo(monkeypatch):
     """The MPS reference builds its MPO through the module attribute, so a
     wrapper on mivqe.mps.build_mpo (the benchmark tracer's) sees the build."""
@@ -695,6 +715,44 @@ def test_config_file_parsing(tmp_path):
     assert cfg.reduce_stationary is False
     cfg2 = parse_config(text, seed=99)
     assert cfg2.seed == 99
+
+
+@pytest.mark.parametrize("paths", [
+    dict(fcidump="dir#1/f.fcidump"),
+    dict(fcidump="f.fcidump", reference="mi:/d/a#b/mi.csv"),
+    dict(fcidump="f.fcidump", output="runs/#3", pauli_sum=None),
+    dict(pauli_sum="a#b#c.txt", output="o#"),
+], ids=["fcidump", "mi", "output", "pauli_sum"])
+def test_config_text_reads_back_every_path(paths):
+    """A '#' inside a path is no comment: a manifest's echoed config rebuilds
+    the run (the reference read back as 'mi:/d/a', the fcidump as 'dir')."""
+    cfg = RunConfig(**paths)
+    assert parse_config(cfg.to_text()) == cfg
+
+
+def test_config_comments_still_follow_a_space_or_start_a_line():
+    cfg = parse_config(f"# header\nfcidump = {LIH}  # the LiH fixture\n  # indented\np_cut = 0.5 #x\n")
+    assert (cfg.fcidump, cfg.p_cut) == (LIH, 0.5)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("fcidump", "dir #1/f.fcidump"), ("fcidump", "dir\t#1"), ("pauli_sum", " f.txt"),
+    ("output", "out "), ("fcidump", "a\nb"), ("output", "a\rb"),
+    ("reference", "mi:/d/a #b/mi.csv"), ("reference", "mi:/d/mi.csv "),
+])
+def test_config_refuses_a_value_that_cannot_read_back(key, value):
+    settings = {"fcidump": LIH, key: value}
+    if key == "pauli_sum":
+        settings["fcidump"] = None
+    with pytest.raises(ConfigError, match="does not read back"):
+        RunConfig(**settings)
+
+
+def test_cli_refuses_a_path_that_cannot_read_back(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", "--fcidump", f"{LIH} #1", "--output", str(out)]) == 3
+    assert "does not read back" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_config_adaptive_defaults_are_adaptive_configs():
