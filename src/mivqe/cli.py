@@ -165,22 +165,21 @@ def _cmd_pool(args) -> int:
         raise ConfigError(
             f"--n-qubits {args.n_qubits} exceeds the {SCORER_MAX_QUBITS}-qubit pool limit"
         )
-    # every input is checked before the pool is built
+    # every input, the cut included, is checked before any pool is built
+    keep, provenance = None, "original"
     if args.mi:
         table = support_strengths(args.n_qubits, MIMatrix.from_csv(Path(args.mi).read_text()))
+        if args.p_cut is not None:
+            keep, provenance = screen_pool(table, args.p_cut)
     else:
         for flag, value in (("--p-cut", args.p_cut), ("--report", args.report)):
             if value is not None:
                 raise ConfigError(f"{flag} requires --mi")
-    full_pool = pool = generate_pool(args.n_qubits)
-    if args.mi:
-        if args.p_cut is not None:
-            pool = screen_pool(full_pool, table, args.p_cut)
-        if args.report:
-            write_text_atomic(
-                Path(args.report), screening_report_csv(full_pool, table, args.p_cut)
-            )
-            print(f"wrote {args.report}")
+    if args.report:
+        report = screening_report_csv(generate_pool(args.n_qubits), table, args.p_cut)
+        write_text_atomic(Path(args.report), report)
+        print(f"wrote {args.report}")
+    pool = generate_pool(args.n_qubits, keep, provenance)
     if args.out:
         write_text_atomic(Path(args.out), pool.to_text())
         print(f"wrote {args.out} ({len(pool)} words)")

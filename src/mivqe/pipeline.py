@@ -1,5 +1,5 @@
-"""End-to-end orchestration: parse -> build -> encode -> reduce -> pool ->
-reference/MI -> screen -> adaptive run -> artifacts on disk.
+"""End-to-end orchestration: parse -> build -> encode -> reduce -> pool size
+checks -> reference/MI -> screen -> screened pool -> adaptive run -> artifacts.
 
 Artifacts per run: report.json (full), steps.csv, mi.csv, pool file when
 screening, and manifest.json with the config echo, input checksums and tool
@@ -203,10 +203,6 @@ def prepare_problem(cfg: RunConfig) -> Problem:
         )
     else:
         check_sector = bool(removed)
-    with _stage("pool"):
-        pool = generate_pool(H.n_qubits)
-        if removed:
-            pool = EntanglerPool(pool.n_qubits, pool.x, pool.z, "stationary_reduced")
 
     reference = parse_reference(cfg.reference)
     reference_energy = None
@@ -259,7 +255,11 @@ def prepare_problem(cfg: RunConfig) -> Problem:
         table, baseline = _support_tables(mi, H.n_qubits, n_encoded, baseline_index_map)
         percentile_table = percentile_of_strengths(table, baseline)
         if cfg.p_cut is not None:
-            pool = screen_pool(pool, table, cfg.p_cut)
+            keep, provenance = screen_pool(table, cfg.p_cut)
+        else:
+            keep, provenance = None, "stationary_reduced" if removed else "original"
+    with _stage("pool"):
+        pool = generate_pool(H.n_qubits, keep, provenance)
 
     return Problem(
         config=cfg,
@@ -392,9 +392,10 @@ def run_pipeline(cfg: RunConfig) -> tuple[RunReport, Problem]:
             out = Path(cfg.output)
             out.mkdir(parents=True, exist_ok=True)
             # the manifest marks a complete artifact set: a previous run's
-            # goes first and this run's is written last, so an interrupted
-            # rerun cannot look complete
-            (out / "manifest.json").unlink(missing_ok=True)
+            # goes first (with its pool) and this run's is written last, so
+            # an interrupted rerun cannot look complete
+            for stale in ("manifest.json", "pool_screened.txt"):
+                (out / stale).unlink(missing_ok=True)
             _write_json(out / "report.json", report_to_dict(problem, report, ansatz))
             write_text_atomic(out / "steps.csv", steps_csv(report))
             write_text_atomic(out / "mi.csv", problem.mi.to_csv())
@@ -520,8 +521,11 @@ def mi_report(cfg: RunConfig, settings: list[MpsBackend]) -> dict:
     # a LAPACK or write error ends the verb as a stage error, not a traceback
     with _stage("mi-report"):
         if cfg.output is not None:
-            # mi_report.json, written last, marks a complete set (as manifest.json)
+            # mi_report.json, written last, marks a complete set (as
+            # manifest.json); it goes first, with an earlier ladder's MI files
             (Path(cfg.output) / "mi_report.json").unlink(missing_ok=True)
+            for stale in Path(cfg.output).glob("mi_mps_*.csv"):
+                stale.unlink()
         # one MPO serves every setting; called through the module so that a
         # wrapper installed on mivqe.mps.build_mpo sees the call
         mpo = mps.build_mpo(problem.hamiltonian) if settings else None

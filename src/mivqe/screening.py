@@ -13,7 +13,8 @@ each support of L qubits. percentile_of_strengths maps a support table of
 strengths to a support table of percentiles, and that table is the only
 form a percentile takes outside this module: a word reads its entry by its
 support mask x | z. A run gathers a table only for the words it needs (the
-acceptable ones of a step), so it holds no float per pool word.
+acceptable ones of a step), so it holds no float per pool word. Screening
+turns a table into a keep table of supports, and only the kept words are built.
 """
 
 from __future__ import annotations
@@ -92,28 +93,33 @@ class EntanglerPool:
             yield "\n".join(factors.tolist()) + "\n"
 
 
-def generate_pool(n_qubits: int) -> EntanglerPool:
-    """All odd-Y Pauli words on n qubits in canonical order, as uint16 masks.
+def generate_pool(n_qubits: int, keep=None, provenance: str = "original") -> EntanglerPool:
+    """The odd-Y Pauli words on n qubits on the supports keep holds, in canonical order.
 
-    The Y count of (x, z) is |x & z|. Each z > 0 takes half of the 2^n x
-    masks, and z = 0 none, so the pool is 2^n - 1 rows of 2^(n-1) words;
-    the rows are found POOL_BLOCK (z, x) pairs at a time from a 2^n parity
-    table.
+    keep is screen_pool's 2^n boolean support table; None keeps all, the
+    whole pool. The Y count of (x, z) is |x & z|, so row z > 0 holds the x
+    with odd[z & x] and keep[z | x], found POOL_BLOCK (z, x) pairs at a time
+    into masks of the exact size sum keep * (3^L - 1) / 2.
     """
     _check_pool_register(n_qubits)
     size = 1 << n_qubits
-    half = size // 2
     k = np.arange(size, dtype=POOL_MASK_DTYPE)
     odd = (np.bitwise_count(k) & 1).astype(bool)
-    z = np.repeat(k[1:], half)
-    x = np.empty_like(z)
-    rows = x.reshape(size - 1, half)
+    counts = odd_y_multiplicities(n_qubits)
+    x = np.empty(counts.sum() if keep is None else counts[keep].sum(), dtype=POOL_MASK_DTYPE)
+    z = np.empty_like(x)
     step = max(1, POOL_BLOCK // size)
+    filled = 0
     for start in range(1, size, step):
         zs = k[start : start + step]
-        cols = np.nonzero(odd[zs[:, None] & k])[1]
-        rows[start - 1 : start - 1 + len(zs)] = cols.reshape(len(zs), half)
-    return EntanglerPool(n_qubits, x, z, "original")
+        kept = odd[zs[:, None] & k]
+        if keep is not None:
+            kept &= keep[zs[:, None] | k]
+        end = filled + np.count_nonzero(kept)
+        x[filled:end] = np.broadcast_to(k, kept.shape)[kept]
+        z[filled:end] = np.repeat(zs, np.count_nonzero(kept, axis=1))
+        filled = end
+    return EntanglerPool(n_qubits, x, z, provenance)
 
 
 def odd_y_multiplicities(n_qubits: int) -> np.ndarray:
@@ -153,11 +159,6 @@ def support_strengths(n_qubits: int, mi) -> np.ndarray:
     return 2.0 * total / np.maximum(weights * (weights - 1), 1)
 
 
-def _check_table(pool: EntanglerPool, table: np.ndarray) -> None:
-    if len(table) != 1 << pool.n_qubits:
-        raise ScreeningError(f"a {pool.n_qubits}-qubit pool needs a 2^{pool.n_qubits}-entry table")
-
-
 def pool_strengths(pool: EntanglerPool, table: np.ndarray) -> np.ndarray:
     """Each word's entry in a 2^n support table, read by its support mask.
 
@@ -166,7 +167,8 @@ def pool_strengths(pool: EntanglerPool, table: np.ndarray) -> np.ndarray:
     one entry per pool word, so a run never calls this: it gathers a table
     for the words it needs (see adaptive.select_entangler).
     """
-    _check_table(pool, table)
+    if len(table) != 1 << pool.n_qubits:
+        raise ScreeningError(f"a {pool.n_qubits}-qubit pool needs a 2^{pool.n_qubits}-entry table")
     return table[pool.x | pool.z]
 
 
@@ -221,29 +223,24 @@ def pool_spearman(table_a: np.ndarray, table_b: np.ndarray, n_qubits: int) -> fl
     )
 
 
-def screen_pool(pool: EntanglerPool, table: np.ndarray, p_cut: float) -> EntanglerPool:
-    """Keep the words whose percentile within the register's pool is <= p_cut.
+def screen_pool(table: np.ndarray, p_cut: float) -> tuple[np.ndarray, str]:
+    """generate_pool's keep table and provenance for the words whose percentile <= p_cut.
 
-    table is the register's support table (as for pool_strengths), so the
-    percentile counts the register's whole odd-Y pool: pool itself when it
-    comes from generate_pool. Boundary ties are all kept. Returns the
-    screened pool, in pool order.
+    table is the register's support table of strengths, so the percentile
+    counts the register's whole odd-Y pool. Boundary ties are all kept. A
+    cut that keeps no word is refused before any pool is built.
     """
     if not (0.0 < p_cut <= 1.0):
         raise ScreeningError("p_cut must lie in (0, 1]")
-    _check_table(pool, table)
     pct = percentile_of_strengths(table, table)
-    # one boolean per support, then one per word
-    kept = (pct <= p_cut)[pool.x | pool.z]
-    if not kept.any():
-        # the only support without a word, 0, has percentile 1
+    keep = pct <= p_cut
+    # every support but 0 holds a word
+    if not keep[1:].any():
         raise ScreeningError(
             f"screening at p_cut={p_cut} leaves an empty pool "
             f"(minimum achievable percentile is {pct.min():.3g})"
         )
-    return EntanglerPool(
-        pool.n_qubits, pool.x[kept], pool.z[kept], f"screened(p_cut={p_cut:.12g})"
-    )
+    return keep, f"screened(p_cut={p_cut:.12g})"
 
 
 def screening_report_csv(

@@ -14,9 +14,10 @@ The rest are reference paths and conveniences the package itself no longer
 calls: the expectation of a PauliSum, a pool scorer with H compiled for it,
 the single-word Pauli action and exponential, the three-evaluation
 sinusoid fit of one entangler, the pool scorer's exact term sum over the
-whole pool, the pool scorer on a 2^n x 2^n gather index k ^ x and the odd-Y
-pool filtered out of all 4^n mask pairs (the forms the scorer and
-generate_pool had before, which they must match bit for bit), the per-mask and per-word correlation strength and percentile
+whole pool, the pool scorer on a 2^n x 2^n gather index k ^ x, the odd-Y
+pool filtered out of all 4^n mask pairs and the screened pool filtered out
+of the whole pool (the forms the scorer, generate_pool and screening had
+before, which they must match bit for bit), the per-mask and per-word correlation strength and percentile
 count, a word's position in a pool, the pool text parser, the FCIDUMP
 writer, the largest MPS bond, the Pauli commutation test, identity check and
 canonical sort key, P H P, the number operator, the dense MPO and MPS, and
@@ -58,7 +59,14 @@ from mivqe.pauli import (
     parse_pauli_factors,
 )
 from mivqe.reference import entropy
-from mivqe.screening import POOL_MAX_QUBITS, EntanglerPool, ScreeningError, _mi_entries
+from mivqe.screening import (
+    POOL_MAX_QUBITS,
+    EntanglerPool,
+    ScreeningError,
+    _mi_entries,
+    generate_pool,
+    percentile_of_strengths,
+)
 from mivqe.simulator import (
     Ansatz,
     SimulatorError,
@@ -665,6 +673,17 @@ def tiled_pool_masks(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     x = np.tile(np.arange(size, dtype=np.uint64), size)
     odd = (np.bitwise_count(x & z) & np.uint64(1)).astype(bool)
     return x[odd], z[odd]
+
+
+def screen_after_build(n_qubits: int, table: np.ndarray, p_cut: float) -> EntanglerPool:
+    """The screened pool built then filtered: the whole pool, one kept flag
+    per word gathered from the percentile table, and the kept words copied
+    out. generate_pool(n, *screen_pool(table, p_cut)) must match it bit for bit."""
+    pool = generate_pool(n_qubits)
+    kept = (percentile_of_strengths(table, table) <= p_cut)[pool.x | pool.z]
+    if not kept.any():
+        raise ScreeningError(f"screening at p_cut={p_cut} leaves an empty pool")
+    return EntanglerPool(n_qubits, pool.x[kept], pool.z[kept], f"screened(p_cut={p_cut:.12g})")
 
 
 def support_strength(entries: np.ndarray, support: list[int]) -> float:

@@ -371,7 +371,7 @@ def test_screening_equivalence_small_molecule():
     )
     assert full_report.converged
     p_cut = full_report.p_max + 1e-9
-    screened = screen_pool(pool, table, p_cut)
+    screened = generate_pool(pool.n_qubits, *screen_pool(table, p_cut))
     scr_report, _ = run_adaptive(
         H, screened, table, pct, bits, cfg, reference_energy=e_ref
     )

@@ -179,11 +179,12 @@ def test_unreduced_baseline_equals_brute_force_pool():
 
 
 # Traced bytes of prepare_problem on 10-qubit water (perfbench's h2o10_scoring
-# call): the peak, set by the Lanczos reference solve while the two uint16
-# pool masks (1 MiB each) are held, measures ~8.8 MiB, and what the Problem
-# keeps ~2.4 MiB. With uint64 masks and a float64 strength per word they
-# measured ~16.4 and ~12.4 MiB.
-PREPARE_TRACED_PEAK = 12 * 2**20
+# call): the peak, set by the Lanczos reference solve, measures ~6.7 MiB, and
+# what the Problem keeps ~2.3 MiB. The pool is built after the solve; while
+# its two uint16 masks (1 MiB each) were held through it the peak was ~8.7
+# MiB, and with uint64 masks and a float64 strength per word ~16.4 MiB (kept
+# ~12.4 MiB).
+PREPARE_TRACED_PEAK = 8 * 2**20
 PREPARE_TRACED_KEPT = 3 * 2**20
 
 
@@ -230,9 +231,9 @@ def test_unreduced_baseline_builds_no_encoded_register_pool(monkeypatch):
     calls = []
     generate_pool = mivqe.pipeline.generate_pool
 
-    def spy(n_qubits):
+    def spy(n_qubits, *args):
         calls.append(n_qubits)
-        return generate_pool(n_qubits)
+        return generate_pool(n_qubits, *args)
 
     monkeypatch.setattr(mivqe.pipeline, "generate_pool", spy)
     problem = mivqe.pipeline.prepare_problem(lih_config(baseline="unreduced"))
@@ -374,6 +375,7 @@ def test_screening_equivalence_boundary_case():
     from mivqe.adaptive import run_adaptive, select_entangler
     from mivqe.pipeline import prepare_problem
     from mivqe.screening import (
+        generate_pool,
         percentile_of_strengths,
         screen_pool,
         support_strengths,
@@ -415,7 +417,7 @@ def test_screening_equivalence_boundary_case():
     # the words screen_pool keeps: percentile within the register's pool <= p_cut
     pct = pool_strengths(partial.pool, percentile_of_strengths(table, table))
     scr_idx = np.flatnonzero(pct <= p_cut)
-    screened = screen_pool(partial.pool, table, p_cut)
+    screened = generate_pool(partial.hamiltonian.n_qubits, *screen_pool(table, p_cut))
     assert pool_words(screened) == tuple(pool_word(partial.pool, i) for i in scr_idx)
     assert descents[scr_idx].max() < descents.max()
 
@@ -1007,7 +1009,7 @@ def test_cli_non_finite_or_oversized_input_exits_3_at_parse(case, tmp_path, caps
 def test_cli_pool_rejects_size_above_limit(monkeypatch, capsys):
     import mivqe.screening
 
-    def unguarded(n_qubits):
+    def unguarded(n_qubits, *args):
         raise AssertionError(f"generate_pool({n_qubits}) ran past the size guard")
 
     monkeypatch.setattr(mivqe.screening, "generate_pool", unguarded)
@@ -1018,7 +1020,7 @@ def test_cli_pool_rejects_size_above_limit(monkeypatch, capsys):
 def _pool_must_not_run(monkeypatch):
     import mivqe.screening
 
-    def unguarded(n_qubits):
+    def unguarded(n_qubits, *args):
         raise AssertionError(f"generate_pool({n_qubits}) ran before the input checks")
 
     monkeypatch.setattr(mivqe.screening, "generate_pool", unguarded)
@@ -1034,6 +1036,24 @@ def test_cli_pool_screening_flag_without_mi_exits_3_before_the_pool(
     assert main(["pool", "--n-qubits", "3", flag, value]) == 3
     err = capsys.readouterr().err
     assert err == f"input error: {flag} requires --mi\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("p_cut,message", [
+    ("0", "p_cut must lie in (0, 1]"),
+    ("1.5", "p_cut must lie in (0, 1]"),
+    ("nan", "p_cut must lie in (0, 1]"),
+    ("1e-6", "leaves an empty pool (minimum achievable percentile is 7.64e-06)"),
+], ids=["zero", "above_one", "nan", "below_minimum"])
+def test_cli_pool_refuses_a_cut_before_the_pool(p_cut, message, tmp_path, monkeypatch, capsys):
+    """A cut outside (0, 1], or below the smallest percentile any word has,
+    is refused before any pool is built, and no file is written."""
+    _pool_must_not_run(monkeypatch)
+    out = tmp_path / "pool.txt"
+    assert main(["pool", "--n-qubits", "10", "--mi", str(H2O10_MI), "--p-cut", p_cut,
+                 "--report", str(tmp_path / "report.csv"), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1402,6 +1422,71 @@ def test_pool_text_matches_recorded_digests(tmp_path):
     assert digests == recorded
 
 
+def _spy_on_pool_sizes(monkeypatch) -> list:
+    """The length of every EntanglerPool built from now on, in order."""
+    from mivqe.screening import EntanglerPool
+
+    sizes = []
+    post_init = EntanglerPool.__post_init__
+
+    def spy(pool):
+        post_init(pool)
+        sizes.append(len(pool))
+
+    monkeypatch.setattr(EntanglerPool, "__post_init__", spy)
+    return sizes
+
+
+def test_screened_pool_out_builds_only_the_screened_words(tmp_path, monkeypatch):
+    """pool --p-cut --out without --report builds the 26,033 screened words
+    of the 523,776-word pool and no larger pool, and writes the bytes
+    pool_sha256.txt recorded for it."""
+    sizes = _spy_on_pool_sizes(monkeypatch)
+    out = tmp_path / "screened.txt"
+    assert main(["pool", "--n-qubits", "10", "--mi", str(H2O10_MI), "--p-cut", "0.05",
+                 "--out", str(out)]) == 0
+    assert max(sizes) == sizes[0] == 26_033
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert f"{digest}  pool_out_h2o10" in POOL_DIGESTS.read_text().splitlines()
+
+
+def test_screened_run_builds_only_the_screened_words(monkeypatch):
+    from mivqe.screening import pool_size
+
+    sizes = _spy_on_pool_sizes(monkeypatch)
+    report, problem = run_pipeline(lih_config(p_cut=0.3, max_steps=1))
+    assert sizes == [len(problem.pool)]
+    assert len(problem.pool) < pool_size(problem.hamiltonian.n_qubits)
+
+
+def test_unscreened_rerun_removes_the_screened_pool(tmp_path):
+    """A run without p_cut into the directory of a screened run leaves no
+    pool_screened.txt whose provenance contradicts report.json."""
+    out = tmp_path / "run"
+    run_pipeline(lih_config(p_cut=0.5, max_steps=1, output=str(out)))
+    assert (out / "pool_screened.txt").read_text().startswith(
+        "# pool provenance: screened(p_cut=0.5)\n"
+    )
+    run_pipeline(lih_config(max_steps=1, output=str(out)))
+    report = json.loads((out / "report.json").read_text())
+    assert report["pool"]["provenance"] == "stationary_reduced"
+    assert sorted(path.name for path in out.iterdir()) == [
+        "manifest.json", "mi.csv", "report.json", "steps.csv"
+    ]
+
+
+def test_mi_report_removes_an_earlier_ladders_mi_files(tmp_path):
+    """Only this ladder's mi_mps_*.csv files are left beside mi_report.json."""
+    out = tmp_path / "mi"
+    mi_report(lih_config(max_steps=1, output=str(out)), [MpsBackend(chi=2, sweeps=2)])
+    assert (out / "mi_mps_chi2_sweeps2.csv").is_file()
+    report = mi_report(lih_config(max_steps=1, output=str(out)), [MpsBackend(chi=4, sweeps=2)])
+    assert list(report["columns"]) == ["exact", "mps:chi=4,sweeps=2"]
+    assert sorted(path.name for path in out.glob("mi_*.csv")) == [
+        "mi_compare.csv", "mi_mps_chi4_sweeps2.csv"
+    ]
+
+
 def test_cli_sweep(tmp_path):
     out = tmp_path / "sw"
     code = main([
@@ -1518,7 +1603,7 @@ def test_cli_empty_hamiltonian_exits_3_before_the_pool(terms, tmp_path, monkeypa
     """With no term left there is nothing to act with; the compiled action
     used to fail on a zero CSR row step (stage 'reference': division by zero)."""
     monkeypatch.setattr(mivqe.pipeline, "generate_pool",
-                        lambda n: pytest.fail("the pool was built"))
+                        lambda *a: pytest.fail("the pool was built"))
     path = _write(tmp_path / "empty.pauli", f"qubits: 2\n{terms}")
     assert main(["run", "--pauli-sum", path, "--reduce-stationary", "false",
                  "--output", str(tmp_path / "out")]) == 3

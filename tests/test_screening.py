@@ -34,6 +34,7 @@ from helpers import (
     pool_from_text,
     pool_word,
     pool_words,
+    screen_after_build,
     sort_key,
     tiled_pool_masks,
 )
@@ -114,26 +115,69 @@ def test_pool_masks_must_be_uint16(dtype):
         EntanglerPool(2, masks, masks.astype(dtype))
 
 
-def test_screen_pool_memory_at_10_qubits():
-    """screen_pool gathers one boolean per word from the 2^n percentile
-    table: it holds one uint16 support and one bool per word besides the
-    kept words' masks (the per-word intp supports and float percentiles it
-    gathered before took 8 MiB at p_cut = 0.05)."""
-    n = 10
+def screened(n, table, p_cut):
+    return generate_pool(n, *screen_pool(table, p_cut))
+
+
+def test_screened_pool_memory_at_12_qubits():
+    """A screened build allocates the kept words' masks at their exact size
+    and one block of (z, x) pairs besides: ~1.9 MiB traced for 416,305 words
+    at p_cut = 0.05, where building the whole pool and filtering it peaked
+    at ~56 MiB."""
+    n = 12
     rng = np.random.default_rng(74)
     entries = np.triu(rng.random((n, n)), 1)
     table = support_strengths(n, entries + entries.T)
-    pool = generate_pool(n)
-    for p_cut in (0.05, 1.0):
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            screened = screen_pool(pool, table, p_cut)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        ceiling = 3 * len(pool) + 4 * len(screened) + 2**18
-        assert peak < ceiling, f"{peak / 2**20:.2f} MiB at p_cut={p_cut}"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pool = screened(n, table, 0.05)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(pool) == 416_305
+    assert peak < 4 * len(pool) + 2**20, f"{peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_screen_first_equals_build_then_filter(n):
+    """generate_pool on screen_pool's keep table gives the words, order,
+    provenance and exact up-front count of the whole pool filtered word by
+    word. Cuts are random, at a percentile (a boundary tie) and at 1; MI
+    entries from a few levels make strengths tie at the cut."""
+    rng = np.random.default_rng(80 + n)
+    for levels in (rng.random(6), rng.choice([0.125, 0.25, 0.5], size=3)):
+        entries = np.triu(rng.choice(levels, size=(n, n)), 1)
+        table = support_strengths(n, entries + entries.T)
+        pct = percentile_of_strengths(table, table)
+        for p_cut in (*rng.uniform(0, 0.3, size=2), rng.choice(pct), 1.0):
+            try:
+                expected = screen_after_build(n, table, p_cut)
+            except ScreeningError:
+                with pytest.raises(ScreeningError, match="leaves an empty pool"):
+                    screen_pool(table, p_cut)
+                continue
+            keep, provenance = screen_pool(table, p_cut)
+            pool = generate_pool(n, keep, provenance)
+            assert pool.x.tobytes() == expected.x.tobytes()
+            assert pool.z.tobytes() == expected.z.tobytes()
+            assert pool.provenance == expected.provenance
+            assert len(pool) == odd_y_multiplicities(n)[keep].sum()
+
+
+def test_whole_pool_is_the_keep_none_case():
+    n = 6
+    keep = np.ones(1 << n, dtype=bool)
+    full, kept_all = generate_pool(n), generate_pool(n, keep, "all")
+    assert np.array_equal(full.x, kept_all.x) and np.array_equal(full.z, kept_all.z)
+    assert (full.provenance, kept_all.provenance) == ("original", "all")
+    assert len(generate_pool(n, ~keep)) == 0
+
+
+@pytest.mark.parametrize("p_cut", [0.0, -0.1, 1.5, float("nan")])
+def test_screen_pool_refuses_a_cut_outside_the_unit_interval(p_cut):
+    with pytest.raises(ScreeningError, match="p_cut must lie in"):
+        screen_pool(np.zeros(8), p_cut)
 
 
 def test_correlation_strength_single_pair():
@@ -243,15 +287,15 @@ def test_screen_pool_noop_and_top_word():
     table = support_strengths(n, mi)
 
     strengths = pool_strengths(pool, table)
-    assert pool_words(screen_pool(pool, table, 1.0)) == pool_words(pool)
+    assert pool_words(screened(n, table, 1.0)) == pool_words(pool)
 
     top = strengths.max()
     n_top = int((strengths == top).sum())
-    screened = screen_pool(pool, table, n_top / len(pool))
+    top_words = screened(n, table, n_top / len(pool))
     assert all(
-        correlation_strength(w, mi) == top for w in pool_words(screened)
+        correlation_strength(w, mi) == top for w in pool_words(top_words)
     )
-    assert len(screened) == n_top
+    assert len(top_words) == n_top
 
 
 def test_screen_pool_brute_force_set():
@@ -263,11 +307,11 @@ def test_screen_pool_brute_force_set():
     # percentile by direct count: share of the pool at least as strong
     pct = {w: sum(s >= c for s in slow) / len(pool) for w, c in zip(pool_words(pool), slow)}
     for p_cut in (0.05, 0.2, 0.5, 0.9):
-        screened = screen_pool(pool, support_strengths(n, mi), p_cut)
+        words = pool_words(screened(n, support_strengths(n, mi), p_cut))
         kept = [i for i, w in enumerate(pool_words(pool)) if pct[w] <= p_cut]
-        assert pool_words(screened) == tuple(pool_word(pool, i) for i in kept)
+        assert words == tuple(pool_word(pool, i) for i in kept)
         # canonical order preserved
-        keys = [sort_key(w) for w in pool_words(screened)]
+        keys = [sort_key(w) for w in words]
         assert keys == sorted(keys)
 
 
@@ -279,7 +323,7 @@ def test_screening_monotonicity():
     p_min = percentile_of_strengths(pool_strengths(pool, table), table).min()
     previous: set = set()
     for p_cut in (p_min, 0.3, 0.6, 1.0):
-        kept = set(pool_words(screen_pool(pool, table, p_cut)))
+        kept = set(pool_words(screened(n, table, p_cut)))
         assert previous <= kept
         previous = kept
 
@@ -334,10 +378,9 @@ def test_table_percentiles_equal_per_word_count(seed):
         expected = np.flatnonzero(per_word_percentiles(word_strengths, word_strengths) <= p_cut)
         if not len(expected):
             with pytest.raises(ScreeningError):
-                screen_pool(pool, table, p_cut)
+                screen_pool(table, p_cut)
             continue
-        screened = screen_pool(pool, table, p_cut)
-        assert pool_words(screened) == tuple(pool_word(pool, i) for i in expected)
+        assert pool_words(screened(n, table, p_cut)) == tuple(pool_word(pool, i) for i in expected)
 
 
 def test_pool_spearman_equals_spearmanr_over_the_repeated_pool():
@@ -371,10 +414,9 @@ def test_pool_spearman_equals_spearmanr_over_the_repeated_pool():
 
 def test_screen_pool_empty_raises():
     mi = mi_from_entries(np.zeros((2, 2)))
-    pool = generate_pool(2)
     # all strengths tie at 0, so every percentile is 1.0
     with pytest.raises(ScreeningError, match="minimum achievable percentile is 1"):
-        screen_pool(pool, support_strengths(2, mi), 0.5)
+        screen_pool(support_strengths(2, mi), 0.5)
 
 
 def test_pool_text_round_trip():
