@@ -40,10 +40,13 @@ EXIT_NOT_CONVERGED = 2
 EXIT_INPUT_ERROR = 3
 
 # The package's error types: each reports an input or problem the package
-# cannot work with, so the CLI turns it into one error line and exit 3.
+# cannot work with, so the CLI turns it into one error line and exit 3; so
+# does a path that names a missing file, or a file where a directory belongs
+# or the reverse
 INPUT_ERRORS = (
     AdaptiveError, ConfigError, EncodingError, FcidumpError, FermionError, MpsError,
     PauliError, ReferenceError, ScreeningError, SimulatorError, FileNotFoundError,
+    FileExistsError, IsADirectoryError, NotADirectoryError,
 )
 
 
@@ -93,6 +96,12 @@ def _config_from_args(args, **extra) -> RunConfig:
     return parse_config(text, **overrides)
 
 
+def _refuse_directory(flag: str, path: str | None) -> None:
+    """Refuse an output file path that names a directory, before any work."""
+    if path is not None and Path(path).is_dir():
+        raise ConfigError(f"{flag} {path} is a directory, not a file")
+
+
 def _cmd_run(args) -> int:
     cfg = _config_from_args(args)
     report, problem = run_pipeline(cfg)
@@ -114,6 +123,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     base = _config_from_args(args, fcidump=args.fcidumps[0])
+    # refused before any problem runs, not after all of them
+    if base.output and Path(base.output).exists() and not Path(base.output).is_dir():
+        raise ConfigError(f"--output {base.output} is not a directory")
     tagged = []
     for path in args.fcidumps:
         out = None
@@ -148,6 +160,7 @@ def _cmd_mi_report(args) -> int:
 
 def _cmd_encode(args) -> int:
     cfg = _config_from_args(args)
+    _refuse_directory("--out", args.out)
     text = encode_fcidump_to_text(cfg)
     if args.out:
         write_text_atomic(Path(args.out), text)
@@ -166,6 +179,8 @@ def _cmd_pool(args) -> int:
             f"--n-qubits {args.n_qubits} exceeds the {SCORER_MAX_QUBITS}-qubit pool limit"
         )
     # every input, the cut included, is checked before any pool is built
+    _refuse_directory("--out", args.out)
+    _refuse_directory("--report", args.report)
     keep, provenance = None, "original"
     if args.mi:
         table = support_strengths(args.n_qubits, MIMatrix.from_csv(Path(args.mi).read_text()))

@@ -11,7 +11,10 @@ creations in increasing mode order, then annihilations in decreasing mode
 order. Its constructor sorts each string by adjacent swaps, one sign flip per
 swap, and drops a string that repeats a mode within either block. A string
 with an annihilation left of a creation would need contractions, which no
-operator here produces, so it is refused.
+operator here produces, so it is refused. Sums, multiples and adjoints of
+operators hold normal-ordered strings already, so they skip the sort and
+share only the constructor's last step: the finite check, the sort of the
+strings and the cutoff.
 """
 
 from __future__ import annotations
@@ -42,42 +45,62 @@ class FermionOperator:
             if ordered is not None:
                 sign, nl = ordered
                 merged[nl] = merged.get(nl, 0.0) + sign * coeff
-        if not all(map(math.isfinite, merged.values())):  # else the cutoff drops a NaN
-            raise FermionError("non-finite coefficient after merging terms")
-        self.terms: dict[LadderString, float] = {
-            l: c for l, c in sorted(merged.items()) if abs(c) > TERM_CUTOFF
-        }
+        self.terms = _settled(merged)
 
-    def n_modes(self) -> int:
-        return 1 + max(
-            (mode for ladder in self.terms for mode, _ in ladder), default=-1
-        )
+    @classmethod
+    def _from_normal_ordered(cls, terms: dict[LadderString, float]) -> "FermionOperator":
+        """The operator of distinct strings already in normal order.
+
+        Normal-ordering such a string is the identity with sign +1, so this
+        skips it and gives the constructor's terms, bit for bit.
+        """
+        op = cls.__new__(cls)
+        op.terms = _settled(terms)
+        return op
 
     def __add__(self, other: "FermionOperator") -> "FermionOperator":
         out = dict(self.terms)
         for ladder, coeff in other.terms.items():
             out[ladder] = out.get(ladder, 0.0) + coeff
-        return FermionOperator(out)
+        return FermionOperator._from_normal_ordered(out)
 
     def __mul__(self, scalar: float) -> "FermionOperator":
-        return FermionOperator({l: c * scalar for l, c in self.terms.items()})
+        return FermionOperator._from_normal_ordered(
+            {l: c * scalar for l, c in self.terms.items()}
+        )
 
     __rmul__ = __mul__
 
     def adjoint(self) -> "FermionOperator":
-        # reversing a normal-ordered string and swapping its factor types
-        # gives a normal-ordered string, so no key collides and no sign flips
-        return FermionOperator(
-            {tuple((m, not c) for m, c in reversed(l)): c for l, c in self.terms.items()}
+        # no two strings share an adjoint, so no key collides and no sign flips
+        return FermionOperator._from_normal_ordered(
+            {_adjoint_string(l): c for l, c in self.terms.items()}
         )
 
     def is_hermitian(self) -> bool:
-        adj = self.adjoint().terms
-        keys = set(self.terms) | set(adj)
-        return all(abs(self.terms.get(k, 0.0) - adj.get(k, 0.0)) <= 1e-10 for k in keys)
+        """Each coefficient within 1e-10 of its adjoint string's (0 if absent)."""
+        terms = self.terms
+        return all(
+            abs(c - terms.get(_adjoint_string(l), 0.0)) <= 1e-10 for l, c in terms.items()
+        )
 
     def __repr__(self) -> str:
         return f"FermionOperator({len(self.terms)} terms)"
+
+
+def _settled(merged: dict[LadderString, float]) -> dict[LadderString, float]:
+    """Merged normal-ordered terms, sorted, without those at or below TERM_CUTOFF."""
+    if not all(map(math.isfinite, merged.values())):  # else the cutoff drops a NaN
+        raise FermionError("non-finite coefficient after merging terms")
+    return {l: c for l, c in sorted(merged.items()) if abs(c) > TERM_CUTOFF}
+
+
+def _adjoint_string(ladder: LadderString) -> LadderString:
+    """The adjoint of a ladder string: reversed, each factor's type swapped.
+
+    The adjoint of a normal-ordered string is normal-ordered.
+    """
+    return tuple([(m, not c) for m, c in ladder[::-1]])
 
 
 def _normal_order(ladder: LadderString) -> tuple[float, LadderString] | None:

@@ -40,6 +40,12 @@ sums_equal compares two sums bit for bit; dict_merged_terms is the Python dict m
 its oracle, and per_term_reduced_terms the per-term stationary-qubit
 reduction the array one replaced. The word and sum algebra only the tests use lives here too:
 multiply, identity, weight, add_sums, scale_sum and coefficient.
+
+dict_encode is the encoder mivqe.encodings.encode replaced: each ladder
+string multiplied out one factor at a time on Python-integer masks, merged
+in dicts. The array encoder must match it bit for bit, and its refusals
+message for message. adjoint_is_hermitian is the Hermiticity test that
+built the adjoint operator; FermionOperator.is_hermitian must agree with it.
 """
 
 import math
@@ -48,6 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mivqe.adaptive import PoolScorer, _fwht, _tau_minimum
+from mivqe.encodings import EncodingError, _ladder_factors
 from mivqe.fcidump import MolecularIntegrals
 from mivqe.fermion import FermionOperator
 from mivqe.pauli import (
@@ -754,6 +761,57 @@ def conjugate_sum(H: PauliSum, P: PauliWord) -> PauliSum:
     if H.n_qubits != P.n_qubits:
         raise PauliError("qubit-count mismatch between sum and word")
     return pauli_sum(H.n_qubits, [(c if commutes(w, P) else -c, w) for c, w in sum_terms(H)])
+
+
+def adjoint_is_hermitian(op: FermionOperator) -> bool:
+    """Whether op equals its adjoint operator within 1e-10, string by string."""
+    adj = op.adjoint().terms
+    keys = set(op.terms) | set(adj)
+    return all(abs(op.terms.get(k, 0.0) - adj.get(k, 0.0)) <= 1e-10 for k in keys)
+
+
+def dict_encode(op: FermionOperator, mapping: str, n_modes: int) -> PauliSum:
+    """encode as Python dicts: each ladder string multiplied out one factor
+    at a time with mask_product, merging a string's colliding words in
+    first-occurrence order at every factor, then every word's contributions
+    added from 0.0 in op.terms order; the order of additions the array
+    encoder must keep bit for bit."""
+    if not adjoint_is_hermitian(op):
+        raise EncodingError("refusing to encode a non-Hermitian operator")
+    n_used = 1 + max((mode for ladder in op.terms for mode, _ in ladder), default=-1)
+    if n_used > n_modes:
+        raise EncodingError(f"mode {n_used - 1} is beyond the {n_modes}-mode register")
+
+    coeffs, xs, zs = _ladder_factors(mapping, n_modes)
+    factors = {
+        (mode, creation): tuple(
+            (complex(coeffs[row, w]), int(xs[row, w]), int(zs[row, w])) for w in (0, 1)
+        )
+        for mode in range(n_modes)
+        for creation in (False, True)
+        for row in [2 * mode + creation]
+    }
+    acc: dict[tuple[int, int], complex] = {}
+    for ladder, coeff in op.terms.items():
+        term: dict[tuple[int, int], complex] = {(0, 0): complex(coeff)}
+        for mode_op in ladder:
+            product: dict[tuple[int, int], complex] = {}
+            for (xa, za), ca in term.items():
+                for cb, xb, zb in factors[mode_op]:
+                    phase, x, z = mask_product(xa, za, xb, zb)
+                    product[x, z] = product.get((x, z), 0.0) + ca * cb * (1j**phase)
+            term = product
+        for key, c in term.items():
+            acc[key] = acc.get(key, 0.0) + c
+
+    masks = np.array(list(acc), dtype=np.uint64).reshape(-1, 2)
+    values = np.array(list(acc.values()), dtype=complex)
+    bad = np.flatnonzero(np.abs(values.imag) > 1e-9)
+    if len(bad):
+        raise EncodingError(
+            f"non-real coefficient {values[bad[0]]} survived encoding a Hermitian operator"
+        )
+    return PauliSum(n_modes, values.real, masks[:, 0], masks[:, 1])
 
 
 def number_operator(n_modes: int) -> FermionOperator:

@@ -29,6 +29,7 @@ from helpers import (
     PauliWord,
     coefficient,
     dense_sum,
+    dict_encode,
     expectation,
     fermion_dense,
     identity,
@@ -45,10 +46,10 @@ REDUCED_DIGESTS = Path(__file__).with_name("encode_reduced_sha256.txt")
 MAPPINGS = ["jordan_wigner", "parity", "bravyi_kitaev"]
 
 
-def random_hermitian_fermion_op(rng, n_modes, n_terms=6):
+def random_hermitian_fermion_op(rng, n_modes, n_terms=6, max_length=2):
     terms = {}
     for _ in range(n_terms):
-        k = int(rng.integers(1, 3))
+        k = int(rng.integers(1, max_length + 1))
         n_create = int(rng.integers(0, k + 1))
         ladder = tuple((int(rng.integers(0, n_modes)), f < n_create) for f in range(k))
         terms[ladder] = terms.get(ladder, 0.0) + float(rng.normal())
@@ -324,3 +325,97 @@ def test_reduction_equals_the_per_term_loop_bit_for_bit(seed):
     want = per_term_reduced_terms(H, bits)
     assert [w for _, w in got] == [w for _, w in want]
     assert np.array([c for c, _ in got]).tobytes() == np.array([c for c, _ in want]).tobytes()
+
+
+def repeated_mode_hermitian_op(rng, n_modes, n_terms=12):
+    """A Hermitian operator of creation-first strings of 0 to 6 factors; in
+    half of them the annihilations take the created modes first, so those
+    strings repeat modes and their words collide. Coefficients span six
+    decades."""
+    terms = {}
+    for _ in range(n_terms):
+        length = int(rng.integers(0, 7))
+        n_create = int(rng.integers(0, min(length, n_modes) + 1))
+        create = rng.choice(n_modes, n_create, replace=False)
+        if rng.random() < 0.5:
+            rest = np.setdiff1d(np.arange(n_modes), create)
+            modes = np.concatenate([rng.permutation(create), rng.permutation(rest)])
+        else:
+            modes = rng.permutation(n_modes)
+        annihilate = modes[: min(length - n_create, n_modes)]
+        ladder = tuple((int(m), True) for m in create) + tuple((int(m), False) for m in annihilate)
+        terms[ladder] = float(rng.normal() * 10.0 ** rng.integers(-3, 3))
+    op = FermionOperator(terms)
+    return 0.5 * (op + op.adjoint())
+
+
+def _same_bits(got, want) -> None:
+    assert format_pauli_sum(got) == format_pauli_sum(want)
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("n_modes", range(2, 13))
+def test_array_encoder_matches_the_dict_encoder_bit_for_bit(n_modes):
+    """Random strings with repeated modes, whose words collide inside a
+    string at several factors, encode to the dict encoder's text and
+    coefficient bytes under every mapping."""
+    rng = np.random.default_rng(1000 + n_modes)
+    repeating = 0
+    for _ in range(4):
+        op = repeated_mode_hermitian_op(rng, n_modes)
+        repeating += sum(len({m for m, _ in l}) < len(l) for l in op.terms)
+        for mapping in MAPPINGS:
+            _same_bits(encode(op, mapping, n_modes), dict_encode(op, mapping, n_modes))
+    assert repeating >= 8
+
+
+@pytest.mark.parametrize("grouping", ["abab", "aabb"])
+@pytest.mark.parametrize("n_orbitals", range(1, 7))
+def test_array_encoder_matches_the_dict_encoder_on_s_squared(n_orbitals, grouping):
+    """S^2 holds number operators and strings with two repeated modes."""
+    op = s_squared_operator(n_orbitals, grouping)
+    for mapping in MAPPINGS:
+        _same_bits(
+            encode(op, mapping, 2 * n_orbitals), dict_encode(op, mapping, 2 * n_orbitals)
+        )
+
+
+def _refusals(op, mapping, n_modes):
+    out = []
+    for encoder in (encode, dict_encode):
+        with pytest.raises(EncodingError) as info:
+            encoder(op, mapping, n_modes)
+        out.append(str(info.value))
+    return out
+
+
+@pytest.mark.parametrize("mapping", MAPPINGS)
+def test_array_encoder_refuses_as_the_dict_encoder(mapping):
+    """A non-Hermitian operator and a mode beyond the register are refused
+    with the dict encoder's messages."""
+    hopping = FermionOperator({((0, True), (1, False)): 1.0})
+    got, want = _refusals(hopping, mapping, 2)
+    assert got == want == "refusing to encode a non-Hermitian operator"
+    number = FermionOperator({((0, True), (0, False)): 1.0, ((3, True), (3, False)): 1.0})
+    got, want = _refusals(number, mapping, 3)
+    assert got == want == "mode 3 is beyond the 3-mode register"
+
+
+def test_encode_refuses_a_negative_mode():
+    """A negative mode would index the factor table from its end."""
+    op = FermionOperator({((-1, True), (-1, False)): 1.0})
+    with pytest.raises(EncodingError, match="mode -1 is negative"):
+        encode(op, "jordan_wigner", 2)
+
+
+@pytest.mark.parametrize("grouping", ["abab", "aabb"])
+def test_non_real_refusal_names_the_dict_encoders_coefficient(grouping):
+    """A 1e12 S^2 penalty on water leaves an imaginary part above 1e-9 after
+    the merge; the refusal names the first such word in the dict encoder's
+    first-occurrence order, with the same value."""
+    ints = load_fcidump(FIXTURE_DIR / "h2o_1.80.fcidump")
+    op = build_hamiltonian(ints, grouping) + 1e12 * s_squared_operator(ints.n_orbitals, grouping)
+    for mapping in MAPPINGS:
+        got, want = _refusals(op, mapping, 2 * ints.n_orbitals)
+        assert got == want
+        assert got.startswith("non-real coefficient ")

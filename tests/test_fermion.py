@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from mivqe.fcidump import MolecularIntegrals
+import mivqe.fermion
+from mivqe.fcidump import MolecularIntegrals, load_fcidump
 from mivqe.fermion import (
     FermionError,
     FermionOperator,
@@ -16,7 +17,8 @@ from mivqe.fermion import (
     s_squared_operator,
 )
 
-from helpers import fermion_dense, number_operator
+from conftest import FIXTURE_DIR
+from helpers import adjoint_is_hermitian, fermion_dense, number_operator
 
 
 def det_state(n_modes, occupied):
@@ -184,3 +186,73 @@ def test_groupings_differ_by_exact_signs():
             sign, key = _normal_order(tuple((perm[m], c) for m, c in ladder))
             relabeled[key] = sign * coeff
         assert aabb.terms == relabeled
+
+
+def _same_terms(got: FermionOperator, want: FermionOperator) -> None:
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert np.array(list(got.terms.values())).tobytes() == np.array(
+        list(want.terms.values())
+    ).tobytes()
+
+
+def test_sum_scale_and_adjoint_skip_normal_ordering_bit_for_bit(monkeypatch):
+    """Sums, scalings and adjoints of normal-ordered operators give the
+    terms of the constructor that normal-ordered their strings again, key
+    for key and bit for bit, without calling the normal ordering."""
+    ints = load_fcidump(FIXTURE_DIR / "h2o_1.80.fcidump")
+    H = build_hamiltonian(ints, "aabb")
+    S2 = s_squared_operator(ints.n_orbitals, "aabb")
+    rng = np.random.default_rng(24)
+    raw = {}
+    for _ in range(40):
+        n_create = int(rng.integers(0, 3))
+        modes = rng.choice(10, 4, replace=False)
+        ladder = tuple((int(m), f < n_create) for f, m in enumerate(modes))
+        raw[ladder] = float(rng.normal() * 10.0 ** rng.integers(-14, 2))
+    R = FermionOperator(raw)
+
+    def reordered(terms):  # the construction the operations used to call
+        return FermionOperator(dict(terms))
+
+    def added(a, b):
+        out = dict(a.terms)
+        for ladder, coeff in b.terms.items():
+            out[ladder] = out.get(ladder, 0.0) + coeff
+        return out
+
+    want = [
+        reordered(added(H, 0.5 * S2 * 1.0)),
+        reordered(added(R, H)),
+        reordered({l: c * -1e-3 for l, c in R.terms.items()}),
+        reordered({tuple((m, not c) for m, c in reversed(l)): c for l, c in R.terms.items()}),
+    ]
+    half_S2 = 0.5 * S2
+
+    def refuse(ladder):
+        raise AssertionError(f"{ladder} normal-ordered again")
+
+    monkeypatch.setattr(mivqe.fermion, "_normal_order", refuse)
+    got = [H + half_S2, R + H, -1e-3 * R, R.adjoint()]
+    for g, w in zip(got, want):
+        _same_terms(g, w)
+
+
+def test_is_hermitian_agrees_with_the_adjoint_operator_at_its_tolerance():
+    """Coefficients 1e-10 apart, one ulp either side of it, and a string
+    whose adjoint is absent with a coefficient at, just below and just
+    above 1e-10: the direct partner comparison gives the adjoint
+    operator's answer, and both answers occur."""
+    hop, pah = ((0, True), (2, False)), ((2, True), (0, False))
+    pair, partnerless = ((1, True), (3, True), (3, False), (0, False)), ((4, True), (5, False))
+    answers = set()
+    for a in (0.3, -2.5, 1e-3):
+        for gap in (1e-10, 1.5e-10, 0.5e-10):
+            b0 = a + gap
+            for b in (np.nextafter(b0, -np.inf), b0, np.nextafter(b0, np.inf)):
+                for c in (1e-10, np.nextafter(1e-10, 0.0), np.nextafter(1e-10, 1.0)):
+                    op = FermionOperator({hop: a, pah: float(b), partnerless: float(c),
+                                          pair: 0.7, tuple((m, not k) for m, k in pair[::-1]): 0.7})
+                    answer = op.is_hermitian()
+                    assert answer == adjoint_is_hermitian(op), (a, b, c)
+                    answers.add(answer)
+    assert answers == {True, False}

@@ -1057,6 +1057,53 @@ def test_cli_pool_refuses_a_cut_before_the_pool(p_cut, message, tmp_path, monkey
     assert list(tmp_path.iterdir()) == []
 
 
+def test_cli_encode_refuses_a_directory_as_out_before_encoding(tmp_path, monkeypatch, capsys):
+    reached = []
+    monkeypatch.setattr(mivqe.cli, "encode_fcidump_to_text",
+                        lambda *a, **kw: reached.append("encode") or "")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["encode", "--fcidump", LIH, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"input error: --out {out} is a directory, not a file\n"
+    assert reached == [] and list(tmp_path.iterdir()) == [out]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--report"])
+def test_cli_pool_refuses_a_directory_as_output_before_the_pool(flag, tmp_path, monkeypatch,
+                                                                capsys):
+    _pool_must_not_run(monkeypatch)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = ["pool", "--n-qubits", "3", flag, str(out)]
+    if flag == "--report":
+        argv += ["--mi", str(H2O10_MI)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"input error: {flag} {out} is a directory, not a file\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+def test_cli_sweep_refuses_a_file_as_output_before_any_problem(tmp_path, monkeypatch, capsys):
+    reached = []
+    monkeypatch.setattr(mivqe.pipeline, "load_fcidump",
+                        lambda *a, **kw: reached.append("load_fcidump"))
+    out = tmp_path / "sweep.csv"
+    out.write_text("kept\n")
+    assert main(["sweep", "--output", str(out), LIH]) == 3
+    assert capsys.readouterr().err == f"input error: --output {out} is not a directory\n"
+    assert reached == [] and out.read_text() == "kept\n"
+
+
+def test_cli_write_errors_exit_3(tmp_path, capsys):
+    """An output path through a file fails the write with exit 3 and one
+    error line."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["pool", "--n-qubits", "3", "--out", str(blocker / "pool.txt")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Not a directory" in err
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("mi_qubits,n_qubits", [(4, 2), (2, 4)], ids=["mi4_pool2", "mi2_pool4"])
 def test_cli_pool_refuses_an_mi_of_another_register(
     mi_qubits, n_qubits, tmp_path, monkeypatch, capsys
